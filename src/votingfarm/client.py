@@ -147,15 +147,15 @@ def vf_control(
             fields["scaling_factor"] = scaling_factor
         if tie_break is not None:
             fields["tie_break"] = tie_break
-        yield Send(voter, wire.encode(wire.K_CONTROL, fields))
+        yield Send(voter, wire.Frame(wire.K_CONTROL, fields))
     if output_node is not None:
-        yield Send(voter, wire.encode(wire.K_CONTROL, {"req": "output", "node": output_node}))
+        yield Send(voter, wire.Frame(wire.K_CONTROL, {"req": "output", "node": output_node}))
     if input is not None:
-        yield Send(voter, wire.encode(wire.K_INPUT, {"valid": True}, input))
+        yield Send(voter, wire.Frame(wire.K_INPUT, {"valid": True}, input))
     if reset:
-        yield Send(voter, wire.encode(wire.K_CONTROL, {"req": "reset"}))
+        yield Send(voter, wire.Frame(wire.K_CONTROL, {"req": "reset"}))
     if close:
-        yield Send(voter, wire.encode(wire.K_CONTROL, {"req": "close"}))
+        yield Send(voter, wire.Frame(wire.K_CONTROL, {"req": "close"}))
 
 
 def vf_get(handle: FarmHandle, proc: Proc, timeout: int) -> Generator:
@@ -176,9 +176,9 @@ def vf_get(handle: FarmHandle, proc: Proc, timeout: int) -> Generator:
         got = yield Recv(remaining)
         if got is TIMEOUT:
             return VfStatus(VfStatusCode.VF_NONE, "timeout")
-        sender, raw = got
+        sender, message = got
         try:
-            frame = wire.decode(raw)
+            frame = wire.as_frame(message)
         except wire.FrameError:
             continue
         if frame.kind == wire.K_OUTPUT:

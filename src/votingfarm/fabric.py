@@ -4,14 +4,20 @@ Processes are Python generators multiplexed by a discrete-event
 scheduler over integer simulated time.  A process talks to the fabric
 by yielding syscall objects:
 
-    Send(to, data)       blocking send; returns once delivery completed
-                         (or the message was discarded for a dead peer)
+    Send(to, data)       blocking send of a wire.Frame (or of raw frame
+                         bytes); returns once delivery completed (or the
+                         message was discarded for a dead peer)
     Recv(timeout)        oldest pending message as (sender, data), or
                          the TIMEOUT sentinel after exactly `timeout`
                          units; timeout None waits forever
     Spawn(fn, endpoint)  start a child process; returns its pid
     Sleep(dt)            advance local time
     Emit(kind, detail)   append a custom trace record
+
+Messages stay wire.Frame objects from sender to receiver; the fabric
+never serialises them.  Raw frame bytes are the edge format: they are
+carried as sent and decoded where traced or received, and bytes that do
+not decode are traced as ``raw NB``.
 
 Scheduling is fully deterministic: events are ordered by (time, seq)
 where seq increases monotonically as events are created, so two runs of
@@ -20,7 +26,7 @@ Message ordering per (sender, receiver) pair is FIFO even under
 injected delays and jitter.
 
 Fault injection covers the fail/stop and value-failure models: crash
-(endpoint falls silent forever), value-corruption (the value region of
+(endpoint falls silent forever), value-corruption (the value payload of
 every subsequent send is XORed with a mask), omission (next send is
 dropped in transit) and delay (next send held back extra units).
 """
@@ -29,6 +35,7 @@ from __future__ import annotations
 
 import heapq
 import random
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Generator, Iterator, Optional
 
@@ -58,24 +65,30 @@ class _Timeout:
 TIMEOUT = _Timeout()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Endpoint:
     """Addressable attachment point: a role instance on a node.
 
     member is the stable entity ident for voters (None for roles that
     have no farm identity).  The printable name doubles as the trace
-    identifier, e.g. ``voter:2@4`` or ``user@1``.
+    identifier, e.g. ``voter:2@4`` or ``user@1``.  The name and the hash
+    are computed once, at construction: endpoints key every mailbox,
+    link and FIFO lookup on the hot path.
     """
 
     node: NodeId
     role: str  # user | voter | dirnet | rint
     member: Optional[MemberId] = None
+    name: str = field(init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
 
-    @property
-    def name(self) -> str:
-        if self.member is None:
-            return f"{self.role}@{self.node}"
-        return f"{self.role}:{self.member}@{self.node}"
+    def __post_init__(self) -> None:
+        member = "" if self.member is None else f":{self.member}"
+        object.__setattr__(self, "name", f"{self.role}{member}@{self.node}")
+        object.__setattr__(self, "_hash", hash((self.node, self.role, self.member)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __str__(self) -> str:
         return self.name
@@ -173,7 +186,7 @@ class TraceLog:
 @dataclass(frozen=True)
 class Send:
     to: Endpoint
-    data: bytes
+    data: wire.Message
 
 
 @dataclass(frozen=True)
@@ -222,7 +235,7 @@ class Proc:
 class _EndpointState:
     def __init__(self, endpoint: Endpoint):
         self.endpoint = endpoint
-        self.mailbox: list[tuple[Endpoint, bytes]] = []
+        self.mailbox: deque[tuple[Endpoint, wire.Message]] = deque()
         self.crashed = False
         self.terminated = False
         self.corruption: Optional[bytes] = None
@@ -406,7 +419,7 @@ class Simulator:
 
     # -- control plane -------------------------------------------------
 
-    def post(self, frm: Endpoint, to: Endpoint, data: bytes) -> None:
+    def post(self, frm: Endpoint, to: Endpoint, data: wire.Message) -> None:
         """Fire-and-forget delivery outside the farm's link topology.
 
         Used by the recovery backbone (phase reports, fault records,
@@ -415,7 +428,7 @@ class Simulator:
         sender.  Delivery happens at the current time, after everything
         already scheduled.
         """
-        self.trace.append(self.now, "post", str(frm), str(to), _describe(data))
+        self.trace.append(self.now, "post", frm.name, to.name, _describe(data))
         self._schedule(self.now, "deliver", (frm, to, data))
 
     # -- scheduler ----------------------------------------------------
@@ -476,19 +489,19 @@ class Simulator:
             st.pending_delay += spec.delay
         self.trace.append(self.now, "fault", str(spec.target), "-", spec.kind)
 
-    def _deliver(self, frm: Endpoint, to: Endpoint, payload: bytes) -> None:
+    def _deliver(self, frm: Endpoint, to: Endpoint, data: wire.Message) -> None:
         st = self._endpoints.get(to)
         if st is None or st.dead:
-            self.trace.append(self.now, "drop", str(frm), str(to), "dead endpoint")
+            self.trace.append(self.now, "drop", frm.name, to.name, "dead endpoint")
             return
-        self.trace.append(self.now, "deliver", str(frm), str(to), _describe(payload))
-        st.mailbox.append((frm, payload))
+        self.trace.append(self.now, "deliver", frm.name, to.name, _describe(data))
+        st.mailbox.append((frm, data))
         pid = st.primary_pid
         if pid is not None:
             p = self._procs.get(pid)
             if p and p.alive and p.waiting:
                 p.waiting = False
-                msg = st.mailbox.pop(0)
+                msg = st.mailbox.popleft()
                 self._step(pid, msg, None)
 
     def _step(self, pid: int, value: Any, exc: Optional[BaseException]) -> None:
@@ -524,7 +537,7 @@ class Simulator:
             if isinstance(item, Recv):
                 st = self._endpoints[p.endpoint]
                 if st.mailbox:
-                    value = st.mailbox.pop(0)
+                    value = st.mailbox.popleft()
                     continue
                 p.waiting = True
                 p.wait_epoch += 1
@@ -563,11 +576,11 @@ class Simulator:
         sender_st = self._endpoints[frm]
         target_st = self._endpoints[to]
 
-        self.trace.append(self.now, "send", str(frm), str(to), _describe(item.data))
+        self.trace.append(self.now, "send", frm.name, to.name, _describe(item.data))
         if target_st.dead:
             # Fail/stop: delivery to a dead peer is silently discarded
             # and costs the sender nothing. The caller sees success.
-            self.trace.append(self.now, "drop", str(frm), str(to), "dead endpoint")
+            self.trace.append(self.now, "drop", frm.name, to.name, "dead endpoint")
             return True
 
         data = item.data
@@ -588,22 +601,15 @@ class Simulator:
 
         if sender_st.pending_omission:
             sender_st.pending_omission = False
-            self.trace.append(self.now, "drop", str(frm), str(to), "omission")
+            self.trace.append(self.now, "drop", frm.name, to.name, "omission")
         else:
             self._schedule(t_del, "deliver", (frm, to, data))
         self._schedule(t_del, "step", (p.pid, None, None))
         return False
 
 
-def _describe(data: bytes) -> str:
+def _describe(data: wire.Message) -> str:
     try:
-        frame = wire.decode(data)
+        return wire.as_frame(data).trace_detail
     except wire.FrameError:
         return f"raw {len(data)}B"
-    bits = [frame.kind_name]
-    for key in ("status", "detail", "req", "phase", "fault", "session", "member", "valid"):
-        if key in frame.fields:
-            bits.append(f"{key}={frame.fields[key]}")
-    if frame.payload:
-        bits.append(f"payload={frame.payload.hex()}")
-    return " ".join(bits)

@@ -55,7 +55,6 @@ class FarmRuntime:
         self.spares: dict[int, int] = {}  # entity -> node, declared but idle
         self.dirnet_ep: Optional[Endpoint] = None
         self.rint_ep: Optional[Endpoint] = None
-        self.records: dict = {}  # scratch space for drivers and tests
 
     # -- topology helpers ----------------------------------------------
 
@@ -229,7 +228,7 @@ class FarmRuntime:
         self.sim.post(
             frm,
             ep,
-            wire.encode(
+            wire.Frame(
                 wire.K_WARN,
                 {"farm": self.current_view().to_fields(), "epoch": self.epoch},
             ),

@@ -226,9 +226,9 @@ def director_process(db: DirDatabase, rint_ep: Endpoint):
     def run(proc: Proc) -> Generator:
         while True:
             got = yield Recv(None)
-            sender, raw = got
+            _, message = got
             try:
-                frame = wire.decode(raw)
+                frame = wire.as_frame(message)
             except wire.FrameError:
                 continue
             if frame.kind == wire.K_PHASE:
@@ -239,7 +239,7 @@ def director_process(db: DirDatabase, rint_ep: Endpoint):
                     proc.sim.post(
                         proc.endpoint,
                         rint_ep,
-                        wire.encode(wire.K_CONTROL, {"req": "trigger", "member": entity}),
+                        wire.Frame(wire.K_CONTROL, {"req": "trigger", "member": entity}),
                     )
             elif frame.kind == wire.K_FAULT:
                 entity = frame.get("member")
@@ -247,7 +247,7 @@ def director_process(db: DirDatabase, rint_ep: Endpoint):
                 proc.sim.post(
                     proc.endpoint,
                     rint_ep,
-                    wire.encode(wire.K_CONTROL, {"req": "trigger", "member": entity}),
+                    wire.Frame(wire.K_CONTROL, {"req": "trigger", "member": entity}),
                 )
     return run
 
@@ -256,9 +256,9 @@ def interpreter_process(program: RlProgram, db: DirDatabase, runtime: FarmRuntim
     def run(proc: Proc) -> Generator:
         while True:
             got = yield Recv(None)
-            _, raw = got
+            _, message = got
             try:
-                frame = wire.decode(raw)
+                frame = wire.as_frame(message)
             except wire.FrameError:
                 continue
             if frame.kind == wire.K_CONTROL and frame.get("req") == "trigger":
@@ -293,7 +293,7 @@ def attach_recovery(
             sim.post(
                 Endpoint(endpoint.node, "watchdog"),
                 dirnet_ep,
-                wire.encode(wire.K_FAULT, {"member": endpoint.member, "fault": "crash"}),
+                wire.Frame(wire.K_FAULT, {"member": endpoint.member, "fault": "crash"}),
             )
 
     sim.crash_listeners.append(watchdog)

@@ -20,9 +20,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.linalg import expm
-from scipy.optimize import brentq
 
 from .core import ValidationError, VotingFarmError
 
@@ -118,15 +115,23 @@ def markov_solve(
     method: str = "ivp",
     rtol: float = 1e-11,
 ) -> np.ndarray:
-    """Probabilities over time, one row per grid point, columns = STATES."""
+    """Probabilities over time, one row per grid point, columns = STATES.
+
+    scipy is imported on use, here and in crosspoint: at module level it
+    was most of the import time every ``vf`` command paid.
+    """
     t = np.asarray(t_grid, dtype=float)
     if t.ndim != 1 or len(t) == 0 or np.any(np.diff(t) < 0):
         raise ValidationError("t_grid must be a non-decreasing 1-d sequence")
     A = model.generator()
     if method == "expm":
+        from scipy.linalg import expm
+
         return np.array([expm(A * ti) @ model.initial for ti in t])
     if method != "ivp":
         raise ValidationError(f"unknown method {method!r}")
+    from scipy.integrate import solve_ivp
+
     sol = solve_ivp(
         lambda _, p: A @ p,
         (0.0, float(t[-1]) if t[-1] > 0 else 1e-9),
@@ -186,6 +191,8 @@ def crosspoint(
         return float(b)
     if np.sign(fa) == np.sign(fb):
         raise NoSignChange(f"no sign change of f-g on [{a}, {b}]")
+    from scipy.optimize import brentq
+
     return float(brentq(lambda r: f(r) - g(r), a, b, xtol=xtol))
 
 

@@ -541,7 +541,7 @@ def write_artifacts(result: RunResult, outdir: str) -> list[str]:
     trace_path = os.path.join(outdir, "trace.txt")
     with open(trace_path, "w", encoding="utf-8") as fh:
         fh.write(result.trace.text())
-        fh.write("\n" if result.trace.lines() else "")
+        fh.write("\n" if result.trace.events else "")
     written.append(trace_path)
 
     results_path = os.path.join(outdir, "results.json")

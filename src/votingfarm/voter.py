@@ -21,7 +21,8 @@ its database.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Generator, Optional
 
 from . import wire
@@ -46,7 +47,7 @@ class FarmSlot:
     entity: int
     node: NodeId
 
-    @property
+    @cached_property
     def voter_endpoint(self) -> Endpoint:
         return Endpoint(self.node, "voter", self.entity)
 
@@ -97,7 +98,6 @@ class VoterState:
     phase: VoterPhase = VoterPhase.VFP_INIT
     epoch: int = 0
     next_session: int = 0
-    session_log: list[dict] = field(default_factory=list)
 
 
 def _report(proc: Proc, state: VoterState, event: VoterEvent) -> None:
@@ -110,7 +110,7 @@ def _report(proc: Proc, state: VoterState, event: VoterEvent) -> None:
         proc.sim.post(
             proc.endpoint,
             state.dirnet_ep,
-            wire.encode(
+            wire.Frame(
                 wire.K_PHASE,
                 {
                     "member": state.entity,
@@ -121,8 +121,8 @@ def _report(proc: Proc, state: VoterState, event: VoterEvent) -> None:
         )
 
 
-def _status_frame(code: VfStatusCode, detail: str, session: int) -> bytes:
-    return wire.encode(wire.K_STATUS, {"status": str(code), "detail": detail, "session": session})
+def _status_frame(code: VfStatusCode, detail: str, session: int) -> wire.Frame:
+    return wire.Frame(wire.K_STATUS, {"status": str(code), "detail": detail, "session": session})
 
 
 def voter_process(state: VoterState):
@@ -141,9 +141,9 @@ def voter_process(state: VoterState):
                 got = yield Recv(None)
                 if got is TIMEOUT:  # cannot happen on an unbounded wait
                     continue
-                sender, raw = got
+                sender, message = got
                 try:
-                    frame = wire.decode(raw)
+                    frame = wire.as_frame(message)
                 except wire.FrameError:
                     yield Emit("drop", "undecodable frame")
                     continue
@@ -271,28 +271,28 @@ def _session(proc: Proc, state: VoterState, first_sender: Endpoint, first_frame:
             return None
         broadcast_done = True
         valid = u is not None
-        data = wire.encode(
+        frame = wire.Frame(
             wire.K_BROADCAST,
             {"member": me, "session": session, "epoch": state.epoch, "valid": valid},
             slots[u].payload if valid else b"",
         )
-        return [(s.voter_endpoint, data) for s in state.view.fellows(state.entity)]
+        return [(s.voter_endpoint, frame) for s in state.view.fellows(state.entity)]
 
     filled, refuse = consume(first_sender, first_frame)
     if refuse is not None:
         yield Send(refuse, _status_frame(VfStatusCode.VF_REFUSED, "busy", session))
     if filled:
-        for target, data in turn_sends() or ():
-            yield Send(target, data)
+        for target, relay in turn_sends() or ():
+            yield Send(target, relay)
 
     while len(slots) < n:
         got = yield Recv(state.delta_t)
         if got is TIMEOUT:
             slots.append(VoteObject(b"", False, 0))
         else:
-            sender, raw = got
+            sender, message = got
             try:
-                frame = wire.decode(raw)
+                frame = wire.as_frame(message)
             except wire.FrameError:
                 yield Emit("drop", "undecodable frame")
                 continue
@@ -301,12 +301,11 @@ def _session(proc: Proc, state: VoterState, first_sender: Endpoint, first_frame:
                 yield Send(refuse, _status_frame(VfStatusCode.VF_REFUSED, "busy", session))
             if not filled:
                 continue
-        for target, data in turn_sends() or ():
-            yield Send(target, data)
+        for target, relay in turn_sends() or ():
+            yield Send(target, relay)
 
     _report(proc, state, VoterEvent.BROADCAST_COMPLETE)
     metric = METRICS[state.metric_name]
-    ballot_note = [[o.source, int(o.valid), o.payload.hex()] for o in slots]
     try:
         winner = vote(slots, metric, state.select)
         error: Optional[str] = None
@@ -315,15 +314,12 @@ def _session(proc: Proc, state: VoterState, first_sender: Endpoint, first_frame:
     except VotingFarmError as exc:
         winner, error = None, f"internal: {exc}"
 
-    state.session_log.append(
-        {"session": session, "ballot": ballot_note, "ok": winner is not None}
-    )
     if winner is not None:
         _report(proc, state, VoterEvent.VOTE_OK)
         if state.output_ep is not None:
             yield Send(
                 state.output_ep,
-                wire.encode(wire.K_OUTPUT, {"session": session, "member": winner.source}, winner.payload),
+                wire.Frame(wire.K_OUTPUT, {"session": session, "member": winner.source}, winner.payload),
             )
         if state.user_ep is not None:
             yield Send(state.user_ep, _status_frame(VfStatusCode.VF_DONE, "ok", session))

@@ -1,22 +1,28 @@
-"""Frame encoding for messages crossing the simulated fabric.
+"""Messages crossing the simulated fabric.
 
-Every message is a single bytes object laid out as
+Inside the simulator a message is a ``Frame``: a kind, read-only
+structured control fields, and the opaque voted data as the value
+payload.  Senders build frames, the fabric carries them as they are and
+receivers read them directly, so no message is serialised on its way.
+
+The bytes layout is the edge and raw format, used by anything that hands
+the fabric bytes instead of a frame:
 
     kind:u8 | header_len:u32be | header (JSON, utf-8) | value payload
 
-The header carries structured control fields; the value payload is the
-opaque voted data.  Keeping the value bytes in a fixed tail region lets
-the fault injector corrupt voted values without destroying the framing,
-which matches the fault model: value failures corrupt data, they do not
-turn messages into garbage.
+``encode``/``decode`` convert between the two and ``as_frame`` is the
+receiving edge.  In both forms the value payload is a region of its own,
+so the fault injector corrupts voted values without destroying the
+framing, which matches the fault model: value failures corrupt data,
+they do not turn messages into garbage.
 """
 
 from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass
-from typing import Any
+from types import MappingProxyType
+from typing import Any, Mapping, Union
 
 # Frame kinds
 K_INPUT = 1       # user module -> voter: new input value
@@ -41,16 +47,42 @@ KIND_NAMES = {
 
 _HDR = struct.Struct(">BI")
 
+_TRACED_FIELDS = ("status", "detail", "req", "phase", "fault", "session", "member", "valid")
+
 
 class FrameError(Exception):
     pass
 
 
-@dataclass(frozen=True)
 class Frame:
-    kind: int
-    fields: dict[str, Any]
-    payload: bytes = b""
+    """One message: kind, structured control fields, value payload.
+
+    A frame is read-only: ``fields`` is a read-only copy of the given
+    mapping and ``payload`` is bytes, so a broadcast frame shared by
+    several receivers cannot be changed through any one of them.
+    """
+
+    __slots__ = ("kind", "fields", "payload", "_trace_detail")
+
+    def __init__(self, kind: int, fields: Mapping[str, Any], payload: bytes = b"") -> None:
+        init = object.__setattr__
+        init(self, "kind", kind)
+        init(self, "fields", MappingProxyType(dict(fields)))
+        init(self, "payload", bytes(payload))
+        init(self, "_trace_detail", None)
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"Frame is read-only, cannot set {name}")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Frame):
+            return NotImplemented
+        return (self.kind, self.fields, self.payload) == (other.kind, other.fields, other.payload)
+
+    __hash__ = None  # fields are a mapping
+
+    def __repr__(self) -> str:
+        return f"Frame(kind={self.kind}, fields={dict(self.fields)}, payload={self.payload!r})"
 
     def get(self, key: str, default: Any = None) -> Any:
         return self.fields.get(key, default)
@@ -59,9 +91,26 @@ class Frame:
     def kind_name(self) -> str:
         return KIND_NAMES.get(self.kind, f"kind{self.kind}")
 
+    @property
+    def trace_detail(self) -> str:
+        """The frame as a trace line shows it: kind, notable fields,
+        payload hex.  Rendered once per frame, not once per receiver."""
+        if self._trace_detail is None:
+            bits = [self.kind_name]
+            for key in _TRACED_FIELDS:
+                if key in self.fields:
+                    bits.append(f"{key}={self.fields[key]}")
+            if self.payload:
+                bits.append(f"payload={self.payload.hex()}")
+            object.__setattr__(self, "_trace_detail", " ".join(bits))
+        return self._trace_detail
 
-def encode(kind: int, fields: dict[str, Any] | None = None, payload: bytes = b"") -> bytes:
-    header = json.dumps(fields or {}, sort_keys=True, separators=(",", ":")).encode()
+
+Message = Union[Frame, bytes]
+
+
+def encode(kind: int, fields: Mapping[str, Any] | None = None, payload: bytes = b"") -> bytes:
+    header = json.dumps(dict(fields or {}), sort_keys=True, separators=(",", ":")).encode()
     return _HDR.pack(kind, len(header)) + header + payload
 
 
@@ -78,6 +127,16 @@ def decode(data: bytes) -> Frame:
     return Frame(kind, fields, bytes(data[_HDR.size + hlen:]))
 
 
+def as_frame(message: Message) -> Frame:
+    """The frame a receiver reads: frames as they are, raw bytes decoded.
+
+    Raises FrameError for bytes that do not decode.
+    """
+    if isinstance(message, Frame):
+        return message
+    return decode(message)
+
+
 def payload_region(data: bytes) -> int:
     """Offset where the value payload starts, or len(data) if none."""
     if len(data) < _HDR.size:
@@ -86,18 +145,24 @@ def payload_region(data: bytes) -> int:
     return min(len(data), _HDR.size + hlen)
 
 
-def corrupt_value(data: bytes, mask: bytes) -> bytes:
-    """XOR the value-payload region of a frame with a repeating mask.
+def _xor(value: bytes, mask: bytes) -> bytes:
+    return bytes(b ^ mask[i % len(mask)] for i, b in enumerate(value))
 
-    Frames without a value payload pass through unchanged: a value fault
-    corrupts data being voted on, not protocol bookkeeping.
+
+def corrupt_value(message: Message, mask: bytes) -> Message:
+    """XOR the value payload of a frame, or the payload region of raw
+    bytes, with a repeating mask.
+
+    Messages without a value payload pass through unchanged: a value
+    fault corrupts data being voted on, not protocol bookkeeping.
     """
+    if isinstance(message, Frame):
+        if not mask or not message.payload:
+            return message
+        return Frame(message.kind, message.fields, _xor(message.payload, mask))
     if not mask:
-        return data
-    start = payload_region(data)
-    if start >= len(data):
-        return data
-    head, tail = data[:start], bytearray(data[start:])
-    for i in range(len(tail)):
-        tail[i] ^= mask[i % len(mask)]
-    return bytes(head) + bytes(tail)
+        return message
+    start = payload_region(message)
+    if start >= len(message):
+        return message
+    return bytes(message[:start]) + _xor(message[start:], mask)

@@ -201,8 +201,8 @@ def test_output_redirection():
     def recv_one(proc):
         from votingfarm import wire
         from votingfarm.fabric import Recv
-        _, raw = yield Recv(None)
-        return wire.decode(raw)
+        _, message = yield Recv(None)
+        return wire.as_frame(message)
 
     def prog(proc):
         handle = vf_open(runtime)
