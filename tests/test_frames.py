@@ -34,19 +34,16 @@ def fan_out_sim():
 # -- corruption ----------------------------------------------------------------
 
 def test_corrupting_a_frame_xors_only_its_payload():
-    frame = wire.Frame(wire.K_BROADCAST, {"member": 2, "session": 0}, bytes(range(6)))
-    hit = wire.corrupt_value(frame, b"\x0f\xf0")
+    fields, payload, mask = {"member": 2, "session": 0}, bytes(range(6)), b"\x0f\xf0"
+    frame = wire.Frame(wire.K_BROADCAST, fields, payload)
+    hit = wire.corrupt_value(frame, mask)
     assert hit.kind == frame.kind and hit.fields == frame.fields
-    assert hit.payload == bytes(b ^ m for b, m in zip(range(6), b"\x0f\xf0" * 3))
-    assert frame.payload == bytes(range(6))  # the sender's frame is untouched
-
-
-def test_frame_and_bytes_corruption_hit_the_same_region():
-    fields, payload, mask = {"member": 1, "valid": True}, b"\x10\x20\x30", b"\xa5\x5a"
-    as_frame = wire.corrupt_value(wire.Frame(wire.K_INPUT, fields, payload), mask)
-    as_bytes = wire.decode(wire.corrupt_value(wire.encode(wire.K_INPUT, fields, payload), mask))
-    assert as_frame == as_bytes
-    assert as_frame.trace_detail == as_bytes.trace_detail
+    assert hit.payload == bytes(b ^ m for b, m in zip(payload, mask * 3))
+    assert frame.payload == payload  # the sender's frame is untouched
+    # the same region a value fault hits in the bytes form
+    raw = wire.corrupt_value(wire.encode(wire.K_BROADCAST, fields, payload), mask)
+    assert hit == wire.decode(raw)
+    assert hit.trace_detail == wire.decode(raw).trace_detail
 
 
 def test_frame_without_payload_passes_unchanged():
