@@ -124,6 +124,8 @@ def decode(data: bytes) -> Frame:
         fields = json.loads(data[_HDR.size:_HDR.size + hlen].decode())
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FrameError(f"bad header: {exc}") from exc
+    if not isinstance(fields, dict):
+        raise FrameError("bad header: not a JSON object")
     return Frame(kind, fields, bytes(data[_HDR.size + hlen:]))
 
 

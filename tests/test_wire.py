@@ -57,6 +57,12 @@ def test_garbage_header_rejected():
         wire.decode(bytes(raw))
 
 
+def test_non_object_header_rejected():
+    header = b"[1, 2]"
+    with pytest.raises(wire.FrameError):
+        wire.decode(bytes([wire.K_INPUT]) + len(header).to_bytes(4, "big") + header)
+
+
 class TestCorruptValue:
     def test_only_payload_region_changes(self):
         raw = wire.encode(wire.K_BROADCAST, {"member": 2, "session": 0}, b"\x00" * 8)
