@@ -18,13 +18,26 @@ Equivalence classes use epsilon linkage: two valid items are related if
 their distance is <= epsilon, and classes are the transitive closure of
 that relation.  With epsilon = 0 and the default discrete metric the
 classes are groups of byte-identical payloads.
+
+A metric is passed as a function or as its name in METRICS.  The
+techniques work on one N x N distance matrix per ballot.  For the
+scalar metric it is computed in numpy as |x_a - x_b| over the decoded
+values, the same IEEE operation scalar_metric performs; any other
+metric fills it with pairwise calls.  Where equality of a key is the
+linkage relation, classes are grouped by that key in O(N) and no matrix
+is built: payload bytes for the default metric with epsilon < 1, the
+decoded value for the scalar metric at epsilon = 0.  A non-finite
+scalar stays a singleton there, because inf - inf is NaN and NaN is
+never <= epsilon.  The median ranks a NaN distance as farther than any
+number, so a non-finite item is discarded first.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -115,51 +128,117 @@ class AlgorithmSelect:
 
 
 Ballot = Sequence[VoteObject]
+Metric = Union[MetricFn, str]
+
+# The metrics with a kernel faster than pairwise calls, by function.  A
+# name is resolved through METRICS instead, so a wrapped METRICS entry
+# (a call counter, say) still selects the kernel of the name it wraps.
+_KERNELS: dict[MetricFn, str] = {default_metric: "default", scalar_metric: "scalar"}
+
+
+def _resolve(metric: Metric) -> tuple[Optional[str], MetricFn]:
+    """The kernel name (None for pairwise calls) and function of a metric."""
+    if isinstance(metric, str):
+        return metric, METRICS[metric]
+    return _KERNELS.get(metric), metric
 
 
 def _valid_items(ballot: Ballot) -> list[tuple[int, VoteObject]]:
     return [(i, obj) for i, obj in enumerate(ballot) if obj.valid]
 
 
-def _distance_table(items: list[tuple[int, VoteObject]], metric: MetricFn) -> dict[tuple[int, int], float]:
-    table: dict[tuple[int, int], float] = {}
-    for a in range(len(items)):
-        for b in range(a + 1, len(items)):
-            d = metric(items[a][1].payload, items[b][1].payload)
-            table[(a, b)] = table[(b, a)] = d
-    return table
+def _payload_ids(payloads: list[bytes]) -> list[int]:
+    """Number equal payloads alike, refusing unequal sizes as default_metric does."""
+    width = len(payloads[0])
+    for p in payloads:
+        if len(p) != width:
+            raise LengthMismatch(f"{width} vs {len(p)} bytes")
+    ids: dict[bytes, int] = {}
+    return [ids.setdefault(p, len(ids)) for p in payloads]
 
 
-def equivalence_classes(ballot: Ballot, metric: MetricFn, epsilon: float) -> list[list[int]]:
+def _decode_scalars(payloads: list[bytes]) -> np.ndarray:
+    for p in payloads:
+        if len(p) != 8:
+            decode_scalar(p)  # raises LengthMismatch for the first bad payload
+    return np.frombuffer(b"".join(payloads), dtype="<f8")
+
+
+def _distance_matrix(items: list[tuple[int, VoteObject]], metric: Metric) -> np.ndarray:
+    """Distances between the valid items: symmetric, with a zero diagonal.
+
+    Built from the payloads only when there are two items or more, so a
+    lone item is never decoded.  The first bad payload in ballot order
+    raises, as the pairwise calls in (a, b) order would.
+    """
+    n = len(items)
+    d = np.zeros((n, n))
+    if n < 2:
+        return d
+    kernel, fn = _resolve(metric)
+    payloads = [obj.payload for _, obj in items]
+    if kernel == "scalar":
+        x = _decode_scalars(payloads)
+        with np.errstate(invalid="ignore"):  # inf - inf is NaN, as in scalar_metric
+            d = np.abs(x[:, None] - x[None, :])
+    elif kernel == "default":
+        ids = np.array(_payload_ids(payloads))
+        d = (ids[:, None] != ids[None, :]).astype(float)
+    else:
+        for a in range(n):
+            for b in range(a + 1, n):
+                d[a, b] = d[b, a] = fn(payloads[a], payloads[b])
+    np.fill_diagonal(d, 0.0)
+    return d
+
+
+def _linkage_keys(items: list[tuple[int, VoteObject]], metric: Metric, epsilon: float) -> Optional[list]:
+    """Keys whose equality is epsilon linkage, where such keys exist.
+
+    Needs two items or more.  None means only the distance matrix can
+    decide linkage.
+    """
+    kernel, _ = _resolve(metric)
+    payloads = [obj.payload for _, obj in items]
+    if kernel == "default" and 0 <= epsilon < 1:
+        return _payload_ids(payloads)
+    if kernel == "scalar" and epsilon == 0:
+        values = _decode_scalars(payloads).tolist()
+        return [x if math.isfinite(x) else object() for x in values]
+    return None
+
+
+def equivalence_classes(ballot: Ballot, metric: Metric, epsilon: float) -> list[list[int]]:
     """Partition the valid ballot slots into epsilon-linkage classes.
 
     Returns lists of ballot indices.  Classes come out ordered by their
     smallest slot index, and slots within a class stay in ballot order.
     """
     items = _valid_items(ballot)
-    n = len(items)
-    if n == 0:
-        return []
-    table = _distance_table(items, metric)
-    parent = list(range(n))
+    if len(items) < 2:
+        return [[i] for i, _ in items]
+    keys = _linkage_keys(items, metric, epsilon)
+    if keys is not None:
+        groups: dict = {}
+        for (slot, _), key in zip(items, keys):
+            groups.setdefault(key, []).append(slot)
+        return list(groups.values())
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a in range(n):
-        for b in range(a + 1, n):
-            if table[(a, b)] <= epsilon:
-                ra, rb = find(a), find(b)
-                if ra != rb:
-                    parent[max(ra, rb)] = min(ra, rb)
-
-    groups: dict[int, list[int]] = {}
-    for k in range(n):
-        groups.setdefault(find(k), []).append(items[k][0])
-    return [groups[root] for root in sorted(groups)]
+    linked = _distance_matrix(items, metric) <= epsilon
+    unclassed = np.ones(len(items), dtype=bool)
+    classes = []
+    for start in range(len(items)):
+        if not unclassed[start]:
+            continue
+        members = np.zeros(len(items), dtype=bool)
+        members[start] = True
+        frontier = members
+        while frontier.any():
+            frontier = linked[frontier].any(axis=0) & ~members
+            members |= frontier
+        unclassed &= ~members
+        classes.append([items[k][0] for k in np.flatnonzero(members)])
+    return classes
 
 
 def _class_representative(ballot: Ballot, cls: list[int]) -> VoteObject:
@@ -169,7 +248,7 @@ def _class_representative(ballot: Ballot, cls: list[int]) -> VoteObject:
     return ballot[best]
 
 
-def majority(ballot: Ballot, metric: MetricFn, epsilon: float = 0.0) -> VoteObject:
+def majority(ballot: Ballot, metric: Metric, epsilon: float = 0.0) -> VoteObject:
     """Formalized majority: a class must exceed half the ballot size.
 
     The threshold counts invalid items: 2 equal values out of N=3 where
@@ -186,7 +265,7 @@ def majority(ballot: Ballot, metric: MetricFn, epsilon: float = 0.0) -> VoteObje
 
 def plurality(
     ballot: Ballot,
-    metric: MetricFn,
+    metric: Metric,
     epsilon: float = 0.0,
     tie_break: str = "none",
 ) -> VoteObject:
@@ -204,47 +283,52 @@ def plurality(
     raise NoDecision(f"{len(tied)} classes tied at size {top}")
 
 
-def median(ballot: Ballot, metric: MetricFn) -> VoteObject:
+def median(ballot: Ballot, metric: Metric) -> VoteObject:
     """Generalized median: discard farthest pairs until one item is left.
 
     With an even number of valid items the final two are ranked by total
     distance to every valid item; the smaller sum survives, with the
     lower member ident breaking exact ties.  On scalars with an odd
-    count this reproduces the ordinary median.
+    count this reproduces the ordinary median.  A NaN distance counts as
+    the farthest, so non-finite scalars are discarded first.
     """
     items = _valid_items(ballot)
     if not items:
         raise NoDecision("no valid items")
-    table = _distance_table(items, metric)
-    alive = list(range(len(items)))
-    totals = {k: sum(table.get((k, j), 0.0) for j in range(len(items)) if j != k) for k in alive}
-
-    def pair_key(a: int, b: int) -> tuple:
-        # Deterministic choice among equally-far pairs: lowest member
-        # idents first.  Stable under ballot permutation.
-        sa = (items[a][1].source, items[a][0])
-        sb = (items[b][1].source, items[b][0])
-        return tuple(sorted((sa, sb)))
-
-    while len(alive) > 2:
-        worst = max(table[(a, b)] for a in alive for b in alive if a < b)
-        a, b = min(
-            ((a, b) for a in alive for b in alive if a < b and table[(a, b)] == worst),
-            key=lambda p: pair_key(*p),
-        )
-        alive.remove(a)
-        alive.remove(b)
-    if len(alive) == 1:
-        return items[alive[0]][1]
-    a, b = alive
-    ka = (totals[a], items[a][1].source, items[a][0])
-    kb = (totals[b], items[b][1].source, items[b][0])
+    n = len(items)
+    d = _distance_matrix(items, metric)
+    # Each round drops the farthest pair of live items (NaN first).  Ties
+    # go to the pair whose items rank lowest by (member ident, slot), an
+    # order stable under ballot permutation.  So one sort of all pairs,
+    # by distance and then by rank, lists every round's pair in turn:
+    # each round takes the first pair whose items are both still alive.
+    order = sorted(range(n), key=lambda k: (items[k][1].source, items[k][0]))
+    rank = np.arange(n)
+    ra, rb = np.nonzero(rank[:, None] < rank)  # row-major pairs ra < rb
+    item = np.array(order)
+    dist = d[item[ra], item[rb]]
+    nan = np.isnan(dist)
+    by_distance = np.lexsort((np.where(nan, 0.0, -dist), ~nan))
+    alive = [True] * n
+    left = n
+    for a, b in zip(ra[by_distance].tolist(), rb[by_distance].tolist()):
+        if left <= 2:
+            break
+        if alive[a] and alive[b]:
+            alive[a] = alive[b] = False
+            left -= 2
+    survivors = sorted(order[r] for r in range(n) if alive[r])
+    if len(survivors) == 1:
+        return items[survivors[0]][1]
+    a, b = survivors
+    ka = (sum(d[a].tolist()), items[a][1].source, items[a][0])
+    kb = (sum(d[b].tolist()), items[b][1].source, items[b][0])
     return items[a][1] if ka <= kb else items[b][1]
 
 
 def weighted_average(
     ballot: Ballot,
-    metric: MetricFn,
+    metric: Metric,
     scaling_factor: float = 1.0,
 ) -> VoteObject:
     """Distance-weighted mean of the valid numeric payloads.
@@ -262,15 +346,12 @@ def weighted_average(
     for v in vectors[1:]:
         if len(v) != width:
             raise LengthMismatch("mixed vector widths in ballot")
-    table = _distance_table(items, metric)
     n = len(items)
-    weights = np.empty(n)
-    for k in range(n):
-        if n == 1:
-            mean_d = 0.0
-        else:
-            mean_d = sum(table[(k, j)] for j in range(n) if j != k) / (n - 1)
-        weights[k] = 1.0 / (1.0 + (mean_d / scaling_factor) ** 2)
+    # Python's sum in item order (the zero diagonal adds nothing), not
+    # numpy's pairwise summation: the same bits a loop over pairs gives.
+    rows = _distance_matrix(items, metric).tolist()
+    mean_d = [sum(row) / (n - 1) for row in rows] if n > 1 else [0.0]
+    weights = np.array([1.0 / (1.0 + (m / scaling_factor) ** 2) for m in mean_d])
     total = float(weights.sum())
     mixed = np.zeros(width)
     for k, v in enumerate(vectors):
@@ -281,7 +362,7 @@ def weighted_average(
 
 def consensus(
     ballot: Ballot,
-    metric: MetricFn,
+    metric: Metric,
     epsilon: float = 0.0,
     require_all_valid: bool = True,
 ) -> VoteObject:
@@ -299,17 +380,21 @@ def consensus(
         raise NoDecision("no valid items")
     if require_all_valid and len(items) != n:
         raise NoDecision("invalid items present, unanimity impossible")
-    table = _distance_table(items, metric)
-    for a in range(len(items)):
-        for b in range(a + 1, len(items)):
-            if table[(a, b)] > epsilon:
-                raise NoDecision("items disagree beyond epsilon")
+    disagree = _distance_matrix(items, metric) > epsilon
+    np.fill_diagonal(disagree, False)
+    if disagree.any():
+        raise NoDecision("items disagree beyond epsilon")
     best = min(range(len(items)), key=lambda k: (items[k][1].source, items[k][0]))
     return items[best][1]
 
 
-def vote(ballot: Ballot, metric: MetricFn, select: AlgorithmSelect) -> VoteObject:
-    """Run the selected technique on a ballot."""
+def vote(ballot: Ballot, metric: Metric, select: AlgorithmSelect) -> VoteObject:
+    """Run the selected technique on a ballot.
+
+    Pass the metric by its METRICS name where one exists: the name
+    selects the metric's kernel even where the METRICS entry is wrapped
+    (a call counter, say), which a wrapped function object would not.
+    """
     if select.kind == "majority":
         return majority(ballot, metric, select.epsilon)
     if select.kind == "plurality":

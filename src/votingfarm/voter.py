@@ -26,7 +26,7 @@ from functools import cached_property
 from typing import Generator, Optional
 
 from . import wire
-from .algorithms import METRICS, AlgorithmSelect, NoDecision, vote
+from .algorithms import AlgorithmSelect, NoDecision, vote
 from .core import (
     MemberId,
     NodeId,
@@ -305,9 +305,8 @@ def _session(proc: Proc, state: VoterState, first_sender: Endpoint, first_frame:
             yield Send(target, relay)
 
     _report(proc, state, VoterEvent.BROADCAST_COMPLETE)
-    metric = METRICS[state.metric_name]
     try:
-        winner = vote(slots, metric, state.select)
+        winner = vote(slots, state.metric_name, state.select)
         error: Optional[str] = None
     except NoDecision as exc:
         winner, error = None, f"no-decision: {exc}"

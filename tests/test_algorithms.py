@@ -6,6 +6,8 @@ runs exact rational arithmetic, and the class oracle builds components
 by breadth-first search instead of union-find.
 """
 
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -266,6 +268,18 @@ def test_median_no_valid_items(scalar_ballot):
         median(scalar_ballot([], invalid=()), scalar_metric)
 
 
+@pytest.mark.parametrize("values", [[math.nan, 1.0, 2.0], [math.inf, math.inf, 2.0]])
+def test_median_discards_non_finite_items_first(scalar_ballot, values):
+    # |nan - x| and |inf - inf| are NaN; a NaN distance ranks farthest,
+    # so the pair holding the non-finite item goes first.
+    ballot = scalar_ballot(values)
+    for metric in (scalar_metric, "scalar", lambda a, b: scalar_metric(a, b)):
+        winner = median(ballot, metric)
+        assert decode_scalar(winner.payload) == 2.0
+        for shuffled in itertools.permutations(ballot):
+            assert median(list(shuffled), metric) == winner
+
+
 # -- weighted average ---------------------------------------------------------
 
 def test_weighted_average_frozen_example(scalar_ballot):
@@ -402,6 +416,66 @@ def test_class_techniques_are_permutation_invariant(values, seed):
     wa = weighted_average(ballot, scalar_metric, 1.0)
     wb = weighted_average(shuffled, scalar_metric, 1.0)
     assert decode_scalar(wa.payload) == pytest.approx(decode_scalar(wb.payload), rel=1e-12)
+
+
+# -- kernels against pairwise calls ------------------------------------------------
+
+def run_every_technique(ballot, metric, epsilon):
+    """Each technique's result, or the type and message of what it raised."""
+    runs = {
+        "classes": lambda: equivalence_classes(ballot, metric, epsilon),
+        "majority": lambda: majority(ballot, metric, epsilon),
+        "plurality": lambda: plurality(ballot, metric, epsilon),
+        "plurality-lowest": lambda: plurality(ballot, metric, epsilon, "lowest-member"),
+        "median": lambda: median(ballot, metric),
+        "weighted-average": lambda: weighted_average(ballot, metric, 1.5),
+        "consensus": lambda: consensus(ballot, metric, epsilon),
+        "consensus-lax": lambda: consensus(ballot, metric, epsilon, require_all_valid=False),
+    }
+    out = {}
+    for name, run in runs.items():
+        try:
+            out[name] = run()
+        except VotingFarmError as exc:
+            out[name] = (type(exc), str(exc))
+    return out
+
+
+SCALARS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, 2.0, math.inf, -math.inf, math.nan]),
+    st.integers(0, 3).map(float),
+    st.floats(-4, 4),
+)
+WRONG_LENGTH = st.sampled_from([b"", b"\x01" * 4, b"\x00" * 16])
+
+
+@given(
+    values=st.lists(SCALARS, max_size=9),
+    wrong=st.lists(st.tuples(st.integers(0, 8), WRONG_LENGTH), max_size=2),
+    invalid=st.sets(st.integers(0, 8)),
+    sources=st.lists(st.integers(1, 12), min_size=9, max_size=9),
+    epsilon=st.sampled_from([0.0, 0.0, 0.5, 1.0, 2.5]),
+    use_wrong=st.booleans(),
+)
+@settings(max_examples=300, deadline=None)
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf * 0 in weighted averages
+def test_kernels_match_pairwise_calls(values, wrong, invalid, sources, epsilon, use_wrong):
+    """The matrix and grouping kernels give what pairwise metric calls give.
+
+    A wrapped metric function has no kernel, so it is called pairwise.
+    Results, tie-breaks, exception types and messages must all agree.
+    """
+    payloads = [encode_scalar(v) for v in values]
+    for slot, payload in wrong if use_wrong else ():
+        if slot < len(payloads):
+            payloads[slot] = payload
+    ballot = [
+        VoteObject(p, i not in invalid, sources[i]) for i, p in enumerate(payloads)
+    ]
+    for fn, name in ((scalar_metric, "scalar"), (default_metric, "default")):
+        pairwise = run_every_technique(ballot, lambda a, b, fn=fn: fn(a, b), epsilon)
+        assert run_every_technique(ballot, fn, epsilon) == pairwise
+        assert run_every_technique(ballot, name, epsilon) == pairwise
 
 
 # -- selection record and dispatcher -------------------------------------------
