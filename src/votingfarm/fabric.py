@@ -296,6 +296,15 @@ class Simulator:
     def has_endpoint(self, endpoint: Endpoint) -> bool:
         return endpoint in self._endpoints
 
+    def registered_endpoint(self, endpoint: Endpoint) -> Optional[Endpoint]:
+        """The registered object equal to endpoint, or None.
+
+        Sending with the registered object lets every later mailbox and
+        link lookup succeed on identity, without a field-wise compare.
+        """
+        st = self._endpoints.get(endpoint)
+        return st.endpoint if st is not None else None
+
     def endpoint_alive(self, endpoint: Endpoint) -> bool:
         st = self._endpoints.get(endpoint)
         return st is not None and not st.dead
@@ -343,6 +352,7 @@ class Simulator:
         st = self._endpoints.get(endpoint)
         if st is None:
             raise NoSuchEndpoint(str(endpoint))
+        endpoint = st.endpoint  # the registered object: lookups hit on identity
         pid = self._next_pid
         self._next_pid += 1
         proc = Proc(self, pid, endpoint)

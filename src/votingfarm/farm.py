@@ -59,14 +59,10 @@ class FarmRuntime:
     # -- topology helpers ----------------------------------------------
 
     def ensure_user_endpoint(self, node: int) -> Endpoint:
-        ep = Endpoint(node, "user")
-        if not self.sim.has_endpoint(ep):
-            self.sim.add_endpoint(ep)
-        return ep
+        return self.user_endpoint(node) or self.sim.add_endpoint(Endpoint(node, "user"))
 
     def user_endpoint(self, node: int) -> Optional[Endpoint]:
-        ep = Endpoint(node, "user")
-        return ep if self.sim.has_endpoint(ep) else None
+        return self.sim.registered_endpoint(Endpoint(node, "user"))
 
     def local_voter_endpoint(self, node: int) -> Optional[Endpoint]:
         """The live member voter on a node, lowest ident first."""

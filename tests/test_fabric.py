@@ -207,6 +207,34 @@ def test_endpoint_and_link_counts():
     assert set(sim.all_endpoints(node=1)) == {A}
 
 
+def test_equal_endpoints_resolve_to_the_registered_object():
+    sim = make_pair()
+    fresh = Endpoint(1, "user")
+    assert fresh == A and fresh is not A
+    assert sim.registered_endpoint(fresh) is A
+    assert sim.registered_endpoint(Endpoint(9, "user")) is None
+    seen = []
+
+    def whoami(proc):
+        seen.append(proc.endpoint)
+        yield Sleep(1)
+
+    sim.spawn(whoami, fresh)
+    sim.run_until_quiescent()
+    assert seen[0] is A
+
+
+def test_farm_user_endpoint_is_the_registered_object():
+    from votingfarm.farm import FarmRuntime
+
+    sim = Simulator()
+    runtime = FarmRuntime(sim, delta_t=10)
+    assert runtime.user_endpoint(1) is None
+    registered = runtime.ensure_user_endpoint(1)
+    assert runtime.user_endpoint(1) is registered
+    assert runtime.ensure_user_endpoint(1) is registered
+
+
 # -- fault injection ------------------------------------------------------------
 
 def test_fault_spec_validation():
