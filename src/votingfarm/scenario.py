@@ -546,8 +546,8 @@ def write_artifacts(result: RunResult, outdir: str) -> list[str]:
 
     results_path = os.path.join(outdir, "results.json")
     with open(results_path, "w", encoding="utf-8") as fh:
-        json.dump(result.summary(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        # One write: json.dump would write each of thousands of chunks.
+        fh.write(json.dumps(result.summary(), indent=2, sort_keys=True) + "\n")
     written.append(results_path)
 
     actions_path = os.path.join(outdir, "actions.log")
