@@ -29,7 +29,9 @@ is built: payload bytes for the default metric with epsilon < 1, the
 decoded value for the scalar metric at epsilon = 0.  A non-finite
 scalar stays a singleton there, because inf - inf is NaN and NaN is
 never <= epsilon.  The median ranks a NaN distance as farther than any
-number, so a non-finite item is discarded first.
+number, so a non-finite item is discarded first.  The weighted average
+sums in canonical (member ident, payload) order, so every voter of a
+session computes the same bits whatever order its ballot arrived in.
 """
 
 from __future__ import annotations
@@ -347,16 +349,15 @@ def weighted_average(
         if len(v) != width:
             raise LengthMismatch("mixed vector widths in ballot")
     n = len(items)
-    # Python's sum in item order (the zero diagonal adds nothing), not
-    # numpy's pairwise summation: the same bits a loop over pairs gives.
-    rows = _distance_matrix(items, metric).tolist()
-    mean_d = [sum(row) / (n - 1) for row in rows] if n > 1 else [0.0]
-    weights = np.array([1.0 / (1.0 + (m / scaling_factor) ** 2) for m in mean_d])
-    total = float(weights.sum())
-    mixed = np.zeros(width)
-    for k, v in enumerate(vectors):
-        mixed += weights[k] * v
-    mixed /= total
+    # The arithmetic runs in canonical (member ident, payload) order, so
+    # every voter of a session computes the same bits whatever order its
+    # ballot arrived in.  Decoding and the distance matrix stay in ballot
+    # order: the first bad payload in the ballot is the one that raises.
+    order = sorted(range(n), key=lambda k: (items[k][1].source, items[k][1].payload))
+    d = _distance_matrix(items, metric)[np.ix_(order, order)]
+    mean_d = d.sum(axis=1) / max(n - 1, 1)
+    weights = 1.0 / (1.0 + (mean_d / scaling_factor) ** 2)
+    mixed = (weights[:, None] * np.array(vectors)[order]).sum(axis=0) / weights.sum()
     return VoteObject(payload=encode_vector(mixed), valid=True, source=0)
 
 

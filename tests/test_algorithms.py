@@ -415,7 +415,7 @@ def test_class_techniques_are_permutation_invariant(values, seed):
 
     wa = weighted_average(ballot, scalar_metric, 1.0)
     wb = weighted_average(shuffled, scalar_metric, 1.0)
-    assert decode_scalar(wa.payload) == pytest.approx(decode_scalar(wb.payload), rel=1e-12)
+    assert wa.payload == wb.payload
 
 
 # -- kernels against pairwise calls ------------------------------------------------
