@@ -293,9 +293,6 @@ class Simulator:
         self._endpoints[endpoint] = _EndpointState(endpoint)
         return endpoint
 
-    def has_endpoint(self, endpoint: Endpoint) -> bool:
-        return endpoint in self._endpoints
-
     def registered_endpoint(self, endpoint: Endpoint) -> Optional[Endpoint]:
         """The registered object equal to endpoint, or None.
 
