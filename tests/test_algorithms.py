@@ -455,18 +455,17 @@ WRONG_LENGTH = st.sampled_from([b"", b"\x01" * 4, b"\x00" * 16])
     invalid=st.sets(st.integers(0, 8)),
     sources=st.lists(st.integers(1, 12), min_size=9, max_size=9),
     epsilon=st.sampled_from([0.0, 0.0, 0.5, 1.0, 2.5]),
-    use_wrong=st.booleans(),
 )
 @settings(max_examples=300, deadline=None)
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf * 0 in weighted averages
-def test_kernels_match_pairwise_calls(values, wrong, invalid, sources, epsilon, use_wrong):
+def test_kernels_match_pairwise_calls(values, wrong, invalid, sources, epsilon):
     """The matrix and grouping kernels give what pairwise metric calls give.
 
     A wrapped metric function has no kernel, so it is called pairwise.
     Results, tie-breaks, exception types and messages must all agree.
     """
     payloads = [encode_scalar(v) for v in values]
-    for slot, payload in wrong if use_wrong else ():
+    for slot, payload in wrong:
         if slot < len(payloads):
             payloads[slot] = payload
     ballot = [
