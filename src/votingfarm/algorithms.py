@@ -21,12 +21,13 @@ classes are groups of byte-identical payloads.
 
 A metric is passed as a function or as its name in METRICS.  The
 techniques work on one N x N distance matrix per ballot.  For the
-scalar metric it is computed in numpy as |x_a - x_b| over the decoded
-values, the same IEEE operation scalar_metric performs; any other
-metric fills it with pairwise calls.  Where equality of a key is the
-linkage relation, classes are grouped by that key in O(N) and no matrix
-is built: payload bytes for the default metric with epsilon < 1, the
-decoded value for the scalar metric at epsilon = 0.  A non-finite
+scalar metric passed by name it is computed in numpy as |x_a - x_b|
+over the decoded values, the same IEEE operation scalar_metric
+performs; any other metric, and any metric passed as a function, fills
+it with pairwise calls.  Where equality of a key is the linkage
+relation, classes are grouped by that key in O(N) and no matrix is
+built: payload bytes for the default metric with epsilon < 1, the
+decoded value for the scalar metric at epsilon = 0, both by name.  A non-finite
 scalar stays a singleton there, because inf - inf is NaN and NaN is
 never <= epsilon.  The median ranks a NaN distance as farther than any
 number, so a non-finite item is discarded first.  The weighted average
@@ -132,17 +133,11 @@ class AlgorithmSelect:
 Ballot = Sequence[VoteObject]
 Metric = Union[MetricFn, str]
 
-# The metrics with a kernel faster than pairwise calls, by function.  A
-# name is resolved through METRICS instead, so a wrapped METRICS entry
-# (a call counter, say) still selects the kernel of the name it wraps.
-_KERNELS: dict[MetricFn, str] = {default_metric: "default", scalar_metric: "scalar"}
-
-
 def _resolve(metric: Metric) -> tuple[Optional[str], MetricFn]:
-    """The kernel name (None for pairwise calls) and function of a metric."""
+    """The METRICS name (None for a function) and the function of a metric."""
     if isinstance(metric, str):
         return metric, METRICS[metric]
-    return _KERNELS.get(metric), metric
+    return None, metric
 
 
 def _valid_items(ballot: Ballot) -> list[tuple[int, VoteObject]]:
@@ -177,15 +172,12 @@ def _distance_matrix(items: list[tuple[int, VoteObject]], metric: Metric) -> np.
     d = np.zeros((n, n))
     if n < 2:
         return d
-    kernel, fn = _resolve(metric)
+    name, fn = _resolve(metric)
     payloads = [obj.payload for _, obj in items]
-    if kernel == "scalar":
+    if name == "scalar":
         x = _decode_scalars(payloads)
         with np.errstate(invalid="ignore"):  # inf - inf is NaN, as in scalar_metric
             d = np.abs(x[:, None] - x[None, :])
-    elif kernel == "default":
-        ids = np.array(_payload_ids(payloads))
-        d = (ids[:, None] != ids[None, :]).astype(float)
     else:
         for a in range(n):
             for b in range(a + 1, n):
@@ -200,11 +192,11 @@ def _linkage_keys(items: list[tuple[int, VoteObject]], metric: Metric, epsilon: 
     Needs two items or more.  None means only the distance matrix can
     decide linkage.
     """
-    kernel, _ = _resolve(metric)
+    name, _ = _resolve(metric)
     payloads = [obj.payload for _, obj in items]
-    if kernel == "default" and 0 <= epsilon < 1:
+    if name == "default" and 0 <= epsilon < 1:
         return _payload_ids(payloads)
-    if kernel == "scalar" and epsilon == 0:
+    if name == "scalar" and epsilon == 0:
         values = _decode_scalars(payloads).tolist()
         return [x if math.isfinite(x) else object() for x in values]
     return None
@@ -392,9 +384,10 @@ def consensus(
 def vote(ballot: Ballot, metric: Metric, select: AlgorithmSelect) -> VoteObject:
     """Run the selected technique on a ballot.
 
-    Pass the metric by its METRICS name where one exists: the name
-    selects the metric's kernel even where the METRICS entry is wrapped
-    (a call counter, say), which a wrapped function object would not.
+    Pass the metric by its METRICS name where one exists: only a name
+    selects the numpy matrix and the grouping by key, even where the
+    METRICS entry is wrapped (a call counter, say).  A function is
+    called pairwise.
     """
     if select.kind == "majority":
         return majority(ballot, metric, select.epsilon)

@@ -273,7 +273,7 @@ def test_median_discards_non_finite_items_first(scalar_ballot, values):
     # |nan - x| and |inf - inf| are NaN; a NaN distance ranks farthest,
     # so the pair holding the non-finite item goes first.
     ballot = scalar_ballot(values)
-    for metric in (scalar_metric, "scalar", lambda a, b: scalar_metric(a, b)):
+    for metric in (scalar_metric, "scalar"):
         winner = median(ballot, metric)
         assert decode_scalar(winner.payload) == 2.0
         for shuffled in itertools.permutations(ballot):
@@ -459,10 +459,11 @@ WRONG_LENGTH = st.sampled_from([b"", b"\x01" * 4, b"\x00" * 16])
 @settings(max_examples=300, deadline=None)
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf * 0 in weighted averages
 def test_kernels_match_pairwise_calls(values, wrong, invalid, sources, epsilon):
-    """The matrix and grouping kernels give what pairwise metric calls give.
+    """The numpy matrix and the grouping by key give what pairwise calls give.
 
-    A wrapped metric function has no kernel, so it is called pairwise.
-    Results, tie-breaks, exception types and messages must all agree.
+    A metric passed by name selects them; the same metric passed as a
+    function is called pairwise.  Results, tie-breaks, exception types
+    and messages must all agree.
     """
     payloads = [encode_scalar(v) for v in values]
     for slot, payload in wrong:
@@ -472,9 +473,8 @@ def test_kernels_match_pairwise_calls(values, wrong, invalid, sources, epsilon):
         VoteObject(p, i not in invalid, sources[i]) for i, p in enumerate(payloads)
     ]
     for fn, name in ((scalar_metric, "scalar"), (default_metric, "default")):
-        pairwise = run_every_technique(ballot, lambda a, b, fn=fn: fn(a, b), epsilon)
-        assert run_every_technique(ballot, fn, epsilon) == pairwise
-        assert run_every_technique(ballot, name, epsilon) == pairwise
+        by_name = run_every_technique(ballot, name, epsilon)
+        assert by_name == run_every_technique(ballot, fn, epsilon)
 
 
 # -- selection record and dispatcher -------------------------------------------
