@@ -27,12 +27,13 @@ performs; any other metric, and any metric passed as a function, fills
 it with pairwise calls.  Where equality of a key is the linkage
 relation, classes are grouped by that key in O(N) and no matrix is
 built: payload bytes for the default metric with epsilon < 1, the
-decoded value for the scalar metric at epsilon = 0, both by name.  A non-finite
-scalar stays a singleton there, because inf - inf is NaN and NaN is
-never <= epsilon.  The median ranks a NaN distance as farther than any
-number, so a non-finite item is discarded first.  The weighted average
-sums in canonical (member ident, payload) order, so every voter of a
-session computes the same bits whatever order its ballot arrived in.
+decoded value for the scalar metric at epsilon = 0, both by name.  A
+non-finite scalar stays a singleton there, because inf - inf is NaN and
+NaN is never <= epsilon.  The median ranks a NaN distance as farther
+than any number, so a non-finite item is discarded first.  The weighted
+average sums in canonical (member ident, payload) order, so every voter
+of a session computes the same bits whatever order its ballot arrived
+in.
 """
 
 from __future__ import annotations
