@@ -29,6 +29,11 @@ Fault injection covers the fail/stop and value-failure models: crash
 (endpoint falls silent forever), value-corruption (the value payload of
 every subsequent send is XORed with a mask), omission (next send is
 dropped in transit) and delay (next send held back extra units).
+
+Delivery to dead peers follows one rule: a send to a dead endpoint is
+traced as a send plus a ``dead endpoint`` drop, whether or not a link to
+it exists, and the sender carries on.  Only a send to an endpoint that
+was never added, or to a live one without a link, raises NoSuchLink.
 """
 
 from __future__ import annotations
@@ -576,17 +581,18 @@ class Simulator:
         """Returns True if the sender continues immediately."""
         frm = p.endpoint
         to = item.to
-        if to not in self._endpoints:
+        target_st = self._endpoints.get(to)
+        if target_st is None:
             raise NoSuchLink(f"no endpoint {to}")
-        if frozenset((frm, to)) not in self._links:
+        if not target_st.dead and frozenset((frm, to)) not in self._links:
             raise NoSuchLink(f"no link {frm} -- {to}")
         sender_st = self._endpoints[frm]
-        target_st = self._endpoints[to]
 
         self.trace.append(self.now, "send", frm.name, to.name, _describe(item.data))
         if target_st.dead:
-            # Fail/stop: delivery to a dead peer is silently discarded
-            # and costs the sender nothing. The caller sees success.
+            # Fail/stop: a send to a dead peer is discarded, whether or
+            # not a link to it was ever wired, and costs the sender
+            # nothing. The caller sees success.
             self.trace.append(self.now, "drop", frm.name, to.name, "dead endpoint")
             return True
 

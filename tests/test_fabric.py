@@ -200,6 +200,26 @@ def test_send_without_link_throws_into_sender():
     assert caught and "no link" in caught[0]
 
 
+def test_send_to_crashed_peer_without_link_is_dropped():
+    sim = Simulator()
+    sim.add_endpoint(A)
+    sim.add_endpoint(B)
+    sim.inject(FaultSpec("crash", B, 0))
+    after = []
+
+    def lonely(proc):
+        yield Sleep(1)
+        yield Send(B, msg("x"))
+        after.append(proc.now)
+
+    pid = sim.spawn(lonely, A)
+    sim.run_until_quiescent()
+    assert after == [1]
+    assert sim.proc_finished(pid)
+    assert sim.trace.count("send") == 1
+    assert sim.trace.count("drop", contains="dead endpoint") == 1
+
+
 def test_endpoint_and_link_counts():
     sim = make_pair()
     assert sim.endpoint_count("user") == 2

@@ -10,11 +10,14 @@ from votingfarm import cli
 from votingfarm.scenario import (
     ScenarioError,
     bundled_dir,
+    check_phase_grammar,
     resolve_scenario,
     run_scenario,
     validate_scenario,
     write_artifacts,
 )
+
+HERE = Path(__file__).parent
 
 BUNDLED = [
     "tmr_happy",
@@ -75,6 +78,23 @@ def test_bundled_scenarios_pass(name):
     result = run_scenario(spec, dirs)
     failed = [a for a in result.assertions if not a["ok"]]
     assert result.passed, failed
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("jitter", range(4))
+def test_spare_start_after_early_crash_keeps_invariants(seed, jitter):
+    # A voter crashed before the spare starts stays in the view without
+    # a link to the spare; the spare's broadcast to it is a traced drop.
+    spec, dirs = load(str(HERE / "scenarios" / "three_and_one_spare_early_crash.json"))
+    result = run_scenario({**spec, "seed": seed, "jitter": jitter}, dirs)
+    assert result.sim.quiescent and not result.trace.max_time_exceeded
+    assert result.all_users_finished()
+    assert check_phase_grammar(result) == []
+    values = {}
+    for rep in result.users.values():
+        for out in rep["outputs"]:
+            values.setdefault(out["session"], set()).add(out["value"])
+    assert values and all(len(v) == 1 for v in values.values()), values
 
 
 def test_happy_run_delivers_exactly_three_completions():
