@@ -79,7 +79,7 @@ class VoterEvent(enum.Enum):
     RESET = "reset"
 
 
-_TRANSITIONS = {
+PHASE_TRANSITIONS = {
     (VoterPhase.VFP_INIT, VoterEvent.INPUT_ARRIVED): VoterPhase.VFP_BROADCAST,
     (VoterPhase.VFP_BROADCAST, VoterEvent.BROADCAST_COMPLETE): VoterPhase.VFP_VOTING,
     (VoterPhase.VFP_VOTING, VoterEvent.VOTE_OK): VoterPhase.VFP_SUCCESS,
@@ -98,7 +98,7 @@ def phase_transition(phase: VoterPhase, event: VoterEvent) -> VoterPhase:
     that has not been reset.
     """
     try:
-        return _TRANSITIONS[(phase, event)]
+        return PHASE_TRANSITIONS[(phase, event)]
     except KeyError:
         raise IllegalTransition(f"{event.value} not legal in {phase.value}") from None
 

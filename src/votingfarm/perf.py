@@ -34,6 +34,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .core import ValidationError, VotingFarmError
+from .scenario import run_scenario, session_latency
 
 
 @dataclass(frozen=True)
@@ -180,29 +181,7 @@ def resource_report(n: int) -> tuple[int, int, int]:
 
 def live_resource_counts(n: int) -> tuple[int, int, int]:
     """Build an n-member farm for real and count its fabric objects."""
-    from .client import vf_add, vf_open, vf_run
-    from .fabric import Simulator
-    from .farm import FarmRuntime
-
-    sim = Simulator(seed=0)
-    runtime = FarmRuntime(sim)
-    rows = [(node, node) for node in range(1, n + 1)]
-    for node, _ in rows:
-        runtime.ensure_user_endpoint(node)
-
-    def user_program(node: int):
-        def run(proc):
-            handle = vf_open(runtime)
-            for nd, ident in rows:
-                vf_add(handle, nd, ident)
-            yield from vf_run(handle, proc)
-        return run
-
-    from .fabric import Endpoint
-
-    for node, _ in rows:
-        sim.spawn(user_program(node), Endpoint(node, "user"), primary=True)
-    sim.run_until_quiescent()
+    sim = run_scenario({"farm": [[k, k] for k in range(1, n + 1)]}).sim
     return (
         sim.endpoint_count("voter", live_only=True),
         sim.link_count("local"),
@@ -223,54 +202,28 @@ def timing_harness(
 ) -> list[dict]:
     """Mean and spread of one voting session's latency per farm size.
 
-    Latency is simulated time from the user inputs to the last
-    completion notice.  With jitter 0 the simulation is deterministic
-    and the spread is exactly zero; a positive jitter draws seeded
-    per-message delays, and repeats vary the seed.
+    Each run is a generated scenario: an n-member farm, one node per
+    member, every node feeding one input at input_time.  Latency is
+    simulated time from the user inputs to the last completion notice.
+    With jitter 0 the simulation is deterministic and the spread is
+    exactly zero; a positive jitter draws seeded per-message delays,
+    and repeats vary the seed.
     """
-    from .client import vf_add, vf_control, vf_get, vf_open, vf_run
-    from .core import VfStatusCode
-    from .fabric import Endpoint, Simulator, Sleep
-    from .farm import FarmRuntime
-
     out = []
     for n in n_values:
-        latencies = []
-        for rep in range(repeats):
-            sim = Simulator(seed=seed + rep, delivery_delay=delivery_delay, jitter=jitter)
-            runtime = FarmRuntime(sim, delta_t=delta_t)
-            rows = [(node, node) for node in range(1, n + 1)]
-            for node, _ in rows:
-                runtime.ensure_user_endpoint(node)
-
-            def user_program(node: int):
-                def run(proc):
-                    handle = vf_open(runtime)
-                    for nd, ident in rows:
-                        vf_add(handle, nd, ident)
-                    yield from vf_run(handle, proc)
-                    yield Sleep(input_time - proc.now)
-                    yield from vf_control(handle, proc, input=b"\x2a")
-                    while True:
-                        status = yield from vf_get(handle, proc, timeout=4 * delta_t * n + 8)
-                        if status.code is not VfStatusCode.VF_REFUSED:
-                            return
-                return run
-
-            for node, _ in rows:
-                sim.spawn(user_program(node), Endpoint(node, "user"), primary=True)
-            sim.run_until_quiescent()
-            done_times = [
-                ev.t
-                for ev in sim.trace
-                if ev.kind == "deliver"
-                and ev.to.startswith("user")
-                and "status=VF_DONE" in ev.detail
-                and "detail=ok" in ev.detail
-            ]
-            if not done_times:
-                raise VotingFarmError(f"no session completion for n={n}")
-            latencies.append(max(done_times) - input_time)
+        nodes = range(1, n + 1)
+        spec = {
+            "farm": [[k, k] for k in nodes],
+            "delta_t": delta_t,
+            "delivery_delay": delivery_delay,
+            "jitter": jitter,
+            "get_timeout": 4 * delta_t * n + 8,
+            "inputs": {str(k): [{"at": input_time, "value": "2a"}] for k in nodes},
+        }
+        latencies = [
+            session_latency(run_scenario({**spec, "seed": seed + rep}), 0)
+            for rep in range(repeats)
+        ]
         out.append(
             {
                 "n": n,

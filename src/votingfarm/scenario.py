@@ -23,18 +23,18 @@ from typing import Optional
 
 from .algorithms import METRICS, AlgorithmSelect, encode_scalar, encode_vector
 from .client import vf_add, vf_close, vf_control, vf_get, vf_open, vf_run
-from .core import FarmDescriptor, VfStatusCode, VotingFarmError, validate_descriptor
+from .core import (
+    PHASE_TRANSITIONS,
+    FarmDescriptor,
+    VfStatusCode,
+    VotingFarmError,
+    validate_descriptor,
+)
 from .fabric import Endpoint, FAULT_KINDS, FaultSpec, Simulator, Sleep
 from .farm import FarmRuntime
 from .recovery import DirDatabase, attach_recovery, parse_rl
 
-_PHASE_SUCCESSORS = {
-    "VFP_INIT": {"VFP_BROADCAST", "VFP_INIT"},
-    "VFP_BROADCAST": {"VFP_VOTING", "VFP_INIT"},
-    "VFP_VOTING": {"VFP_SUCCESS", "VFP_FAILURE", "VFP_INIT"},
-    "VFP_SUCCESS": {"VFP_INIT"},
-    "VFP_FAILURE": {"VFP_INIT"},
-}
+_PHASE_STEPS = {(src.value, dst.value) for (src, _), dst in PHASE_TRANSITIONS.items()}
 
 
 class ScenarioError(VotingFarmError):
@@ -506,7 +506,9 @@ def check_phase_grammar(result: RunResult) -> list[str]:
         if seq[0] != "VFP_INIT":
             bad.append(f"{ep} starts in {seq[0]}")
         for prev, cur in zip(seq, seq[1:]):
-            if cur not in _PHASE_SUCCESSORS[prev]:
+            # A restarted voter keeps its endpoint and reports VFP_INIT
+            # afresh, whatever phase its predecessor was in.
+            if cur != "VFP_INIT" and (prev, cur) not in _PHASE_STEPS:
                 bad.append(f"{ep}: {prev} -> {cur}")
     return bad
 
