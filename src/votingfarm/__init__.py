@@ -16,81 +16,21 @@ The package provides:
   / WARN style reconfigurations;
 * analytic and numeric reliability models (``reliability``) for triple
   redundancy with and without a spare, including the full Markov chain;
-* crossbar scheduling and resource models (``perf``) plus a simulated
-  latency harness;
+* crossbar scheduling and resource models (``perf``) plus a latency
+  harness, both running generated scenarios;
 * a JSON scenario runner (``scenario``) and the ``vf`` command line.
+
+The top level re-exports only what a user program, the demos and the
+README reach for: starting a farm and talking to it, running
+scenarios, the recovery language, and the reliability and perf models.
+Everything else is imported from its module.
 """
 
-from .algorithms import (
-    AlgorithmSelect,
-    LengthMismatch,
-    METRICS,
-    NoDecision,
-    consensus,
-    decode_scalar,
-    decode_vector,
-    default_metric,
-    encode_scalar,
-    encode_vector,
-    equivalence_classes,
-    euclidean_metric,
-    majority,
-    median,
-    plurality,
-    scalar_metric,
-    vote,
-    weighted_average,
-)
-from .client import (
-    AlreadyRunning,
-    FarmHandle,
-    InvalidatedHandle,
-    NotRunning,
-    SpmdIncoherence,
-    ValidationFailed,
-    vf_add,
-    vf_close,
-    vf_control,
-    vf_get,
-    vf_open,
-    vf_run,
-)
-from .core import (
-    DuplicateIdent,
-    EmptyFarm,
-    FarmDescriptor,
-    FarmMember,
-    IllegalTransition,
-    NonContiguousIdents,
-    PHASE_BY_CODE,
-    PHASE_CODES,
-    ValidationError,
-    VfStatus,
-    VfStatusCode,
-    VoteObject,
-    VoterEvent,
-    VoterPhase,
-    VotingFarmError,
-    phase_transition,
-    validate_descriptor,
-)
-from .fabric import (
-    Endpoint,
-    FAULT_KINDS,
-    FaultSpec,
-    Link,
-    LINK_KINDS,
-    NoSuchEndpoint,
-    NoSuchLink,
-    Simulator,
-    TimeInPast,
-    TraceEvent,
-    TraceLog,
-)
-from .farm import FarmRuntime, UnknownEntityAtRuntime
+from .client import vf_add, vf_control, vf_get, vf_open, vf_run
+from .core import VfStatusCode
+from .fabric import Endpoint, FaultSpec, Simulator
+from .farm import FarmRuntime
 from .perf import (
-    SchedulePermutation,
-    ScheduleResult,
     best_permutation,
     fit_polynomial,
     identity_permutation,
@@ -100,18 +40,7 @@ from .perf import (
     schedule_steps,
     timing_harness,
 )
-from .recovery import (
-    DirDatabase,
-    RlProgram,
-    RlSyntaxError,
-    attach_recovery,
-    compile_program,
-    decode_program,
-    disassemble,
-    format_program,
-    parse_rl,
-    rint_step,
-)
+from .recovery import compile_program, disassemble, parse_rl, rint_step
 from .reliability import (
     MarkovModel,
     closed_forms,
@@ -123,113 +52,4 @@ from .reliability import (
     r_tmr_1spare,
     simplex,
 )
-from .scenario import (
-    RunResult,
-    ScenarioError,
-    resolve_scenario,
-    run_scenario,
-    write_artifacts,
-)
-from .voter import FarmSlot, FarmView, VoterState
-
-__version__ = "1.0.0"
-
-__all__ = [
-    "AlgorithmSelect",
-    "AlreadyRunning",
-    "DirDatabase",
-    "DuplicateIdent",
-    "EmptyFarm",
-    "Endpoint",
-    "FAULT_KINDS",
-    "FarmDescriptor",
-    "FarmHandle",
-    "FarmMember",
-    "FarmRuntime",
-    "FarmSlot",
-    "FarmView",
-    "FaultSpec",
-    "IllegalTransition",
-    "InvalidatedHandle",
-    "LINK_KINDS",
-    "LengthMismatch",
-    "Link",
-    "METRICS",
-    "MarkovModel",
-    "NoDecision",
-    "NoSuchEndpoint",
-    "NoSuchLink",
-    "NonContiguousIdents",
-    "NotRunning",
-    "PHASE_BY_CODE",
-    "PHASE_CODES",
-    "RlProgram",
-    "RlSyntaxError",
-    "RunResult",
-    "ScenarioError",
-    "SchedulePermutation",
-    "ScheduleResult",
-    "Simulator",
-    "SpmdIncoherence",
-    "TimeInPast",
-    "TraceEvent",
-    "TraceLog",
-    "UnknownEntityAtRuntime",
-    "ValidationError",
-    "ValidationFailed",
-    "VfStatus",
-    "VfStatusCode",
-    "VoteObject",
-    "VoterEvent",
-    "VoterPhase",
-    "VoterState",
-    "VotingFarmError",
-    "attach_recovery",
-    "best_permutation",
-    "closed_forms",
-    "compile_program",
-    "consensus",
-    "crosspoint",
-    "decode_program",
-    "decode_scalar",
-    "decode_vector",
-    "default_metric",
-    "disassemble",
-    "encode_scalar",
-    "encode_vector",
-    "equivalence_classes",
-    "euclidean_metric",
-    "fit_polynomial",
-    "format_program",
-    "identity_permutation",
-    "live_probability",
-    "live_resource_counts",
-    "majority",
-    "markov_reliability",
-    "markov_solve",
-    "median",
-    "one_cycled_permutation",
-    "parse_rl",
-    "phase_transition",
-    "plurality",
-    "r_tmr",
-    "r_tmr_1spare",
-    "resolve_scenario",
-    "resource_report",
-    "rint_step",
-    "run_scenario",
-    "scalar_metric",
-    "schedule_steps",
-    "simplex",
-    "timing_harness",
-    "validate_descriptor",
-    "vf_add",
-    "vf_close",
-    "vf_control",
-    "vf_get",
-    "vf_open",
-    "vf_run",
-    "vote",
-    "weighted_average",
-    "write_artifacts",
-]
+from .scenario import resolve_scenario, run_scenario

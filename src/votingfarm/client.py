@@ -68,7 +68,6 @@ class FarmHandle:
     invalidated: bool = False
     outputs: list[dict] = field(default_factory=list)
     statuses: list[VfStatus] = field(default_factory=list)
-    last_error: Optional[str] = None
 
     def _check_open(self) -> None:
         if self.invalidated:
@@ -135,7 +134,6 @@ def vf_control(
         raise NotRunning("farm is not running")
     voter = handle.runtime.local_voter_endpoint(proc.endpoint.node)
     if voter is None:
-        handle.last_error = "no local voter"
         return
     if any(v is not None for v in (algorithm, epsilon, scaling_factor, tie_break)):
         fields: dict[str, Any] = {"req": "algorithm"}

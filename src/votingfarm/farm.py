@@ -43,7 +43,6 @@ class FarmRuntime:
 
         self.canonical = None  # first registered descriptor wins
         self.spmd_incoherent = False
-        self.registered_nodes: set[int] = set()
 
         self.view: dict[int, int] = {}  # ident -> entity
         self.entity_node: dict[int, int] = {}
@@ -113,7 +112,6 @@ class FarmRuntime:
                 self.sim.now, "spmd", str(proc.endpoint), "-", "descriptor mismatch"
             )
             raise SpmdIncoherence(f"node {node} disagrees with the active descriptor")
-        self.registered_nodes.add(node)
         for m in self.canonical.members:
             if m.node == node and m.ident not in self.entity_ep:
                 self._spawn_voter(entity=m.ident, ident=m.ident, node=node)
