@@ -348,9 +348,10 @@ def weighted_average(
     # order: the first bad payload in the ballot is the one that raises.
     order = sorted(range(n), key=lambda k: (items[k][1].source, items[k][1].payload))
     d = _distance_matrix(items, metric)[np.ix_(order, order)]
-    mean_d = d.sum(axis=1) / max(n - 1, 1)
-    weights = 1.0 / (1.0 + (mean_d / scaling_factor) ** 2)
-    mixed = (weights[:, None] * np.array(vectors)[order]).sum(axis=0) / weights.sum()
+    with np.errstate(invalid="ignore"):  # a ballot holding ±inf averages to NaN
+        mean_d = d.sum(axis=1) / max(n - 1, 1)
+        weights = 1.0 / (1.0 + (mean_d / scaling_factor) ** 2)
+        mixed = (weights[:, None] * np.array(vectors)[order]).sum(axis=0) / weights.sum()
     return VoteObject(payload=encode_vector(mixed), valid=True, source=0)
 
 

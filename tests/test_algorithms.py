@@ -9,6 +9,7 @@ by breadth-first search instead of union-find.
 import itertools
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -286,6 +287,14 @@ def test_weighted_average_frozen_example(scalar_ballot):
     got = weighted_average(scalar_ballot([0.0, 0.0, 9.0]), scalar_metric, 1.0)
     assert got.source == 0  # synthesized, not one of the inputs
     assert decode_scalar(got.payload) == pytest.approx(float(WEIGHTED_009), abs=1e-13)
+
+
+@pytest.mark.parametrize("metric", ["scalar", scalar_metric])
+def test_weighted_average_of_infinities_is_nan_without_warnings(scalar_ballot, metric):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = weighted_average(scalar_ballot([math.inf, -math.inf, 1.0]), metric, 1.0)
+    assert math.isnan(decode_scalar(got.payload))
 
 
 def test_weighted_average_symmetric_pair_with_fault(scalar_ballot):
