@@ -56,7 +56,7 @@ def voted_session(values, crash_idents=(), title=""):
         return run
 
     for (node, _), value in zip(rows, values):
-        sim.spawn(user(node, value), Endpoint(node, "user"), primary=True)
+        sim.spawn(user(node, value), Endpoint(node, "user"))
     sim.run_until_quiescent()
 
     done_at = max(

@@ -209,14 +209,20 @@ def _cmd_reliability(args) -> int:
 
 
 def _parse_sizes(text: str) -> list[int]:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        n, out = int(lo), []
-        while n <= int(hi):
-            out.append(n)
-            n *= 2
-        return out
-    return [int(v) for v in text.split(",") if v.strip() != ""]
+    try:
+        if ".." in text:
+            n, hi = (int(v) for v in text.split("..", 1))
+            sizes = []
+            while 1 <= n <= hi:
+                sizes.append(n)
+                n *= 2
+        else:
+            sizes = [int(v) for v in text.split(",") if v.strip() != ""]
+    except ValueError as exc:
+        raise VotingFarmError(f"bad --N {text!r}: {exc}") from exc
+    if not sizes or min(sizes) < 1:
+        raise VotingFarmError(f"bad --N {text!r}: need one or more farm sizes, each at least 1")
+    return sizes
 
 
 _PERMS = {

@@ -34,7 +34,7 @@ from .core import (
     VotingFarmError,
     validate_descriptor,
 )
-from .fabric import Endpoint, Proc, Recv, Send, TIMEOUT
+from .fabric import Proc, Recv, Send, TIMEOUT
 
 
 class AlreadyRunning(VotingFarmError):
@@ -127,7 +127,8 @@ def vf_control(
     then output redirection, then an input value (which starts a
     session), then close/reset.  Parameter updates are acknowledged
     only when refused, matching the polling loop's tolerance for
-    interleaved VF_REFUSED replies.
+    interleaved VF_REFUSED replies.  Redirecting the output to a node
+    without a user module raises before any request is sent.
     """
     handle._check_open()
     if not handle.running:
@@ -135,6 +136,8 @@ def vf_control(
     voter = handle.runtime.local_voter_endpoint(proc.endpoint.node)
     if voter is None:
         return
+    if output_node is not None:
+        handle.runtime.route_output(voter, output_node)
     if any(v is not None for v in (algorithm, epsilon, scaling_factor, tie_break)):
         fields: dict[str, Any] = {"req": "algorithm"}
         if algorithm is not None:
@@ -174,11 +177,7 @@ def vf_get(handle: FarmHandle, proc: Proc, timeout: int) -> Generator:
         got = yield Recv(remaining)
         if got is TIMEOUT:
             return VfStatus(VfStatusCode.VF_NONE, "timeout")
-        sender, message = got
-        try:
-            frame = wire.as_frame(message)
-        except wire.FrameError:
-            continue
+        _, frame = got
         if frame.kind == wire.K_OUTPUT:
             handle.outputs.append(
                 {

@@ -1,28 +1,28 @@
 """Deterministic message-passing fabric.
 
 Processes are Python generators multiplexed by a discrete-event
-scheduler over integer simulated time.  A process talks to the fabric
-by yielding syscall objects:
+scheduler over integer simulated time.  Each endpoint runs at most one
+process at a time, as each voter or user module of a farm is one task
+on its node.  A process talks to the fabric by yielding syscall
+objects:
 
-    Send(to, data)       blocking send of a wire.Frame (or of raw frame
-                         bytes); returns once delivery completed (or the
-                         message was discarded for a dead peer)
-    Recv(timeout)        oldest pending message as (sender, data), or
+    Send(to, frame)      blocking send of a wire.Frame; returns once
+                         delivery completed (or the message was
+                         discarded for a dead peer)
+    Recv(timeout)        oldest pending message as (sender, frame), or
                          the TIMEOUT sentinel after exactly `timeout`
                          units; timeout None waits forever
-    Spawn(fn, endpoint)  start a child process; returns its pid
     Sleep(dt)            advance local time
     Emit(kind, detail)   append a custom trace record
+    Exit()               end the process and retire its endpoint
 
-Messages stay wire.Frame objects from sender to receiver; the fabric
-never serialises them.  Raw frame bytes are the edge format: they are
-carried as sent and decoded where traced or received, and bytes that do
-not decode are traced as ``raw NB``.
+Messages are wire.Frame objects from sender to receiver; the fabric
+never serialises them.
 
 Scheduling is fully deterministic: events are ordered by (time, seq)
 where seq increases monotonically as events are created, so two runs of
 the same scenario with the same seed produce byte-identical traces.
-Message ordering per (sender, receiver) pair is FIFO even under
+Delivery order per (sender, receiver) pair is FIFO even under
 injected delays and jitter.
 
 Fault injection covers the fail/stop and value-failure models: crash
@@ -191,19 +191,12 @@ class TraceLog:
 @dataclass(frozen=True)
 class Send:
     to: Endpoint
-    data: wire.Message
+    data: wire.Frame
 
 
 @dataclass(frozen=True)
 class Recv:
     timeout: Optional[int] = None
-
-
-@dataclass(frozen=True)
-class Spawn:
-    fn: Callable[["Proc"], Generator]
-    endpoint: Endpoint
-    primary: bool = False
 
 
 @dataclass(frozen=True)
@@ -240,18 +233,12 @@ class Proc:
 class _EndpointState:
     def __init__(self, endpoint: Endpoint):
         self.endpoint = endpoint
-        self.mailbox: deque[tuple[Endpoint, wire.Message]] = deque()
-        self.crashed = False
-        self.terminated = False
+        self.mailbox: deque[tuple[Endpoint, wire.Frame]] = deque()
+        self.dead = False
         self.corruption: Optional[bytes] = None
         self.pending_omission = False
         self.pending_delay = 0
-        self.primary_pid: Optional[int] = None
-        self.pids: set[int] = set()
-
-    @property
-    def dead(self) -> bool:
-        return self.crashed or self.terminated
+        self.proc: Optional[_ProcState] = None  # the running process, if any
 
 
 class _ProcState:
@@ -345,23 +332,22 @@ class Simulator:
 
     # -- processes ----------------------------------------------------
 
-    def spawn(
-        self,
-        fn: Callable[[Proc], Generator],
-        endpoint: Endpoint,
-        primary: bool = False,
-    ) -> int:
+    def spawn(self, fn: Callable[[Proc], Generator], endpoint: Endpoint) -> int:
+        """Start the endpoint's process; returns its pid.
+
+        An endpoint runs one process at a time: spawning again is
+        allowed once the previous one finished, exited or crashed.
+        """
         st = self._endpoints.get(endpoint)
         if st is None:
             raise NoSuchEndpoint(str(endpoint))
+        if st.proc is not None:
+            raise VotingFarmError(f"endpoint {endpoint} already runs process {st.proc.pid}")
         endpoint = st.endpoint  # the registered object: lookups hit on identity
         pid = self._next_pid
         self._next_pid += 1
         proc = Proc(self, pid, endpoint)
-        self._procs[pid] = _ProcState(pid, endpoint, fn(proc))
-        st.pids.add(pid)
-        if primary or st.primary_pid is None:
-            st.primary_pid = pid
+        st.proc = self._procs[pid] = _ProcState(pid, endpoint, fn(proc))
         self._schedule(self.now, "step", (pid, None, None))
         return pid
 
@@ -388,13 +374,12 @@ class Simulator:
             raise NoSuchEndpoint(str(endpoint))
         if st.dead:
             return
-        st.crashed = True
+        st.dead = True
         st.mailbox.clear()
-        for pid in st.pids:
-            p = self._procs.get(pid)
-            if p:
-                p.alive = False
-                p.gen.close()
+        p = st.proc
+        if p is not None:
+            self._retire(p, st)
+            p.gen.close()
         self.trace.append(self.now, "fault", str(endpoint), "-", reason)
         if reason == "crash":
             for listener in self.crash_listeners:
@@ -405,33 +390,21 @@ class Simulator:
         st = self._endpoints.get(endpoint)
         if st is None:
             raise NoSuchEndpoint(str(endpoint))
-        st.crashed = False
-        st.terminated = False
+        st.dead = False
         st.mailbox.clear()
         st.corruption = None
         st.pending_omission = False
         st.pending_delay = 0
-        st.primary_pid = None
-        st.pids = set()
         self.trace.append(self.now, "revive", str(endpoint), "-", "")
 
-    def terminate_endpoint(self, endpoint: Endpoint) -> None:
-        """Graceful exit: endpoint stops participating, no fault raised."""
-        st = self._endpoints.get(endpoint)
-        if st is None or st.dead:
-            return
-        st.terminated = True
-        st.mailbox.clear()
-        for pid in st.pids:
-            p = self._procs.get(pid)
-            if p:
-                p.alive = False
-                p.gen.close()
-        self.trace.append(self.now, "exit", str(endpoint), "-", "terminated")
+    def _retire(self, p: _ProcState, st: _EndpointState) -> None:
+        """Free the endpoint's process slot: crash, Exit or completion."""
+        p.alive = False
+        st.proc = None
 
     # -- control plane -------------------------------------------------
 
-    def post(self, frm: Endpoint, to: Endpoint, data: wire.Message) -> None:
+    def post(self, frm: Endpoint, to: Endpoint, data: wire.Frame) -> None:
         """Fire-and-forget delivery outside the farm's link topology.
 
         Used by the recovery backbone (phase reports, fault records,
@@ -440,7 +413,7 @@ class Simulator:
         sender.  Delivery happens at the current time, after everything
         already scheduled.
         """
-        self.trace.append(self.now, "post", frm.name, to.name, _describe(data))
+        self.trace.append(self.now, "post", frm.name, to.name, data.trace_detail)
         self._schedule(self.now, "deliver", (frm, to, data))
 
     # -- scheduler ----------------------------------------------------
@@ -501,20 +474,17 @@ class Simulator:
             st.pending_delay += spec.delay
         self.trace.append(self.now, "fault", str(spec.target), "-", spec.kind)
 
-    def _deliver(self, frm: Endpoint, to: Endpoint, data: wire.Message) -> None:
+    def _deliver(self, frm: Endpoint, to: Endpoint, data: wire.Frame) -> None:
         st = self._endpoints.get(to)
         if st is None or st.dead:
             self.trace.append(self.now, "drop", frm.name, to.name, "dead endpoint")
             return
-        self.trace.append(self.now, "deliver", frm.name, to.name, _describe(data))
+        self.trace.append(self.now, "deliver", frm.name, to.name, data.trace_detail)
         st.mailbox.append((frm, data))
-        pid = st.primary_pid
-        if pid is not None:
-            p = self._procs.get(pid)
-            if p and p.alive and p.waiting:
-                p.waiting = False
-                msg = st.mailbox.popleft()
-                self._step(pid, msg, None)
+        p = st.proc
+        if p is not None and p.waiting:
+            p.waiting = False
+            self._step(p.pid, st.mailbox.popleft(), None)
 
     def _step(self, pid: int, value: Any, exc: Optional[BaseException]) -> None:
         p = self._procs.get(pid)
@@ -528,12 +498,8 @@ class Simulator:
                 else:
                     item = p.gen.send(value)
             except StopIteration:
-                p.alive = False
                 p.finished = True
-                st = self._endpoints[p.endpoint]
-                st.pids.discard(pid)
-                if st.primary_pid == pid:
-                    st.primary_pid = None
+                self._retire(p, self._endpoints[p.endpoint])
                 return
             value = None
 
@@ -556,9 +522,6 @@ class Simulator:
                 if item.timeout is not None:
                     self._schedule(self.now + item.timeout, "timeout", (pid, p.wait_epoch))
                 return
-            if isinstance(item, Spawn):
-                value = self.spawn(item.fn, item.endpoint, item.primary)
-                continue
             if isinstance(item, Sleep):
                 self._schedule(self.now + max(0, item.dt), "step", (pid, None, None))
                 return
@@ -566,13 +529,10 @@ class Simulator:
                 self.trace.append(self.now, item.kind, str(p.endpoint), item.to, item.detail)
                 continue
             if isinstance(item, Exit):
-                p.alive = False
                 st = self._endpoints[p.endpoint]
-                st.pids.discard(pid)
-                if st.primary_pid == pid:
-                    st.primary_pid = None
-                    st.terminated = True
-                    st.mailbox.clear()
+                self._retire(p, st)
+                st.dead = True
+                st.mailbox.clear()
                 self.trace.append(self.now, "exit", str(p.endpoint), "-", "closed")
                 return
             exc = VotingFarmError(f"process yielded unknown item {item!r}")
@@ -588,7 +548,7 @@ class Simulator:
             raise NoSuchLink(f"no link {frm} -- {to}")
         sender_st = self._endpoints[frm]
 
-        self.trace.append(self.now, "send", frm.name, to.name, _describe(item.data))
+        self.trace.append(self.now, "send", frm.name, to.name, item.data.trace_detail)
         if target_st.dead:
             # Fail/stop: a send to a dead peer is discarded, whether or
             # not a link to it was ever wired, and costs the sender
@@ -620,9 +580,3 @@ class Simulator:
         self._schedule(t_del, "step", (p.pid, None, None))
         return False
 
-
-def _describe(data: wire.Message) -> str:
-    try:
-        return wire.as_frame(data).trace_detail
-    except wire.FrameError:
-        return f"raw {len(data)}B"

@@ -74,6 +74,15 @@ class FarmRuntime:
                 return ep
         return None
 
+    def route_output(self, voter_ep: Endpoint, node: int) -> None:
+        """Wire the link a voter needs to send its outputs to node's user."""
+        user_ep = self.user_endpoint(node)
+        if user_ep is None:
+            raise VotingFarmError(f"cannot redirect output to node {node}: no user module there")
+        if not self.sim.has_link(voter_ep, user_ep):
+            kind = "local" if user_ep.node == voter_ep.node else "virtual"
+            self.sim.add_link(voter_ep, user_ep, kind)
+
     def current_view(self) -> FarmView:
         return FarmView(
             [
@@ -153,7 +162,7 @@ class FarmRuntime:
         self.entity_ep[entity] = ep
         self.entity_node[entity] = node
         self.voter_states[entity] = state
-        self.sim.spawn(voter_process(state), ep, primary=True)
+        self.sim.spawn(voter_process(state), ep)
         return ep
 
     # -- recovery actions ------------------------------------------------

@@ -209,6 +209,8 @@ def timing_harness(
     exactly zero; a positive jitter draws seeded per-message delays,
     and repeats vary the seed.
     """
+    if repeats < 1:
+        raise ValidationError("repeats must be at least 1")
     out = []
     for n in n_values:
         nodes = range(1, n + 1)

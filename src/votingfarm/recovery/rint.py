@@ -225,12 +225,7 @@ def execute_actions(
 def director_process(db: DirDatabase, rint_ep: Endpoint):
     def run(proc: Proc) -> Generator:
         while True:
-            got = yield Recv(None)
-            _, message = got
-            try:
-                frame = wire.as_frame(message)
-            except wire.FrameError:
-                continue
+            _, frame = yield Recv(None)
             if frame.kind == wire.K_PHASE:
                 entity = frame.get("member")
                 code = frame.get("code")
@@ -255,12 +250,7 @@ def director_process(db: DirDatabase, rint_ep: Endpoint):
 def interpreter_process(program: RlProgram, db: DirDatabase, runtime: FarmRuntime):
     def run(proc: Proc) -> Generator:
         while True:
-            got = yield Recv(None)
-            _, message = got
-            try:
-                frame = wire.as_frame(message)
-            except wire.FrameError:
-                continue
+            _, frame = yield Recv(None)
             if frame.kind == wire.K_CONTROL and frame.get("req") == "trigger":
                 instances = rint_step(program, db)
                 execute_actions(instances, runtime, db)
@@ -285,8 +275,8 @@ def attach_recovery(
     rint_ep = sim.add_endpoint(Endpoint(node, "rint"))
     runtime.dirnet_ep = dirnet_ep
     runtime.rint_ep = rint_ep
-    sim.spawn(director_process(db, rint_ep), dirnet_ep, primary=True)
-    sim.spawn(interpreter_process(program, db, runtime), rint_ep, primary=True)
+    sim.spawn(director_process(db, rint_ep), dirnet_ep)
+    sim.spawn(interpreter_process(program, db, runtime), rint_ep)
 
     def watchdog(endpoint: Endpoint, t: int) -> None:
         if endpoint.role == "voter" and endpoint.member is not None:

@@ -310,7 +310,6 @@ def run_scenario(spec: dict, search_dirs: tuple[str, ...] = ()) -> RunResult:
         pids[node] = sim.spawn(
             _user_program(runtime, spec, node, rows, report, inputs),
             Endpoint(node, "user"),
-            primary=True,
         )
 
     for f in spec["faults"]:
@@ -354,6 +353,8 @@ def _fault_target(f: dict, runtime: FarmRuntime, farm_rows) -> Endpoint:
         for node, ident in farm_rows:
             if ident == entity:
                 return Endpoint(node, "voter", entity)
+        if entity in runtime.spares:
+            return Endpoint(runtime.spares[entity], "voter", entity)
         raise ScenarioError(f"fault names unknown entity {entity}")
     return Endpoint(int(f["node"]), "voter", int(f.get("member", f["node"])))
 

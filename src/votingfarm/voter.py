@@ -138,15 +138,7 @@ def voter_process(state: VoterState):
             if pending:
                 sender, frame = pending.pop(0)
             else:
-                got = yield Recv(None)
-                if got is TIMEOUT:  # cannot happen on an unbounded wait
-                    continue
-                sender, message = got
-                try:
-                    frame = wire.as_frame(message)
-                except wire.FrameError:
-                    yield Emit("drop", "undecodable frame")
-                    continue
+                sender, frame = yield Recv(None)
 
             if frame.kind == wire.K_CONTROL:
                 req = frame.get("req")
@@ -290,12 +282,7 @@ def _session(proc: Proc, state: VoterState, first_sender: Endpoint, first_frame:
         if got is TIMEOUT:
             slots.append(VoteObject(b"", False, 0))
         else:
-            sender, message = got
-            try:
-                frame = wire.as_frame(message)
-            except wire.FrameError:
-                yield Emit("drop", "undecodable frame")
-                continue
+            sender, frame = got
             filled, refuse = consume(sender, frame)
             if refuse is not None:
                 yield Send(refuse, _status_frame(VfStatusCode.VF_REFUSED, "busy", session))

@@ -1,20 +1,19 @@
 """Messages crossing the simulated fabric.
 
-Inside the simulator a message is a ``Frame``: a kind, read-only
-structured control fields, and the opaque voted data as the value
-payload.  Senders build frames, the fabric carries them as they are and
-receivers read them directly, so no message is serialised on its way.
+A message is a ``Frame``: a kind, read-only structured control fields,
+and the opaque voted data as the value payload.  Senders build frames,
+the fabric carries them as they are and receivers read them directly,
+so no message is serialised on its way.
 
-The bytes layout is the edge and raw format, used by anything that hands
-the fabric bytes instead of a frame:
+``encode``/``decode`` define a frame's bytes layout, for use outside
+the fabric:
 
     kind:u8 | header_len:u32be | header (JSON, utf-8) | value payload
 
-``encode``/``decode`` convert between the two and ``as_frame`` is the
-receiving edge.  In both forms the value payload is a region of its own,
-so the fault injector corrupts voted values without destroying the
-framing, which matches the fault model: value failures corrupt data,
-they do not turn messages into garbage.
+The value payload is a field of its own, so the fault injector
+corrupts voted values without touching the control fields, which
+matches the fault model: value failures corrupt data, they do not turn
+messages into garbage.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from __future__ import annotations
 import json
 import struct
 from types import MappingProxyType
-from typing import Any, Mapping, Union
+from typing import Any, Mapping
 
 # Frame kinds
 K_INPUT = 1       # user module -> voter: new input value
@@ -106,9 +105,6 @@ class Frame:
         return self._trace_detail
 
 
-Message = Union[Frame, bytes]
-
-
 def encode(kind: int, fields: Mapping[str, Any] | None = None, payload: bytes = b"") -> bytes:
     header = json.dumps(dict(fields or {}), sort_keys=True, separators=(",", ":")).encode()
     return _HDR.pack(kind, len(header)) + header + payload
@@ -129,42 +125,16 @@ def decode(data: bytes) -> Frame:
     return Frame(kind, fields, bytes(data[_HDR.size + hlen:]))
 
 
-def as_frame(message: Message) -> Frame:
-    """The frame a receiver reads: frames as they are, raw bytes decoded.
-
-    Raises FrameError for bytes that do not decode.
-    """
-    if isinstance(message, Frame):
-        return message
-    return decode(message)
-
-
-def payload_region(data: bytes) -> int:
-    """Offset where the value payload starts, or len(data) if none."""
-    if len(data) < _HDR.size:
-        return len(data)
-    _, hlen = _HDR.unpack_from(data)
-    return min(len(data), _HDR.size + hlen)
-
-
 def _xor(value: bytes, mask: bytes) -> bytes:
     return bytes(b ^ mask[i % len(mask)] for i, b in enumerate(value))
 
 
-def corrupt_value(message: Message, mask: bytes) -> Message:
-    """XOR the value payload of a frame, or the payload region of raw
-    bytes, with a repeating mask.
+def corrupt_value(frame: Frame, mask: bytes) -> Frame:
+    """XOR the value payload of a frame with a repeating mask.
 
-    Messages without a value payload pass through unchanged: a value
+    Frames without a value payload pass through unchanged: a value
     fault corrupts data being voted on, not protocol bookkeeping.
     """
-    if isinstance(message, Frame):
-        if not mask or not message.payload:
-            return message
-        return Frame(message.kind, message.fields, _xor(message.payload, mask))
-    if not mask:
-        return message
-    start = payload_region(message)
-    if start >= len(message):
-        return message
-    return bytes(message[:start]) + _xor(message[start:], mask)
+    if not mask or not frame.payload:
+        return frame
+    return Frame(frame.kind, frame.fields, _xor(frame.payload, mask))

@@ -92,7 +92,7 @@ def run_voted_session(n, values, seed=0, crash_idents=()):
         return run
 
     for (node, _), value in zip(rows, values):
-        sim.spawn(user(node, value), Endpoint(node, "user"), primary=True)
+        sim.spawn(user(node, value), Endpoint(node, "user"))
     sim.run_until_quiescent()
     assert sim.quiescent
     return statuses, outputs, sim
@@ -268,7 +268,7 @@ def test_protocol_safety_fuzz():
             return run
 
         pids = [
-            sim.spawn(user(node), Endpoint(node, "user"), primary=True)
+            sim.spawn(user(node), Endpoint(node, "user"))
             for node, _ in rows
         ]
         sim.run_until_quiescent(max_time=5000)

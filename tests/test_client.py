@@ -16,7 +16,7 @@ from votingfarm.client import (
     vf_open,
     vf_run,
 )
-from votingfarm.core import VfStatusCode
+from votingfarm.core import VfStatusCode, VotingFarmError
 from votingfarm.fabric import Endpoint, Simulator, Sleep
 from votingfarm.farm import FarmRuntime
 
@@ -35,7 +35,7 @@ def fresh(n=1):
 def drive(sim, programs):
     """Spawn one scripted generator per node and run to quiescence."""
     for node, fn in programs.items():
-        sim.spawn(fn, Endpoint(node, "user"), primary=True)
+        sim.spawn(fn, Endpoint(node, "user"))
     sim.run_until_quiescent()
     assert sim.quiescent
 
@@ -199,16 +199,14 @@ def test_output_redirection():
         caught.append(got)
 
     def recv_one(proc):
-        from votingfarm import wire
         from votingfarm.fabric import Recv
-        _, message = yield Recv(None)
-        return wire.as_frame(message)
+        _, frame = yield Recv(None)
+        return frame
 
     def prog(proc):
         handle = vf_open(runtime)
         vf_add(handle, 1, 1)
         yield from vf_run(handle, proc)
-        sim.add_link(Endpoint(1, "voter", 1), Endpoint(2, "user"), "virtual")
         yield from vf_control(handle, proc, output_node=2, input=encode_scalar(8.0))
         yield from vf_get(handle, proc, timeout=4 * DT)
         yield from vf_close(handle, proc, timeout=DT)
@@ -216,6 +214,44 @@ def test_output_redirection():
     drive(sim, {1: prog, 2: observer})
     assert len(caught) == 1
     assert caught[0].payload == encode_scalar(8.0)
+    assert sim.has_link(Endpoint(1, "voter", 1), Endpoint(2, "user"))
+    assert sim.link_count("virtual") == 1
+
+
+def test_output_redirection_to_the_voters_own_node_keeps_the_local_link():
+    sim, runtime, rows = fresh(1)
+    done = {}
+
+    def prog(proc):
+        handle = vf_open(runtime)
+        vf_add(handle, 1, 1)
+        yield from vf_run(handle, proc)
+        yield from vf_control(handle, proc, output_node=1, input=encode_scalar(3.0))
+        done["status"] = yield from vf_get(handle, proc, timeout=4 * DT)
+        done["outputs"] = [o["payload"] for o in handle.outputs]
+
+    drive(sim, {1: prog})
+    assert (done["status"].code, done["status"].detail) == (VfStatusCode.VF_DONE, "ok")
+    assert done["outputs"] == [encode_scalar(3.0)]
+    assert (sim.link_count("local"), sim.link_count("virtual")) == (1, 0)
+
+
+def test_output_redirection_to_a_node_without_user_raises_in_the_caller():
+    sim, runtime, rows = fresh(1)
+    caught = []
+
+    def prog(proc):
+        handle = vf_open(runtime)
+        vf_add(handle, 1, 1)
+        yield from vf_run(handle, proc)
+        try:
+            yield from vf_control(handle, proc, output_node=5, input=encode_scalar(1.0))
+        except VotingFarmError as exc:
+            caught.append(str(exc))
+
+    drive(sim, {1: prog})
+    assert caught and "node 5" in caught[0]
+    assert sim.trace.count("send") == 0  # nothing reached the voter
 
 
 def test_user_talks_only_to_its_local_voter():

@@ -20,7 +20,6 @@ from votingfarm.fabric import (
     Send,
     Simulator,
     Sleep,
-    Spawn,
     TIMEOUT,
     TimeInPast,
 )
@@ -38,7 +37,7 @@ def make_pair(seed=0, delivery_delay=0, jitter=0):
 
 
 def msg(tag, payload=b""):
-    return wire.encode(wire.K_INPUT, {"tag": tag}, payload)
+    return wire.Frame(wire.K_INPUT, {"tag": tag}, payload)
 
 
 def sender_of(messages, to=B, gap=0):
@@ -53,9 +52,8 @@ def sender_of(messages, to=B, gap=0):
 def sink(received, n):
     def run(proc):
         for _ in range(n):
-            got = yield Recv(None)
-            frm, raw = got
-            received.append((proc.now, wire.decode(raw).get("tag")))
+            _, frame = yield Recv(None)
+            received.append((proc.now, frame.get("tag")))
     return run
 
 
@@ -103,35 +101,65 @@ def test_sleep_and_emit():
     assert sim.trace.count("note", contains="woke at 7") == 1
 
 
-def test_spawn_from_inside_a_process():
-    sim = make_pair()
-    order = []
-
-    def child(proc):
-        order.append("child")
-        return
-        yield
-
-    def parent(proc):
-        yield Spawn(child, B)
-        order.append("parent")
-
-    sim.spawn(parent, A)
-    sim.run_until_quiescent()
-    # the spawned child steps after the parent's current step finishes
-    assert order == ["parent", "child"]
-
-
 def test_exit_retires_endpoint():
     sim = make_pair()
 
     def quitter(proc):
         yield Exit()
 
-    sim.spawn(quitter, A, primary=True)
+    sim.spawn(quitter, A)
     sim.run_until_quiescent()
     assert not sim.endpoint_alive(A)
     assert sim.trace.count("exit", contains="closed") == 1
+
+
+def test_second_spawn_on_a_running_endpoint_is_rejected():
+    sim = make_pair()
+
+    def forever(proc):
+        yield Recv(None)
+
+    sim.spawn(forever, A)
+    with pytest.raises(VotingFarmError, match="already runs"):
+        sim.spawn(forever, A)
+    sim.run_until_quiescent()
+    with pytest.raises(VotingFarmError, match="already runs"):
+        sim.spawn(forever, A)  # still blocked in Recv, still running
+
+
+def test_spawn_again_after_the_process_finished():
+    sim = make_pair()
+    received = []
+
+    def one_shot(proc):
+        yield Sleep(1)
+
+    first = sim.spawn(one_shot, B)
+    sim.run_until_quiescent()
+    assert sim.proc_finished(first)
+    second = sim.spawn(sink(received, 1), B)
+    sim.spawn(sender_of([msg("after")]), A)
+    sim.run_until_quiescent()
+    assert second != first and sim.proc_finished(second)
+    assert [tag for _, tag in received] == ["after"]
+
+
+def test_spawn_again_after_crash_and_revive():
+    sim = make_pair()
+    received = []
+
+    def forever(proc):
+        yield Recv(None)
+
+    crashed = sim.spawn(forever, B)
+    sim.run_until_quiescent()
+    sim.crash_endpoint(B)
+    sim.revive_endpoint(B)
+    revived = sim.spawn(sink(received, 1), B)
+    sim.spawn(sender_of([msg("revived")]), A)
+    sim.run_until_quiescent()
+    assert not sim.proc_finished(crashed) and sim.proc_finished(revived)
+    assert [tag for _, tag in received] == ["revived"]
 
 
 def test_proc_finished_tracks_normal_completion():
@@ -328,8 +356,8 @@ def test_value_corruption_is_persistent():
 
     def collector(proc):
         for _ in range(2):
-            _, raw = yield Recv(None)
-            got.append(wire.decode(raw).payload)
+            _, frame = yield Recv(None)
+            got.append(frame.payload)
 
     def source(proc):
         yield Sleep(1)
@@ -349,11 +377,11 @@ def test_corruption_spares_frames_without_payload():
 
     def source(proc):
         yield Sleep(1)
-        yield Send(B, wire.encode(wire.K_CONTROL, {"req": "close"}))
+        yield Send(B, wire.Frame(wire.K_CONTROL, {"req": "close"}))
 
     def collector(proc):
-        _, raw = yield Recv(None)
-        seen.append(wire.decode(raw).get("req"))
+        _, frame = yield Recv(None)
+        seen.append(frame.get("req"))
 
     sim.spawn(source, A)
     sim.spawn(collector, B)

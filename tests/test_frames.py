@@ -1,21 +1,15 @@
-"""Messages as frame objects: corruption, sharing, and the raw-bytes edge.
+"""Messages as frame objects: corruption and sharing.
 
 Inside the simulator a message stays a wire.Frame from sender to
 receiver.  These tests pin what that must not change: a value fault
-hits only the payload, a broadcast frame shared by several receivers
-cannot be altered through one of them, and bytes handed to the fabric
-still decode where they are received, or are dropped as before when
-they do not.
+hits only the payload, and a broadcast frame shared by several
+receivers cannot be altered through one of them.
 """
 
 import pytest
 
 from votingfarm import wire
-from votingfarm.algorithms import AlgorithmSelect, encode_scalar
-from votingfarm.client import vf_add, vf_control, vf_get, vf_open, vf_run
-from votingfarm.core import VfStatusCode
 from votingfarm.fabric import Endpoint, FaultSpec, Recv, Send, Simulator, Sleep
-from votingfarm.farm import FarmRuntime
 
 A = Endpoint(1, "user")
 B = Endpoint(2, "user")
@@ -40,10 +34,6 @@ def test_corrupting_a_frame_xors_only_its_payload():
     assert hit.kind == frame.kind and hit.fields == frame.fields
     assert hit.payload == bytes(b ^ m for b, m in zip(payload, mask * 3))
     assert frame.payload == payload  # the sender's frame is untouched
-    # the same region a value fault hits in the bytes form
-    raw = wire.corrupt_value(wire.encode(wire.K_BROADCAST, fields, payload), mask)
-    assert hit == wire.decode(raw)
-    assert hit.trace_detail == wire.decode(raw).trace_detail
 
 
 def test_frame_without_payload_passes_unchanged():
@@ -117,51 +107,3 @@ def test_shared_broadcast_frame_cannot_be_changed_through_one_receiver():
     sim.run_until_quiescent()
     assert seen["meddler"] == "refused"
     assert seen["reader"] == (True, {"member": 1, "session": 0, "valid": True}, b"\x07")
-
-
-# -- the raw-bytes edge ----------------------------------------------------------
-
-def one_voter_farm(script):
-    """A one-member farm whose user runs `script(proc, voter, handle, out)`."""
-    sim = Simulator()
-    runtime = FarmRuntime(sim, delta_t=10, select=AlgorithmSelect())
-    user = runtime.ensure_user_endpoint(1)
-    out = {}
-
-    def run(proc):
-        handle = vf_open(runtime)
-        vf_add(handle, 1, 1)
-        yield from vf_run(handle, proc)
-        voter = runtime.local_voter_endpoint(1)
-        yield from script(proc, voter, handle, out)
-
-    sim.spawn(run, user, primary=True)
-    sim.run_until_quiescent()
-    assert sim.quiescent
-    return sim, out
-
-
-def test_raw_bytes_send_still_decodes_at_the_receiver():
-    def script(proc, voter, handle, out):
-        yield Send(voter, wire.encode(wire.K_INPUT, {"valid": True}, encode_scalar(4.0)))
-        out["status"] = yield from vf_get(handle, proc, timeout=40)
-        out["outputs"] = list(handle.outputs)
-
-    sim, out = one_voter_farm(script)
-    assert out["status"].code is VfStatusCode.VF_DONE
-    assert out["status"].detail == "ok"
-    assert [o["payload"] for o in out["outputs"]] == [encode_scalar(4.0)]
-    assert sim.trace.count("send", contains="input valid=True payload=") == 1
-
-
-def test_garbage_bytes_are_traced_raw_and_dropped():
-    def script(proc, voter, handle, out):
-        yield Send(voter, b"\x01\x00")
-        yield from vf_control(handle, proc, input=encode_scalar(2.0))
-        out["status"] = yield from vf_get(handle, proc, timeout=40)
-
-    sim, out = one_voter_farm(script)
-    assert sim.trace.count("send", contains="raw 2B") == 1
-    assert sim.trace.count("deliver", contains="raw 2B") == 1
-    assert sim.trace.count("drop", contains="undecodable frame") == 1
-    assert out["status"].code is VfStatusCode.VF_DONE  # the voter carried on

@@ -146,7 +146,7 @@ def build_farm(n=3, spare=None):
         yield from vf_run(handle, proc)
 
     for node, _ in rows:
-        sim.spawn(user, Endpoint(node, "user"), primary=True)
+        sim.spawn(user, Endpoint(node, "user"))
     sim.run_until_quiescent()
     if spare is not None:
         runtime.declare_spare(*spare)

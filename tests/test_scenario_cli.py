@@ -97,6 +97,29 @@ def test_spare_start_after_early_crash_keeps_invariants(seed, jitter):
     assert values and all(len(v) == 1 for v in values.values()), values
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_fault_can_name_a_spare(seed):
+    # The spare is started by recovery and then crashes.  The shipped
+    # assertions expect the spare to stay up, so only the invariants
+    # are checked here.
+    spec, dirs = load("three_and_one_spare")
+    crash = {"kind": "crash", "role": "voter", "entity": 4, "at": 60}
+    spec = {**spec, "seed": seed, "jitter": seed, "faults": spec["faults"] + [crash]}
+    result = run_scenario(spec, dirs)
+    assert any(
+        ev.kind == "fault" and ev.frm == "voter:4@4" and ev.detail == "crash"
+        for ev in result.trace
+    )
+    assert result.sim.quiescent and not result.trace.max_time_exceeded
+    assert result.all_users_finished()
+    assert check_phase_grammar(result) == []
+    values = {}
+    for rep in result.users.values():
+        for out in rep["outputs"]:
+            values.setdefault(out["session"], set()).add(out["value"])
+    assert values and all(len(v) == 1 for v in values.values()), values
+
+
 def test_happy_run_delivers_exactly_three_completions():
     spec, dirs = load("tmr_happy")
     result = run_scenario(spec, dirs)
@@ -294,6 +317,22 @@ def test_cli_perf_latency_table(capsys):
     lines = capsys.readouterr().out.strip().split("\n")
     assert lines[0] == "N,average,standard deviation"
     assert lines[1:] == ["1,3,0", "2,5,0", "3,8,0", "4,12,0"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--steps", "--N", "0..8"], "bad --N"),
+        (["--steps", "--N", "8..4"], "bad --N"),
+        (["--resources", "--N", "4,x"], "bad --N"),
+        (["--table6", "--repeats", "0"], "repeats must be at least 1"),
+    ],
+    ids=["range-from-zero", "empty-range", "not-a-number", "zero-repeats"],
+)
+def test_cli_perf_rejects_unusable_sizes_and_repeats(capsys, argv, message):
+    assert cli.main(["perf", *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("vf: ") and message in err
 
 
 def test_cli_perf_needs_a_request(capsys):

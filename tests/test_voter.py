@@ -62,7 +62,6 @@ def run_farm(n, values, crash_idents=(), select=None, extra=None):
             standard_user(runtime, rows, node, values.get(node), reports,
                           extra=extra.get(node) if extra else None),
             Endpoint(node, "user"),
-            primary=True,
         )
     sim.run_until_quiescent()
     assert sim.quiescent, "farm run did not settle"
@@ -215,12 +214,11 @@ def test_second_input_mid_session_is_refused_busy():
 
     sim, runtime, rows = build_farm(3)
     reports = {}
-    sim.spawn(impatient(runtime, rows, reports), Endpoint(1, "user"), primary=True)
+    sim.spawn(impatient(runtime, rows, reports), Endpoint(1, "user"))
     for node in (2, 3):
         sim.spawn(
             standard_user(runtime, rows, node, 6.0, reports),
             Endpoint(node, "user"),
-            primary=True,
         )
     sim.run_until_quiescent()
     codes = [(s.code, s.detail) for s in reports[1]["statuses"]]
@@ -262,7 +260,7 @@ def test_input_while_failed_is_refused_until_reset():
         return run
 
     for node in (1, 2, 3):
-        sim.spawn(user(node), Endpoint(node, "user"), primary=True)
+        sim.spawn(user(node), Endpoint(node, "user"))
     sim.run_until_quiescent()
     assert sim.quiescent
 
@@ -312,7 +310,6 @@ def test_algorithm_update_applies_to_next_session():
         sim.spawn(
             switcher(runtime, rows, reports, node, firsts[node], seconds[node]),
             Endpoint(node, "user"),
-            primary=True,
         )
     sim.run_until_quiescent()
     for node in (1, 2, 3):

@@ -65,30 +65,24 @@ def test_non_object_header_rejected():
 
 class TestCorruptValue:
     def test_only_payload_region_changes(self):
-        raw = wire.encode(wire.K_BROADCAST, {"member": 2, "session": 0}, b"\x00" * 8)
-        hit = wire.corrupt_value(raw, b"\xff")
-        assert hit != raw
-        frame = wire.decode(hit)  # framing survives the hit
-        assert frame.get("member") == 2 and frame.get("session") == 0
-        assert frame.payload == b"\xff" * 8
+        frame = wire.Frame(wire.K_BROADCAST, {"member": 2, "session": 0}, b"\x00" * 8)
+        hit = wire.corrupt_value(frame, b"\xff")
+        assert hit != frame
+        assert hit.get("member") == 2 and hit.get("session") == 0  # fields survive the hit
+        assert hit.payload == b"\xff" * 8
 
     def test_mask_repeats_over_payload(self):
-        raw = wire.encode(wire.K_INPUT, {}, bytes(range(6)))
-        frame = wire.decode(wire.corrupt_value(raw, b"\x0f\xf0"))
+        frame = wire.corrupt_value(wire.Frame(wire.K_INPUT, {}, bytes(range(6))), b"\x0f\xf0")
         assert frame.payload == bytes(b ^ m for b, m in zip(range(6), b"\x0f\xf0" * 3))
 
     def test_header_only_frame_passes_through(self):
-        raw = wire.encode(wire.K_CONTROL, {"req": "close"})
-        assert wire.corrupt_value(raw, b"\xff") == raw
+        frame = wire.Frame(wire.K_CONTROL, {"req": "close"})
+        assert wire.corrupt_value(frame, b"\xff") == frame
 
     def test_empty_mask_is_identity(self):
-        raw = wire.encode(wire.K_INPUT, {}, b"\x42")
-        assert wire.corrupt_value(raw, b"") == raw
+        frame = wire.Frame(wire.K_INPUT, {}, b"\x42")
+        assert wire.corrupt_value(frame, b"") == frame
 
     def test_double_corruption_cancels(self):
-        raw = wire.encode(wire.K_INPUT, {}, b"\x10\x20\x30")
-        assert wire.corrupt_value(wire.corrupt_value(raw, b"\xa5"), b"\xa5") == raw
-
-
-def test_payload_region_of_short_data():
-    assert wire.payload_region(b"\x01") == 1
+        frame = wire.Frame(wire.K_INPUT, {}, b"\x10\x20\x30")
+        assert wire.corrupt_value(wire.corrupt_value(frame, b"\xa5"), b"\xa5") == frame
