@@ -249,6 +249,10 @@ def _cmd_perf(args) -> int:
                 steps.append(res.steps)
                 print(f"{n},{res.steps},{res.utilization:.4f}")
             degree = 2 if name == "identity" else 1
+            if len(sizes) < degree + 2:
+                # R^2 of a fit with no spare points is 1 and says nothing.
+                print(f"fit {name}: skipped (needs at least {degree + 2} sizes)")
+                continue
             shape = "quadratic" if degree == 2 else "linear"
             _, r2 = fit_polynomial(sizes, steps, degree)
             print(f"fit {name}: {shape} R^2={r2:.6f}")

@@ -3,8 +3,12 @@
 Processes are Python generators multiplexed by a discrete-event
 scheduler over integer simulated time.  Each endpoint runs at most one
 process at a time, as each voter or user module of a farm is one task
-on its node.  A process talks to the fabric by yielding syscall
-objects:
+on its node.  A Proc is the one record of a process: spawn returns it,
+its generator gets it as the handle, and the scheduler steps it.  The
+fabric forgets a process once it finishes, exits or crashes.  Each
+endpoint's state also holds its links (peer -> kind, on both ends) and,
+on the sender, the FIFO floor towards each peer.  A process talks to
+the fabric by yielding syscall objects:
 
     Send(to, frame)      blocking send of a wire.Frame; returns once
                          delivery completed (or the message was
@@ -100,18 +104,6 @@ class Endpoint:
 
 
 LINK_KINDS = ("local", "virtual")
-
-
-@dataclass(frozen=True)
-class Link:
-    a: Endpoint
-    b: Endpoint
-    kind: str
-
-    def __post_init__(self) -> None:
-        if self.kind not in LINK_KINDS:
-            raise VotingFarmError(f"unknown link kind {self.kind!r}")
-
 
 FAULT_KINDS = ("crash", "value-corruption", "omission", "delay")
 
@@ -217,13 +209,16 @@ class Exit:
 
 
 class Proc:
-    """Handle given to each process generator."""
+    """One process: the handle its generator gets and the record the
+    scheduler steps.  It runs exactly while its endpoint's slot holds it."""
 
-    def __init__(self, sim: "Simulator", pid: int, endpoint: Endpoint):
+    def __init__(self, sim: "Simulator", endpoint: Endpoint):
         self.sim = sim
-        self.pid = pid
         self.endpoint = endpoint
-        self.rng = random.Random((sim.seed << 16) ^ pid)
+        self.gen: Optional[Generator] = None
+        self.finished = False
+        self.waiting = False
+        self.wait_epoch = 0
 
     @property
     def now(self) -> int:
@@ -238,18 +233,9 @@ class _EndpointState:
         self.corruption: Optional[bytes] = None
         self.pending_omission = False
         self.pending_delay = 0
-        self.proc: Optional[_ProcState] = None  # the running process, if any
-
-
-class _ProcState:
-    def __init__(self, pid: int, endpoint: Endpoint, gen: Generator):
-        self.pid = pid
-        self.endpoint = endpoint
-        self.gen = gen
-        self.alive = True
-        self.finished = False
-        self.waiting = False
-        self.wait_epoch = 0
+        self.proc: Optional[Proc] = None  # the running process, if any
+        self.links: dict[Endpoint, str] = {}  # peer -> link kind, kept on both ends
+        self.fifo_floor: dict[Endpoint, int] = {}  # peer -> last delivery time sent to it
 
 
 class Simulator:
@@ -271,10 +257,6 @@ class Simulator:
         self._heap: list[tuple[int, int, str, tuple]] = []
         self._seq = 0
         self._endpoints: dict[Endpoint, _EndpointState] = {}
-        self._links: dict[frozenset, Link] = {}
-        self._procs: dict[int, _ProcState] = {}
-        self._next_pid = 1
-        self._fifo_floor: dict[tuple[Endpoint, Endpoint], int] = {}
         self.crash_listeners: list[Callable[[Endpoint, int], None]] = []
 
     # -- topology -----------------------------------------------------
@@ -298,24 +280,25 @@ class Simulator:
         st = self._endpoints.get(endpoint)
         return st is not None and not st.dead
 
-    def add_link(self, a: Endpoint, b: Endpoint, kind: str) -> Link:
-        for ep in (a, b):
-            if ep not in self._endpoints:
-                raise NoSuchEndpoint(str(ep))
+    def add_link(self, a: Endpoint, b: Endpoint, kind: str) -> None:
+        """Join a and b both ways; re-adding a link keeps its first kind."""
+        sa, sb = self._endpoints.get(a), self._endpoints.get(b)
+        if sa is None or sb is None:
+            raise NoSuchEndpoint(str(a if sa is None else b))
         if a == b:
             raise VotingFarmError("link endpoints must differ")
-        key = frozenset((a, b))
-        if key in self._links:
-            return self._links[key]
-        link = Link(a, b, kind)
-        self._links[key] = link
-        return link
+        if kind not in LINK_KINDS:
+            raise VotingFarmError(f"unknown link kind {kind!r}")
+        if sb.endpoint not in sa.links:
+            sa.links[sb.endpoint] = sb.links[sa.endpoint] = kind
 
     def has_link(self, a: Endpoint, b: Endpoint) -> bool:
-        return frozenset((a, b)) in self._links
+        st = self._endpoints.get(a)
+        return st is not None and b in st.links
 
     def link_count(self, kind: str) -> int:
-        return sum(1 for l in self._links.values() if l.kind == kind)
+        """Links of that kind, each two-way link counted once."""
+        return sum(k == kind for st in self._endpoints.values() for k in st.links.values()) // 2
 
     def all_endpoints(self, node: Optional[int] = None) -> list[Endpoint]:
         eps = list(self._endpoints)
@@ -332,8 +315,9 @@ class Simulator:
 
     # -- processes ----------------------------------------------------
 
-    def spawn(self, fn: Callable[[Proc], Generator], endpoint: Endpoint) -> int:
-        """Start the endpoint's process; returns its pid.
+    def spawn(self, fn: Callable[[Proc], Generator], endpoint: Endpoint) -> Proc:
+        """Start the endpoint's process and return it; its `finished`
+        turns True once the generator ran to normal completion.
 
         An endpoint runs one process at a time: spawning again is
         allowed once the previous one finished, exited or crashed.
@@ -342,19 +326,12 @@ class Simulator:
         if st is None:
             raise NoSuchEndpoint(str(endpoint))
         if st.proc is not None:
-            raise VotingFarmError(f"endpoint {endpoint} already runs process {st.proc.pid}")
-        endpoint = st.endpoint  # the registered object: lookups hit on identity
-        pid = self._next_pid
-        self._next_pid += 1
-        proc = Proc(self, pid, endpoint)
-        st.proc = self._procs[pid] = _ProcState(pid, endpoint, fn(proc))
-        self._schedule(self.now, "step", (pid, None, None))
-        return pid
-
-    def proc_finished(self, pid: int) -> bool:
-        """True once a process generator ran to normal completion."""
-        p = self._procs.get(pid)
-        return p is not None and p.finished
+            raise VotingFarmError(f"endpoint {endpoint} already runs a process")
+        p = Proc(self, st.endpoint)  # the registered object: lookups hit on identity
+        p.gen = fn(p)
+        st.proc = p
+        self._schedule(self.now, "step", (p, None, None))
+        return p
 
     # -- fault injection ----------------------------------------------
 
@@ -378,7 +355,7 @@ class Simulator:
         st.mailbox.clear()
         p = st.proc
         if p is not None:
-            self._retire(p, st)
+            st.proc = None
             p.gen.close()
         self.trace.append(self.now, "fault", str(endpoint), "-", reason)
         if reason == "crash":
@@ -396,11 +373,6 @@ class Simulator:
         st.pending_omission = False
         st.pending_delay = 0
         self.trace.append(self.now, "revive", str(endpoint), "-", "")
-
-    def _retire(self, p: _ProcState, st: _EndpointState) -> None:
-        """Free the endpoint's process slot: crash, Exit or completion."""
-        p.alive = False
-        st.proc = None
 
     # -- control plane -------------------------------------------------
 
@@ -438,18 +410,17 @@ class Simulator:
             heapq.heappop(self._heap)
             self.now = max(self.now, t)
             if tag == "step":
-                pid, value, exc = data
-                self._step(pid, value, exc)
+                p, value, exc = data
+                self._step(p, value, exc)
             elif tag == "deliver":
                 frm, to, payload = data
                 self._deliver(frm, to, payload)
             elif tag == "timeout":
-                pid, epoch = data
-                p = self._procs.get(pid)
-                if p and p.alive and p.waiting and p.wait_epoch == epoch:
+                p, epoch = data
+                if p.waiting and p.wait_epoch == epoch and self._endpoints[p.endpoint].proc is p:
                     p.waiting = False
                     self.trace.append(self.now, "timeout", str(p.endpoint), "-", "")
-                    self._step(pid, TIMEOUT, None)
+                    self._step(p, TIMEOUT, None)
             elif tag == "fault":
                 (spec,) = data
                 self._activate_fault(spec)
@@ -484,11 +455,11 @@ class Simulator:
         p = st.proc
         if p is not None and p.waiting:
             p.waiting = False
-            self._step(p.pid, st.mailbox.popleft(), None)
+            self._step(p, st.mailbox.popleft(), None)
 
-    def _step(self, pid: int, value: Any, exc: Optional[BaseException]) -> None:
-        p = self._procs.get(pid)
-        if p is None or not p.alive:
+    def _step(self, p: Proc, value: Any, exc: Optional[BaseException]) -> None:
+        st = self._endpoints[p.endpoint]
+        if st.proc is not p:
             return
         while True:
             try:
@@ -499,13 +470,13 @@ class Simulator:
                     item = p.gen.send(value)
             except StopIteration:
                 p.finished = True
-                self._retire(p, self._endpoints[p.endpoint])
+                st.proc = None
                 return
             value = None
 
             if isinstance(item, Send):
                 try:
-                    done_now = self._handle_send(p, item)
+                    done_now = self._handle_send(p, st, item)
                 except VotingFarmError as err:
                     exc = err
                     continue
@@ -513,40 +484,37 @@ class Simulator:
                     continue
                 return
             if isinstance(item, Recv):
-                st = self._endpoints[p.endpoint]
                 if st.mailbox:
                     value = st.mailbox.popleft()
                     continue
                 p.waiting = True
                 p.wait_epoch += 1
                 if item.timeout is not None:
-                    self._schedule(self.now + item.timeout, "timeout", (pid, p.wait_epoch))
+                    self._schedule(self.now + item.timeout, "timeout", (p, p.wait_epoch))
                 return
             if isinstance(item, Sleep):
-                self._schedule(self.now + max(0, item.dt), "step", (pid, None, None))
+                self._schedule(self.now + max(0, item.dt), "step", (p, None, None))
                 return
             if isinstance(item, Emit):
                 self.trace.append(self.now, item.kind, str(p.endpoint), item.to, item.detail)
                 continue
             if isinstance(item, Exit):
-                st = self._endpoints[p.endpoint]
-                self._retire(p, st)
+                st.proc = None
                 st.dead = True
                 st.mailbox.clear()
                 self.trace.append(self.now, "exit", str(p.endpoint), "-", "closed")
                 return
             exc = VotingFarmError(f"process yielded unknown item {item!r}")
 
-    def _handle_send(self, p: _ProcState, item: Send) -> bool:
+    def _handle_send(self, p: Proc, sender_st: _EndpointState, item: Send) -> bool:
         """Returns True if the sender continues immediately."""
         frm = p.endpoint
         to = item.to
         target_st = self._endpoints.get(to)
         if target_st is None:
             raise NoSuchLink(f"no endpoint {to}")
-        if not target_st.dead and frozenset((frm, to)) not in self._links:
+        if not target_st.dead and to not in sender_st.links:
             raise NoSuchLink(f"no link {frm} -- {to}")
-        sender_st = self._endpoints[frm]
 
         self.trace.append(self.now, "send", frm.name, to.name, item.data.trace_detail)
         if target_st.dead:
@@ -566,17 +534,13 @@ class Simulator:
         if sender_st.pending_delay:
             delay += sender_st.pending_delay
             sender_st.pending_delay = 0
-        t_del = self.now + delay
-        floor = self._fifo_floor.get((frm, to))
-        if floor is not None and t_del < floor:
-            t_del = floor
-        self._fifo_floor[(frm, to)] = t_del
+        t_del = sender_st.fifo_floor[to] = max(self.now + delay, sender_st.fifo_floor.get(to, 0))
 
         if sender_st.pending_omission:
             sender_st.pending_omission = False
             self.trace.append(self.now, "drop", frm.name, to.name, "omission")
         else:
             self._schedule(t_del, "deliver", (frm, to, data))
-        self._schedule(t_del, "step", (p.pid, None, None))
+        self._schedule(t_del, "step", (p, None, None))
         return False
 

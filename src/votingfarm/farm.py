@@ -146,6 +146,8 @@ class FarmRuntime:
             if not self.sim.has_link(ep, other_ep):
                 kind = "local" if other_ep.node == node else "virtual"
                 self.sim.add_link(ep, other_ep, kind)
+        # A respawned entity keeps any output redirect of its previous life.
+        prev = self.voter_states.get(entity)
         state = VoterState(
             entity=entity,
             ident=ident,
@@ -154,7 +156,7 @@ class FarmRuntime:
             select=self.select,
             metric_name=self.metric_name,
             user_ep=user_ep,
-            output_ep=user_ep,
+            output_ep=user_ep if prev is None else prev.output_ep,
             dirnet_ep=self.dirnet_ep,
             epoch=self.epoch if epoch is None else epoch,
             next_session=next_session,

@@ -30,7 +30,7 @@ from .core import (
     VotingFarmError,
     validate_descriptor,
 )
-from .fabric import Endpoint, FAULT_KINDS, FaultSpec, Simulator, Sleep
+from .fabric import Endpoint, FAULT_KINDS, FaultSpec, Proc, Simulator, Sleep
 from .farm import FarmRuntime
 from .recovery import DirDatabase, attach_recovery, parse_rl
 
@@ -151,7 +151,7 @@ class RunResult:
     runtime: FarmRuntime
     db: Optional[DirDatabase]
     users: dict[int, dict]
-    user_pids: dict[int, int]
+    user_procs: dict[int, Proc]
     search_dirs: tuple[str, ...] = ()
     assertions: list[dict] = field(default_factory=list)
 
@@ -164,7 +164,7 @@ class RunResult:
         return all(a["ok"] for a in self.assertions)
 
     def all_users_finished(self) -> bool:
-        return all(self.sim.proc_finished(pid) for pid in self.user_pids.values())
+        return all(p.finished for p in self.user_procs.values())
 
     def summary(self) -> dict:
         users = {}
@@ -291,7 +291,7 @@ def run_scenario(spec: dict, search_dirs: tuple[str, ...] = ()) -> RunResult:
 
     mismatch = spec.get("spmd_mismatch")
     users: dict[int, dict] = {}
-    pids: dict[int, int] = {}
+    procs: dict[int, Proc] = {}
     for node in user_nodes:
         rows = farm_rows
         if mismatch and int(mismatch["node"]) == node:
@@ -307,7 +307,7 @@ def run_scenario(spec: dict, search_dirs: tuple[str, ...] = ()) -> RunResult:
             "done": False,
         }
         users[node] = report
-        pids[node] = sim.spawn(
+        procs[node] = sim.spawn(
             _user_program(runtime, spec, node, rows, report, inputs),
             Endpoint(node, "user"),
         )
@@ -338,7 +338,7 @@ def run_scenario(spec: dict, search_dirs: tuple[str, ...] = ()) -> RunResult:
                 for o in handle.outputs
             ]
 
-    result = RunResult(spec, sim, runtime, db, users, pids, search_dirs)
+    result = RunResult(spec, sim, runtime, db, users, procs, search_dirs)
     for a in spec["assertions"]:
         result.assertions.append(_evaluate(result, a))
     return result

@@ -100,12 +100,16 @@ class VoterState:
     next_session: int = 0
 
 
-def _report(proc: Proc, state: VoterState, event: VoterEvent) -> None:
-    state.phase = phase_transition(state.phase, event)
+def _trace_phase(proc: Proc, state: VoterState) -> None:
     proc.sim.trace.append(
         proc.now, "phase", str(proc.endpoint), "-",
         f"{state.phase} session={state.next_session} epoch={state.epoch}",
     )
+
+
+def _report(proc: Proc, state: VoterState, event: VoterEvent) -> None:
+    state.phase = phase_transition(state.phase, event)
+    _trace_phase(proc, state)
     if state.dirnet_ep is not None:
         proc.sim.post(
             proc.endpoint,
@@ -129,10 +133,7 @@ def voter_process(state: VoterState):
     """Build the generator for one voter's whole life."""
 
     def run(proc: Proc) -> Generator:
-        proc.sim.trace.append(
-            proc.now, "phase", str(proc.endpoint), "-",
-            f"{state.phase} session={state.next_session} epoch={state.epoch}",
-        )
+        _trace_phase(proc, state)
         pending: list[tuple[Endpoint, wire.Frame]] = []
         while True:
             if pending:

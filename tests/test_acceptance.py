@@ -267,14 +267,14 @@ def test_protocol_safety_fuzz():
                         return
             return run
 
-        pids = [
+        procs = [
             sim.spawn(user(node), Endpoint(node, "user"))
             for node, _ in rows
         ]
         sim.run_until_quiescent(max_time=5000)
         if sim.trace.max_time_exceeded or not sim.quiescent:
             return "deadlock"
-        if not all(sim.proc_finished(pid) for pid in pids):
+        if not all(p.finished for p in procs):
             return "stuck user"
         codes = [s.code for s in replies]
         if codes[:2] != [VfStatusCode.VF_REFUSED, VfStatusCode.VF_REFUSED]:

@@ -218,6 +218,35 @@ def test_output_redirection():
     assert sim.link_count("virtual") == 1
 
 
+def test_output_redirection_survives_a_restart():
+    sim, runtime, rows = fresh(2)
+    caught = []
+    done = {}
+
+    def observer(proc):
+        from votingfarm.fabric import Recv
+        for _ in range(2):
+            _, frame = yield Recv(None)
+            caught.append((frame.get("session"), frame.payload))
+
+    def prog(proc):
+        handle = vf_open(runtime)
+        vf_add(handle, 1, 1)
+        yield from vf_run(handle, proc)
+        yield from vf_control(handle, proc, output_node=2, input=encode_scalar(8.0))
+        yield from vf_get(handle, proc, timeout=4 * DT)
+        yield Sleep(1)  # let the voter close session 0
+        assert runtime.restart_entity(1) is None
+        yield from vf_control(handle, proc, input=encode_scalar(9.0))
+        done["status"] = yield from vf_get(handle, proc, timeout=4 * DT)
+        done["outputs"] = list(handle.outputs)
+
+    drive(sim, {1: prog, 2: observer})
+    assert caught == [(0, encode_scalar(8.0)), (1, encode_scalar(9.0))]
+    assert done["status"].code is VfStatusCode.VF_DONE
+    assert done["outputs"] == []  # nothing came back to user@1
+
+
 def test_output_redirection_to_the_voters_own_node_keeps_the_local_link():
     sim, runtime, rows = fresh(1)
     done = {}

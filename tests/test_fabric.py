@@ -5,6 +5,10 @@ oracle for delivery timing recomputes expected (time, payload) pairs
 from first principles instead of trusting the scheduler.
 """
 
+import gc
+import random
+import weakref
+
 import pytest
 
 from votingfarm import wire
@@ -14,7 +18,6 @@ from votingfarm.fabric import (
     Endpoint,
     Exit,
     FaultSpec,
-    Link,
     NoSuchLink,
     Recv,
     Send,
@@ -136,11 +139,11 @@ def test_spawn_again_after_the_process_finished():
 
     first = sim.spawn(one_shot, B)
     sim.run_until_quiescent()
-    assert sim.proc_finished(first)
+    assert first.finished
     second = sim.spawn(sink(received, 1), B)
     sim.spawn(sender_of([msg("after")]), A)
     sim.run_until_quiescent()
-    assert second != first and sim.proc_finished(second)
+    assert second is not first and second.finished
     assert [tag for _, tag in received] == ["after"]
 
 
@@ -158,7 +161,7 @@ def test_spawn_again_after_crash_and_revive():
     revived = sim.spawn(sink(received, 1), B)
     sim.spawn(sender_of([msg("revived")]), A)
     sim.run_until_quiescent()
-    assert not sim.proc_finished(crashed) and sim.proc_finished(revived)
+    assert not crashed.finished and revived.finished
     assert [tag for _, tag in received] == ["revived"]
 
 
@@ -171,12 +174,37 @@ def test_proc_finished_tracks_normal_completion():
     def forever(proc):
         yield Recv(None)
 
-    done_pid = sim.spawn(one_shot, A)
-    stuck_pid = sim.spawn(forever, B)
-    assert not sim.proc_finished(done_pid)
+    done = sim.spawn(one_shot, A)
+    stuck = sim.spawn(forever, B)
+    assert not done.finished
     sim.run_until_quiescent()
-    assert sim.proc_finished(done_pid)
-    assert not sim.proc_finished(stuck_pid)
+    assert done.finished
+    assert not stuck.finished
+
+
+def test_finished_and_crashed_processes_are_forgotten():
+    sim = make_pair()
+    refs = []
+
+    def tracked(body):
+        def start(proc):
+            gen = body(proc)
+            refs.append(weakref.ref(gen))
+            return gen
+        return start
+
+    def one_shot(proc):
+        yield Sleep(1)
+
+    def forever(proc):
+        yield Recv(None)
+
+    sim.spawn(tracked(one_shot), A)
+    sim.spawn(tracked(forever), B)
+    sim.run_until_quiescent()
+    sim.crash_endpoint(B)
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]
 
 
 def test_max_time_stops_the_run():
@@ -207,8 +235,12 @@ def test_self_link_rejected():
 
 
 def test_unknown_link_kind_rejected():
-    with pytest.raises(VotingFarmError):
-        Link(A, B, "quantum")
+    sim = Simulator()
+    sim.add_endpoint(A)
+    sim.add_endpoint(B)
+    with pytest.raises(VotingFarmError, match="unknown link kind"):
+        sim.add_link(A, B, "quantum")
+    assert not sim.has_link(A, B)
 
 
 def test_send_without_link_throws_into_sender():
@@ -240,10 +272,10 @@ def test_send_to_crashed_peer_without_link_is_dropped():
         yield Send(B, msg("x"))
         after.append(proc.now)
 
-    pid = sim.spawn(lonely, A)
+    p = sim.spawn(lonely, A)
     sim.run_until_quiescent()
     assert after == [1]
-    assert sim.proc_finished(pid)
+    assert p.finished
     assert sim.trace.count("send") == 1
     assert sim.trace.count("drop", contains="dead endpoint") == 1
 
@@ -253,6 +285,34 @@ def test_endpoint_and_link_counts():
     assert sim.endpoint_count("user") == 2
     assert sim.link_count("virtual") == 1 and sim.link_count("local") == 0
     assert set(sim.all_endpoints(node=1)) == {A}
+
+
+def test_a_link_keeps_its_first_kind_and_holds_both_ways():
+    sim = make_pair()  # A -- B virtual
+    sim.add_link(B, A, "local")
+    assert sim.has_link(A, B) and sim.has_link(B, A)
+    assert sim.link_count("virtual") == 1 and sim.link_count("local") == 0
+    C = Endpoint(3, "user")
+    sim.add_endpoint(C)
+    assert not sim.has_link(A, C) and not sim.has_link(C, A)
+    sim.add_link(C, A, "local")
+    assert sim.has_link(A, C)
+    assert sim.link_count("virtual") == 1 and sim.link_count("local") == 1
+
+
+def test_link_and_fifo_order_survive_crash_and_revive():
+    sim = make_pair(delivery_delay=1)
+    sim.inject(FaultSpec("delay", A, 0, delay=10))
+    received = []
+    sim.spawn(sender_of([msg("m0")]), A)  # lands at 11
+    sim.spawn(sink(received, 2), B)
+    sim.run_until_quiescent(max_time=2)
+    sim.crash_endpoint(A)
+    sim.revive_endpoint(A)
+    assert sim.has_link(A, B)
+    sim.spawn(sender_of([msg("m1")]), A)  # would land at 1 without the floor
+    sim.run_until_quiescent()
+    assert received == [(11, "m0"), (11, "m1")]
 
 
 def test_equal_endpoints_resolve_to_the_registered_object():
@@ -462,12 +522,13 @@ def test_fifo_order_holds_under_jitter():
 
 def run_jittered_exchange(seed):
     sim = make_pair(seed=seed, delivery_delay=1, jitter=4)
+    rng = random.Random(seed)
     received = []
 
     def chatty(proc):
         for i in range(5):
             yield Send(B, msg(f"m{i}", bytes([i])))
-            yield Sleep(proc.rng.randrange(3))
+            yield Sleep(rng.randrange(3))
 
     sim.spawn(chatty, A)
     sim.spawn(sink(received, 5), B)

@@ -301,6 +301,22 @@ def test_cli_perf_steps(capsys):
         assert float(ln.rsplit("=", 1)[1]) >= 0.999
 
 
+@pytest.mark.parametrize(
+    "sizes, skipped",
+    [("4", ["identity", "onecycle"]), ("4,8", ["identity", "onecycle"]), ("4,8,16", ["identity"])],
+)
+def test_cli_perf_steps_skips_a_fit_without_spare_points(capsys, sizes, skipped):
+    assert cli.main(["perf", "--steps", "--N", sizes]) == 0
+    captured = capsys.readouterr()
+    fits = [ln for ln in captured.out.split("\n") if ln.startswith("fit ")]
+    needs = {"identity": 4, "onecycle": 3}
+    assert [ln for ln in fits if "skipped" in ln] == [
+        f"fit {name}: skipped (needs at least {needs[name]} sizes)" for name in skipped
+    ]
+    assert len(fits) == 2
+    assert captured.err == ""
+
+
 def test_cli_perf_unknown_permutation(capsys):
     assert cli.main(["perf", "--steps", "--perm", "zigzag"]) == 2
 
