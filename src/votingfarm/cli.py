@@ -35,13 +35,7 @@ from .perf import (
     table_text,
     timing_harness,
 )
-from .recovery import (
-    DecodeError,
-    RlSyntaxError,
-    compile_program,
-    disassemble,
-    parse_rl,
-)
+from .recovery import compile_program, disassemble, parse_rl
 from .reliability import (
     crosspoint,
     curve_export,
@@ -54,7 +48,6 @@ from .reliability import (
     simplex,
 )
 from .scenario import (
-    ScenarioError,
     bundled_dir,
     resolve_scenario,
     run_scenario,
@@ -281,13 +274,7 @@ def main(argv=None) -> int:
         if args.command == "reliability":
             return _cmd_reliability(args)
         return _cmd_perf(args)
-    except (ScenarioError, RlSyntaxError, DecodeError) as exc:
-        print(f"vf: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"vf: {exc}", file=sys.stderr)
-        return 2
-    except VotingFarmError as exc:
+    except (OSError, VotingFarmError) as exc:
         print(f"vf: {exc}", file=sys.stderr)
         return 2
 

@@ -1,7 +1,10 @@
 """Deterministic message-passing fabric.
 
 Processes are Python generators multiplexed by a discrete-event
-scheduler over integer simulated time.  Each endpoint runs at most one
+scheduler over integer simulated time.  Endpoints are interned: building
+one from equal (node, role, member) fields returns the same read-only
+object, so every module that names an endpoint holds the registered
+one and lookups hash by identity.  Each endpoint runs at most one
 process at a time, as each voter or user module of a farm is one task
 on its node.  A Proc is the one record of a process: spawn returns it,
 its generator gets it as the handle, and the scheduler steps it.  The
@@ -45,7 +48,7 @@ from __future__ import annotations
 import heapq
 import random
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Generator, Iterator, Optional
 
 from . import wire
@@ -74,30 +77,43 @@ class _Timeout:
 TIMEOUT = _Timeout()
 
 
-@dataclass(frozen=True, slots=True)
 class Endpoint:
     """Addressable attachment point: a role instance on a node.
 
     member is the stable entity ident for voters (None for roles that
     have no farm identity).  The printable name doubles as the trace
-    identifier, e.g. ``voter:2@4`` or ``user@1``.  The name and the hash
-    are computed once, at construction: endpoints key every mailbox,
-    link and FIFO lookup on the hot path.
+    identifier, e.g. ``voter:2@4`` or ``user@1``.  Endpoints are
+    interned and read-only: equal fields give the same object, so
+    equality is identity and every mailbox, link and FIFO lookup hashes
+    by identity.  The table holds one object per (node, role, member)
+    ever built.
     """
 
-    node: NodeId
-    role: str  # user | voter | dirnet | rint
-    member: Optional[MemberId] = None
-    name: str = field(init=False, repr=False, compare=False)
-    _hash: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("node", "role", "member", "name")
+    _interned: dict[tuple, "Endpoint"] = {}
 
-    def __post_init__(self) -> None:
-        member = "" if self.member is None else f":{self.member}"
-        object.__setattr__(self, "name", f"{self.role}{member}@{self.node}")
-        object.__setattr__(self, "_hash", hash((self.node, self.role, self.member)))
+    def __new__(cls, node: NodeId, role: str, member: Optional[MemberId] = None) -> "Endpoint":
+        key = (node, role, member)
+        ep = cls._interned.get(key)
+        if ep is None:
+            ep = cls._interned[key] = object.__new__(cls)
+            object.__setattr__(ep, "node", node)
+            object.__setattr__(ep, "role", role)
+            object.__setattr__(ep, "member", member)
+            suffix = "" if member is None else f":{member}"
+            object.__setattr__(ep, "name", f"{role}{suffix}@{node}")
+        return ep
 
-    def __hash__(self) -> int:
-        return self._hash
+    def __setattr__(self, attr: str, *_: Any) -> None:
+        raise AttributeError(f"endpoint {self.name} is read-only")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self) -> tuple:
+        return Endpoint, (self.node, self.role, self.member)
+
+    def __repr__(self) -> str:
+        return f"Endpoint(node={self.node!r}, role={self.role!r}, member={self.member!r})"
 
     def __str__(self) -> str:
         return self.name
@@ -200,7 +216,6 @@ class Sleep:
 class Emit:
     kind: str
     detail: str
-    to: str = "-"
 
 
 @dataclass(frozen=True)
@@ -226,8 +241,7 @@ class Proc:
 
 
 class _EndpointState:
-    def __init__(self, endpoint: Endpoint):
-        self.endpoint = endpoint
+    def __init__(self) -> None:
         self.mailbox: deque[tuple[Endpoint, wire.Frame]] = deque()
         self.dead = False
         self.corruption: Optional[bytes] = None
@@ -247,7 +261,6 @@ class Simulator:
     """
 
     def __init__(self, seed: int = 0, delivery_delay: int = 0, jitter: int = 0):
-        self.seed = seed
         self.delivery_delay = delivery_delay
         self.jitter = jitter
         self.now = 0
@@ -264,17 +277,11 @@ class Simulator:
     def add_endpoint(self, endpoint: Endpoint) -> Endpoint:
         if endpoint in self._endpoints:
             raise VotingFarmError(f"endpoint {endpoint} already exists")
-        self._endpoints[endpoint] = _EndpointState(endpoint)
+        self._endpoints[endpoint] = _EndpointState()
         return endpoint
 
-    def registered_endpoint(self, endpoint: Endpoint) -> Optional[Endpoint]:
-        """The registered object equal to endpoint, or None.
-
-        Sending with the registered object lets every later mailbox and
-        link lookup succeed on identity, without a field-wise compare.
-        """
-        st = self._endpoints.get(endpoint)
-        return st.endpoint if st is not None else None
+    def has_endpoint(self, endpoint: Endpoint) -> bool:
+        return endpoint in self._endpoints
 
     def endpoint_alive(self, endpoint: Endpoint) -> bool:
         st = self._endpoints.get(endpoint)
@@ -289,8 +296,8 @@ class Simulator:
             raise VotingFarmError("link endpoints must differ")
         if kind not in LINK_KINDS:
             raise VotingFarmError(f"unknown link kind {kind!r}")
-        if sb.endpoint not in sa.links:
-            sa.links[sb.endpoint] = sb.links[sa.endpoint] = kind
+        if b not in sa.links:
+            sa.links[b] = sb.links[a] = kind
 
     def has_link(self, a: Endpoint, b: Endpoint) -> bool:
         st = self._endpoints.get(a)
@@ -309,8 +316,8 @@ class Simulator:
     def endpoint_count(self, role: str, live_only: bool = False) -> int:
         return sum(
             1
-            for st in self._endpoints.values()
-            if st.endpoint.role == role and not (live_only and st.dead)
+            for ep, st in self._endpoints.items()
+            if ep.role == role and not (live_only and st.dead)
         )
 
     # -- processes ----------------------------------------------------
@@ -327,7 +334,7 @@ class Simulator:
             raise NoSuchEndpoint(str(endpoint))
         if st.proc is not None:
             raise VotingFarmError(f"endpoint {endpoint} already runs a process")
-        p = Proc(self, st.endpoint)  # the registered object: lookups hit on identity
+        p = Proc(self, endpoint)
         p.gen = fn(p)
         st.proc = p
         self._schedule(self.now, "step", (p, None, None))
@@ -496,7 +503,7 @@ class Simulator:
                 self._schedule(self.now + max(0, item.dt), "step", (p, None, None))
                 return
             if isinstance(item, Emit):
-                self.trace.append(self.now, item.kind, str(p.endpoint), item.to, item.detail)
+                self.trace.append(self.now, item.kind, str(p.endpoint), "-", item.detail)
                 continue
             if isinstance(item, Exit):
                 st.proc = None

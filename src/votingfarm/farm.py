@@ -11,6 +11,12 @@ voter process for its whole life (spares get fresh entities), while an
 Kills free idents, started spares take the lowest freed ident, and a
 WARN that would publish a non-contiguous table first compacts the
 survivors' idents in order.
+
+An entity is started once it has a VoterState; its voter endpoint is
+always Endpoint(entity_node[entity], "voter", entity), the same
+interned object the fabric registered.  The first node to run vf_run
+fixes the farm's descriptor and metric; a node that disagrees on
+either is rejected as SPMD-incoherent.
 """
 
 from __future__ import annotations
@@ -34,20 +40,18 @@ class FarmRuntime:
         sim: Simulator,
         delta_t: int = 10,
         select: Optional[AlgorithmSelect] = None,
-        metric_name: str = "default",
     ):
         self.sim = sim
         self.delta_t = delta_t
         self.select = select if select is not None else AlgorithmSelect()
-        self.metric_name = metric_name
 
         self.canonical = None  # first registered descriptor wins
+        self.metric_name = "default"  # and its handle's metric with it
         self.spmd_incoherent = False
 
         self.view: dict[int, int] = {}  # ident -> entity
         self.entity_node: dict[int, int] = {}
-        self.entity_ep: dict[int, Endpoint] = {}
-        self.voter_states: dict[int, VoterState] = {}
+        self.voter_states: dict[int, VoterState] = {}  # started entities
         self.epoch = 0
         self._batch_bumped = False
 
@@ -61,7 +65,14 @@ class FarmRuntime:
         return self.user_endpoint(node) or self.sim.add_endpoint(Endpoint(node, "user"))
 
     def user_endpoint(self, node: int) -> Optional[Endpoint]:
-        return self.sim.registered_endpoint(Endpoint(node, "user"))
+        ep = Endpoint(node, "user")
+        return ep if self.sim.has_endpoint(ep) else None
+
+    def voter_endpoint(self, entity: int) -> Optional[Endpoint]:
+        """The voter endpoint of a started entity, or None."""
+        if entity not in self.voter_states:
+            return None
+        return Endpoint(self.entity_node[entity], "voter", entity)
 
     def local_voter_endpoint(self, node: int) -> Optional[Endpoint]:
         """The live member voter on a node, lowest ident first."""
@@ -69,7 +80,7 @@ class FarmRuntime:
             entity = self.view[ident]
             if self.entity_node.get(entity) != node:
                 continue
-            ep = self.entity_ep.get(entity)
+            ep = self.voter_endpoint(entity)
             if ep is not None and self.sim.endpoint_alive(ep):
                 return ep
         return None
@@ -92,14 +103,19 @@ class FarmRuntime:
         )
 
     def live_entities(self) -> list[int]:
-        return [
-            e
-            for e in self.view.values()
-            if e in self.entity_ep and self.sim.endpoint_alive(self.entity_ep[e])
-        ]
+        return [st.entity for st in self._live_states()]
+
+    def _live_states(self) -> list[VoterState]:
+        """The voter states of the live members, in view order."""
+        live = []
+        for e in self.view.values():
+            ep = self.voter_endpoint(e)
+            if ep is not None and self.sim.endpoint_alive(ep):
+                live.append(self.voter_states[e])
+        return live
 
     def declare_spare(self, entity: int, node: int) -> None:
-        if entity in self.entity_ep or entity in self.spares:
+        if entity in self.voter_states or entity in self.spares:
             raise VotingFarmError(f"entity {entity} already declared")
         self.spares[entity] = node
 
@@ -112,42 +128,45 @@ class FarmRuntime:
         desc = handle.descriptor
         if self.canonical is None:
             self.canonical = desc.copy()
+            self.metric_name = handle.metric_name
             for m in self.canonical.members:
                 self.view[m.ident] = m.ident  # initial entity == ident
                 self.entity_node[m.ident] = m.node
-        elif self.canonical != desc:
+        elif self.canonical != desc or self.metric_name != handle.metric_name:
+            what = "descriptor" if self.canonical != desc else "metric"
             self.spmd_incoherent = True
             self.sim.trace.append(
-                self.sim.now, "spmd", str(proc.endpoint), "-", "descriptor mismatch"
+                self.sim.now, "spmd", str(proc.endpoint), "-", f"{what} mismatch"
             )
-            raise SpmdIncoherence(f"node {node} disagrees with the active descriptor")
+            raise SpmdIncoherence(f"node {node} disagrees with the active {what}")
         for m in self.canonical.members:
-            if m.node == node and m.ident not in self.entity_ep:
-                self._spawn_voter(entity=m.ident, ident=m.ident, node=node)
+            if m.node == node and m.ident not in self.voter_states:
+                self._spawn_voter(entity=m.ident, ident=m.ident)
 
     def _spawn_voter(
         self,
         entity: int,
         ident: int,
-        node: int,
         epoch: Optional[int] = None,
         next_session: int = 0,
-        reuse_endpoint: bool = False,
-    ) -> Endpoint:
+    ) -> None:
+        """Start the entity's voter on its node; a respawn reuses its endpoint."""
+        node = self.entity_node[entity]
         ep = Endpoint(node, "voter", entity)
-        if not reuse_endpoint:
+        prev = self.voter_states.get(entity)
+        if prev is None:
             self.sim.add_endpoint(ep)
         user_ep = self.user_endpoint(node)
         if user_ep is not None and not self.sim.has_link(user_ep, ep):
             self.sim.add_link(user_ep, ep, "local")
-        for other, other_ep in self.entity_ep.items():
+        for other in self.voter_states:
+            other_ep = self.voter_endpoint(other)
             if other == entity or not self.sim.endpoint_alive(other_ep):
                 continue
             if not self.sim.has_link(ep, other_ep):
                 kind = "local" if other_ep.node == node else "virtual"
                 self.sim.add_link(ep, other_ep, kind)
         # A respawned entity keeps any output redirect of its previous life.
-        prev = self.voter_states.get(entity)
         state = VoterState(
             entity=entity,
             ident=ident,
@@ -161,11 +180,8 @@ class FarmRuntime:
             epoch=self.epoch if epoch is None else epoch,
             next_session=next_session,
         )
-        self.entity_ep[entity] = ep
-        self.entity_node[entity] = node
         self.voter_states[entity] = state
         self.sim.spawn(voter_process(state), ep)
-        return ep
 
     # -- recovery actions ------------------------------------------------
     #
@@ -189,7 +205,7 @@ class FarmRuntime:
         return None
 
     def kill_entity(self, entity: int) -> Optional[str]:
-        ep = self.entity_ep.get(entity)
+        ep = self.voter_endpoint(entity)
         if ep is None:
             return f"{UnknownEntityAtRuntime.__name__}: KILL of unstarted entity {entity}"
         self._ensure_bump()
@@ -201,7 +217,7 @@ class FarmRuntime:
         return None
 
     def start_entity(self, entity: int) -> Optional[str]:
-        if entity in self.entity_ep:
+        if entity in self.voter_states:
             return f"START of already started entity {entity}"
         node = self.spares.get(entity)
         if node is None:
@@ -215,17 +231,11 @@ class FarmRuntime:
         del self.spares[entity]
         # The WARNs that follow a START reset every survivor to session 0
         # under the new epoch, so the newcomer starts there as well.
-        self._spawn_voter(
-            entity=entity,
-            ident=ident,
-            node=node,
-            epoch=self.epoch,
-            next_session=0,
-        )
+        self._spawn_voter(entity=entity, ident=ident)
         return None
 
     def warn_entity(self, entity: int) -> Optional[str]:
-        ep = self.entity_ep.get(entity)
+        ep = self.voter_endpoint(entity)
         if ep is None or not self.sim.endpoint_alive(ep):
             return f"{UnknownEntityAtRuntime.__name__}: WARN to dead entity {entity}"
         self._compact_idents()
@@ -241,7 +251,7 @@ class FarmRuntime:
         return None
 
     def restart_entity(self, entity: int) -> Optional[str]:
-        ep = self.entity_ep.get(entity)
+        ep = self.voter_endpoint(entity)
         if ep is None:
             return f"{UnknownEntityAtRuntime.__name__}: RESTART of unstarted entity {entity}"
         ident = self._ident_of(entity)
@@ -250,13 +260,15 @@ class FarmRuntime:
         if self.sim.endpoint_alive(ep):
             self.sim.crash_endpoint(ep, reason="restart")
         self.sim.revive_endpoint(ep)
+        # Join at the live members' epoch and session: below their
+        # counter the newcomer would run phantom sessions that every
+        # peer drops as stale.
+        live = self._live_states()
         self._spawn_voter(
             entity=entity,
             ident=ident,
-            node=self.entity_node[entity],
-            epoch=self._epoch_floor(),
-            next_session=self._session_floor(),
-            reuse_endpoint=True,
+            epoch=max((st.epoch for st in live), default=self.epoch),
+            next_session=max((st.next_session for st in live), default=0),
         )
         return None
 
@@ -295,26 +307,3 @@ class FarmRuntime:
             return
         self._ensure_bump()
         self.view = {new: self.view[old] for new, old in enumerate(idents, start=1)}
-
-    def _session_floor(self) -> int:
-        """Next session a freshly (re)started voter should expect.
-
-        Joining below the survivors' counter would make the newcomer run
-        phantom sessions that every peer drops as stale.
-        """
-        floors = [
-            st.next_session
-            for e, st in self.voter_states.items()
-            if e in self.view.values()
-            and self.sim.endpoint_alive(self.entity_ep[e])
-        ]
-        return max(floors, default=0)
-
-    def _epoch_floor(self) -> int:
-        epochs = [
-            st.epoch
-            for e, st in self.voter_states.items()
-            if e in self.view.values()
-            and self.sim.endpoint_alive(self.entity_ep[e])
-        ]
-        return max(epochs, default=self.epoch)

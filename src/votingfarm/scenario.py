@@ -258,9 +258,7 @@ def run_scenario(spec: dict, search_dirs: tuple[str, ...] = ()) -> RunResult:
         jitter=spec["jitter"],
     )
     select = AlgorithmSelect(**{"kind": "majority", **spec["algorithm"]})
-    runtime = FarmRuntime(
-        sim, delta_t=spec["delta_t"], select=select, metric_name=spec["metric"]
-    )
+    runtime = FarmRuntime(sim, delta_t=spec["delta_t"], select=select)
 
     db = None
     recovery = spec.get("recovery")

@@ -301,8 +301,11 @@ def _session(proc: Proc, state: VoterState, first_sender: Endpoint, first_frame:
     except VotingFarmError as exc:
         winner, error = None, f"internal: {exc}"
 
+    # The session is closed once the verdict is reported: a RESTART from
+    # here on must not reuse its number.
     if winner is not None:
         _report(proc, state, VoterEvent.VOTE_OK)
+        state.next_session = session + 1
         if state.output_ep is not None:
             yield Send(
                 state.output_ep,
@@ -310,13 +313,12 @@ def _session(proc: Proc, state: VoterState, first_sender: Endpoint, first_frame:
             )
         if state.user_ep is not None:
             yield Send(state.user_ep, _status_frame(VfStatusCode.VF_DONE, "ok", session))
-        state.next_session = session + 1
         _report(proc, state, VoterEvent.RESET)
     else:
         _report(proc, state, VoterEvent.VOTE_FAIL)
+        state.next_session = session + 1
         yield Emit("vote-fail", error or "")
         if state.user_ep is not None:
             yield Send(state.user_ep, _status_frame(VfStatusCode.VF_DONE, "no-decision", session))
-        state.next_session = session + 1
 
     return holdover

@@ -78,8 +78,6 @@ class Frame:
             return NotImplemented
         return (self.kind, self.fields, self.payload) == (other.kind, other.fields, other.payload)
 
-    __hash__ = None  # fields are a mapping
-
     def __repr__(self) -> str:
         return f"Frame(kind={self.kind}, fields={dict(self.fields)}, payload={self.payload!r})"
 

@@ -126,6 +126,49 @@ def test_divergent_descriptors_flag_spmd_incoherence():
     assert sim.trace.count("spmd", contains="descriptor mismatch") == 1
 
 
+def test_a_node_opened_with_another_metric_is_spmd_incoherent():
+    sim, runtime, rows = fresh(2)
+    caught = []
+
+    def opener(metric):
+        def run(proc):
+            yield Sleep(proc.endpoint.node)
+            handle = vf_open(runtime, metric)
+            for nd, ident in rows:
+                vf_add(handle, nd, ident)
+            try:
+                yield from vf_run(handle, proc)
+            except SpmdIncoherence as exc:
+                caught.append(str(exc))
+        return run
+
+    drive(sim, {1: opener("scalar"), 2: opener("default")})
+    assert caught == ["node 2 disagrees with the active metric"]
+    assert runtime.spmd_incoherent and runtime.metric_name == "scalar"
+    assert sim.trace.count("spmd", contains="metric mismatch") == 1
+
+
+def test_the_farm_votes_with_the_metric_given_to_vf_open():
+    sim, runtime, rows = fresh(3)
+    values = {1: 1.0, 2: 2.0, 3: 90.0}
+    outputs = {}
+
+    def voter_of(value):
+        def run(proc):
+            handle = vf_open(runtime, "scalar")
+            for nd, ident in rows:
+                vf_add(handle, nd, ident)
+            yield from vf_run(handle, proc)
+            yield from vf_control(handle, proc, algorithm="median", input=encode_scalar(value))
+            yield from vf_get(handle, proc, timeout=8 * DT)
+            outputs[proc.endpoint.node] = [o["payload"] for o in handle.outputs]
+        return run
+
+    drive(sim, {node: voter_of(value) for node, value in values.items()})
+    # the scalar median; the default metric cannot rank values and gives 90.0
+    assert outputs == {node: [encode_scalar(2.0)] for node in values}
+
+
 # -- control and get ----------------------------------------------------------
 
 def test_control_before_run_raises():
@@ -218,7 +261,10 @@ def test_output_redirection():
     assert sim.link_count("virtual") == 1
 
 
-def test_output_redirection_survives_a_restart():
+@pytest.mark.parametrize("pause", [0, 1])
+def test_output_redirection_survives_a_restart(pause):
+    # pause 0 restarts right after session 0's last reply: the restarted
+    # voter must still go on with session 1
     sim, runtime, rows = fresh(2)
     caught = []
     done = {}
@@ -235,7 +281,8 @@ def test_output_redirection_survives_a_restart():
         yield from vf_run(handle, proc)
         yield from vf_control(handle, proc, output_node=2, input=encode_scalar(8.0))
         yield from vf_get(handle, proc, timeout=4 * DT)
-        yield Sleep(1)  # let the voter close session 0
+        if pause:
+            yield Sleep(pause)  # let the voter go idle after session 0
         assert runtime.restart_entity(1) is None
         yield from vf_control(handle, proc, input=encode_scalar(9.0))
         done["status"] = yield from vf_get(handle, proc, timeout=4 * DT)

@@ -5,6 +5,7 @@ oracle for delivery timing recomputes expected (time, payload) pairs
 from first principles instead of trusting the scheduler.
 """
 
+import copy
 import gc
 import random
 import weakref
@@ -317,17 +318,21 @@ def test_link_and_fifo_order_survive_crash_and_revive():
 
 def test_equal_endpoints_resolve_to_the_registered_object():
     sim = make_pair()
-    fresh = Endpoint(1, "user")
-    assert fresh == A and fresh is not A
-    assert sim.registered_endpoint(fresh) is A
-    assert sim.registered_endpoint(Endpoint(9, "user")) is None
+    assert Endpoint(1, "user") is A
+    assert Endpoint(1, "voter", 1) is not Endpoint(1, "voter", 2)
+    assert copy.deepcopy(A) is A
+    assert repr(A) == "Endpoint(node=1, role='user', member=None)"
+    with pytest.raises(AttributeError):
+        A.node = 2
+    assert (A.node, A.name) == (1, "user@1")
+    assert sim.has_endpoint(A) and not sim.has_endpoint(Endpoint(9, "user"))
     seen = []
 
     def whoami(proc):
         seen.append(proc.endpoint)
         yield Sleep(1)
 
-    sim.spawn(whoami, fresh)
+    sim.spawn(whoami, Endpoint(1, "user"))
     sim.run_until_quiescent()
     assert seen[0] is A
 

@@ -2,7 +2,10 @@
 
 import random
 
+import pytest
+
 from votingfarm.client import vf_add, vf_open, vf_run
+from votingfarm.core import VotingFarmError
 from votingfarm.fabric import Endpoint, Simulator
 from votingfarm.farm import FarmRuntime
 from votingfarm.recovery.lang import parse_rl
@@ -132,7 +135,8 @@ def test_negated_condition():
 
 # -- actions against a live farm -----------------------------------------
 
-def build_farm(n=3, spare=None):
+def build_farm(n=3, spare=None, active=None):
+    """An n-member farm; only the nodes in active (default all) ran vf_run."""
     sim = Simulator(seed=1)
     runtime = FarmRuntime(sim, delta_t=10)
     rows = [(node, node) for node in range(1, n + 1)]
@@ -146,7 +150,8 @@ def build_farm(n=3, spare=None):
         yield from vf_run(handle, proc)
 
     for node, _ in rows:
-        sim.spawn(user, Endpoint(node, "user"))
+        if active is None or node in active:
+            sim.spawn(user, Endpoint(node, "user"))
     sim.run_until_quiescent()
     if spare is not None:
         runtime.declare_spare(*spare)
@@ -201,6 +206,34 @@ def test_start_of_undeclared_entity_fails_cleanly():
     execute_actions([ActionInstance("START", "entity", 9)], runtime, db)
     assert db.action_log[0]["ok"] is False
     assert "undeclared entity 9" in db.errors[0]
+
+
+def declare_twice(runtime):
+    runtime.declare_spare(4, 1)
+    runtime.declare_spare(4, 2)
+
+
+@pytest.mark.parametrize(
+    "act, refusal",
+    [
+        (lambda rt: rt.kill_entity(3), "UnknownEntityAtRuntime: KILL of unstarted entity 3"),
+        (lambda rt: rt.restart_entity(3), "UnknownEntityAtRuntime: RESTART of unstarted entity 3"),
+        (lambda rt: rt.start_entity(1), "START of already started entity 1"),
+        (lambda rt: rt.start_entity(3), "UnknownEntityAtRuntime: START of undeclared entity 3"),
+        (lambda rt: rt.kill_entity(2) or rt.restart_entity(2), "RESTART of entity 2 which holds no ident"),
+        (lambda rt: rt.reboot_node(9), "REBOOT of node 9 which hosts no member"),
+        (declare_twice, "entity 4 already declared"),
+    ],
+    ids=["kill-unstarted", "restart-unstarted", "start-started", "start-canonical",
+         "restart-killed", "reboot-empty-node", "spare-twice"],
+)
+def test_runtime_refusals(act, refusal):
+    sim, runtime = build_farm(active=(1, 2))  # member 3 never started
+    try:
+        got = act(runtime)
+    except VotingFarmError as exc:
+        got = str(exc)
+    assert got == refusal
 
 
 def test_restart_keeps_ident_and_revives_endpoint():

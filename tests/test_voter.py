@@ -280,7 +280,8 @@ def test_algorithm_update_applies_to_next_session():
 
     def switcher(runtime, rows, reports, node, first, second):
         def run(proc):
-            handle = vf_open(runtime)
+            # median needs an ordering metric; byte equality cannot rank values
+            handle = vf_open(runtime, "scalar")
             for nd, ident in rows:
                 vf_add(handle, nd, ident)
             yield from vf_run(handle, proc)
@@ -301,8 +302,6 @@ def test_algorithm_update_applies_to_next_session():
         return run
 
     sim, runtime, rows = build_farm(3)
-    # median needs an ordering metric; byte equality cannot rank values
-    runtime.metric_name = "scalar"
     reports = {}
     firsts = {1: 1.0, 2: 2.0, 3: 3.0}
     seconds = {1: 10.0, 2: 20.0, 3: 90.0}
