@@ -9,9 +9,10 @@ process at a time, as each voter or user module of a farm is one task
 on its node.  A Proc is the one record of a process: spawn returns it,
 its generator gets it as the handle, and the scheduler steps it.  The
 fabric forgets a process once it finishes, exits or crashes.  Each
-endpoint's state also holds its links (peer -> kind, on both ends) and,
-on the sender, the FIFO floor towards each peer.  A process talks to
-the fabric by yielding syscall objects:
+endpoint's state also holds its links (the set of peers, on both ends)
+and, on the sender, the FIFO floor towards each peer.  A link between
+endpoints on one node is local, any other is virtual.  A process talks
+to the fabric by yielding syscall objects:
 
     Send(to, frame)      blocking send of a wire.Frame; returns once
                          delivery completed (or the message was
@@ -20,7 +21,6 @@ the fabric by yielding syscall objects:
                          the TIMEOUT sentinel after exactly `timeout`
                          units; timeout None waits forever
     Sleep(dt)            advance local time
-    Emit(kind, detail)   append a custom trace record
     Exit()               end the process and retire its endpoint
 
 Messages are wire.Frame objects from sender to receiver; the fabric
@@ -37,10 +37,11 @@ Fault injection covers the fail/stop and value-failure models: crash
 every subsequent send is XORed with a mask), omission (next send is
 dropped in transit) and delay (next send held back extra units).
 
-Delivery to dead peers follows one rule: a send to a dead endpoint is
-traced as a send plus a ``dead endpoint`` drop, whether or not a link to
-it exists, and the sender carries on.  Only a send to an endpoint that
-was never added, or to a live one without a link, raises NoSuchLink.
+Delivery to dead peers follows one rule: a send to an endpoint that is
+dead, or was never added, is traced as a send plus a ``dead endpoint``
+drop, whether or not a link to it exists, and the sender carries on; a
+post to one is traced as a post plus the same drop.  Only a send to a
+live endpoint without a link raises NoSuchLink.
 """
 
 from __future__ import annotations
@@ -118,8 +119,6 @@ class Endpoint:
     def __str__(self) -> str:
         return self.name
 
-
-LINK_KINDS = ("local", "virtual")
 
 FAULT_KINDS = ("crash", "value-corruption", "omission", "delay")
 
@@ -213,12 +212,6 @@ class Sleep:
 
 
 @dataclass(frozen=True)
-class Emit:
-    kind: str
-    detail: str
-
-
-@dataclass(frozen=True)
 class Exit:
     """Terminate the calling process and retire its endpoint gracefully."""
 
@@ -248,7 +241,7 @@ class _EndpointState:
         self.pending_omission = False
         self.pending_delay = 0
         self.proc: Optional[Proc] = None  # the running process, if any
-        self.links: dict[Endpoint, str] = {}  # peer -> link kind, kept on both ends
+        self.links: set[Endpoint] = set()  # peers, kept on both ends
         self.fifo_floor: dict[Endpoint, int] = {}  # peer -> last delivery time sent to it
 
 
@@ -287,25 +280,27 @@ class Simulator:
         st = self._endpoints.get(endpoint)
         return st is not None and not st.dead
 
-    def add_link(self, a: Endpoint, b: Endpoint, kind: str) -> None:
-        """Join a and b both ways; re-adding a link keeps its first kind."""
+    def add_link(self, a: Endpoint, b: Endpoint) -> None:
+        """Join a and b both ways; re-adding a link does nothing."""
         sa, sb = self._endpoints.get(a), self._endpoints.get(b)
         if sa is None or sb is None:
             raise NoSuchEndpoint(str(a if sa is None else b))
         if a == b:
             raise VotingFarmError("link endpoints must differ")
-        if kind not in LINK_KINDS:
-            raise VotingFarmError(f"unknown link kind {kind!r}")
-        if b not in sa.links:
-            sa.links[b] = sb.links[a] = kind
+        sa.links.add(b)
+        sb.links.add(a)
 
     def has_link(self, a: Endpoint, b: Endpoint) -> bool:
         st = self._endpoints.get(a)
         return st is not None and b in st.links
 
     def link_count(self, kind: str) -> int:
-        """Links of that kind, each two-way link counted once."""
-        return sum(k == kind for st in self._endpoints.values() for k in st.links.values()) // 2
+        """Links of that kind ("local" or "virtual"), each two-way link
+        counted once."""
+        local = kind == "local"
+        return sum(
+            (peer.node == ep.node) == local for ep, st in self._endpoints.items() for peer in st.links
+        ) // 2
 
     def all_endpoints(self, node: Optional[int] = None) -> list[Endpoint]:
         eps = list(self._endpoints)
@@ -502,9 +497,6 @@ class Simulator:
             if isinstance(item, Sleep):
                 self._schedule(self.now + max(0, item.dt), "step", (p, None, None))
                 return
-            if isinstance(item, Emit):
-                self.trace.append(self.now, item.kind, str(p.endpoint), "-", item.detail)
-                continue
             if isinstance(item, Exit):
                 st.proc = None
                 st.dead = True
@@ -518,16 +510,14 @@ class Simulator:
         frm = p.endpoint
         to = item.to
         target_st = self._endpoints.get(to)
-        if target_st is None:
-            raise NoSuchLink(f"no endpoint {to}")
-        if not target_st.dead and to not in sender_st.links:
+        if target_st is not None and not target_st.dead and to not in sender_st.links:
             raise NoSuchLink(f"no link {frm} -- {to}")
 
         self.trace.append(self.now, "send", frm.name, to.name, item.data.trace_detail)
-        if target_st.dead:
-            # Fail/stop: a send to a dead peer is discarded, whether or
-            # not a link to it was ever wired, and costs the sender
-            # nothing. The caller sees success.
+        if target_st is None or target_st.dead:
+            # Fail/stop: a send to a dead or never-added peer is
+            # discarded, whether or not a link to it was ever wired, and
+            # costs the sender nothing. The caller sees success.
             self.trace.append(self.now, "drop", frm.name, to.name, "dead endpoint")
             return True
 

@@ -90,9 +90,7 @@ class FarmRuntime:
         user_ep = self.user_endpoint(node)
         if user_ep is None:
             raise VotingFarmError(f"cannot redirect output to node {node}: no user module there")
-        if not self.sim.has_link(voter_ep, user_ep):
-            kind = "local" if user_ep.node == voter_ep.node else "virtual"
-            self.sim.add_link(voter_ep, user_ep, kind)
+        self.sim.add_link(voter_ep, user_ep)
 
     def current_view(self) -> FarmView:
         return FarmView(
@@ -157,15 +155,12 @@ class FarmRuntime:
         if prev is None:
             self.sim.add_endpoint(ep)
         user_ep = self.user_endpoint(node)
-        if user_ep is not None and not self.sim.has_link(user_ep, ep):
-            self.sim.add_link(user_ep, ep, "local")
+        if user_ep is not None:
+            self.sim.add_link(user_ep, ep)
         for other in self.voter_states:
             other_ep = self.voter_endpoint(other)
-            if other == entity or not self.sim.endpoint_alive(other_ep):
-                continue
-            if not self.sim.has_link(ep, other_ep):
-                kind = "local" if other_ep.node == node else "virtual"
-                self.sim.add_link(ep, other_ep, kind)
+            if other != entity and self.sim.endpoint_alive(other_ep):
+                self.sim.add_link(ep, other_ep)
         # A respawned entity keeps any output redirect of its previous life.
         state = VoterState(
             entity=entity,

@@ -12,6 +12,15 @@ ident.  This serializes broadcasts without extra coordination traffic.
 A voter whose user supplied nothing by its turn relays an invalid
 marker so fellows never stall on it.
 
+A voter reads one inbox: the frames it held, then its mailbox.  A
+session keeps the frames it cannot use yet (a later session's
+broadcast, a recovery WARN) and hands them back to the inbox when it
+ends, so a WARN that arrives mid-session takes effect once the session
+is over.  Held frames arrived before anything still in the mailbox, so
+reading them first keeps arrival order.  Inputs and control requests
+that arrive mid-session are refused as busy; broadcasts of an older
+session or another epoch are dropped.
+
 The externally visible life of a voter is the phase automaton from
 core: INIT, BROADCAST, VOTING, then SUCCESS (auto-resets to INIT) or
 FAILURE (sticky until an explicit reset or a recovery WARN).  Phase
@@ -21,6 +30,7 @@ its database.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Generator, Optional
@@ -38,7 +48,7 @@ from .core import (
     VotingFarmError,
     phase_transition,
 )
-from .fabric import Endpoint, Emit, Exit, Proc, Recv, Send, TIMEOUT
+from .fabric import Endpoint, Exit, Proc, Recv, Send, TIMEOUT
 
 
 @dataclass(frozen=True)
@@ -78,11 +88,6 @@ class FarmView:
     def from_fields(cls, rows: list[list[int]]) -> "FarmView":
         return cls([FarmSlot(ident=r[0], entity=r[1], node=r[2]) for r in rows])
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FarmView):
-            return NotImplemented
-        return self.slots == other.slots
-
 
 @dataclass
 class VoterState:
@@ -100,11 +105,12 @@ class VoterState:
     next_session: int = 0
 
 
+def _trace(proc: Proc, kind: str, detail: str) -> None:
+    proc.sim.trace.append(proc.now, kind, proc.endpoint.name, "-", detail)
+
+
 def _trace_phase(proc: Proc, state: VoterState) -> None:
-    proc.sim.trace.append(
-        proc.now, "phase", str(proc.endpoint), "-",
-        f"{state.phase} session={state.next_session} epoch={state.epoch}",
-    )
+    _trace(proc, "phase", f"{state.phase} session={state.next_session} epoch={state.epoch}")
 
 
 def _report(proc: Proc, state: VoterState, event: VoterEvent) -> None:
@@ -134,12 +140,9 @@ def voter_process(state: VoterState):
 
     def run(proc: Proc) -> Generator:
         _trace_phase(proc, state)
-        pending: list[tuple[Endpoint, wire.Frame]] = []
+        inbox: deque[tuple[Endpoint, wire.Frame]] = deque()
         while True:
-            if pending:
-                sender, frame = pending.pop(0)
-            else:
-                sender, frame = yield Recv(None)
+            sender, frame = inbox.popleft() if inbox else (yield Recv(None))
 
             if frame.kind == wire.K_CONTROL:
                 req = frame.get("req")
@@ -164,21 +167,21 @@ def voter_process(state: VoterState):
                 if state.phase is VoterPhase.VFP_FAILURE:
                     yield Send(sender, _status_frame(VfStatusCode.VF_REFUSED, "failed", state.next_session))
                     continue
-                pending = yield from _session(proc, state, sender, frame)
+                yield from _session(proc, state, inbox, sender, frame)
                 continue
 
             if frame.kind == wire.K_BROADCAST:
                 if state.phase is VoterPhase.VFP_FAILURE:
-                    yield Emit("drop", f"broadcast while failed session={frame.get('session')}")
+                    _trace(proc, "drop", f"broadcast while failed session={frame.get('session')}")
                     continue
                 if frame.get("epoch") != state.epoch or frame.get("session", -1) < state.next_session:
-                    yield Emit("drop", f"stale broadcast session={frame.get('session')} epoch={frame.get('epoch')}")
+                    _trace(proc, "drop", f"stale broadcast session={frame.get('session')} epoch={frame.get('epoch')}")
                     continue
                 state.next_session = frame.get("session")
-                pending = yield from _session(proc, state, sender, frame)
+                yield from _session(proc, state, inbox, sender, frame)
                 continue
 
-            yield Emit("drop", f"unexpected {frame.kind_name} while idle")
+            _trace(proc, "drop", f"unexpected {frame.kind_name} while idle")
 
     return run
 
@@ -194,17 +197,14 @@ def _apply_params(state: VoterState, frame: wire.Frame) -> None:
             tie_break=frame.get("tie_break", cur.tie_break),
         )
     elif req == "output":
-        state.output_ep = Endpoint(frame.get("node"), frame.get("role", "user"))
+        state.output_ep = Endpoint(frame.get("node"), "user")
 
 
 def _apply_warn(proc: Proc, state: VoterState, frame: wire.Frame) -> bool:
     """Adopt a rebuilt farm descriptor.  False means: not a member anymore."""
     view = FarmView.from_fields(frame.get("farm", []))
     slot = view.slot_of_entity(state.entity)
-    proc.sim.trace.append(
-        proc.now, "warn", str(proc.endpoint), "-",
-        f"epoch={frame.get('epoch')} farm={frame.get('farm')}",
-    )
+    _trace(proc, "warn", f"epoch={frame.get('epoch')} farm={frame.get('farm')}")
     if slot is None:
         return False
     state.view = view
@@ -216,81 +216,65 @@ def _apply_warn(proc: Proc, state: VoterState, frame: wire.Frame) -> bool:
     return True
 
 
-def _session(proc: Proc, state: VoterState, first_sender: Endpoint, first_frame: wire.Frame):
-    """Run one collect-broadcast-vote session.  Returns held-over frames."""
+def _session(
+    proc: Proc,
+    state: VoterState,
+    inbox: deque[tuple[Endpoint, wire.Frame]],
+    sender: Endpoint,
+    frame: wire.Frame,
+):
+    """Run one collect-broadcast-vote session, starting with frame.
+
+    Frames the session cannot use yet (a later session's broadcast, a
+    WARN) are held and go back to the inbox when it ends.
+    """
     n = state.view.size
     session = state.next_session
     me = state.ident
     slots: list[VoteObject] = []
-    u: Optional[int] = None
-    broadcast_done = False
-    holdover: list[tuple[Endpoint, wire.Frame]] = []
+    own: Optional[bytes] = None
+    held: list[tuple[Endpoint, wire.Frame]] = []
+    got = (sender, frame)
 
     _report(proc, state, VoterEvent.INPUT_ARRIVED)
 
-    def consume(sender: Endpoint, frame: wire.Frame):
-        """Returns (slot_filled, refused_reply_target)."""
-        nonlocal u
-        if frame.kind == wire.K_INPUT:
-            if u is None and state.user_ep is not None and sender == state.user_ep:
-                u = len(slots)
-                slots.append(VoteObject(frame.payload, True, me))
-                return True, None
-            return False, sender
-        if frame.kind == wire.K_BROADCAST:
-            if frame.get("epoch") != state.epoch:
-                return False, None
-            s = frame.get("session", -1)
-            if s < session:
-                return False, None
-            if s > session:
-                holdover.append((sender, frame))
-                return False, None
-            slots.append(VoteObject(frame.payload, bool(frame.get("valid", True)), frame.get("member", 0)))
-            return True, None
-        if frame.kind == wire.K_CONTROL:
-            return False, sender
-        return False, None
-
-    def turn_sends():
-        """The fellow sends due now, or None if it is not our turn yet.
-
-        The relay must happen from the voter's own context, before it
-        says anything else on the fabric, so a session's wire order per
-        member is always: broadcasts first, then the local replies.
-        """
-        nonlocal broadcast_done
-        if broadcast_done or me != len(slots):
-            return None
-        broadcast_done = True
-        valid = u is not None
-        frame = wire.Frame(
-            wire.K_BROADCAST,
-            {"member": me, "session": session, "epoch": state.epoch, "valid": valid},
-            slots[u].payload if valid else b"",
-        )
-        return [(s.voter_endpoint, frame) for s in state.view.fellows(state.entity)]
-
-    filled, refuse = consume(first_sender, first_frame)
-    if refuse is not None:
-        yield Send(refuse, _status_frame(VfStatusCode.VF_REFUSED, "busy", session))
-    if filled:
-        for target, relay in turn_sends() or ():
-            yield Send(target, relay)
-
-    while len(slots) < n:
-        got = yield Recv(state.delta_t)
+    while True:
+        slot: Optional[VoteObject] = None
         if got is TIMEOUT:
-            slots.append(VoteObject(b"", False, 0))
+            slot = VoteObject(b"", False, 0)
         else:
             sender, frame = got
-            filled, refuse = consume(sender, frame)
-            if refuse is not None:
-                yield Send(refuse, _status_frame(VfStatusCode.VF_REFUSED, "busy", session))
-            if not filled:
-                continue
-        for target, relay in turn_sends() or ():
-            yield Send(target, relay)
+            if frame.kind == wire.K_INPUT and own is None and sender == state.user_ep:
+                own = frame.payload
+                slot = VoteObject(own, True, me)
+            elif frame.kind == wire.K_BROADCAST and frame.get("epoch") == state.epoch:
+                s = frame.get("session", -1)
+                if s == session:
+                    slot = VoteObject(frame.payload, bool(frame.get("valid", True)), frame.get("member", 0))
+                elif s > session:
+                    held.append(got)
+            elif frame.kind in (wire.K_INPUT, wire.K_CONTROL):
+                yield Send(sender, _status_frame(VfStatusCode.VF_REFUSED, "busy", session))
+            elif frame.kind == wire.K_WARN:
+                held.append(got)
+        if slot is not None:
+            slots.append(slot)
+            # Turn rule: relay the user's value (or an invalid marker)
+            # once the collected count equals our ident, before any
+            # local reply, so each member's wire order per session is
+            # broadcasts first.
+            if len(slots) == me:
+                relay = wire.Frame(
+                    wire.K_BROADCAST,
+                    {"member": me, "session": session, "epoch": state.epoch, "valid": own is not None},
+                    own if own is not None else b"",
+                )
+                for fellow in state.view.fellows(state.entity):
+                    yield Send(fellow.voter_endpoint, relay)
+            if len(slots) == n:
+                break
+        got = inbox.popleft() if inbox else (yield Recv(state.delta_t))
+    inbox.extend(held)
 
     _report(proc, state, VoterEvent.BROADCAST_COMPLETE)
     try:
@@ -317,8 +301,6 @@ def _session(proc: Proc, state: VoterState, first_sender: Endpoint, first_frame:
     else:
         _report(proc, state, VoterEvent.VOTE_FAIL)
         state.next_session = session + 1
-        yield Emit("vote-fail", error or "")
+        _trace(proc, "vote-fail", error or "")
         if state.user_ep is not None:
             yield Send(state.user_ep, _status_frame(VfStatusCode.VF_DONE, "no-decision", session))
-
-    return holdover

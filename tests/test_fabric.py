@@ -15,7 +15,6 @@ import pytest
 from votingfarm import wire
 from votingfarm.core import VotingFarmError
 from votingfarm.fabric import (
-    Emit,
     Endpoint,
     Exit,
     FaultSpec,
@@ -36,7 +35,7 @@ def make_pair(seed=0, delivery_delay=0, jitter=0):
     sim = Simulator(seed=seed, delivery_delay=delivery_delay, jitter=jitter)
     sim.add_endpoint(A)
     sim.add_endpoint(B)
-    sim.add_link(A, B, "virtual")
+    sim.add_link(A, B)
     return sim
 
 
@@ -93,16 +92,17 @@ def test_recv_timeout_returns_sentinel():
     assert sim.trace.count("timeout") == 1
 
 
-def test_sleep_and_emit():
+def test_sleep():
     sim = make_pair()
+    woke = []
 
     def napper(proc):
         yield Sleep(7)
-        yield Emit("note", f"woke at {proc.now}")
+        woke.append(proc.now)
 
     sim.spawn(napper, A)
     sim.run_until_quiescent()
-    assert sim.trace.count("note", contains="woke at 7") == 1
+    assert woke == [7]
 
 
 def test_exit_retires_endpoint():
@@ -232,16 +232,7 @@ def test_duplicate_endpoint_rejected():
 def test_self_link_rejected():
     sim = make_pair()
     with pytest.raises(VotingFarmError):
-        sim.add_link(A, A, "local")
-
-
-def test_unknown_link_kind_rejected():
-    sim = Simulator()
-    sim.add_endpoint(A)
-    sim.add_endpoint(B)
-    with pytest.raises(VotingFarmError, match="unknown link kind"):
-        sim.add_link(A, B, "quantum")
-    assert not sim.has_link(A, B)
+        sim.add_link(A, A)
 
 
 def test_send_without_link_throws_into_sender():
@@ -281,6 +272,22 @@ def test_send_to_crashed_peer_without_link_is_dropped():
     assert sim.trace.count("drop", contains="dead endpoint") == 1
 
 
+def test_send_to_an_endpoint_never_added_is_dropped():
+    sim = Simulator()
+    sim.add_endpoint(A)
+    after = []
+
+    def lonely(proc):
+        yield Send(B, msg("x"))
+        after.append(proc.now)
+
+    p = sim.spawn(lonely, A)
+    sim.run_until_quiescent()
+    assert after == [0] and p.finished
+    assert sim.trace.count("send") == 1
+    assert sim.trace.count("drop", contains="dead endpoint") == 1
+
+
 def test_endpoint_and_link_counts():
     sim = make_pair()
     assert sim.endpoint_count("user") == 2
@@ -288,15 +295,15 @@ def test_endpoint_and_link_counts():
     assert set(sim.all_endpoints(node=1)) == {A}
 
 
-def test_a_link_keeps_its_first_kind_and_holds_both_ways():
-    sim = make_pair()  # A -- B virtual
-    sim.add_link(B, A, "local")
+def test_a_link_holds_both_ways_and_its_kind_follows_the_nodes():
+    sim = make_pair()  # A -- B, on nodes 1 and 2
+    sim.add_link(B, A)  # re-adding does nothing
     assert sim.has_link(A, B) and sim.has_link(B, A)
     assert sim.link_count("virtual") == 1 and sim.link_count("local") == 0
-    C = Endpoint(3, "user")
+    C = Endpoint(1, "voter", 1)
     sim.add_endpoint(C)
     assert not sim.has_link(A, C) and not sim.has_link(C, A)
-    sim.add_link(C, A, "local")
+    sim.add_link(C, A)  # same node
     assert sim.has_link(A, C)
     assert sim.link_count("virtual") == 1 and sim.link_count("local") == 1
 
@@ -396,7 +403,7 @@ def test_crash_silences_endpoint_and_receiver_side_drops():
 def test_send_to_dead_peer_does_not_consume_one_shot_faults():
     sim = make_pair()
     C = sim.add_endpoint(Endpoint(3, "user"))
-    sim.add_link(A, C, "virtual")
+    sim.add_link(A, C)
     sim.inject(FaultSpec("crash", B, 0))
     sim.inject(FaultSpec("omission", A, 0))
     received = []

@@ -20,8 +20,8 @@ def fan_out_sim():
     sim = Simulator()
     for ep in (A, B, C):
         sim.add_endpoint(ep)
-    sim.add_link(A, B, "virtual")
-    sim.add_link(A, C, "virtual")
+    sim.add_link(A, B)
+    sim.add_link(A, C)
     return sim
 
 

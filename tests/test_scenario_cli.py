@@ -97,6 +97,38 @@ def test_spare_start_after_early_crash_keeps_invariants(seed, jitter):
     assert values and all(len(v) == 1 for v in values.values()), values
 
 
+@pytest.mark.parametrize(
+    "path", sorted((HERE / "scenarios").glob("*.json")), ids=lambda p: p.stem
+)
+def test_regression_scenarios_pass(path):
+    # Session outputs are not compared across users: a WARN restarts the
+    # session numbers, so one session number can carry two values.
+    spec, dirs = load(str(path))
+    result = run_scenario(spec, dirs)
+    assert result.passed, [a for a in result.assertions if not a["ok"]]
+    assert result.sim.quiescent and not result.trace.max_time_exceeded
+    assert result.all_users_finished()
+    assert check_phase_grammar(result) == []
+
+
+def test_broadcast_to_a_member_never_spawned_is_a_traced_drop():
+    # Node 2 is SPMD-incoherent, so voter 2 never starts; voter 1's
+    # relay to it is dropped like a send to a dead peer.
+    spec = {
+        "name": "spmd_peer_never_spawned",
+        "farm": [[1, 1], [2, 2]],
+        "spmd_mismatch": {"node": 2, "farm": [[2, 1], [1, 2]]},
+        "inputs": {"1": [{"at": 10, "scalar": 1.0}]},
+    }
+    result = run_scenario(spec)
+    assert result.runtime.spmd_incoherent and result.users[2]["error"] == "SpmdIncoherence"
+    assert result.trace.count("drop", contains="dead endpoint") == 1
+    assert [(s["code"], s["detail"], s["t"]) for s in result.users[1]["statuses"]] == [
+        ("VF_DONE", "no-decision", 20)
+    ]
+    assert result.sim.quiescent and result.all_users_finished()
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_fault_can_name_a_spare(seed):
     # The spare is started by recovery and then crashes.  The shipped
