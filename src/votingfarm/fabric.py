@@ -40,8 +40,17 @@ dropped in transit) and delay (next send held back extra units).
 Delivery to dead peers follows one rule: a send to an endpoint that is
 dead, or was never added, is traced as a send plus a ``dead endpoint``
 drop, whether or not a link to it exists, and the sender carries on; a
-post to one is traced as a post plus the same drop.  Only a send to a
-live endpoint without a link raises NoSuchLink.
+post to one is traced as a post plus the same drop.
+
+An endpoint dies one way: a crash fault, KILL, RESTART or SHUTDOWN
+(crash_endpoint), Exit, or a process error.  A process error is any
+Exception the process raises, or a syscall the fabric cannot serve
+(NoSuchLink for a live target without a link, or an unknown item); it
+ends that process's own endpoint only, traced as ``proc-error
+<endpoint> - <Type>: <message>``.  Death clears the mailbox and the
+per-life fault state, closes the process and writes one trace line;
+the crash listeners (the watchdog) hear of crash faults and process
+errors.
 """
 
 from __future__ import annotations
@@ -264,6 +273,7 @@ class Simulator:
         self._seq = 0
         self._endpoints: dict[Endpoint, _EndpointState] = {}
         self.crash_listeners: list[Callable[[Endpoint, int], None]] = []
+        self._running: Optional[Proc] = None  # the process being resumed
 
     # -- topology -----------------------------------------------------
 
@@ -332,7 +342,7 @@ class Simulator:
         p = Proc(self, endpoint)
         p.gen = fn(p)
         st.proc = p
-        self._schedule(self.now, "step", (p, None, None))
+        self._schedule(self.now, "step", (p, None))
         return p
 
     # -- fault injection ----------------------------------------------
@@ -347,34 +357,39 @@ class Simulator:
         self._schedule(spec.at_time, "fault", (spec,))
 
     def crash_endpoint(self, endpoint: Endpoint, reason: str = "crash") -> None:
-        """Immediately silence an endpoint (fault activation or KILL)."""
+        """Immediately silence a live endpoint (crash fault, KILL, RESTART, SHUTDOWN)."""
         st = self._endpoints.get(endpoint)
         if st is None:
             raise NoSuchEndpoint(str(endpoint))
-        if st.dead:
-            return
-        st.dead = True
-        st.mailbox.clear()
-        p = st.proc
-        if p is not None:
-            st.proc = None
-            p.gen.close()
-        self.trace.append(self.now, "fault", str(endpoint), "-", reason)
-        if reason == "crash":
-            for listener in self.crash_listeners:
-                listener(endpoint, self.now)
+        if not st.dead:
+            self._end(endpoint, st, "fault", reason, notify=reason == "crash")
 
     def revive_endpoint(self, endpoint: Endpoint) -> None:
-        """Bring a dead endpoint back, clean, for a RESTART or REBOOT."""
+        """Bring a dead endpoint back (its death left it clean) for a RESTART."""
         st = self._endpoints.get(endpoint)
         if st is None:
             raise NoSuchEndpoint(str(endpoint))
         st.dead = False
+        self.trace.append(self.now, "revive", str(endpoint), "-", "")
+
+    def _end(self, endpoint: Endpoint, st: _EndpointState, kind: str, detail: str, notify: bool) -> None:
+        """The one way an endpoint dies.  A process that ends its own
+        endpoint is closed by _step once it yields, not while it runs."""
+        st.dead = True
         st.mailbox.clear()
         st.corruption = None
         st.pending_omission = False
         st.pending_delay = 0
-        self.trace.append(self.now, "revive", str(endpoint), "-", "")
+        p, st.proc = st.proc, None
+        if p is not None and p is not self._running:
+            p.gen.close()
+        self.trace.append(self.now, kind, endpoint.name, "-", detail)
+        if notify:
+            for listener in self.crash_listeners:
+                listener(endpoint, self.now)
+
+    def _proc_error(self, p: Proc, st: _EndpointState, err: Exception) -> None:
+        self._end(p.endpoint, st, "proc-error", f"{type(err).__name__}: {err}", notify=True)
 
     # -- control plane -------------------------------------------------
 
@@ -412,8 +427,8 @@ class Simulator:
             heapq.heappop(self._heap)
             self.now = max(self.now, t)
             if tag == "step":
-                p, value, exc = data
-                self._step(p, value, exc)
+                p, value = data
+                self._step(p, value)
             elif tag == "deliver":
                 frm, to, payload = data
                 self._deliver(frm, to, payload)
@@ -422,7 +437,7 @@ class Simulator:
                 if p.waiting and p.wait_epoch == epoch and self._endpoints[p.endpoint].proc is p:
                     p.waiting = False
                     self.trace.append(self.now, "timeout", str(p.endpoint), "-", "")
-                    self._step(p, TIMEOUT, None)
+                    self._step(p, TIMEOUT)
             elif tag == "fault":
                 (spec,) = data
                 self._activate_fault(spec)
@@ -457,32 +472,33 @@ class Simulator:
         p = st.proc
         if p is not None and p.waiting:
             p.waiting = False
-            self._step(p, st.mailbox.popleft(), None)
+            self._step(p, st.mailbox.popleft())
 
-    def _step(self, p: Proc, value: Any, exc: Optional[BaseException]) -> None:
+    def _step(self, p: Proc, value: Any) -> None:
         st = self._endpoints[p.endpoint]
         if st.proc is not p:
             return
         while True:
+            self._running = p
             try:
-                if exc is not None:
-                    item = p.gen.throw(exc)
-                    exc = None
-                else:
-                    item = p.gen.send(value)
+                item = p.gen.send(value)
             except StopIteration:
                 p.finished = True
                 st.proc = None
                 return
+            except Exception as err:
+                if st.proc is p:
+                    self._proc_error(p, st, err)
+                return
+            finally:
+                self._running = None
+            if st.proc is not p:  # the process ended its own endpoint
+                p.gen.close()
+                return
             value = None
 
             if isinstance(item, Send):
-                try:
-                    done_now = self._handle_send(p, st, item)
-                except VotingFarmError as err:
-                    exc = err
-                    continue
-                if done_now:
+                if self._handle_send(p, st, item):
                     continue
                 return
             if isinstance(item, Recv):
@@ -495,15 +511,13 @@ class Simulator:
                     self._schedule(self.now + item.timeout, "timeout", (p, p.wait_epoch))
                 return
             if isinstance(item, Sleep):
-                self._schedule(self.now + max(0, item.dt), "step", (p, None, None))
+                self._schedule(self.now + max(0, item.dt), "step", (p, None))
                 return
             if isinstance(item, Exit):
-                st.proc = None
-                st.dead = True
-                st.mailbox.clear()
-                self.trace.append(self.now, "exit", str(p.endpoint), "-", "closed")
+                self._end(p.endpoint, st, "exit", "closed", notify=False)
                 return
-            exc = VotingFarmError(f"process yielded unknown item {item!r}")
+            self._proc_error(p, st, VotingFarmError(f"process yielded unknown item {item!r}"))
+            return
 
     def _handle_send(self, p: Proc, sender_st: _EndpointState, item: Send) -> bool:
         """Returns True if the sender continues immediately."""
@@ -511,7 +525,8 @@ class Simulator:
         to = item.to
         target_st = self._endpoints.get(to)
         if target_st is not None and not target_st.dead and to not in sender_st.links:
-            raise NoSuchLink(f"no link {frm} -- {to}")
+            self._proc_error(p, sender_st, NoSuchLink(f"no link {frm} -- {to}"))
+            return False
 
         self.trace.append(self.now, "send", frm.name, to.name, item.data.trace_detail)
         if target_st is None or target_st.dead:
@@ -538,6 +553,6 @@ class Simulator:
             self.trace.append(self.now, "drop", frm.name, to.name, "omission")
         else:
             self._schedule(t_del, "deliver", (frm, to, data))
-        self._schedule(t_del, "step", (p, None, None))
+        self._schedule(t_del, "step", (p, None))
         return False
 

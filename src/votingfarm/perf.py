@@ -100,27 +100,17 @@ def schedule_steps(perm: SchedulePermutation, mode: str = "half") -> ScheduleRes
     while any(fifos.values()):
         steps += 1
         busy: set[int] = set()
-        busy_recv: set[int] = set()
+        # In half duplex a receiving node is busy for sending too.
+        receiving = busy if mode == "half" else set()
         transfers: list[tuple[int, int]] = []
         for k in range(1, n + 1):
             if not fifos[k] or counts[k] < k:
                 continue
-            if mode == "half":
-                if k in busy:
-                    continue
-                target = fifos[k][0]
-                if target in busy:
-                    continue
-                busy.add(k)
-                busy.add(target)
-            else:
-                if k in busy:
-                    continue
-                target = fifos[k][0]
-                if target in busy_recv:
-                    continue
-                busy.add(k)
-                busy_recv.add(target)
+            target = fifos[k][0]
+            if k in busy or target in receiving:
+                continue
+            busy.add(k)
+            receiving.add(target)
             fifos[k].popleft()
             transfers.append((k, target))
         if not transfers:

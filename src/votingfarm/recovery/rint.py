@@ -185,27 +185,21 @@ def execute_actions(
     dead) are recorded and the remaining actions still run.
     """
     sim = runtime.sim
+    # Looked up per call, so a patched runtime method is the one called.
+    primitives = {
+        "PURGE": lambda _: db.purge(),
+        "KILL": runtime.kill_entity,
+        "START": runtime.start_entity,
+        "RESTART": runtime.restart_entity,
+        "WARN": runtime.warn_entity,
+        "REBOOT": runtime.reboot_node,
+        "SHUTDOWN": runtime.shutdown_node,
+    }
     runtime.begin_action_batch()
     for inst in instances:
         sim.trace.append(sim.now, "action", "rint", "-", str(inst))
-        if inst.verb == "PURGE":
-            db.purge()
-            err = None
-        elif inst.kind == "node":
-            if inst.verb == "REBOOT":
-                err = runtime.reboot_node(inst.target)
-            else:
-                err = runtime.shutdown_node(inst.target)
-        elif inst.verb == "KILL":
-            err = runtime.kill_entity(inst.target)
-        elif inst.verb == "START":
-            err = runtime.start_entity(inst.target)
-        elif inst.verb == "RESTART":
-            err = runtime.restart_entity(inst.target)
-        elif inst.verb == "WARN":
-            err = runtime.warn_entity(inst.target)
-        else:
-            err = f"unsupported action {inst.verb}"
+        primitive = primitives.get(inst.verb)
+        err = primitive(inst.target) if primitive else f"unsupported action {inst.verb}"
         db.action_log.append(
             {
                 "verb": inst.verb,
@@ -226,24 +220,22 @@ def director_process(db: DirDatabase, rint_ep: Endpoint):
     def run(proc: Proc) -> Generator:
         while True:
             _, frame = yield Recv(None)
+            entity = frame.get("member")
             if frame.kind == wire.K_PHASE:
-                entity = frame.get("member")
                 code = frame.get("code")
                 db.record_phase(entity, code, proc.now)
-                if code == _FAILURE_CODE:
-                    proc.sim.post(
-                        proc.endpoint,
-                        rint_ep,
-                        wire.Frame(wire.K_CONTROL, {"req": "trigger", "member": entity}),
-                    )
+                if code != _FAILURE_CODE:
+                    continue
             elif frame.kind == wire.K_FAULT:
-                entity = frame.get("member")
                 db.record_fault(entity, frame.get("fault", "crash"), proc.now)
-                proc.sim.post(
-                    proc.endpoint,
-                    rint_ep,
-                    wire.Frame(wire.K_CONTROL, {"req": "trigger", "member": entity}),
-                )
+            else:
+                continue
+            # An error event: a fault record or a voter reporting failure.
+            proc.sim.post(
+                proc.endpoint,
+                rint_ep,
+                wire.Frame(wire.K_CONTROL, {"req": "trigger", "member": entity}),
+            )
     return run
 
 

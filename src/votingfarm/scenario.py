@@ -190,6 +190,11 @@ def _user_program(runtime, spec, node, rows, report, inputs):
     get_timeout = spec["get_timeout"]
 
     def run(proc):
+        def record(status):
+            report["statuses"].append(
+                {"code": str(status.code), "detail": status.detail, "session": status.session, "t": proc.now}
+            )
+
         handle = vf_open(runtime, spec["metric"])
         report["handle"] = handle
         for nd, ident in rows:
@@ -223,28 +228,13 @@ def _user_program(runtime, spec, node, rows, report, inputs):
                 yield from vf_control(handle, proc, close=True)
             for _ in range(polls):
                 status = yield from vf_get(handle, proc, get_timeout)
-                report["statuses"].append(
-                    {
-                        "code": str(status.code),
-                        "detail": status.detail,
-                        "session": status.session,
-                        "t": proc.now,
-                    }
-                )
+                record(status)
                 if status.code is VfStatusCode.VF_REFUSED:
                     report["refused"] += 1
                     continue
                 break
         if spec["close_farm"]:
-            status = yield from vf_close(handle, proc, get_timeout)
-            report["statuses"].append(
-                {
-                    "code": str(status.code),
-                    "detail": status.detail,
-                    "session": status.session,
-                    "t": proc.now,
-                }
-            )
+            record((yield from vf_close(handle, proc, get_timeout)))
         report["done"] = True
 
     return run
@@ -398,9 +388,9 @@ def _evaluate(result: RunResult, a: dict) -> dict:
         ok, detail = fn(result, a)
     except VotingFarmError as exc:
         ok, detail = False, str(exc)
-    return {"type": kind, "ok": bool(ok), "detail": detail, **{
-        k: v for k, v in a.items() if k != "type"
-    }}
+    # The explanation wins over an assertion's own "detail" (the status
+    # detail a session-status assertion expects).
+    return {**a, "ok": bool(ok), "detail": detail}
 
 
 def _a_quiescent(result: RunResult, a: dict):

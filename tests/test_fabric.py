@@ -18,7 +18,6 @@ from votingfarm.fabric import (
     Endpoint,
     Exit,
     FaultSpec,
-    NoSuchLink,
     Recv,
     Send,
     Simulator,
@@ -235,21 +234,19 @@ def test_self_link_rejected():
         sim.add_link(A, A)
 
 
-def test_send_without_link_throws_into_sender():
+def test_send_without_link_ends_the_sender():
     sim = Simulator()
     sim.add_endpoint(A)
     sim.add_endpoint(B)
-    caught = []
 
     def lonely(proc):
-        try:
-            yield Send(B, msg("x"))
-        except NoSuchLink as exc:
-            caught.append(str(exc))
+        yield Send(B, msg("x"))
 
-    sim.spawn(lonely, A)
+    p = sim.spawn(lonely, A)
     sim.run_until_quiescent()
-    assert caught and "no link" in caught[0]
+    assert sim.quiescent and not p.finished
+    assert not sim.endpoint_alive(A) and sim.endpoint_alive(B)
+    assert sim.trace.lines() == ["t=0 proc-error user@1 - NoSuchLink: no link user@1 -- user@2"]
 
 
 def test_send_to_crashed_peer_without_link_is_dropped():
@@ -468,6 +465,77 @@ def test_crash_listener_fires_only_for_real_crashes():
     sim.crash_endpoint(A, reason="kill")
     sim.crash_endpoint(B, reason="crash")
     assert hits == [("user@2", 0)]
+
+
+def test_process_error_ends_only_its_own_endpoint():
+    sim = make_pair()
+    hits = []
+    sim.crash_listeners.append(lambda ep, t: hits.append((str(ep), t)))
+    received = []
+
+    def faulty(proc):
+        yield Send(B, msg("a"))
+        raise RuntimeError("boom")
+
+    bad = sim.spawn(faulty, A)
+    good = sim.spawn(sink(received, 1), B)
+    sim.run_until_quiescent()
+    assert sim.quiescent
+    assert sim.trace.count("proc-error") == 1
+    assert "t=0 proc-error user@1 - RuntimeError: boom" in sim.trace.lines()
+    assert not sim.endpoint_alive(A) and not bad.finished
+    assert hits == [("user@1", 0)]
+    assert good.finished and [tag for _, tag in received] == ["a"]
+
+
+def test_unknown_yielded_item_is_a_process_error():
+    sim = make_pair()
+
+    def confused(proc):
+        yield "nonsense"
+
+    p = sim.spawn(confused, A)
+    sim.run_until_quiescent()
+    assert not p.finished and not sim.endpoint_alive(A)
+    assert sim.trace.lines() == [
+        "t=0 proc-error user@1 - VotingFarmError: process yielded unknown item 'nonsense'"
+    ]
+
+
+def test_exit_closes_its_generator():
+    sim = make_pair()
+    seen = []
+
+    def quitter(proc):
+        try:
+            yield Exit()
+        finally:
+            seen.append(proc.now)
+
+    sim.spawn(quitter, A)
+    sim.run_until_quiescent()
+    assert seen == [0]
+
+
+def test_a_process_that_ends_its_own_endpoint_is_closed_once_it_yields():
+    sim = make_pair()
+    seen = []
+
+    def self_stopper(proc):
+        try:
+            yield Sleep(2)
+            proc.sim.crash_endpoint(proc.endpoint, reason="shutdown")
+            seen.append("ran on")
+            yield Sleep(1)
+            seen.append("resumed")
+        finally:
+            seen.append(("closed", proc.now))
+
+    p = sim.spawn(self_stopper, A)
+    sim.run_until_quiescent()
+    assert sim.quiescent and not p.finished
+    assert seen == ["ran on", ("closed", 2)]
+    assert sim.trace.lines() == ["t=2 fault user@1 - shutdown"]
 
 
 def test_revive_resets_fault_state():

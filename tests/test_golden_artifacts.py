@@ -32,7 +32,7 @@ GOLDEN = {
     },
     "three_and_one_spare": {
         "trace.txt": "9eb9549fb9eab4971931419ad8c134fcfc9c6c95f9bbb0055040debf38c8a359",
-        "results.json": "3deb472fd2b863736a170f204e3aec00e9f59bb0a3b71996a23a02370fe0dd78",
+        "results.json": "85f5de25b871250e3f40aa14eb6e5045b235f46e2e73f2d927a62345968c50ff",
         "actions.log": "eeed95f3143e8ebb8a9c4820693ad32e1a071d18e9f66a9afc426d5448d96e10",
     },
     "graceful_degradation": {

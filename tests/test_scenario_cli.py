@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from votingfarm import cli
+from votingfarm import cli, farm
+from votingfarm.fabric import Recv
 from votingfarm.scenario import (
     ScenarioError,
     bundled_dir,
@@ -150,6 +151,48 @@ def test_fault_can_name_a_spare(seed):
         for out in rep["outputs"]:
             values.setdefault(out["session"], set()).add(out["value"])
     assert values and all(len(v) == 1 for v in values.values()), values
+
+
+def test_a_raising_voter_falls_silent_and_is_replaced(monkeypatch):
+    # A voter whose body raises ends only its own endpoint: the watchdog
+    # reports it and Table 4's strategy swaps in the spare.
+    real = farm.voter_process
+
+    def voter_process(state):
+        if state.entity != 1:
+            return real(state)
+
+        def body(proc):
+            yield Recv(None)
+            raise RuntimeError("boom")
+
+        return body
+
+    monkeypatch.setattr(farm, "voter_process", voter_process)
+    spec, dirs = load("three_and_one_spare")
+    result = run_scenario({**spec, "faults": [], "assertions": []}, dirs)
+    assert [ev.line for ev in result.trace if ev.kind == "proc-error"] == [
+        "t=10 proc-error voter:1@1 - RuntimeError: boom"
+    ]
+    assert result.db.verbs() == ["KILL", "START", "WARN", "WARN"]
+    done = {
+        node: [(s["code"], s["detail"], s["t"]) for s in rep["statuses"]]
+        for node, rep in result.users.items()
+    }
+    assert done[2] == done[3] == [("VF_DONE", "ok", 20), ("VF_DONE", "ok", 60)]
+    assert done[4] == [("VF_DONE", "ok", 60)]
+    for node in (2, 3, 4):
+        assert {o["value"] for o in result.users[node]["outputs"]} == {"0000000000004540"}
+    assert result.sim.quiescent and result.all_users_finished()
+
+
+def test_an_assertion_detail_does_not_hide_the_explanation():
+    spec, dirs = load("tmr_happy")
+    expect = {"type": "session-status", "session": 0, "status": "VF_DONE", "detail": "no-decision"}
+    result = run_scenario({**spec, "assertions": [expect]}, dirs)
+    (got,) = result.assertions
+    assert not got["ok"] and got["status"] == "VF_DONE" and got["session"] == 0
+    assert got["detail"] == "nodes without VF_DONE/no-decision for session 0: [1, 2, 3]"
 
 
 def test_happy_run_delivers_exactly_three_completions():
