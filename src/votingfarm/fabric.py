@@ -32,6 +32,12 @@ the same scenario with the same seed produce byte-identical traces.
 Delivery order per (sender, receiver) pair is FIFO even under
 injected delays and jitter.
 
+The trace records each event as a plain (t, kind, frm, to, detail)
+tuple of one int and four strings: endpoint names and the frame's
+cached trace detail, never the Frame or Endpoint objects, so records
+keep no frame alive.  TraceEvent views are built only when the trace is
+iterated, and text only in lines() and text().
+
 Fault injection covers the fail/stop and value-failure models: crash
 (endpoint falls silent forever), value-corruption (the value payload of
 every subsequent send is XORed with a mask), omission (next send is
@@ -59,7 +65,7 @@ import heapq
 import random
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Generator, Iterator, Optional
+from typing import Any, Callable, Generator, Iterator, NamedTuple, Optional
 
 from . import wire
 from .core import MemberId, NodeId, VotingFarmError
@@ -157,8 +163,10 @@ class FaultSpec:
             raise VotingFarmError("corruption fault needs a non-empty mask")
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
+    """Read-only view of one trace record, built only when the trace is
+    iterated."""
+
     t: int
     kind: str
     frm: str
@@ -171,17 +179,21 @@ class TraceEvent:
 
 
 class TraceLog:
-    """Ordered record of everything observable that happened."""
+    """Ordered record of everything observable that happened.
+
+    Each record is a plain (t, kind, frm, to, detail) tuple of one int
+    and four strings; iteration wraps them as TraceEvent views and
+    lines() and text() render them."""
 
     def __init__(self) -> None:
-        self.events: list[TraceEvent] = []
+        self.events: list[tuple[int, str, str, str, str]] = []
         self.max_time_exceeded = False
 
     def append(self, t: int, kind: str, frm: str = "-", to: str = "-", detail: str = "") -> None:
-        self.events.append(TraceEvent(t, kind, frm, to, detail))
+        self.events.append((t, kind, frm, to, detail))
 
     def lines(self) -> list[str]:
-        return [e.line for e in self.events]
+        return [f"t={t} {kind} {frm} {to} {detail}" for t, kind, frm, to, detail in self.events]
 
     def text(self) -> str:
         return "\n".join(self.lines()) + ("\n" if self.events else "")
@@ -189,12 +201,12 @@ class TraceLog:
     def count(self, kind: str | None = None, contains: str = "") -> int:
         return sum(
             1
-            for e in self.events
-            if (kind is None or e.kind == kind) and (contains in e.detail)
+            for _, k, _, _, detail in self.events
+            if (kind is None or k == kind) and (contains in detail)
         )
 
     def __iter__(self) -> Iterator[TraceEvent]:
-        return iter(self.events)
+        return map(TraceEvent._make, self.events)
 
     def __len__(self) -> int:
         return len(self.events)
@@ -204,25 +216,32 @@ class TraceLog:
 # Syscalls
 # --------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class Send:
-    to: Endpoint
-    data: wire.Frame
+    __slots__ = ("to", "data")
+
+    def __init__(self, to: Endpoint, data: wire.Frame) -> None:
+        self.to = to
+        self.data = data
 
 
-@dataclass(frozen=True)
 class Recv:
-    timeout: Optional[int] = None
+    __slots__ = ("timeout",)
+
+    def __init__(self, timeout: Optional[int] = None) -> None:
+        self.timeout = timeout
 
 
-@dataclass(frozen=True)
 class Sleep:
-    dt: int
+    __slots__ = ("dt",)
+
+    def __init__(self, dt: int) -> None:
+        self.dt = dt
 
 
-@dataclass(frozen=True)
 class Exit:
     """Terminate the calling process and retire its endpoint gracefully."""
+
+    __slots__ = ()
 
 
 class Proc:

@@ -100,6 +100,33 @@ def _find_file(name: str, search_dirs: tuple[str, ...]) -> str:
     raise ScenarioError(f"referenced file {name!r} not found")
 
 
+_COUNT_FIELDS = ("max_time", "delta_t", "delivery_delay", "jitter", "get_polls", "get_timeout")
+
+
+def _need_int(value, name: str) -> None:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ScenarioError(f"{name} must be an integer, got {value!r}")
+
+
+def _need_count(value, name: str) -> None:
+    _need_int(value, name)
+    if value < 0:
+        raise ScenarioError(f"{name} must be >= 0, got {value}")
+
+
+def _need_records(value, name: str) -> None:
+    if not isinstance(value, list) or not all(isinstance(item, dict) for item in value):
+        raise ScenarioError(f"{name} must be a list of objects, got {value!r}")
+
+
+def _hex_bytes(text) -> bytes:
+    """The bytes a hex string spells, or b"" if it is not one."""
+    try:
+        return bytes.fromhex(text)
+    except (ValueError, TypeError):
+        return b""
+
+
 def validate_scenario(spec: dict) -> dict:
     merged = {**_DEFAULTS, **spec}
     farm = merged.get("farm")
@@ -112,6 +139,9 @@ def validate_scenario(spec: dict) -> dict:
         validate_descriptor(desc)
     except (VotingFarmError, ValueError, TypeError, IndexError) as exc:
         raise ScenarioError(f"bad farm layout: {exc}") from exc
+    _need_int(merged["seed"], "seed")
+    for key in _COUNT_FIELDS:
+        _need_count(merged[key], key)
     if merged["delta_t"] <= merged["delivery_delay"] + merged["jitter"]:
         raise ScenarioError("delta_t must exceed the worst-case delivery delay")
     try:
@@ -120,11 +150,25 @@ def validate_scenario(spec: dict) -> dict:
         raise ScenarioError(f"bad algorithm selection: {exc}") from exc
     if merged["metric"] not in METRICS:
         raise ScenarioError(f"unknown metric {merged['metric']!r}")
+    _need_records(merged["faults"], "faults")
     for f in merged["faults"]:
         if f.get("kind") not in FAULT_KINDS:
             raise ScenarioError(f"unknown fault kind {f.get('kind')!r}")
         if f.get("role", "voter") not in ("voter", "user"):
             raise ScenarioError(f"fault role must be voter or user, got {f.get('role')!r}")
+        _need_count(f.get("at"), "fault at")
+        if "mask" in f and not _hex_bytes(f["mask"]):
+            raise ScenarioError(f"fault mask must be non-empty hex, got {f['mask']!r}")
+        if "delay" in f:
+            _need_int(f["delay"], "fault delay")
+    inputs = merged["inputs"]
+    if not isinstance(inputs, dict) or not all(node.isdigit() for node in inputs):
+        raise ScenarioError(f"inputs must map node numbers to lists, got {inputs!r}")
+    for node, items in inputs.items():
+        _need_records(items, f"inputs of node {node}")
+        for item in items:
+            _need_int(item.get("at"), "input at")
+    _need_records(merged["spares"], "spares")
     for spare in merged["spares"]:
         if "entity" not in spare or "node" not in spare:
             raise ScenarioError("each spare needs an entity and a node")
@@ -306,9 +350,9 @@ def run_scenario(spec: dict, search_dirs: tuple[str, ...] = ()) -> RunResult:
             FaultSpec(
                 kind=f["kind"],
                 target=target,
-                at_time=int(f["at"]),
+                at_time=f["at"],
                 mask=bytes.fromhex(f.get("mask", "ff")),
-                delay=int(f.get("delay", 0)),
+                delay=f.get("delay", 0),
             )
         )
 
@@ -367,12 +411,12 @@ def session_latency(result: RunResult, session: int) -> int:
         raise ScenarioError(f"no scheduled input for session {session}")
     t_in = times[session]
     done = [
-        ev.t
-        for ev in result.trace
-        if ev.kind == "deliver"
-        and ev.to.startswith("user")
+        t
+        for t, kind, _, to, detail in result.trace.events
+        if kind == "deliver"
+        and to.startswith("user")
         and {"status=VF_DONE", "detail=ok", f"session={session}"}
-        <= _detail_tokens(ev.detail)
+        <= _detail_tokens(detail)
     ]
     if not done:
         raise ScenarioError(f"session {session} never completed")
@@ -487,9 +531,9 @@ def _a_spmd_flag(result: RunResult, a: dict):
 def check_phase_grammar(result: RunResult) -> list[str]:
     """Per-voter phase reports must walk the automaton's cycle."""
     sequences: dict[str, list[str]] = {}
-    for ev in result.trace:
-        if ev.kind == "phase":
-            sequences.setdefault(ev.frm, []).append(ev.detail.split()[0])
+    for _, kind, frm, _, detail in result.trace.events:
+        if kind == "phase":
+            sequences.setdefault(frm, []).append(detail.split()[0])
     bad = []
     for ep, seq in sequences.items():
         if seq[0] != "VFP_INIT":

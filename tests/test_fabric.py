@@ -6,6 +6,7 @@ from first principles instead of trusting the scheduler.
 """
 
 import copy
+import dataclasses
 import gc
 import random
 import weakref
@@ -24,6 +25,8 @@ from votingfarm.fabric import (
     Sleep,
     TIMEOUT,
     TimeInPast,
+    TraceEvent,
+    TraceLog,
 )
 
 A = Endpoint(1, "user")
@@ -630,3 +633,40 @@ def test_post_bypasses_links():
     sim.post(A, B, msg("side-channel"))
     sim.run_until_quiescent()
     assert [tag for _, tag in received] == ["side-channel"]
+
+
+# -- trace records and syscalls ------------------------------------------------
+
+def test_trace_log_renders_and_counts_its_records():
+    log = TraceLog()
+    assert log.text() == "" and log.lines() == [] and list(log) == []
+    log.append(0, "send", "user@1", "user@2", "input tag=a")
+    log.append(3, "drop", "user@1", "user@2", "omission")
+    log.append(3, "revive", "user@2")
+    assert log.events[0] == (0, "send", "user@1", "user@2", "input tag=a")
+    events = list(log)
+    assert all(type(ev) is TraceEvent for ev in events)
+    assert [(ev.t, ev.kind, ev.frm, ev.to, ev.detail) for ev in events] == log.events
+    assert events[2] == TraceEvent(3, "revive", "user@2", "-", "")
+    assert log.lines() == [ev.line for ev in events] == [
+        "t=0 send user@1 user@2 input tag=a",
+        "t=3 drop user@1 user@2 omission",
+        "t=3 revive user@2 - ",
+    ]
+    assert log.text() == "\n".join(log.lines()) + "\n"
+    assert len(log) == 3
+    assert log.count() == 3
+    assert log.count("drop") == 1
+    assert log.count(contains="tag=a") == 1
+    assert log.count("send", contains="omission") == 0
+    assert log.count("revive", contains="") == 1
+
+
+@pytest.mark.parametrize("cls", [Send, Recv, Sleep, Exit])
+def test_syscalls_are_slotted_plain_classes(cls):
+    # One syscall is built per send or receive: no dataclass __init__
+    # and no per-instance __dict__.
+    assert "__slots__" in vars(cls)
+    assert not dataclasses.is_dataclass(cls)
+    args = {Send: (A, msg("x")), Recv: (5,), Sleep: (1,), Exit: ()}[cls]
+    assert not hasattr(cls(*args), "__dict__")

@@ -64,6 +64,22 @@ def test_resolve_missing_and_malformed(tmp_path):
         ({"faults": [{"kind": "crash", "role": "dirnet"}]}, "fault role"),
         ({"spares": [{"entity": 9}]}, "each spare needs"),
         ({"algorithm": {"kind": "borda"}}, "bad algorithm selection"),
+        ({"seed": 1.5}, "seed must be an integer"),
+        ({"max_time": None}, "max_time must be an integer"),
+        ({"jitter": True}, "jitter must be an integer"),
+        ({"get_polls": "8"}, "get_polls must be an integer"),
+        ({"delivery_delay": -5}, "delivery_delay must be >= 0"),
+        ({"get_timeout": -3}, "get_timeout must be >= 0"),
+        ({"faults": [{"kind": "crash", "entity": 1, "at": -1}]}, "fault at must be >= 0"),
+        ({"faults": [{"kind": "crash", "entity": 1, "at": "5"}]}, "fault at must be an integer"),
+        ({"faults": [{"kind": "value-corruption", "entity": 1, "at": 5, "mask": ""}]}, "fault mask"),
+        ({"faults": [{"kind": "delay", "entity": 1, "at": 5, "delay": 2.5}]}, "fault delay"),
+        ({"inputs": {"1": [{"value": "01"}]}}, "input at must be an integer"),
+        ({"inputs": [1]}, "inputs must map node numbers"),
+        ({"inputs": {"one": []}}, "inputs must map node numbers"),
+        ({"inputs": {"1": [5]}}, "inputs of node 1 must be a list of objects"),
+        ({"faults": ["x"]}, "faults must be a list of objects"),
+        ({"spares": [3]}, "spares must be a list of objects"),
     ],
 )
 def test_validate_rejects(mutation, message):
@@ -79,6 +95,18 @@ def test_bundled_scenarios_pass(name):
     result = run_scenario(spec, dirs)
     failed = [a for a in result.assertions if not a["ok"]]
     assert result.passed, failed
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_trace_records_are_plain_tuples(name):
+    # Records hold one int and four strings: no Frame or Endpoint that
+    # would keep a message alive for the whole run.
+    spec, dirs = load(name)
+    events = run_scenario(spec, dirs).trace.events
+    assert events
+    for record in events:
+        assert type(record) is tuple
+        assert [type(field) for field in record] == [int, str, str, str, str], record
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -259,6 +287,29 @@ def test_cli_run_malformed_scenario(tmp_path, capsys):
     bad = tmp_path / "broken.json"
     bad.write_text("[1, 2")
     assert cli.main(["run", str(bad)]) == 2
+
+
+@pytest.mark.parametrize(
+    "mutation,field",
+    [
+        ({"delta_t": "10"}, "delta_t"),
+        ({"faults": [{"kind": "crash", "entity": 1}]}, "fault at"),
+        ({"faults": [{"kind": "value-corruption", "entity": 1, "at": 5, "mask": "zz"}]}, "fault mask"),
+    ],
+    ids=["string_delta_t", "fault_without_at", "non_hex_mask"],
+)
+def test_cli_run_unusable_field_exits_2(tmp_path, capsys, mutation, field):
+    spec = {
+        "name": "bad_field",
+        "farm": [[1, 1], [2, 2], [3, 3]],
+        "inputs": {"1": [{"at": 10, "value": "01"}]},
+        **mutation,
+    }
+    path = tmp_path / "bad_field.json"
+    path.write_text(json.dumps(spec))
+    assert cli.main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("vf: ") and field in err
 
 
 def test_cli_run_failing_assertion(tmp_path, capsys):
