@@ -10,8 +10,9 @@ Four subcommands:
 * ``vf reliability``       reliability curves, crosspoints against the
                            non-redundant module, and a numeric check of
                            the analytic chain solutions;
-* ``vf perf``              crossbar schedule lengths and fits, resource
-                           counts, and the simulated latency table.
+* ``vf perf``              crossbar schedule lengths and fits, the
+                           exhaustive best schedule, resource counts,
+                           and the simulated latency table.
 
 Exit status: 0 success, 1 a check or assertion failed, 2 the request
 itself was unusable (bad arguments, unreadable file, bad scenario).
@@ -27,6 +28,8 @@ import numpy as np
 
 from .core import VotingFarmError
 from .perf import (
+    EXHAUSTIVE_LIMIT,
+    best_permutation,
     fit_polynomial,
     identity_permutation,
     one_cycled_permutation,
@@ -107,6 +110,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="crossbar port discipline")
     p_perf.add_argument("--steps", action="store_true",
                         help="print schedule lengths and polynomial fits")
+    p_perf.add_argument("--best", action="store_true",
+                        help="print the exhaustive search's best schedule for each N")
     p_perf.add_argument("--resources", action="store_true",
                         help="print voters,endpoints,links for each N")
     p_perf.add_argument("--table6", action="store_true",
@@ -249,6 +254,16 @@ def _cmd_perf(args) -> int:
             shape = "quadratic" if degree == 2 else "linear"
             _, r2 = fit_polynomial(sizes, steps, degree)
             print(f"fit {name}: {shape} R^2={r2:.6f}")
+    if args.best:
+        did_something = True
+        print(f"# best schedule, {args.mode} duplex "
+              f"(searched up to N={EXHAUSTIVE_LIMIT}, one-cycled above)")
+        print("N,order,relative,steps,one_cycled_steps")
+        for n in sizes:
+            perm, res = best_permutation(n, mode=args.mode)
+            cycled = schedule_steps(one_cycled_permutation(n), mode=args.mode)
+            order = " ".join(str(x) for x in perm.order)
+            print(f"{n},{order},{str(perm.relative).lower()},{res.steps},{cycled.steps}")
     if args.resources:
         did_something = True
         for n in sizes:
@@ -259,7 +274,7 @@ def _cmd_perf(args) -> int:
         rows = timing_harness(repeats=args.repeats, seed=args.seed)
         sys.stdout.write(table_text(rows))
     if not did_something:
-        raise VotingFarmError("pick at least one of --steps, --resources, --table6")
+        raise VotingFarmError("pick at least one of --steps, --best, --resources, --table6")
     return 0
 
 

@@ -21,20 +21,29 @@ sends to k+1, k+2, ... cyclically) finishes in exactly 3(N-1) steps and
 keeps 2/3 of the crossbar capacity busy.  Those two claims are what the
 regression tests pin down; the constants are properties of this model,
 not universal truths.
+
+An exhaustive search over both schedule families (best_permutation)
+checks how good one-cycled is.  In half duplex it finds exactly 3(N-1)
+steps for every 3 <= N <= 8, against a lower bound of 2(N-1): every
+node sends N-1 times and receives N-1 times.  In full duplex it beats
+one-cycled at N = 3 (5 steps against 6) and N = 4 (8 against 9).
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import statistics
-from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .core import ValidationError, VotingFarmError
 from .scenario import run_scenario, session_latency
+
+# Largest farm best_permutation searches by default: 2 * 8! candidates.
+EXHAUSTIVE_LIMIT = 8
 
 
 @dataclass(frozen=True)
@@ -52,6 +61,8 @@ class SchedulePermutation:
 
     def __post_init__(self) -> None:
         n = len(self.order)
+        if n < 1:
+            raise ValidationError("farm size must be at least 1")
         if sorted(self.order) != list(range(1, n + 1)):
             raise ValidationError(f"order must permute 1..{n}, got {self.order}")
 
@@ -93,59 +104,167 @@ def schedule_steps(perm: SchedulePermutation, mode: str = "half") -> ScheduleRes
     if mode not in ("half", "full"):
         raise ValidationError(f"unknown crossbar mode {mode!r}")
     n = perm.size
-    fifos = {k: deque(perm.targets(k)) for k in range(1, n + 1)}
-    counts = {k: 1 for k in range(1, n + 1)}  # everyone holds its own input
+    targets = [[]] + [perm.targets(k) for k in range(1, n + 1)]
+    sent = [0] * (n + 1)
+    counts = [1] * (n + 1)  # everyone holds its own input
+    # Senders with targets left that hold k messages, lowest ident first:
+    # sender 1 from the start, receiver t once its count reaches t.  While
+    # only senders 1..m have been ready, a node j > m + 1 holds at most m
+    # of the j - 1 receipts it needs, so only m + 1 can join next and
+    # appending keeps the list sorted.
+    ready = [1] if n > 1 else []
+    remaining = n * (n - 1)
     steps = 0
-    messages = 0
-    while any(fifos.values()):
+    while remaining:
         steps += 1
-        busy: set[int] = set()
+        busy = bytearray(n + 1)
         # In half duplex a receiving node is busy for sending too.
-        receiving = busy if mode == "half" else set()
-        transfers: list[tuple[int, int]] = []
-        for k in range(1, n + 1):
-            if not fifos[k] or counts[k] < k:
+        receiving = busy if mode == "half" else bytearray(n + 1)
+        received = []
+        for k in ready:
+            target = targets[k][sent[k]]
+            if busy[k] or receiving[target]:
                 continue
-            target = fifos[k][0]
-            if k in busy or target in receiving:
-                continue
-            busy.add(k)
-            receiving.add(target)
-            fifos[k].popleft()
-            transfers.append((k, target))
-        if not transfers:
+            busy[k] = receiving[target] = 1
+            sent[k] += 1
+            received.append(target)
+        if not received:
             raise VotingFarmError("schedule stalled; eligibility rule violated")
-        for _, target in transfers:
+        remaining -= len(received)
+        ready = [k for k in ready if sent[k] < n - 1]
+        for target in received:
             counts[target] += 1
-        messages += len(transfers)
+            if counts[target] == target:
+                ready.append(target)
     if steps == 0:
         return ScheduleResult(0, 0, 0.0)
+    messages = n * (n - 1)
     capacity = steps * n / 2 if mode == "half" else steps * n
     return ScheduleResult(steps, messages, messages / capacity)
 
 
+def _batch_steps(targets: np.ndarray, mode: str, limit: int) -> np.ndarray:
+    """Step counts of many schedules, simulated side by side.
+
+    targets[p, k] is sender k's target list in candidate p (row 0 is
+    unused).  Each step visits senders 1..N in order, vectorized over
+    the candidates, so contention resolves lowest sender first exactly
+    as in schedule_steps.  A candidate still running after `limit`
+    steps gets limit + 1.  State is int8, which holds N < 127.
+    """
+    size, n1, width = targets.shape
+    n = n1 - 1
+    table = targets.reshape(-1)
+    list_base = np.arange(size) * (n1 * width)
+    node_base = np.arange(size) * n1
+    idents = np.arange(n1, dtype=np.int8)[:, None]
+    sent = np.zeros((n1, size), np.int8)
+    counts = np.ones((n1, size), np.int8)
+    # What each node does this step: 0 idle, bit 0 sending, bit 1 receiving.
+    role = np.zeros((size, n1), np.int8)
+    flat_role = role.reshape(-1)
+    remaining = np.full(size, n * width)
+    steps = np.full(size, limit + 1)
+    steps[remaining == 0] = 0
+    for step in range(1, limit + 1):
+        running = remaining > 0
+        if not running.any():
+            break
+        ready = (counts >= idents) & (sent < width)
+        role[:] = 0
+        for k in range(1, n1):
+            # A finished sender reads past its list (clipped at the end of
+            # the table); it is not ready, so what it reads is never used.
+            slot = node_base + table.take(list_base + (k * width) + sent[k], mode="clip")
+            target = flat_role.take(slot)
+            # Half duplex needs both ends idle; full duplex only a target
+            # that is not receiving yet.
+            if mode == "half":
+                ok = ready[k] & (role[:, k] == 0) & (target == 0)
+            else:
+                ok = ready[k] & (target < 2)
+            flat_role[slot[ok]] = 2
+            role[:, k] |= ok
+            sent[k] += ok
+        received = role[:, 1:] >> 1
+        # Summed in int8: widening would allocate a (P, N) int64 copy.
+        moved = received.sum(axis=1, dtype=np.int8)
+        if (running & (moved == 0)).any():
+            raise VotingFarmError("schedule stalled; eligibility rule violated")
+        counts[1:] += received.T
+        remaining -= moved
+        steps[running & (remaining == 0)] = step
+    return steps
+
+
+def _candidate_blocks(n: int):
+    """Every candidate order, in blocks that share a leading element.
+
+    Blocks come relative first, then absolute, and rows within a block
+    follow itertools.permutations order, so the concatenation is the
+    order the search tie-breaks by.
+    """
+    rows = math.factorial(n - 1)
+    tails = np.fromiter(
+        itertools.chain.from_iterable(itertools.permutations(range(n - 1))),
+        np.int8,
+        count=rows * (n - 1),
+    ).reshape(rows, n - 1)
+    for relative in (True, False):
+        for lead in range(1, n + 1):
+            orders = np.empty((rows, n), np.int8)
+            orders[:, 0] = lead
+            tail = orders[:, 1:]
+            np.add(tails, 1, out=tail)
+            tail += tail >= lead  # skip the leading element
+            yield relative, orders
+
+
+def _block_targets(orders: np.ndarray, relative: bool) -> np.ndarray:
+    """The (P, N+1, N-1) target table of SchedulePermutation.targets."""
+    size, n = orders.shape
+    table = np.zeros((size, n + 1, n - 1), np.int8)
+    for k in range(1, n + 1):
+        seq = (orders + (k - 2)) % n + 1 if relative else orders
+        table[:, k] = seq[seq != k].reshape(size, n - 1)
+    return table
+
+
 def best_permutation(
-    n: int, mode: str = "half", exhaustive_limit: int = 8
+    n: int, mode: str = "half", exhaustive_limit: int = EXHAUSTIVE_LIMIT
 ) -> tuple[SchedulePermutation, ScheduleResult]:
     """Lowest-step schedule.
 
-    Exhaustive over both families up to the limit (2 * n! candidates);
-    beyond that the one-cycled schedule is returned as the heuristic
-    answer - it is provably within the searched optimum for every n we
-    can check.
+    Exhaustive over both families up to the limit (2 * n! candidates,
+    relative orders first, each family in itertools.permutations order;
+    the first candidate with the fewest steps wins).  Beyond the limit
+    the one-cycled schedule is returned unsearched.
+
+    What the search finds: in half duplex one-cycled is optimal, at
+    exactly 3(n-1) steps, for every 3 <= n <= 8; the lower bound is
+    2(n-1), since every node sends n-1 times and receives n-1 times.
+    In full duplex one-cycled is not always optimal: n = 3 takes 5 steps
+    with absolute order (1, 2, 3) against its 6, and n = 4 takes 8 with
+    relative order (1, 2, 4, 3) against its 9.
     """
-    one_cycled = one_cycled_permutation(n)
+    best_perm = one_cycled_permutation(n)
+    best = schedule_steps(best_perm, mode)
     if n > exhaustive_limit:
-        return one_cycled, schedule_steps(one_cycled, mode)
-    best: Optional[tuple[SchedulePermutation, ScheduleResult]] = None
-    for relative in (True, False):
-        for order in itertools.permutations(range(1, n + 1)):
-            perm = SchedulePermutation(order, relative)
-            result = schedule_steps(perm, mode)
-            if best is None or result.steps < best[1].steps:
-                best = (perm, result)
-    assert best is not None
-    return best
+        return best_perm, best
+    # One-cycled is the first candidate, so a later one wins only with
+    # strictly fewer steps, and one still running after best - 1 steps
+    # cannot win.
+    best_steps, winner = best.steps, None
+    for relative, orders in _candidate_blocks(n):
+        steps = _batch_steps(_block_targets(orders, relative), mode, best_steps - 1)
+        i = int(np.argmin(steps))
+        if steps[i] < best_steps:
+            best_steps, winner = int(steps[i]), (orders[i], relative)
+    if winner is None:
+        return best_perm, best
+    order, relative = winner
+    best_perm = SchedulePermutation(tuple(int(x) for x in order), relative)
+    return best_perm, schedule_steps(best_perm, mode)
 
 
 def fit_polynomial(ns: Sequence[int], values: Sequence[float], degree: int):

@@ -1,10 +1,18 @@
 """Broadcast-stage scheduling and farm resource accounting."""
 
+import itertools
+from collections import deque
+
+import numpy as np
 import pytest
 
 from votingfarm.core import ValidationError
 from votingfarm.perf import (
     SchedulePermutation,
+    ScheduleResult,
+    _batch_steps,
+    _block_targets,
+    _candidate_blocks,
     best_permutation,
     fit_polynomial,
     identity_permutation,
@@ -21,6 +29,68 @@ from votingfarm.perf import (
 ONE_CYCLED_STEPS = {4: 9, 8: 21, 16: 45, 32: 93, 64: 189}
 IDENTITY_STEPS = {4: 11, 8: 47, 16: 191, 32: 767, 64: 3071}
 
+# Closed forms that match every size 4..128 of the schedule model; the
+# messages are always n(n-1), so these pin each ScheduleResult field.
+CLOSED_FORM_STEPS = {
+    ("half", "identity"): lambda n: (3 * n * n + 3) // 4 - 1,
+    ("full", "identity"): lambda n: n * (n + 1) // 2 - 1,
+    ("half", "one_cycled"): lambda n: 3 * (n - 1),
+    ("full", "one_cycled"): lambda n: 3 * (n - 1),
+}
+FAMILIES = {"identity": identity_permutation, "one_cycled": one_cycled_permutation}
+
+# best_permutation winners as (order, relative, steps, messages,
+# utilization).  In full duplex at n = 3 and 4 the winner is not
+# one-cycled, so those rows pin the first-minimum tie-break.
+BEST = {
+    ("half", 1): ((1,), True, 0, 0, 0.0),
+    ("half", 2): ((1, 2), True, 2, 2, 1.0),
+    ("half", 3): ((1, 2, 3), True, 6, 6, 2 / 3),
+    ("half", 4): ((1, 2, 3, 4), True, 9, 12, 2 / 3),
+    ("half", 5): ((1, 2, 3, 4, 5), True, 12, 20, 2 / 3),
+    ("half", 6): ((1, 2, 3, 4, 5, 6), True, 15, 30, 2 / 3),
+    ("half", 7): ((1, 2, 3, 4, 5, 6, 7), True, 18, 42, 2 / 3),
+    ("full", 1): ((1,), True, 0, 0, 0.0),
+    ("full", 2): ((1, 2), True, 2, 2, 0.5),
+    ("full", 3): ((1, 2, 3), False, 5, 6, 0.4),
+    ("full", 4): ((1, 2, 4, 3), True, 8, 12, 0.375),
+    ("full", 5): ((1, 2, 3, 4, 5), True, 12, 20, 1 / 3),
+    ("full", 6): ((1, 2, 3, 4, 5, 6), True, 15, 30, 1 / 3),
+    ("full", 7): ((1, 2, 3, 4, 5, 6, 7), True, 18, 42, 1 / 3),
+}
+
+
+def reference_steps(perm, mode):
+    """Reference for schedule_steps: every step visits all N senders in
+    ident order and skips those not ready."""
+    n = perm.size
+    fifos = {k: deque(perm.targets(k)) for k in range(1, n + 1)}
+    counts = {k: 1 for k in range(1, n + 1)}
+    steps = messages = 0
+    while any(fifos.values()):
+        steps += 1
+        busy = set()
+        receiving = busy if mode == "half" else set()
+        transfers = []
+        for k in range(1, n + 1):
+            if not fifos[k] or counts[k] < k:
+                continue
+            target = fifos[k][0]
+            if k in busy or target in receiving:
+                continue
+            busy.add(k)
+            receiving.add(target)
+            fifos[k].popleft()
+            transfers.append(target)
+        assert transfers, "schedule stalled"
+        for target in transfers:
+            counts[target] += 1
+        messages += len(transfers)
+    if steps == 0:
+        return ScheduleResult(0, 0, 0.0)
+    capacity = steps * n / 2 if mode == "half" else steps * n
+    return ScheduleResult(steps, messages, messages / capacity)
+
 
 class TestPermutations:
     def test_order_must_be_a_permutation(self):
@@ -28,6 +98,14 @@ class TestPermutations:
             SchedulePermutation((1, 2, 2))
         with pytest.raises(ValidationError):
             SchedulePermutation((0, 1, 2))
+
+    @pytest.mark.parametrize("n", [0, -1])
+    @pytest.mark.parametrize(
+        "build", [identity_permutation, one_cycled_permutation, best_permutation]
+    )
+    def test_farm_size_below_one_rejected(self, build, n):
+        with pytest.raises(ValidationError):
+            build(n)
 
     def test_absolute_targets_skip_self(self):
         perm = identity_permutation(4)
@@ -63,6 +141,14 @@ class TestSchedules:
         _, r2_lin_on_quad = fit_polynomial(ns, [IDENTITY_STEPS[n] for n in ns], 1)
         assert r2_lin_on_quad < 0.999
 
+    @pytest.mark.parametrize("mode,family", sorted(CLOSED_FORM_STEPS))
+    def test_closed_forms_for_every_size(self, mode, family):
+        for n in range(4, 129):
+            result = schedule_steps(FAMILIES[family](n), mode)
+            steps = CLOSED_FORM_STEPS[mode, family](n)
+            capacity = steps * n / 2 if mode == "half" else steps * n
+            assert result == ScheduleResult(steps, n * (n - 1), n * (n - 1) / capacity), n
+
     def test_degenerate_sizes(self):
         assert schedule_steps(one_cycled_permutation(1)).steps == 0
         assert schedule_steps(one_cycled_permutation(2)).steps == 2
@@ -94,6 +180,34 @@ class TestBestPermutation:
             for order in itertools.permutations(range(1, 5)):
                 result = schedule_steps(SchedulePermutation(order, relative))
                 assert result.steps >= best.steps
+
+    @pytest.mark.parametrize("mode,n", sorted(BEST))
+    def test_pinned_winners(self, mode, n):
+        perm, result = best_permutation(n, mode)
+        order, relative, steps, messages, utilization = BEST[mode, n]
+        assert (perm.order, perm.relative) == (order, relative)
+        assert result == ScheduleResult(steps, messages, utilization)
+
+    @pytest.mark.parametrize("mode", ["half", "full"])
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_batched_engine_matches_schedule_steps(self, mode, n):
+        perms = [
+            SchedulePermutation(order, relative)
+            for relative in (True, False)
+            for order in itertools.permutations(range(1, n + 1))
+        ]
+        table = np.zeros((len(perms), n + 1, n - 1), np.int8)
+        for row, perm in zip(table, perms):
+            for k in range(1, n + 1):
+                row[k] = perm.targets(k)
+        # The search's blocks list the same candidates in the same order.
+        blocks = [_block_targets(orders, rel) for rel, orders in _candidate_blocks(n)]
+        assert np.array_equal(np.concatenate(blocks), table)
+        results = [schedule_steps(perm, mode) for perm in perms]
+        assert results == [reference_steps(perm, mode) for perm in perms]
+        # Every step moves a message, so n(n-1) + 1 steps is never reached.
+        steps = _batch_steps(table, mode, n * (n - 1) + 1)
+        assert steps.tolist() == [result.steps for result in results]
 
     def test_large_sizes_fall_back_to_one_cycled(self):
         perm, result = best_permutation(64)

@@ -443,6 +443,17 @@ def test_cli_perf_steps_skips_a_fit_without_spare_points(capsys, sizes, skipped)
     assert captured.err == ""
 
 
+def test_cli_perf_best(capsys):
+    assert cli.main(["perf", "--best", "--N", "3,4", "--mode", "full"]) == 0
+    lines = capsys.readouterr().out.strip().split("\n")
+    assert lines[0].startswith("# best schedule, full duplex")
+    assert lines[1:] == [
+        "N,order,relative,steps,one_cycled_steps",
+        "3,1 2 3,false,5,6",
+        "4,1 2 4 3,true,8,9",
+    ]
+
+
 def test_cli_perf_unknown_permutation(capsys):
     assert cli.main(["perf", "--steps", "--perm", "zigzag"]) == 2
 
