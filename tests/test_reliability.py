@@ -139,6 +139,74 @@ class TestMarkov:
                 assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
+class TestPropagator:
+    """The default solver against the DOP853 path and the closed forms."""
+
+    GRIDS = {
+        "non-uniform": (0.9, 0.4, np.array([0.0, 0.01, 0.05, 0.3, 0.31, 1.2, 2.0, 4.5])),
+        "repeated-times": (1.3, 0.7, np.array([0.0, 0.0, 0.5, 0.5, 0.5, 1.0, 2.5, 2.5])),
+        "first-time-above-zero": (0.6, 0.2, np.array([1.5, 2.0, 2.5, 5.0])),
+        "single-point": (2.0, 0.9, np.array([1.75])),
+    }
+
+    @staticmethod
+    def _check(lam, C, t):
+        model = MarkovModel(lam=lam, C=C)
+        p = markov_solve(model, t)
+        assert p.shape == (len(t), len(STATES))
+        assert np.max(np.abs(p - markov_solve(model, t, method="ivp"))) < 1e-9
+        for name, values in closed_forms(lam, C, t).items():
+            got = p[:, STATES.index(name)]
+            assert np.max(np.abs(got - values)) < 1e-13, name
+
+    @pytest.mark.parametrize("name", sorted(GRIDS))
+    def test_grid(self, name):
+        self._check(*self.GRIDS[name])
+
+    def test_models_grid(self):
+        t = np.linspace(0.0, 4000.0, 50)
+        for C in np.linspace(0.0, 1.0, 25):
+            self._check(1e-3, float(C), t)
+
+    def test_a_zero_step_repeats_the_row_exactly(self):
+        lam, C, t = self.GRIDS["repeated-times"]
+        model = MarkovModel(lam=lam, C=C)
+        p = markov_solve(model, t)
+        for i in np.flatnonzero(np.diff(t) == 0.0):
+            assert np.array_equal(p[i], p[i + 1])
+        assert np.array_equal(p[0], model.initial)
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("bad", [np.nan, [0.5, np.nan]])
+    def test_unit_check_rejects_nan(self, bad):
+        with pytest.raises(DomainError):
+            r_tmr(bad)
+        with pytest.raises(DomainError):
+            r_tmr_1spare(bad, 0.5)
+        with pytest.raises(DomainError):
+            r_tmr_1spare(0.5, bad)
+
+    @pytest.mark.parametrize("lam", [np.nan, np.inf, -np.inf, -1.0])
+    def test_model_needs_a_finite_positive_rate(self, lam):
+        with pytest.raises(DomainError):
+            MarkovModel(lam=lam, C=0.5)
+
+    def test_model_rejects_nan_coverage(self):
+        with pytest.raises(DomainError):
+            MarkovModel(lam=1.0, C=np.nan)
+
+    @pytest.mark.parametrize("method", ["expm", "ivp"])
+    @pytest.mark.parametrize(
+        "grid",
+        [[0.0, np.nan], [np.nan], [0.0, np.inf], [-1.0, 0.0], [[0.0, 1.0]]],
+        ids=["nan-after-zero", "nan-alone", "inf", "negative", "two-dimensional"],
+    )
+    def test_solver_rejects_bad_times(self, grid, method):
+        with pytest.raises(ValidationError):
+            markov_solve(MarkovModel(lam=1.0, C=0.5), grid, method=method)
+
+
 class TestCrosspoints:
     def test_voted_triple_crosses_simplex_at_half(self):
         x = crosspoint(r_tmr, simplex, (0.2, 0.8))
@@ -172,6 +240,15 @@ class TestCurveExport:
             # difference from them can be off by one ulp of the format
             assert float(delta) == pytest.approx(float(spare) - float(base), abs=2e-9)
             assert float(delta) >= -1e-9
+
+    @pytest.mark.parametrize("step", [0.0, -0.01, 1.5, np.nan])
+    def test_step_outside_the_unit_interval_is_rejected(self, step):
+        with pytest.raises(ValidationError):
+            curve_export([0.5], step=step)
+
+    def test_step_of_one_gives_the_endpoints(self):
+        data = [ln for ln in curve_export([0.5], step=1.0).split("\n") if ln[:1].isdigit()]
+        assert [ln.split(",")[0] for ln in data] == ["0.00", "1.00"]
 
     def test_rows_cover_the_unit_interval(self):
         text = curve_export([0.2])

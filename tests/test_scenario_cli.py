@@ -394,6 +394,25 @@ def test_cli_reliability_verify_markov(capsys):
     assert "OK" in out.strip().split("\n")[-1]
 
 
+@pytest.mark.parametrize(
+    "args",
+    [["--lambda", "nan"], ["--lambda", "inf"], ["--C", "nan"], ["--C", "0.5,nan"]],
+)
+def test_cli_reliability_rejects_non_finite_inputs(capsys, args):
+    assert cli.main(["reliability", "--verify-markov", *args]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("vf: ")
+    assert "OK" not in captured.out
+
+
+@pytest.mark.parametrize("grid", ["0", "-0.01", "1.5", "nan"])
+def test_cli_reliability_rejects_a_bad_grid(capsys, grid):
+    assert cli.main(["reliability", "--C", "0.5", "--grid", grid]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("vf: curve step must lie in (0, 1]")
+
+
 def test_cli_reliability_curves_with_zero_coverage(capsys):
     assert cli.main(["reliability", "--C", "0", "--grid", "0.1"]) == 0
     out = capsys.readouterr().out
