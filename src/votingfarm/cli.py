@@ -40,6 +40,8 @@ from .perf import (
 )
 from .recovery import compile_program, disassemble, parse_rl
 from .reliability import (
+    check_curve_step,
+    check_rate,
     crosspoint,
     curve_export,
     markov_reliability,
@@ -166,13 +168,19 @@ def _cmd_rl(args) -> int:
 
 def _parse_c_list(text: str) -> list[float]:
     try:
-        return [float(v) for v in text.split(",") if v.strip() != ""]
+        values = [float(v) for v in text.split(",") if v.strip() != ""]
     except ValueError as exc:
         raise VotingFarmError(f"bad --C list {text!r}: {exc}") from exc
+    if not values:
+        raise VotingFarmError(f"bad --C list {text!r}: need one or more coverage values")
+    return values
 
 
 def _cmd_reliability(args) -> int:
     c_values = _parse_c_list(args.C)
+    # Every option is checked, also one the chosen mode does not use.
+    check_rate(args.lam)
+    check_curve_step(args.grid)
     if args.crosspoints:
         r0 = crosspoint(r_tmr, simplex, (1e-6, 1 - 1e-9))
         print(f"triple-vs-simplex R={r0:.6f}")

@@ -113,7 +113,8 @@ def schedule_steps(perm: SchedulePermutation, mode: str = "half") -> ScheduleRes
     # of the j - 1 receipts it needs, so only m + 1 can join next and
     # appending keeps the list sorted.
     ready = [1] if n > 1 else []
-    remaining = n * (n - 1)
+    last = n - 1
+    remaining = n * last
     steps = 0
     while remaining:
         steps += 1
@@ -121,17 +122,23 @@ def schedule_steps(perm: SchedulePermutation, mode: str = "half") -> ScheduleRes
         # In half duplex a receiving node is busy for sending too.
         receiving = busy if mode == "half" else bytearray(n + 1)
         received = []
+        finished = False
         for k in ready:
+            if busy[k]:
+                continue
             target = targets[k][sent[k]]
-            if busy[k] or receiving[target]:
+            if receiving[target]:
                 continue
             busy[k] = receiving[target] = 1
             sent[k] += 1
+            if sent[k] == last:
+                finished = True
             received.append(target)
         if not received:
             raise VotingFarmError("schedule stalled; eligibility rule violated")
         remaining -= len(received)
-        ready = [k for k in ready if sent[k] < n - 1]
+        if finished:
+            ready = [k for k in ready if sent[k] < last]
         for target in received:
             counts[target] += 1
             if counts[target] == target:
@@ -147,53 +154,91 @@ def _batch_steps(targets: np.ndarray, mode: str, limit: int) -> np.ndarray:
     """Step counts of many schedules, simulated side by side.
 
     targets[p, k] is sender k's target list in candidate p (row 0 is
-    unused).  Each step visits senders 1..N in order, vectorized over
-    the candidates, so contention resolves lowest sender first exactly
-    as in schedule_steps.  A candidate still running after `limit`
-    steps gets limit + 1.  State is int8, which holds N < 127.
+    unused).  Each step visits the senders that can act in ident order,
+    vectorized over the candidates, so contention resolves lowest sender
+    first exactly as in schedule_steps.  A candidate that cannot finish
+    within `limit` steps gets limit + 1.
+
+    Before each step, a candidate whose lower bound on the steps it
+    still needs exceeds the steps left is dropped and its rows are
+    compacted away.  The bound never drops a candidate that could finish
+    in time, so every count equals running all candidates to the limit:
+
+      - half duplex: a node takes part in one transfer per step, so it
+        needs at least its sends left plus its receipts left;
+      - full duplex: a node receives at most once per step, and sender k
+        sends at most once per step and only once it holds k messages,
+        counting a receipt at the end of its step, so it needs at least
+        max(receipts left, sends left + receipts still missing before
+        its first send);
+      - the whole farm: a step moves at most N//2 messages in half
+        duplex and N in full, and each message left is a receipt left.
+
+    State is int8, which holds these bounds for N <= 64.
     """
     size, n1, width = targets.shape
     n = n1 - 1
     table = targets.reshape(-1)
-    list_base = np.arange(size) * (n1 * width)
-    node_base = np.arange(size) * n1
-    idents = np.arange(n1, dtype=np.int8)[:, None]
+    idents = np.arange(1, n1, dtype=np.int8)[:, None]
+    per_step = n // 2 if mode == "half" else n
+    steps = np.full(size, limit + 1)
+    index = np.arange(size)  # the candidate in each live row
     sent = np.zeros((n1, size), np.int8)
     counts = np.ones((n1, size), np.int8)
-    # What each node does this step: 0 idle, bit 0 sending, bit 1 receiving.
-    role = np.zeros((size, n1), np.int8)
-    flat_role = role.reshape(-1)
     remaining = np.full(size, n * width)
-    steps = np.full(size, limit + 1)
-    steps[remaining == 0] = 0
-    for step in range(1, limit + 1):
-        running = remaining > 0
-        if not running.any():
-            break
-        ready = (counts >= idents) & (sent < width)
-        role[:] = 0
-        for k in range(1, n1):
+    role = None
+    for done in range(limit + 1):
+        left = limit - done
+        if mode == "half":
+            need = (width - sent[1:]) + (n - counts[1:])
+        else:
+            wait = np.maximum(idents - counts[1:], 0)
+            need = np.maximum(n - counts[1:], (width - sent[1:]) + wait)
+        lower = need.max(axis=0)
+        live = (lower > 0) & (lower <= left) & (remaining <= per_step * left)
+        if not live.all():
+            steps[index[lower == 0]] = done
+            if not live.any():
+                break
+            index, remaining = index[live], remaining[live]
+            sent, counts = sent[:, live], counts[:, live]
+            role = None
+        if role is None:
+            size = index.size
+            list_base = index * (n1 * width)
+            rows = np.arange(size)
+            # What each node does this step: 0 idle, bit 0 sending, bit 1
+            # receiving; node t of row p sits at flat slot t * size + p.
+            role = np.zeros((n1, size), np.int8)
+            flat_role = role.reshape(-1)
+        else:
+            role[:] = 0
+        ready = (counts[1:] >= idents) & (sent[1:] < width)
+        for k, can_act in enumerate(ready.any(axis=1).tolist(), 1):
+            if not can_act:
+                continue
             # A finished sender reads past its list (clipped at the end of
             # the table); it is not ready, so what it reads is never used.
-            slot = node_base + table.take(list_base + (k * width) + sent[k], mode="clip")
-            target = flat_role.take(slot)
+            target = table.take(list_base + (k * width) + sent[k], mode="clip")
+            slot = np.multiply(target, size, dtype=np.intp)
+            slot += rows
+            at_target = flat_role.take(slot)
             # Half duplex needs both ends idle; full duplex only a target
             # that is not receiving yet.
             if mode == "half":
-                ok = ready[k] & (role[:, k] == 0) & (target == 0)
+                ok = ready[k - 1] & (role[k] == 0) & (at_target == 0)
             else:
-                ok = ready[k] & (target < 2)
+                ok = ready[k - 1] & (at_target < 2)
             flat_role[slot[ok]] = 2
-            role[:, k] |= ok
+            role[k] |= ok
             sent[k] += ok
-        received = role[:, 1:] >> 1
-        # Summed in int8: widening would allocate a (P, N) int64 copy.
-        moved = received.sum(axis=1, dtype=np.int8)
-        if (running & (moved == 0)).any():
+        received = role[1:] >> 1
+        # Summed in int8: widening would allocate an (N, P) int64 copy.
+        moved = received.sum(axis=0, dtype=np.int8)
+        if (moved == 0).any():
             raise VotingFarmError("schedule stalled; eligibility rule violated")
-        counts[1:] += received.T
+        counts[1:] += received
         remaining -= moved
-        steps[running & (remaining == 0)] = step
     return steps
 
 
@@ -238,7 +283,9 @@ def best_permutation(
     Exhaustive over both families up to the limit (2 * n! candidates,
     relative orders first, each family in itertools.permutations order;
     the first candidate with the fewest steps wins).  Beyond the limit
-    the one-cycled schedule is returned unsearched.
+    the one-cycled schedule is returned unsearched.  A candidate is
+    dropped as soon as a lower bound on its steps shows it cannot beat
+    the best so far (branch and bound), so most stop after a few steps.
 
     What the search finds: in half duplex one-cycled is optimal, at
     exactly 3(n-1) steps, for every 3 <= n <= 8; the lower bound is
@@ -252,8 +299,8 @@ def best_permutation(
     if n > exhaustive_limit:
         return best_perm, best
     # One-cycled is the first candidate, so a later one wins only with
-    # strictly fewer steps, and one still running after best - 1 steps
-    # cannot win.
+    # strictly fewer steps, and one that cannot finish within best - 1
+    # steps cannot win.
     best_steps, winner = best.steps, None
     for relative, orders in _candidate_blocks(n):
         steps = _batch_steps(_block_targets(orders, relative), mode, best_steps - 1)

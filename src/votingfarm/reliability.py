@@ -44,6 +44,18 @@ def _check_unit(name: str, value) -> None:
         raise DomainError(f"{name} must lie in [0, 1], got {value!r}")
 
 
+def check_rate(lam: float) -> None:
+    """Reject a module failure rate that is not finite and positive."""
+    if not 0.0 < lam < np.inf:
+        raise DomainError(f"lambda must be finite and positive, got {lam}")
+
+
+def check_curve_step(step: float) -> None:
+    """Reject an R step for curve_export outside (0, 1]."""
+    if not 0.0 < step <= 1.0:
+        raise ValidationError(f"curve step must lie in (0, 1], got {step!r}")
+
+
 def r_tmr(R):
     """Reliability of a 2-out-of-3 voted system with component reliability R."""
     _check_unit("R", R)
@@ -91,8 +103,7 @@ class MarkovModel:
     C: float
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.lam < np.inf:
-            raise DomainError(f"lambda must be finite and positive, got {self.lam}")
+        check_rate(self.lam)
         _check_unit("C", self.C)
 
     def generator(self) -> np.ndarray:
@@ -232,8 +243,7 @@ def curve_export(C_values: Iterable[float], step: float = 0.01) -> str:
     One block per coverage value; columns are R, the plain voted-triple
     curve, the one-spare curve, and their difference.
     """
-    if not 0.0 < step <= 1.0:
-        raise ValidationError(f"curve step must lie in (0, 1], got {step!r}")
+    check_curve_step(step)
     lines = []
     grid = np.arange(0.0, 1.0 + step / 2, step)
     for C in C_values:

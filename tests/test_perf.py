@@ -205,9 +205,14 @@ class TestBestPermutation:
         assert np.array_equal(np.concatenate(blocks), table)
         results = [schedule_steps(perm, mode) for perm in perms]
         assert results == [reference_steps(perm, mode) for perm in perms]
-        # Every step moves a message, so n(n-1) + 1 steps is never reached.
-        steps = _batch_steps(table, mode, n * (n - 1) + 1)
-        assert steps.tolist() == [result.steps for result in results]
+        # Every step moves a message, so n(n-1) + 1 steps is never reached
+        # and nothing is dropped.  Below one-cycled some candidates are
+        # dropped; at 2(n-1) - 1, under the per-node lower bound, all are.
+        cycled = schedule_steps(one_cycled_permutation(n), mode).steps
+        optimum = best_permutation(n, mode)[1].steps
+        for limit in (n * (n - 1) + 1, cycled - 1, optimum, 2 * (n - 1) - 1):
+            steps = _batch_steps(table, mode, limit)
+            assert steps.tolist() == [min(r.steps, limit + 1) for r in results]
 
     def test_large_sizes_fall_back_to_one_cycled(self):
         perm, result = best_permutation(64)

@@ -413,6 +413,31 @@ def test_cli_reliability_rejects_a_bad_grid(capsys, grid):
     assert captured.err.startswith("vf: curve step must lie in (0, 1]")
 
 
+@pytest.mark.parametrize("mode", [[], ["--crosspoints"], ["--verify-markov"]])
+@pytest.mark.parametrize("c_list", [",", " , "])
+def test_cli_reliability_rejects_an_empty_coverage_list(capsys, mode, c_list):
+    assert cli.main(["reliability", *mode, "--C", c_list]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("vf: bad --C list")
+
+
+@pytest.mark.parametrize(
+    "args,error",
+    [
+        (["--verify-markov", "--grid", "0"], "curve step"),
+        (["--crosspoints", "--grid", "1.5"], "curve step"),
+        (["--crosspoints", "--lambda", "-1"], "lambda"),
+        (["--C", "0.5", "--lambda", "0"], "lambda"),
+    ],
+)
+def test_cli_reliability_checks_options_the_mode_does_not_use(capsys, args, error):
+    assert cli.main(["reliability", *args]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"vf: {error}")
+
+
 def test_cli_reliability_curves_with_zero_coverage(capsys):
     assert cli.main(["reliability", "--C", "0", "--grid", "0.1"]) == 0
     out = capsys.readouterr().out
