@@ -19,7 +19,8 @@ to the fabric by yielding syscall objects:
                          discarded for a dead peer)
     Recv(timeout)        oldest pending message as (sender, frame), or
                          the TIMEOUT sentinel after exactly `timeout`
-                         units; timeout None waits forever
+                         units (a negative timeout counts as 0);
+                         timeout None waits forever
     Sleep(dt)            advance local time
     Exit()               end the process and retire its endpoint
 
@@ -30,7 +31,19 @@ Scheduling is fully deterministic: events are ordered by (time, seq)
 where seq increases monotonically as events are created, so two runs of
 the same scenario with the same seed produce byte-identical traces.
 Delivery order per (sender, receiver) pair is FIFO even under
-injected delays and jitter.
+injected delays and jitter.  No event is scheduled before the current
+time.
+
+A blocking send is one event at its delivery time: it delivers the
+frame (unless an omission dropped it) and then resumes the sender, so
+nothing can run between the two.  A timed Recv takes its seq when the
+wait starts; that (time, seq) deadline is where its timeout fires.
+Each process has at most one live timer in the queue, since most waits
+end by a delivery long before they expire: a wait arms a timer only
+when the process has none, or only a later one.  When a timer pops, it
+times out the wait it belongs to, re-arms the later deadline of the
+wait now running, or is dropped; a timer superseded by an earlier one
+is dropped too.
 
 The trace records each event as a plain (t, kind, frm, to, detail)
 tuple of one int and four strings: endpoint names and the frame's
@@ -246,7 +259,11 @@ class Exit:
 
 class Proc:
     """One process: the handle its generator gets and the record the
-    scheduler steps.  It runs exactly while its endpoint's slot holds it."""
+    scheduler steps.  It runs exactly while its endpoint's slot holds it.
+    deadline is the timer entry of its wait (None if untimed) and timer
+    the one entry it has in the queue, if any."""
+
+    __slots__ = ("sim", "endpoint", "gen", "finished", "waiting", "deadline", "timer")
 
     def __init__(self, sim: "Simulator", endpoint: Endpoint):
         self.sim = sim
@@ -254,7 +271,8 @@ class Proc:
         self.gen: Optional[Generator] = None
         self.finished = False
         self.waiting = False
-        self.wait_epoch = 0
+        self.deadline: Optional[tuple] = None
+        self.timer: Optional[tuple] = None
 
     @property
     def now(self) -> int:
@@ -288,7 +306,7 @@ class Simulator:
         self.trace = TraceLog()
         self.quiescent = False
         self._rng = random.Random(seed)
-        self._heap: list[tuple[int, int, str, tuple]] = []
+        self._heap: list[tuple[int, int, str, Any]] = []
         self._seq = 0
         self._endpoints: dict[Endpoint, _EndpointState] = {}
         self.crash_listeners: list[Callable[[Endpoint, int], None]] = []
@@ -361,7 +379,7 @@ class Simulator:
         p = Proc(self, endpoint)
         p.gen = fn(p)
         st.proc = p
-        self._schedule(self.now, "step", (p, None))
+        self._schedule(self.now, "step", p)
         return p
 
     # -- fault injection ----------------------------------------------
@@ -373,7 +391,7 @@ class Simulator:
         fault fires is traced and skipped."""
         if spec.at_time < self.now:
             raise TimeInPast(f"cannot inject at t={spec.at_time}, now is {self.now}")
-        self._schedule(spec.at_time, "fault", (spec,))
+        self._schedule(spec.at_time, "fault", spec)
 
     def crash_endpoint(self, endpoint: Endpoint, reason: str = "crash") -> None:
         """Immediately silence a live endpoint (crash fault, KILL, RESTART, SHUTDOWN)."""
@@ -400,8 +418,10 @@ class Simulator:
         st.pending_omission = False
         st.pending_delay = 0
         p, st.proc = st.proc, None
-        if p is not None and p is not self._running:
-            p.gen.close()
+        if p is not None:
+            p.waiting = False
+            if p is not self._running:
+                p.gen.close()
         self.trace.append(self.now, kind, endpoint.name, "-", detail)
         if notify:
             for listener in self.crash_listeners:
@@ -426,7 +446,7 @@ class Simulator:
 
     # -- scheduler ----------------------------------------------------
 
-    def _schedule(self, t: int, tag: str, data: tuple) -> None:
+    def _schedule(self, t: int, tag: str, data: Any) -> None:
         heapq.heappush(self._heap, (t, self._seq, tag, data))
         self._seq += 1
 
@@ -437,31 +457,47 @@ class Simulator:
         max_time the trace is marked max_time_exceeded and the
         simulator is left non-quiescent.
         """
-        while self._heap:
-            t, _, tag, data = self._heap[0]
-            if t > max_time:
+        heap = self._heap
+        while heap:
+            if heap[0][0] > max_time:
                 self.trace.max_time_exceeded = True
                 self.quiescent = False
                 return self.trace
-            heapq.heappop(self._heap)
+            t, _, tag, data = entry = heapq.heappop(heap)
             self.now = max(self.now, t)
-            if tag == "step":
-                p, value = data
-                self._step(p, value)
-            elif tag == "deliver":
-                frm, to, payload = data
-                self._deliver(frm, to, payload)
+            if tag == "send":
+                p, to, frame = data
+                if frame is not None:
+                    self._deliver(p.endpoint, to, frame)
+                self._step(p, None)
             elif tag == "timeout":
-                p, epoch = data
-                if p.waiting and p.wait_epoch == epoch and self._endpoints[p.endpoint].proc is p:
-                    p.waiting = False
-                    self.trace.append(self.now, "timeout", str(p.endpoint), "-", "")
-                    self._step(p, TIMEOUT)
+                self._expire(data, entry)
+            elif tag == "step":
+                self._step(data, None)
+            elif tag == "deliver":
+                frm, to, frame = data
+                self._deliver(frm, to, frame)
             elif tag == "fault":
-                (spec,) = data
-                self._activate_fault(spec)
+                self._activate_fault(data)
         self.quiescent = True
         return self.trace
+
+    def _expire(self, p: Proc, timer: tuple) -> None:
+        """A timer of p popped: time out its wait, re-arm, or drop it."""
+        if timer is not p.timer:
+            return  # superseded by an earlier timer of the same process
+        p.timer = None
+        if not p.waiting:
+            return
+        if p.deadline is timer:
+            p.waiting = False
+            self.trace.append(self.now, "timeout", p.endpoint.name, "-", "")
+            self._step(p, TIMEOUT)
+        elif p.deadline is not None:
+            # The wait now running started after this timer was armed and
+            # expires later: arm its own deadline in its place.
+            p.timer = p.deadline
+            heapq.heappush(self._heap, p.deadline)
 
     def _activate_fault(self, spec: FaultSpec) -> None:
         st = self._endpoints.get(spec.target)
@@ -525,12 +561,17 @@ class Simulator:
                     value = st.mailbox.popleft()
                     continue
                 p.waiting = True
-                p.wait_epoch += 1
-                if item.timeout is not None:
-                    self._schedule(self.now + item.timeout, "timeout", (p, p.wait_epoch))
+                if item.timeout is None:
+                    p.deadline = None
+                    return
+                deadline = p.deadline = (self.now + max(0, item.timeout), self._seq, "timeout", p)
+                self._seq += 1
+                if p.timer is None or p.timer > deadline:
+                    p.timer = deadline
+                    heapq.heappush(self._heap, deadline)
                 return
             if isinstance(item, Sleep):
-                self._schedule(self.now + max(0, item.dt), "step", (p, None))
+                self._schedule(self.now + max(0, item.dt), "step", p)
                 return
             if isinstance(item, Exit):
                 self._end(p.endpoint, st, "exit", "closed", notify=False)
@@ -570,8 +611,7 @@ class Simulator:
         if sender_st.pending_omission:
             sender_st.pending_omission = False
             self.trace.append(self.now, "drop", frm.name, to.name, "omission")
-        else:
-            self._schedule(t_del, "deliver", (frm, to, data))
-        self._schedule(t_del, "step", (p, None))
+            data = None
+        self._schedule(t_del, "send", (p, to, data))
         return False
 

@@ -266,12 +266,20 @@ def _candidate_blocks(n: int):
 
 
 def _block_targets(orders: np.ndarray, relative: bool) -> np.ndarray:
-    """The (P, N+1, N-1) target table of SchedulePermutation.targets."""
+    """The (P, N+1, N-1) target table of SchedulePermutation.targets.
+
+    A relative order maps element 1 to the sender itself, whoever sends,
+    so one compress of each row serves every sender, shifted by k - 1.
+    """
     size, n = orders.shape
     table = np.zeros((size, n + 1, n - 1), np.int8)
-    for k in range(1, n + 1):
-        seq = (orders + (k - 2)) % n + 1 if relative else orders
-        table[:, k] = seq[seq != k].reshape(size, n - 1)
+    if relative:
+        rest = orders[orders != 1].reshape(size, n - 1)
+        for k in range(1, n + 1):
+            table[:, k] = (rest + (k - 2)) % n + 1
+    else:
+        for k in range(1, n + 1):
+            table[:, k] = orders[orders != k].reshape(size, n - 1)
     return table
 
 

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Generator, Optional
 
 from . import wire
@@ -57,23 +56,22 @@ class FarmSlot:
     entity: int
     node: NodeId
 
-    @cached_property
-    def voter_endpoint(self) -> Endpoint:
-        return Endpoint(self.node, "voter", self.entity)
-
 
 class FarmView:
-    """A voter's current picture of the farm membership."""
+    """A voter's current picture of the farm membership, with each
+    member's interned voter endpoint built once."""
 
     def __init__(self, slots: list[FarmSlot]):
         self.slots = sorted(slots, key=lambda s: s.ident)
+        self.voter_endpoints = [Endpoint(s.node, "voter", s.entity) for s in self.slots]
 
     @property
     def size(self) -> int:
         return len(self.slots)
 
-    def fellows(self, entity: int) -> list[FarmSlot]:
-        return [s for s in self.slots if s.entity != entity]
+    def fellows(self, entity: int) -> list[Endpoint]:
+        """The voter endpoints of every member but entity, in ident order."""
+        return [ep for ep in self.voter_endpoints if ep.member != entity]
 
     def slot_of_entity(self, entity: int) -> Optional[FarmSlot]:
         for s in self.slots:
@@ -270,7 +268,7 @@ def _session(
                     own if own is not None else b"",
                 )
                 for fellow in state.view.fellows(state.entity):
-                    yield Send(fellow.voter_endpoint, relay)
+                    yield Send(fellow, relay)
             if len(slots) == n:
                 break
         got = inbox.popleft() if inbox else (yield Recv(state.delta_t))

@@ -223,6 +223,126 @@ def test_max_time_stops_the_run():
     assert sim.trace.max_time_exceeded
 
 
+# -- timers -------------------------------------------------------------------
+
+def waiter_log(timeouts, seen):
+    """A process that waits once per given timeout and logs what it got."""
+    def run(proc):
+        for timeout in timeouts:
+            got = yield Recv(timeout)
+            seen.append((proc.now, got if got is TIMEOUT else got[1].get("tag")))
+    return run
+
+
+@pytest.mark.parametrize("timer_first", [True, False])
+def test_a_timeout_and_a_delivery_at_the_same_tick_resolve_by_creation_order(timer_first):
+    # The message leaves at t=0 and lands at t=5, exactly when the wait
+    # expires; whichever of the two was created first wins the tick.
+    sim = make_pair(delivery_delay=5)
+    seen = []
+    procs = [(waiter_log([5, 5], seen), B), (sender_of([msg("m")]), A)]
+    for fn, ep in procs if timer_first else procs[::-1]:
+        sim.spawn(fn, ep)
+    sim.run_until_quiescent()
+    if timer_first:
+        assert seen == [(5, TIMEOUT), (5, "m")]
+    else:
+        assert seen == [(5, "m"), (10, TIMEOUT)]
+
+
+def test_a_shorter_rewait_fires_at_its_own_deadline():
+    sim = make_pair()
+    seen = []
+
+    def late_sender(proc):
+        yield Sleep(1)
+        yield Send(B, msg("m"))
+        yield Sleep(20)
+        yield Send(B, msg("late"))
+
+    queued = []
+
+    def log_queue(proc):
+        # What is queued while the third wait runs, before "late" lands.
+        yield Sleep(15)
+        queued.extend(entry[:3] for entry in sorted(proc.sim._heap))
+
+    sim.spawn(waiter_log([10, 3, 30], seen), B)
+    sim.spawn(late_sender, A)
+    sim.spawn(log_queue, sim.add_endpoint(Endpoint(3, "user")))
+    sim.run_until_quiescent()
+    # The first wait's timer (t=10) is still queued when the second wait
+    # asks for t=4.  When it pops, the third wait runs under its own
+    # timer (t=34), so it is dropped and arms nothing.
+    assert seen == [(1, "m"), (4, TIMEOUT), (21, "late")]
+    assert sim.trace.count("timeout") == 1
+    assert [(t, tag) for t, _, tag in queued] == [(21, "step"), (34, "timeout")]
+
+
+def test_a_timed_wait_followed_by_an_untimed_one_never_times_out():
+    sim = make_pair()
+    seen = []
+    sim.spawn(waiter_log([5, None], seen), B)
+    sim.spawn(sender_of([msg("early"), msg("late")], gap=20), A)
+    sim.run_until_quiescent()
+    assert seen == [(0, "early"), (20, "late")]
+    assert sim.trace.count("timeout") == 0
+
+
+def test_a_process_crashed_while_waiting_leaves_no_timeout_to_its_successor():
+    sim = make_pair()
+    seen = []
+    sim.spawn(waiter_log([5], seen), B)
+    sim.inject(FaultSpec("crash", B, 2))
+    sim.run_until_quiescent(max_time=2)
+    sim.revive_endpoint(B)
+    sim.spawn(waiter_log([10], seen), B)
+    sim.run_until_quiescent()
+    assert seen == [(12, TIMEOUT)]
+    assert sim.trace.count("timeout") == 1
+
+
+@pytest.mark.parametrize("timeout", [0, -2])
+def test_a_negative_timeout_counts_as_zero(timeout):
+    # The message was scheduled for t=3 before the wait started at t=3,
+    # so a zero timeout expires after it lands; a negative one must not
+    # expire in the past and jump ahead of it.
+    sim = make_pair(delivery_delay=3)
+    seen = []
+
+    def late_waiter(proc):
+        yield Sleep(3)
+        got = yield Recv(timeout)
+        seen.append((proc.now, got if got is TIMEOUT else got[1].get("tag")))
+
+    sim.spawn(late_waiter, B)
+    sim.spawn(sender_of([msg("m")]), A)
+    sim.run_until_quiescent()
+    assert seen == [(3, "m")]
+
+
+def test_a_waiting_process_keeps_one_timer():
+    sim = make_pair()
+    sizes = []
+
+    def rewaiter(proc):
+        for _ in range(1000):
+            got = yield Recv(100)
+            assert got is not TIMEOUT
+            sizes.append(len(proc.sim._heap))
+
+    def ticker(proc):
+        for i in range(1000):
+            yield Sleep(1)
+            yield Send(B, msg(f"m{i}"))
+
+    sim.spawn(rewaiter, B)
+    sim.spawn(ticker, A)
+    sim.run_until_quiescent()
+    assert len(sizes) == 1000
+    assert max(sizes) <= 3
+
+
 # -- topology validation -------------------------------------------------------
 
 def test_duplicate_endpoint_rejected():

@@ -1,10 +1,15 @@
-"""Golden artifacts: the bundled scenarios write byte-for-byte known files.
+"""Golden artifacts: scenarios write byte-for-byte known files.
 
 The hashes pin the rendered trace, the results summary and the action
-log of every bundled scenario.  A change meant to leave simulated
-behaviour alone (a faster message path, a leaner trace) must leave all
-fifteen untouched; a change that alters behaviour on purpose updates
-them together with the reason.
+log of every bundled scenario and of wide_jittered_farm from
+tests/scenarios.  That one is the only farm wider than five: sixteen
+members under jitter, with majority and median sessions, corrupted
+users, an omission, a delay and a voter crash that makes the farm
+timeout fire, so it pins the scheduler's order of deliveries, resumes
+and timeouts at scale.  A change meant to leave simulated behaviour
+alone (a faster message path, a leaner trace) must leave all eighteen
+untouched; a change that alters behaviour on purpose updates them
+together with the reason.
 """
 
 import hashlib
@@ -13,6 +18,8 @@ from pathlib import Path
 import pytest
 
 from votingfarm.scenario import resolve_scenario, run_scenario, write_artifacts
+
+SCENARIOS = Path(__file__).resolve().parent / "scenarios"
 
 GOLDEN = {
     "tmr_happy": {
@@ -40,12 +47,18 @@ GOLDEN = {
         "results.json": "23ec0d2056a44716185bbac9269c5bcd711883d72fabbb7d41499a96fc641b98",
         "actions.log": "bf7f44210f4953ddb8565a0cee781e3f7e7d43826c2922fe842d7099a54ab1e3",
     },
+    "wide_jittered_farm": {
+        "trace.txt": "709a49b74d33f0d508714d19dae32a362e75adb2cc63d77ba4bd7e4efc081cd6",
+        "results.json": "f433d7867dfc6d29431840382a0aebe40aa2d384ee4c17b448e192779067def0",
+        "actions.log": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    },
 }
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_bundled_scenario_artifacts_match_golden_hashes(name, tmp_path):
-    spec, dirs = resolve_scenario(name)
+    # A name not under tests/scenarios falls back to the bundled corpus.
+    spec, dirs = resolve_scenario(str(SCENARIOS / name))
     written = write_artifacts(run_scenario(spec, dirs), str(tmp_path))
     digests = {
         Path(p).name: hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in written
