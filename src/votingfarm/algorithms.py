@@ -355,17 +355,11 @@ def weighted_average(
     return VoteObject(payload=encode_vector(mixed), valid=True, source=0)
 
 
-def consensus(
-    ballot: Ballot,
-    metric: Metric,
-    epsilon: float = 0.0,
-    require_all_valid: bool = True,
-) -> VoteObject:
+def consensus(ballot: Ballot, metric: Metric, epsilon: float = 0.0) -> VoteObject:
     """Unanimity: every item agrees within epsilon.
 
-    By default the rule is strict over the whole ballot: any invalid
-    item defeats consensus, because a missing input is not an agreeing
-    input.  Callers modeling a laxer notion can drop that requirement.
+    The rule is strict over the whole ballot: any invalid item defeats
+    consensus, because a missing input is not an agreeing input.
     """
     n = len(ballot)
     if n == 0:
@@ -373,7 +367,7 @@ def consensus(
     items = _valid_items(ballot)
     if not items:
         raise NoDecision("no valid items")
-    if require_all_valid and len(items) != n:
+    if len(items) != n:
         raise NoDecision("invalid items present, unanimity impossible")
     disagree = _distance_matrix(items, metric) > epsilon
     np.fill_diagonal(disagree, False)

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 from typing import Any, Generator, Optional
 
 from . import wire
+from .algorithms import AlgorithmSelect
 from .core import (
     FarmDescriptor,
     ValidationError,
@@ -127,28 +128,28 @@ def vf_control(
     then output redirection, then an input value (which starts a
     session), then close/reset.  Parameter updates are acknowledged
     only when refused, matching the polling loop's tolerance for
-    interleaved VF_REFUSED replies.  Redirecting the output to a node
-    without a user module raises before any request is sent.
+    interleaved VF_REFUSED replies.  Parameters that AlgorithmSelect
+    rejects, and redirecting the output to a node without a user
+    module, raise before any request is sent.
     """
     handle._check_open()
     if not handle.running:
         raise NotRunning("farm is not running")
+    given = (("kind", algorithm), ("epsilon", epsilon),
+             ("scaling_factor", scaling_factor), ("tie_break", tie_break))
+    params = {k: v for k, v in given if v is not None}
+    if params:
+        try:
+            AlgorithmSelect(**params)  # checks each given field on its own
+        except TypeError as exc:
+            raise ValidationError(f"bad algorithm parameter: {exc}") from exc
     voter = handle.runtime.local_voter_endpoint(proc.endpoint.node)
     if voter is None:
         return
     if output_node is not None:
         handle.runtime.route_output(voter, output_node)
-    if any(v is not None for v in (algorithm, epsilon, scaling_factor, tie_break)):
-        fields: dict[str, Any] = {"req": "algorithm"}
-        if algorithm is not None:
-            fields["kind"] = algorithm
-        if epsilon is not None:
-            fields["epsilon"] = epsilon
-        if scaling_factor is not None:
-            fields["scaling_factor"] = scaling_factor
-        if tie_break is not None:
-            fields["tie_break"] = tie_break
-        yield Send(voter, wire.Frame(wire.K_CONTROL, fields))
+    if params:
+        yield Send(voter, wire.Frame(wire.K_CONTROL, {"req": "algorithm", **params}))
     if output_node is not None:
         yield Send(voter, wire.Frame(wire.K_CONTROL, {"req": "output", "node": output_node}))
     if input is not None:

@@ -66,8 +66,6 @@ PHASE_CODES = {
     VoterPhase.VFP_FAILURE: 4,
 }
 
-PHASE_BY_CODE = {v: k for k, v in PHASE_CODES.items()}
-
 
 class VoterEvent(enum.Enum):
     """Events driving the phase automaton."""
@@ -173,12 +171,6 @@ class FarmDescriptor:
     @property
     def size(self) -> int:
         return len(self.members)
-
-    def node_of(self, ident: MemberId) -> NodeId:
-        for m in self.members:
-            if m.ident == ident:
-                return m.node
-        raise KeyError(ident)
 
     def idents(self) -> list[MemberId]:
         return [m.ident for m in self.members]

@@ -291,6 +291,14 @@ class _EndpointState:
         self.fifo_floor: dict[Endpoint, int] = {}  # peer -> last delivery time sent to it
 
 
+def _is_work(entry: tuple) -> bool:
+    """Whether a queued entry can still change anything: every entry
+    but a timer that was superseded or whose process no longer waits
+    with a deadline."""
+    _, _, tag, p = entry
+    return tag != "timeout" or (p.timer is entry and p.waiting and p.deadline is not None)
+
+
 class Simulator:
     """Single-threaded cooperative simulation of nodes and messages.
 
@@ -453,16 +461,18 @@ class Simulator:
     def run_until_quiescent(self, max_time: int = 1_000_000) -> TraceLog:
         """Drain the event queue, stopping after max_time.
 
-        Returns the trace either way; if events remained beyond
-        max_time the trace is marked max_time_exceeded and the
-        simulator is left non-quiescent.
+        Returns the trace either way; if work remained beyond max_time
+        the trace is marked max_time_exceeded and the simulator is left
+        non-quiescent.  Timers that can no longer fire are not work.
         """
         heap = self._heap
         while heap:
             if heap[0][0] > max_time:
-                self.trace.max_time_exceeded = True
-                self.quiescent = False
-                return self.trace
+                if any(map(_is_work, heap)):
+                    self.trace.max_time_exceeded = True
+                    self.quiescent = False
+                    return self.trace
+                break
             t, _, tag, data = entry = heapq.heappop(heap)
             self.now = max(self.now, t)
             if tag == "send":

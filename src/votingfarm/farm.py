@@ -235,13 +235,9 @@ class FarmRuntime:
             return f"{UnknownEntityAtRuntime.__name__}: WARN to dead entity {entity}"
         self._compact_idents()
         frm = self.rint_ep if self.rint_ep is not None else Endpoint(0, "rint")
+        # Frames never leave the process: the WARN carries the view itself.
         self.sim.post(
-            frm,
-            ep,
-            wire.Frame(
-                wire.K_WARN,
-                {"farm": self.current_view().to_fields(), "epoch": self.epoch},
-            ),
+            frm, ep, wire.Frame(wire.K_WARN, {"farm": self.current_view(), "epoch": self.epoch})
         )
         return None
 

@@ -42,7 +42,7 @@ import numpy as np
 from .core import ValidationError, VotingFarmError
 from .scenario import run_scenario, session_latency
 
-# Largest farm best_permutation searches by default: 2 * 8! candidates.
+# Largest farm best_permutation searches: 2 * 8! candidates.
 EXHAUSTIVE_LIMIT = 8
 
 
@@ -283,17 +283,16 @@ def _block_targets(orders: np.ndarray, relative: bool) -> np.ndarray:
     return table
 
 
-def best_permutation(
-    n: int, mode: str = "half", exhaustive_limit: int = EXHAUSTIVE_LIMIT
-) -> tuple[SchedulePermutation, ScheduleResult]:
+def best_permutation(n: int, mode: str = "half") -> tuple[SchedulePermutation, ScheduleResult]:
     """Lowest-step schedule.
 
-    Exhaustive over both families up to the limit (2 * n! candidates,
-    relative orders first, each family in itertools.permutations order;
-    the first candidate with the fewest steps wins).  Beyond the limit
-    the one-cycled schedule is returned unsearched.  A candidate is
-    dropped as soon as a lower bound on its steps shows it cannot beat
-    the best so far (branch and bound), so most stop after a few steps.
+    Exhaustive over both families up to EXHAUSTIVE_LIMIT (2 * n!
+    candidates, relative orders first, each family in
+    itertools.permutations order; the first candidate with the fewest
+    steps wins).  Beyond it the one-cycled schedule is returned
+    unsearched.  A candidate is dropped as soon as a lower bound on its
+    steps shows it cannot beat the best so far (branch and bound), so
+    most stop after a few steps.
 
     What the search finds: in half duplex one-cycled is optimal, at
     exactly 3(n-1) steps, for every 3 <= n <= 8; the lower bound is
@@ -304,7 +303,7 @@ def best_permutation(
     """
     best_perm = one_cycled_permutation(n)
     best = schedule_steps(best_perm, mode)
-    if n > exhaustive_limit:
+    if n > EXHAUSTIVE_LIMIT:
         return best_perm, best
     # One-cycled is the first candidate, so a later one wins only with
     # strictly fewer steps, and one that cannot finish within best - 1
@@ -362,12 +361,11 @@ def timing_harness(
     jitter: int = 0,
     repeats: int = 1,
     seed: int = 0,
-    input_time: int = 10,
 ) -> list[dict]:
     """Mean and spread of one voting session's latency per farm size.
 
     Each run is a generated scenario: an n-member farm, one node per
-    member, every node feeding one input at input_time.  Latency is
+    member, every node feeding one input at t=10.  Latency is
     simulated time from the user inputs to the last completion notice.
     With jitter 0 the simulation is deterministic and the spread is
     exactly zero; a positive jitter draws seeded per-message delays,
@@ -384,7 +382,7 @@ def timing_harness(
             "delivery_delay": delivery_delay,
             "jitter": jitter,
             "get_timeout": 4 * delta_t * n + 8,
-            "inputs": {str(k): [{"at": input_time, "value": "2a"}] for k in nodes},
+            "inputs": {str(k): [{"at": 10, "value": "2a"}] for k in nodes},
         }
         latencies = [
             session_latency(run_scenario({**spec, "seed": seed + rep}), 0)

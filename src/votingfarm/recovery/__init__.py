@@ -26,31 +26,3 @@ from .rint import (
     execute_actions,
     rint_step,
 )
-
-__all__ = [
-    "Action",
-    "ActionInstance",
-    "And",
-    "DecodeError",
-    "DirDatabase",
-    "EntityRef",
-    "Faulty",
-    "GuardedRule",
-    "Not",
-    "Or",
-    "PhaseEq",
-    "RlProgram",
-    "RlSyntaxError",
-    "UndefinedName",
-    "UnknownEntity",
-    "attach_recovery",
-    "compile_program",
-    "decode_program",
-    "disassemble",
-    "evaluate_rule",
-    "execute_actions",
-    "format_program",
-    "load_definitions",
-    "parse_rl",
-    "rint_step",
-]

@@ -223,7 +223,8 @@ def load_definitions(path: str) -> dict[str, int]:
     return defs
 
 
-def _resolve_include(name: str, include_dirs: tuple[str, ...]) -> Optional[str]:
+def resolve_include(name: str, include_dirs: tuple[str, ...]) -> Optional[str]:
+    """The first of include_dirs holding name, else name itself, else None."""
     for d in include_dirs:
         candidate = os.path.join(d, name)
         if os.path.isfile(candidate):
@@ -300,7 +301,7 @@ class _Parser:
 
     def _load_include(self, tok: Token) -> None:
         name = tok.value
-        path = _resolve_include(name, self.include_dirs)
+        path = resolve_include(name, self.include_dirs)
         if path is None:
             raise RlSyntaxError(f"include file {name!r} not found", tok.line, tok.col)
         self.defs.update(load_definitions(path))

@@ -126,7 +126,6 @@ def markov_solve(
     model: MarkovModel,
     t_grid: Sequence[float],
     method: str = "expm",
-    rtol: float = 1e-11,
 ) -> np.ndarray:
     """Probabilities over time, one row per grid point, columns = STATES.
 
@@ -135,7 +134,7 @@ def markov_solve(
     step dt between neighbouring times (the first from 0) and carries
     the initial state from row to row by matrix-vector products, so a
     repeated time repeats its row exactly.  ``"ivp"`` integrates the
-    chain with DOP853 at tolerance ``rtol``; it shares only the
+    chain with DOP853 at relative tolerance 1e-11; it shares only the
     generator with the default and is kept as its cross-check.
 
     scipy is imported on use, here and in crosspoint: at module level it
@@ -174,8 +173,8 @@ def markov_solve(
         model.initial,
         method="DOP853",
         t_eval=times,
-        rtol=rtol,
-        atol=rtol * 1e-3,
+        rtol=1e-11,
+        atol=1e-14,
     )
     if not sol.success:
         raise IntegrationFailure(sol.message)
@@ -216,7 +215,6 @@ def crosspoint(
     f: Callable[[float], float],
     g: Callable[[float], float],
     bracket: tuple[float, float],
-    xtol: float = 1e-9,
 ) -> float:
     """Root of f(R) = g(R) on the bracket, to well under 1e-6."""
     a, b = bracket
@@ -229,7 +227,7 @@ def crosspoint(
         raise NoSignChange(f"no sign change of f-g on [{a}, {b}]")
     from scipy.optimize import brentq
 
-    return float(brentq(lambda r: f(r) - g(r), a, b, xtol=xtol))
+    return float(brentq(lambda r: f(r) - g(r), a, b, xtol=1e-9))
 
 
 def simplex(R):

@@ -33,6 +33,7 @@ from .core import (
 from .fabric import Endpoint, FAULT_KINDS, FaultSpec, Proc, Simulator, Sleep
 from .farm import FarmRuntime
 from .recovery import DirDatabase, attach_recovery, parse_rl
+from .recovery.lang import resolve_include
 
 _PHASE_STEPS = {(src.value, dst.value) for (src, _), dst in PHASE_TRANSITIONS.items()}
 
@@ -71,15 +72,11 @@ def resolve_scenario(name_or_path: str) -> tuple[dict, tuple[str, ...]]:
     Returns the raw dict plus the directories later file references
     (strategy sources, include files) should be resolved against.
     """
-    candidates = [name_or_path]
+    names = [name_or_path]
     if not name_or_path.endswith(".json"):
-        candidates.append(name_or_path + ".json")
-    candidates.append(os.path.join(bundled_dir(), os.path.basename(name_or_path)))
-    if not name_or_path.endswith(".json"):
-        candidates.append(
-            os.path.join(bundled_dir(), os.path.basename(name_or_path) + ".json")
-        )
-    for candidate in candidates:
+        names.append(name_or_path + ".json")
+    bundled = [os.path.join(bundled_dir(), os.path.basename(name)) for name in names]
+    for candidate in names + bundled:
         if os.path.isfile(candidate):
             try:
                 with open(candidate, "r", encoding="utf-8") as fh:
@@ -88,16 +85,6 @@ def resolve_scenario(name_or_path: str) -> tuple[dict, tuple[str, ...]]:
                 raise ScenarioError(f"{candidate}: not valid JSON: {exc}") from exc
             return spec, (os.path.dirname(os.path.abspath(candidate)), bundled_dir())
     raise ScenarioError(f"no scenario named {name_or_path!r}")
-
-
-def _find_file(name: str, search_dirs: tuple[str, ...]) -> str:
-    for d in search_dirs:
-        candidate = os.path.join(d, name)
-        if os.path.isfile(candidate):
-            return candidate
-    if os.path.isfile(name):
-        return name
-    raise ScenarioError(f"referenced file {name!r} not found")
 
 
 _COUNT_FIELDS = ("max_time", "delta_t", "delivery_delay", "jitter", "get_polls", "get_timeout")
@@ -127,6 +114,38 @@ def _hex_bytes(text) -> bytes:
         return b""
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _need_algorithm(value, name: str) -> None:
+    try:
+        AlgorithmSelect(**value)
+    except (VotingFarmError, TypeError) as exc:
+        raise ScenarioError(f"bad {name}: {exc}") from exc
+
+
+_INPUT_FORMS = ("value", "scalar", "vector", "algorithm")
+
+
+def _need_input(item: dict) -> None:
+    """An input item is exactly one of: non-empty hex value, numeric
+    scalar, non-empty numeric vector, algorithm selection."""
+    forms = [form for form in _INPUT_FORMS if form in item]
+    if len(forms) != 1:
+        raise ScenarioError(f"input needs exactly one of {', '.join(_INPUT_FORMS)}, got {item!r}")
+    form = forms[0]
+    value = item[form]
+    if form == "value" and not _hex_bytes(value):
+        raise ScenarioError(f"input value must be non-empty hex, got {value!r}")
+    if form == "scalar" and not _is_number(value):
+        raise ScenarioError(f"input scalar must be a number, got {value!r}")
+    if form == "vector" and not (isinstance(value, list) and value and all(map(_is_number, value))):
+        raise ScenarioError(f"input vector must be a non-empty list of numbers, got {value!r}")
+    if form == "algorithm":
+        _need_algorithm(value, "input algorithm")
+
+
 def validate_scenario(spec: dict) -> dict:
     merged = {**_DEFAULTS, **spec}
     farm = merged.get("farm")
@@ -144,10 +163,7 @@ def validate_scenario(spec: dict) -> dict:
         _need_count(merged[key], key)
     if merged["delta_t"] <= merged["delivery_delay"] + merged["jitter"]:
         raise ScenarioError("delta_t must exceed the worst-case delivery delay")
-    try:
-        AlgorithmSelect(**{"kind": "majority", **merged["algorithm"]})
-    except (VotingFarmError, TypeError) as exc:
-        raise ScenarioError(f"bad algorithm selection: {exc}") from exc
+    _need_algorithm(merged["algorithm"], "algorithm selection")
     if merged["metric"] not in METRICS:
         raise ScenarioError(f"unknown metric {merged['metric']!r}")
     _need_records(merged["faults"], "faults")
@@ -168,6 +184,7 @@ def validate_scenario(spec: dict) -> dict:
         _need_records(items, f"inputs of node {node}")
         for item in items:
             _need_int(item.get("at"), "input at")
+            _need_input(item)
     _need_records(merged["spares"], "spares")
     for spare in merged["spares"]:
         if "entity" not in spare or "node" not in spare:
@@ -175,17 +192,12 @@ def validate_scenario(spec: dict) -> dict:
     return merged
 
 
-def _payload(item: dict) -> Optional[bytes]:
+def _payload(item: dict) -> bytes:
     if "value" in item:
-        try:
-            return bytes.fromhex(item["value"])
-        except ValueError as exc:
-            raise ScenarioError(f"bad hex payload {item['value']!r}") from exc
+        return bytes.fromhex(item["value"])
     if "scalar" in item:
-        return encode_scalar(float(item["scalar"]))
-    if "vector" in item:
-        return encode_vector(item["vector"])
-    return None
+        return encode_scalar(item["scalar"])
+    return encode_vector(item["vector"])
 
 
 @dataclass
@@ -211,16 +223,11 @@ class RunResult:
         return all(p.finished for p in self.user_procs.values())
 
     def summary(self) -> dict:
-        users = {}
-        for node, rep in self.users.items():
-            users[str(node)] = {
-                k: v for k, v in rep.items() if k != "handle"
-            }
         return {
             "name": self.spec["name"],
             "passed": self.passed,
             "assertions": self.assertions,
-            "users": users,
+            "users": {str(node): rep for node, rep in self.users.items()},
             "actions": self.db.action_log if self.db else [],
             "recovery_errors": self.db.errors if self.db else [],
             "spmd_incoherent": self.runtime.spmd_incoherent,
@@ -263,8 +270,6 @@ def _user_program(runtime, spec, node, rows, report, inputs):
                 )
                 continue
             payload = _payload(item)
-            if payload is None:
-                continue
             yield from vf_control(handle, proc, input=payload)
             if probes.get("double_input"):
                 yield from vf_control(handle, proc, input=payload)
@@ -291,13 +296,15 @@ def run_scenario(spec: dict, search_dirs: tuple[str, ...] = ()) -> RunResult:
         delivery_delay=spec["delivery_delay"],
         jitter=spec["jitter"],
     )
-    select = AlgorithmSelect(**{"kind": "majority", **spec["algorithm"]})
+    select = AlgorithmSelect(**spec["algorithm"])
     runtime = FarmRuntime(sim, delta_t=spec["delta_t"], select=select)
 
     db = None
     recovery = spec.get("recovery")
     if recovery:
-        rl_path = _find_file(recovery["rl"], search_dirs)
+        rl_path = resolve_include(recovery["rl"], search_dirs)
+        if rl_path is None:
+            raise ScenarioError(f"referenced file {recovery['rl']!r} not found")
         with open(rl_path, "r", encoding="utf-8") as fh:
             source = fh.read()
         include_dirs = (os.path.dirname(rl_path),) + search_dirs

@@ -80,11 +80,8 @@ class FarmView:
         return None
 
     def to_fields(self) -> list[list[int]]:
+        """[ident, entity, node] rows, as the warn trace line shows them."""
         return [[s.ident, s.entity, s.node] for s in self.slots]
-
-    @classmethod
-    def from_fields(cls, rows: list[list[int]]) -> "FarmView":
-        return cls([FarmSlot(ident=r[0], entity=r[1], node=r[2]) for r in rows])
 
 
 @dataclass
@@ -199,15 +196,16 @@ def _apply_params(state: VoterState, frame: wire.Frame) -> None:
 
 
 def _apply_warn(proc: Proc, state: VoterState, frame: wire.Frame) -> bool:
-    """Adopt a rebuilt farm descriptor.  False means: not a member anymore."""
-    view = FarmView.from_fields(frame.get("farm", []))
+    """Adopt the farm view a WARN carries.  False means: not a member anymore."""
+    view: FarmView = frame.get("farm")
+    epoch = frame.get("epoch")
     slot = view.slot_of_entity(state.entity)
-    _trace(proc, "warn", f"epoch={frame.get('epoch')} farm={frame.get('farm')}")
+    _trace(proc, "warn", f"epoch={epoch} farm={view.to_fields()}")
     if slot is None:
         return False
     state.view = view
     state.ident = slot.ident
-    state.epoch = frame.get("epoch", state.epoch + 1)
+    state.epoch = epoch
     state.next_session = 0
     if state.phase is VoterPhase.VFP_FAILURE:
         _report(proc, state, VoterEvent.RESET)

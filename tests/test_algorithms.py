@@ -381,11 +381,8 @@ def test_consensus_unanimous(scalar_ballot):
 def test_consensus_rejects_missing_input(scalar_ballot):
     # {4, 4} agree but the third slot is invalid: strict unanimity fails
     ballot = scalar_ballot([4.0, 4.0, 0.0], invalid={2})
-    with pytest.raises(NoDecision):
+    with pytest.raises(NoDecision, match="invalid items present"):
         consensus(ballot, scalar_metric)
-    # the documented laxer mode accepts the agreeing pair
-    got = consensus(ballot, scalar_metric, require_all_valid=False)
-    assert decode_scalar(got.payload) == 4.0
 
 
 def test_consensus_disagreement(scalar_ballot):
@@ -439,7 +436,6 @@ def run_every_technique(ballot, metric, epsilon):
         "median": lambda: median(ballot, metric),
         "weighted-average": lambda: weighted_average(ballot, metric, 1.5),
         "consensus": lambda: consensus(ballot, metric, epsilon),
-        "consensus-lax": lambda: consensus(ballot, metric, epsilon, require_all_valid=False),
     }
     out = {}
     for name, run in runs.items():

@@ -330,6 +330,34 @@ def test_output_redirection_to_a_node_without_user_raises_in_the_caller():
     assert sim.trace.count("send") == 0  # nothing reached the voter
 
 
+@pytest.mark.parametrize(
+    "params,message",
+    [
+        ({"algorithm": "borda"}, "unknown voting technique"),
+        ({"epsilon": -1.0}, "epsilon"),
+        ({"epsilon": "wide"}, "bad algorithm parameter"),
+        ({"scaling_factor": 0.0}, "scaling factor"),
+        ({"algorithm": "plurality", "tie_break": "coin"}, "tie break"),
+    ],
+)
+def test_bad_algorithm_parameters_raise_in_the_caller(params, message):
+    sim, runtime, rows = fresh(1)
+    caught = []
+
+    def prog(proc):
+        handle = yield from opened_farm(runtime, rows, proc)
+        try:
+            yield from vf_control(handle, proc, input=encode_scalar(1.0), **params)
+        except VotingFarmError as exc:
+            caught.append(str(exc))
+
+    drive(sim, {1: prog})
+    assert caught and message in caught[0]
+    assert sim.trace.count("send") == 0  # nothing reached the voter
+    assert sim.trace.count("proc-error") == 0
+    assert runtime.voter_states[1].select.kind == "majority"
+
+
 def test_user_talks_only_to_its_local_voter():
     sim, runtime, rows = fresh(3)
     done = {}
@@ -398,6 +426,35 @@ def test_close_mid_session_is_refused_and_farm_survives():
     assert got["session"].detail == "ok"  # the refused close did not hurt the vote
     assert got["late"].detail == "closed"
     assert got["invalidated"]
+
+
+def test_a_refused_close_replays_an_unread_completion():
+    # Session 0's VF_DONE is still unread when the close races session
+    # 1: vf_close reads past it to the refusal, and the next vf_get
+    # returns it.
+    sim, runtime, rows = fresh(3)
+    got = {}
+
+    def user(node):
+        def run(proc):
+            handle = yield from opened_farm(runtime, rows, proc)
+            yield Sleep(10 - proc.now)
+            yield from vf_control(handle, proc, input=encode_scalar(2.0))
+            if node != 1:
+                yield from vf_get(handle, proc, timeout=8 * DT)
+                return
+            yield Sleep(40 - proc.now)
+            yield from vf_control(handle, proc, input=encode_scalar(3.0))
+            got["close"] = yield from vf_close(handle, proc, timeout=2 * DT)
+            got["next"] = yield from vf_get(handle, proc, timeout=8 * DT)
+            got["open"] = not handle.invalidated
+        return run
+
+    drive(sim, {n: user(n) for n in (1, 2, 3)})
+    close, replayed = got["close"], got["next"]
+    assert (close.code, close.detail, close.session) == (VfStatusCode.VF_REFUSED, "busy", 1)
+    assert (replayed.code, replayed.detail, replayed.session) == (VfStatusCode.VF_DONE, "ok", 0)
+    assert got["open"]
 
 
 def test_operations_on_closed_handle_raise():

@@ -3,7 +3,6 @@
 import pytest
 
 from votingfarm.core import (
-    PHASE_BY_CODE,
     PHASE_CODES,
     DuplicateIdent,
     EmptyFarm,
@@ -61,9 +60,8 @@ class TestPhaseAutomaton:
             phase_transition(VoterPhase.VFP_SUCCESS, VoterEvent.INPUT_ARRIVED)
 
     def test_phase_codes_are_a_bijection(self):
+        assert set(PHASE_CODES) == set(VoterPhase)
         assert sorted(PHASE_CODES.values()) == [0, 1, 2, 3, 4]
-        for phase, code in PHASE_CODES.items():
-            assert PHASE_BY_CODE[code] is phase
 
 
 class TestDescriptor:
@@ -74,7 +72,6 @@ class TestDescriptor:
         desc.add(3, 3)
         validate_descriptor(desc)
         assert desc.size == 3
-        assert desc.node_of(2) == 2
         assert desc.idents() == [1, 2, 3]
 
     def test_empty_farm(self):

@@ -223,6 +223,32 @@ def test_max_time_stops_the_run():
     assert sim.trace.max_time_exceeded
 
 
+@pytest.mark.parametrize("waits", [[100], [100, None]], ids=["finished", "untimed_rewait"])
+def test_a_timer_of_a_wait_that_ended_does_not_hold_the_run_open(waits):
+    # The timed wait ends at t=1, then the process finishes or waits
+    # with no deadline; its timer at t=100 stays queued but cannot fire.
+    sim = make_pair(delivery_delay=1)
+    seen = []
+    sim.spawn(waiter_log(waits, seen), B)
+    sim.spawn(sender_of([msg("m")]), A)
+    sim.run_until_quiescent(max_time=50)
+    assert seen == [(1, "m")]
+    assert sim.quiescent
+    assert not sim.trace.max_time_exceeded
+
+
+def test_an_unwoken_wait_beyond_max_time_exceeds_it():
+    sim = make_pair()
+    seen = []
+    sim.spawn(waiter_log([100], seen), B)
+    sim.run_until_quiescent(max_time=50)
+    assert seen == []
+    assert not sim.quiescent
+    assert sim.trace.max_time_exceeded
+    sim.run_until_quiescent()
+    assert seen == [(100, TIMEOUT)] and sim.quiescent
+
+
 # -- timers -------------------------------------------------------------------
 
 def waiter_log(timeouts, seen):

@@ -223,6 +223,34 @@ def test_an_assertion_detail_does_not_hide_the_explanation():
     assert got["detail"] == "nodes without VF_DONE/no-decision for session 0: [1, 2, 3]"
 
 
+PROBES = str(HERE / "scenarios" / "probes_refused.json")
+EARLY_CRASH = str(HERE / "scenarios" / "three_and_one_spare_early_crash.json")
+SPMD_MISMATCH = {"spmd_mismatch": {"node": 3, "farm": [[1, 1], [2, 2]]}}
+
+
+@pytest.mark.parametrize(
+    "name,extra,assertion,ok",
+    [
+        (PROBES, {}, {"type": "refused-min", "count": 6}, True),
+        (PROBES, {}, {"type": "refused-min", "count": 7}, False),
+        ("tmr_happy", {}, {"type": "refused-min"}, False),
+        (EARLY_CRASH, {}, {"type": "recovery-errors", "contains": "WARN to dead entity 3"}, True),
+        ("graceful_degradation", {}, {"type": "recovery-errors", "contains": "WARN"}, False),
+        ("tmr_happy", {}, {"type": "recovery-errors"}, False),
+        ("tmr_happy", SPMD_MISMATCH, {"type": "spmd-flag"}, True),
+        ("tmr_happy", {}, {"type": "spmd-flag"}, False),
+        ("tmr_happy", {}, {"type": "spmd-flag", "value": False}, True),
+        ("graceful_degradation", {}, {"type": "action-log", "contains": ["WARN", "KILL"]}, True),
+        ("graceful_degradation", {}, {"type": "action-log", "contains": ["START"]}, False),
+        ("tmr_happy", {}, {"type": "action-log", "contains": ["KILL"]}, False),
+    ],
+)
+def test_evaluator_verdicts(name, extra, assertion, ok):
+    spec, dirs = load(name)
+    result = run_scenario({**spec, **extra, "assertions": [assertion]}, dirs)
+    assert [a["ok"] for a in result.assertions] == [ok], result.assertions
+
+
 def test_happy_run_delivers_exactly_three_completions():
     spec, dirs = load("tmr_happy")
     result = run_scenario(spec, dirs)
@@ -295,8 +323,34 @@ def test_cli_run_malformed_scenario(tmp_path, capsys):
         ({"delta_t": "10"}, "delta_t"),
         ({"faults": [{"kind": "crash", "entity": 1}]}, "fault at"),
         ({"faults": [{"kind": "value-corruption", "entity": 1, "at": 5, "mask": "zz"}]}, "fault mask"),
+        ({"inputs": {"1": [{"at": 10, "value": "zz"}]}}, "input value"),
+        ({"inputs": {"1": [{"at": 10, "value": ""}]}}, "input value"),
+        ({"inputs": {"1": [{"at": 10, "scalar": "abc"}]}}, "input scalar"),
+        ({"inputs": {"1": [{"at": 10, "scalar": True}]}}, "input scalar"),
+        ({"inputs": {"1": [{"at": 10, "vector": []}]}}, "input vector"),
+        ({"inputs": {"1": [{"at": 10, "vector": [1.0, "x"]}]}}, "input vector"),
+        ({"inputs": {"1": [{"at": 10, "algorithm": {"kind": "bogus"}}]}}, "input algorithm"),
+        ({"inputs": {"1": [{"at": 10, "algorithm": {"kind": "median", "sigma": 1}}]}}, "input algorithm"),
+        ({"inputs": {"1": [{"at": 10, "algorithm": "median"}]}}, "input algorithm"),
+        ({"inputs": {"1": [{"at": 10}]}}, "input needs exactly one"),
+        ({"inputs": {"1": [{"at": 10, "value": "01", "scalar": 1.0}]}}, "input needs exactly one"),
     ],
-    ids=["string_delta_t", "fault_without_at", "non_hex_mask"],
+    ids=[
+        "string_delta_t",
+        "fault_without_at",
+        "non_hex_mask",
+        "non_hex_value",
+        "empty_value",
+        "string_scalar",
+        "boolean_scalar",
+        "empty_vector",
+        "non_numeric_vector",
+        "unknown_algorithm_kind",
+        "unknown_algorithm_field",
+        "algorithm_not_an_object",
+        "input_without_a_form",
+        "input_with_two_forms",
+    ],
 )
 def test_cli_run_unusable_field_exits_2(tmp_path, capsys, mutation, field):
     spec = {

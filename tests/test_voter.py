@@ -14,7 +14,7 @@ from votingfarm.client import vf_add, vf_control, vf_get, vf_open, vf_run
 from votingfarm.core import VfStatusCode
 from votingfarm.fabric import Endpoint, FaultSpec, Simulator, Sleep
 from votingfarm.farm import FarmRuntime
-from votingfarm.voter import FarmView
+from votingfarm.voter import FarmSlot, FarmView
 
 DT = 10
 INPUT_AT = 10
@@ -116,9 +116,9 @@ def test_each_voter_broadcasts_once_per_fellow():
 
 
 def test_fellows_are_the_other_members_voter_endpoints_in_ident_order():
-    # Rows are [ident, entity, node]; the voter endpoints are interned,
-    # so the broadcast targets are the objects the farm registers.
-    view = FarmView.from_fields([[3, 7, 2], [1, 5, 4], [2, 6, 6]])
+    # The voter endpoints are interned, so the broadcast targets are the
+    # objects the farm registers.
+    view = FarmView([FarmSlot(3, 7, 2), FarmSlot(1, 5, 4), FarmSlot(2, 6, 6)])
     assert view.fellows(5) == [Endpoint(6, "voter", 6), Endpoint(2, "voter", 7)]
     assert view.fellows(7)[0] is Endpoint(4, "voter", 5)
 
