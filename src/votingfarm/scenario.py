@@ -23,13 +23,8 @@ from typing import Optional
 
 from .algorithms import METRICS, AlgorithmSelect, encode_scalar, encode_vector
 from .client import vf_add, vf_close, vf_control, vf_get, vf_open, vf_run
-from .core import (
-    PHASE_TRANSITIONS,
-    FarmDescriptor,
-    VfStatusCode,
-    VotingFarmError,
-    validate_descriptor,
-)
+from .core import (PHASE_TRANSITIONS, FarmDescriptor, FarmMember, VfStatusCode, VotingFarmError,
+                   validate_descriptor)
 from .fabric import Endpoint, FAULT_KINDS, FaultSpec, Proc, Simulator, Sleep
 from .farm import FarmRuntime
 from .recovery import DirDatabase, attach_recovery, parse_rl
@@ -42,32 +37,12 @@ class ScenarioError(VotingFarmError):
     """The scenario file itself is unusable (schema, files, ranges)."""
 
 
-_DEFAULTS = {
-    "name": "unnamed",
-    "seed": 0,
-    "max_time": 100_000,
-    "delta_t": 10,
-    "delivery_delay": 0,
-    "jitter": 0,
-    "metric": "default",
-    "algorithm": {},
-    "spares": [],
-    "inputs": {},
-    "faults": [],
-    "probes": {},
-    "get_polls": 8,
-    "get_timeout": 40,
-    "close_farm": False,
-    "assertions": [],
-}
-
-
 def bundled_dir() -> str:
     return str(resources.files("votingfarm").joinpath("scenarios"))
 
 
 def resolve_scenario(name_or_path: str) -> tuple[dict, tuple[str, ...]]:
-    """Load a scenario by file path or bundled name.
+    """Load a scenario by file path or, for a bare name, from the bundled corpus.
 
     Returns the raw dict plus the directories later file references
     (strategy sources, include files) should be resolved against.
@@ -75,129 +50,176 @@ def resolve_scenario(name_or_path: str) -> tuple[dict, tuple[str, ...]]:
     names = [name_or_path]
     if not name_or_path.endswith(".json"):
         names.append(name_or_path + ".json")
-    bundled = [os.path.join(bundled_dir(), os.path.basename(name)) for name in names]
-    for candidate in names + bundled:
+    if not os.path.dirname(name_or_path):
+        names += [os.path.join(bundled_dir(), name) for name in names]
+    for candidate in names:
         if os.path.isfile(candidate):
             try:
                 with open(candidate, "r", encoding="utf-8") as fh:
                     spec = json.load(fh)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # bad JSON or bad UTF-8
                 raise ScenarioError(f"{candidate}: not valid JSON: {exc}") from exc
             return spec, (os.path.dirname(os.path.abspath(candidate)), bundled_dir())
     raise ScenarioError(f"no scenario named {name_or_path!r}")
 
 
-_COUNT_FIELDS = ("max_time", "delta_t", "delivery_delay", "jitter", "get_polls", "get_timeout")
+# -- what a scenario may say ----------------------------------------------
+#
+# One table, modelled on JSON Schema 2020-12, decides what a scenario may
+# say: each key has a type, a range, choices or a rule where it needs
+# one, and is REQUIRED, OPTIONAL or has a default.  The walker made from
+# it rejects unknown keys at every level, names a bad value path-style
+# ("fault at must be >= 0") and fills in every default.
+
+REQUIRED, OPTIONAL = object(), object()
+_TYPES = {  # JSON type: the Python types it admits, and its name in errors
+    "integer": ({int}, "an integer"), "number": ({int, float}, "a number"), "string": ({str}, "a string"),
+    "boolean": ({bool}, "true or false"), "array": ({list}, "a list"), "object": ({dict}, "an object"),
+}
 
 
-def _need_int(value, name: str) -> None:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ScenarioError(f"{name} must be an integer, got {value!r}")
+def _must(s: dict) -> str:
+    """What a value has to be to pass schema s's type and size checks."""
+    if "values" in s:
+        return f"map {s['keys']} to lists"
+    if "items" not in s:
+        return "be " + _TYPES[s["type"]][1]
+    noun, size = _TYPES[s["items"]["type"]][1].split()[-1] + "s", s.get("minItems", 0)
+    if size == s.get("maxItems"):
+        return f"be a list of {size} {noun}"
+    return f"be a {'non-empty ' if size else ''}list of {noun}"
 
 
-def _need_count(value, name: str) -> None:
-    _need_int(value, name)
-    if value < 0:
-        raise ScenarioError(f"{name} must be >= 0, got {value}")
+def _walker(s: dict):
+    """The function (value, label) -> checked value that schema s stands for."""
+    types, lo, choices, check = _TYPES[s["type"]][0], s.get("minimum"), s.get("enum"), s.get("check")
+    inner = _container(s)
+
+    def walk(value, label):
+        if type(value) not in types:
+            raise ScenarioError(f"{label} must {_must(s)}, got {value!r}")
+        if lo is not None and value < lo:
+            raise ScenarioError(f"{label} must be >= {lo}, got {value}")
+        if choices and value not in choices:
+            raise ScenarioError(f"unknown {label} {value!r}, expected one of {', '.join(choices)}")
+        if inner:
+            value = inner(value, label)
+        if check:
+            check(value, label)
+        return value
+
+    return walk
 
 
-def _need_records(value, name: str) -> None:
-    if not isinstance(value, list) or not all(isinstance(item, dict) for item in value):
-        raise ScenarioError(f"{name} must be a list of objects, got {value!r}")
+def _container(s: dict):
+    """The walker of what schema s holds, for a value of its type; None for a leaf."""
+    walk = None
+    if "properties" in s:  # an object, returned as it is unless a default or a field changed
+        props, title, one_of = s["properties"], s["title"], s.get("oneOf", ())
+        prefix, walkers = s.get("prefix", title + " "), {}
+        for key, (f, _) in props.items():  # a plain leaf is checked inline, without a call
+            types = _TYPES[f["type"]][0] if f.keys() <= {"type", "minimum", "enum"} else set()
+            walkers[key] = (_walker(f), prefix + key, types, f.get("minimum"), f.get("enum"))
+        required = {key for key, (_, d) in props.items() if d is REQUIRED}
+        defaults = {key: walkers[key][0](d, key) for key, (_, d) in props.items()
+                    if d not in (REQUIRED, OPTIONAL)}
+        known, defaulted = walkers.keys(), defaults.keys()
+
+        def walk(value, label):
+            keys, changed = value.keys(), {}
+            if not known >= keys:
+                raise ScenarioError(f"unknown {title} key {min(keys - known)!r}")
+            for key, v in value.items():
+                walk_field, field_label, types, lo, choices = walkers[key]
+                if type(v) not in types or (lo is not None and v < lo) or (choices and v not in choices):
+                    checked = walk_field(v, field_label)
+                    if checked is not v:
+                        changed[key] = checked
+            if not keys >= required:
+                key = next(key for key in props if key in required and key not in value)
+                raise ScenarioError(f"each {title} needs {key}: {prefix}{key} must {_must(props[key][0])}")
+            if one_of and sum(map(keys.__contains__, one_of)) != 1:
+                raise ScenarioError(f"{title} needs exactly one of {', '.join(one_of)}, got {value!r}")
+            return {**defaults, **value, **changed} if changed or not keys >= defaulted else value
+    elif "items" in s:
+        items, least, most = s["items"], s.get("minItems", 0), s.get("maxItems", float("inf"))
+        types, title, lo = _TYPES[items["type"]][0], items.get("title"), items.get("minimum")
+        plain = items.keys() <= {"type", "minimum"}  # then the checks below are all there is
+        inner = _container(items)  # enough for a container item of the right type and no check
+        walk_item = inner if inner and "check" not in items else _walker(items)
+
+        def walk(value, label):
+            if not least <= len(value) <= most or not types.issuperset(map(type, value)):
+                raise ScenarioError(f"{label} must {_must(s)}, got {value!r}")
+            if plain and (lo is None or min(value, default=lo) >= lo):
+                return value
+            return [walk_item(item, title or label) for item in value]
+    elif "values" in s:  # a map whose keys are decimal strings, or ints once checked
+        walk_value, each = _walker(s["values"]), s["each"]
+
+        def walk(value, label):
+            if not all(map(str.isdecimal, map(str, value))):
+                raise ScenarioError(f"{label} must {_must(s)}, got {value!r}")
+            return {int(key): walk_value(v, each.format(key)) for key, v in value.items()}
+    elif "cases" in s:  # one object schema per value of the "type" key
+        cases = {tag: _container(case) for tag, case in s["cases"].items()}
+
+        def walk(value, label):
+            tag = value.get("type")
+            if type(tag) is not str or tag not in cases:
+                raise ScenarioError(f"unknown {label} type {tag!r}, expected one of {', '.join(cases)}")
+            return cases[tag](value, label)
+    return walk
 
 
-def _hex_bytes(text) -> bytes:
-    """The bytes a hex string spells, or b"" if it is not one."""
+def _object(title: str, fields: dict, **rules) -> dict:
+    """An object schema from {key: (schema, REQUIRED, OPTIONAL or default)}."""
+    return {"type": "object", "title": title, "properties": fields, **rules}
+
+
+def _hex(text: str, label: str) -> None:
     try:
-        return bytes.fromhex(text)
-    except (ValueError, TypeError):
-        return b""
+        if bytes.fromhex(text):
+            return
+    except ValueError:
+        pass
+    raise ScenarioError(f"{label} must be non-empty hex, got {text!r}")
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _need_algorithm(value, name: str) -> None:
+def _algorithm(value: dict, label: str) -> None:
     try:
         AlgorithmSelect(**value)
     except (VotingFarmError, TypeError) as exc:
-        raise ScenarioError(f"bad {name}: {exc}") from exc
+        raise ScenarioError(f"bad {label} selection: {exc}") from exc
 
 
-_INPUT_FORMS = ("value", "scalar", "vector", "algorithm")
-
-
-def _need_input(item: dict) -> None:
-    """An input item is exactly one of: non-empty hex value, numeric
-    scalar, non-empty numeric vector, algorithm selection."""
-    forms = [form for form in _INPUT_FORMS if form in item]
-    if len(forms) != 1:
-        raise ScenarioError(f"input needs exactly one of {', '.join(_INPUT_FORMS)}, got {item!r}")
-    form = forms[0]
-    value = item[form]
-    if form == "value" and not _hex_bytes(value):
-        raise ScenarioError(f"input value must be non-empty hex, got {value!r}")
-    if form == "scalar" and not _is_number(value):
-        raise ScenarioError(f"input scalar must be a number, got {value!r}")
-    if form == "vector" and not (isinstance(value, list) and value and all(map(_is_number, value))):
-        raise ScenarioError(f"input vector must be a non-empty list of numbers, got {value!r}")
-    if form == "algorithm":
-        _need_algorithm(value, "input algorithm")
-
-
-def validate_scenario(spec: dict) -> dict:
-    merged = {**_DEFAULTS, **spec}
-    farm = merged.get("farm")
-    if not isinstance(farm, list) or not farm:
+def _farm_layout(rows: list, label: str) -> None:
+    if not rows:
         raise ScenarioError("scenario needs a non-empty farm list of [node, ident]")
-    desc = FarmDescriptor()
     try:
-        for row in farm:
-            desc.add(int(row[0]), int(row[1]))
-        validate_descriptor(desc)
-    except (VotingFarmError, ValueError, TypeError, IndexError) as exc:
+        validate_descriptor(FarmDescriptor([FarmMember(node, ident) for node, ident in rows]))
+    except VotingFarmError as exc:
         raise ScenarioError(f"bad farm layout: {exc}") from exc
-    _need_int(merged["seed"], "seed")
-    for key in _COUNT_FIELDS:
-        _need_count(merged[key], key)
-    if merged["delta_t"] <= merged["delivery_delay"] + merged["jitter"]:
+
+
+def _fault_target_named(fault: dict, label: str) -> None:
+    if "node" not in fault and (fault["role"] == "user" or "entity" not in fault):
+        needs = "a node" if fault["role"] == "user" else "an entity or a node"
+        raise ScenarioError(f"the {fault['role']} {fault['kind']} fault at {fault['at']} needs {needs}")
+
+
+def _timing(spec: dict, label: str) -> None:
+    if spec["delta_t"] <= spec["delivery_delay"] + spec["jitter"]:
         raise ScenarioError("delta_t must exceed the worst-case delivery delay")
-    _need_algorithm(merged["algorithm"], "algorithm selection")
-    if merged["metric"] not in METRICS:
-        raise ScenarioError(f"unknown metric {merged['metric']!r}")
-    _need_records(merged["faults"], "faults")
-    for f in merged["faults"]:
-        if f.get("kind") not in FAULT_KINDS:
-            raise ScenarioError(f"unknown fault kind {f.get('kind')!r}")
-        if f.get("role", "voter") not in ("voter", "user"):
-            raise ScenarioError(f"fault role must be voter or user, got {f.get('role')!r}")
-        _need_count(f.get("at"), "fault at")
-        if "mask" in f and not _hex_bytes(f["mask"]):
-            raise ScenarioError(f"fault mask must be non-empty hex, got {f['mask']!r}")
-        if "delay" in f:
-            _need_int(f["delay"], "fault delay")
-    inputs = merged["inputs"]
-    if not isinstance(inputs, dict) or not all(node.isdigit() for node in inputs):
-        raise ScenarioError(f"inputs must map node numbers to lists, got {inputs!r}")
-    for node, items in inputs.items():
-        _need_records(items, f"inputs of node {node}")
-        for item in items:
-            _need_int(item.get("at"), "input at")
-            _need_input(item)
-    _need_records(merged["spares"], "spares")
-    for spare in merged["spares"]:
-        if "entity" not in spare or "node" not in spare:
-            raise ScenarioError("each spare needs an entity and a node")
-    return merged
 
 
-def _payload(item: dict) -> bytes:
-    if "value" in item:
-        return bytes.fromhex(item["value"])
-    if "scalar" in item:
-        return encode_scalar(item["scalar"])
-    return encode_vector(item["vector"])
+_INT, _COUNT = {"type": "integer"}, {"type": "integer", "minimum": 0}
+_NUMBER, _BOOL, _STRING = {"type": "number"}, {"type": "boolean"}, {"type": "string"}
+_HEX, _ALGORITHM = {"type": "string", "check": _hex}, {"type": "object", "check": _algorithm}
+_STRINGS, _NODES = {"type": "array", "items": _STRING}, {"type": "array", "items": _COUNT}
+_ROW = {"type": "array", "items": _COUNT, "minItems": 2, "maxItems": 2, "title": "farm row"}
+_ROWS = {"type": "array", "items": _ROW}
+_PAYLOADS = {"value": bytes.fromhex, "scalar": encode_scalar, "vector": encode_vector}  # input forms
 
 
 @dataclass
@@ -236,9 +258,7 @@ class RunResult:
 
 
 def _user_program(runtime, spec, node, rows, report, inputs):
-    probes = spec["probes"]
-    polls = spec["get_polls"]
-    get_timeout = spec["get_timeout"]
+    probes, polls, get_timeout = spec["probes"], spec["get_polls"], spec["get_timeout"]
 
     def run(proc):
         def record(status):
@@ -261,19 +281,15 @@ def _user_program(runtime, spec, node, rows, report, inputs):
             if "algorithm" in item:
                 alg = item["algorithm"]
                 yield from vf_control(
-                    handle,
-                    proc,
-                    algorithm=alg.get("kind"),
-                    epsilon=alg.get("epsilon"),
-                    scaling_factor=alg.get("scaling_factor"),
-                    tie_break=alg.get("tie_break"),
+                    handle, proc, algorithm=alg.get("kind"), epsilon=alg.get("epsilon"),
+                    scaling_factor=alg.get("scaling_factor"), tie_break=alg.get("tie_break"),
                 )
                 continue
-            payload = _payload(item)
+            payload = next(encode(item[form]) for form, encode in _PAYLOADS.items() if form in item)
             yield from vf_control(handle, proc, input=payload)
-            if probes.get("double_input"):
+            if probes["double_input"]:
                 yield from vf_control(handle, proc, input=payload)
-            if probes.get("premature_close"):
+            if probes["premature_close"]:
                 yield from vf_control(handle, proc, close=True)
             for _ in range(polls):
                 status = yield from vf_get(handle, proc, get_timeout)
@@ -290,40 +306,28 @@ def _user_program(runtime, spec, node, rows, report, inputs):
 
 
 def run_scenario(spec: dict, search_dirs: tuple[str, ...] = ()) -> RunResult:
-    spec = validate_scenario(spec)
-    sim = Simulator(
-        seed=spec["seed"],
-        delivery_delay=spec["delivery_delay"],
-        jitter=spec["jitter"],
-    )
+    written, spec = spec, validate_scenario(spec)
+    sim = Simulator(seed=spec["seed"], delivery_delay=spec["delivery_delay"], jitter=spec["jitter"])
     select = AlgorithmSelect(**spec["algorithm"])
     runtime = FarmRuntime(sim, delta_t=spec["delta_t"], select=select)
 
     db = None
     recovery = spec.get("recovery")
-    if recovery:
+    if recovery is not None:
         rl_path = resolve_include(recovery["rl"], search_dirs)
         if rl_path is None:
             raise ScenarioError(f"referenced file {recovery['rl']!r} not found")
         with open(rl_path, "r", encoding="utf-8") as fh:
             source = fh.read()
-        include_dirs = (os.path.dirname(rl_path),) + search_dirs
-        program = parse_rl(source, include_dirs=include_dirs)
-        groups = {
-            int(gid): tuple(members)
-            for gid, members in recovery.get("groups", {}).items()
-        }
-        db = attach_recovery(runtime, program, groups)
+        program = parse_rl(source, include_dirs=(os.path.dirname(rl_path),) + search_dirs)
+        db = attach_recovery(runtime, program, recovery["groups"])
 
     for spare in spec["spares"]:
-        runtime.declare_spare(int(spare["entity"]), int(spare["node"]))
+        runtime.declare_spare(spare["entity"], spare["node"])
 
-    farm_rows = [(int(r[0]), int(r[1])) for r in spec["farm"]]
-    input_nodes = {int(n) for n in spec["inputs"]}
+    farm_rows = spec["farm"]
     user_nodes = sorted(
-        {node for node, _ in farm_rows}
-        | {int(s["node"]) for s in spec["spares"]}
-        | input_nodes
+        {node for node, _ in farm_rows} | {s["node"] for s in spec["spares"]} | set(spec["inputs"])
     )
     for node in user_nodes:
         runtime.ensure_user_endpoint(node)
@@ -332,36 +336,17 @@ def run_scenario(spec: dict, search_dirs: tuple[str, ...] = ()) -> RunResult:
     users: dict[int, dict] = {}
     procs: dict[int, Proc] = {}
     for node in user_nodes:
-        rows = farm_rows
-        if mismatch and int(mismatch["node"]) == node:
-            rows = [(int(r[0]), int(r[1])) for r in mismatch["farm"]]
-        inputs = sorted(
-            spec["inputs"].get(str(node), []), key=lambda item: item["at"]
-        )
-        report = {
-            "statuses": [],
-            "outputs": [],
-            "refused": 0,
-            "error": None,
-            "done": False,
-        }
-        users[node] = report
+        rows = mismatch["farm"] if mismatch and mismatch["node"] == node else farm_rows
+        inputs = sorted(spec["inputs"].get(node, []), key=lambda item: item["at"])
+        report = users[node] = {"statuses": [], "outputs": [], "refused": 0, "error": None, "done": False}
         procs[node] = sim.spawn(
-            _user_program(runtime, spec, node, rows, report, inputs),
-            Endpoint(node, "user"),
+            _user_program(runtime, spec, node, rows, report, inputs), Endpoint(node, "user")
         )
 
     for f in spec["faults"]:
         target = _fault_target(f, runtime, farm_rows)
-        sim.inject(
-            FaultSpec(
-                kind=f["kind"],
-                target=target,
-                at_time=f["at"],
-                mask=bytes.fromhex(f.get("mask", "ff")),
-                delay=f.get("delay", 0),
-            )
-        )
+        mask = bytes.fromhex(f["mask"])
+        sim.inject(FaultSpec(kind=f["kind"], target=target, at_time=f["at"], mask=mask, delay=f["delay"]))
 
     sim.run_until_quiescent(spec["max_time"])
 
@@ -369,159 +354,111 @@ def run_scenario(spec: dict, search_dirs: tuple[str, ...] = ()) -> RunResult:
         handle = report.pop("handle", None)
         if handle is not None:
             report["outputs"] = [
-                {
-                    "session": o["session"],
-                    "source": o["source"],
-                    "value": o["payload"].hex(),
-                }
+                {"session": o["session"], "source": o["source"], "value": o["payload"].hex()}
                 for o in handle.outputs
             ]
 
     result = RunResult(spec, sim, runtime, db, users, procs, search_dirs)
-    for a in spec["assertions"]:
-        result.assertions.append(_evaluate(result, a))
+    # A verdict echoes its assertion as written, without defaults, and its explanation
+    # wins over the assertion's own "detail" (the one a session-status check expects).
+    for as_written, a in zip(written.get("assertions", ()), spec["assertions"]):
+        try:
+            ok, detail = _EVALUATORS[a["type"]][0](result, a)
+        except VotingFarmError as exc:
+            ok, detail = False, str(exc)
+        result.assertions.append({**as_written, "ok": bool(ok), "detail": detail})
     return result
 
 
 def _fault_target(f: dict, runtime: FarmRuntime, farm_rows) -> Endpoint:
-    role = f.get("role", "voter")
-    if role == "user":
-        return Endpoint(int(f["node"]), "user")
-    if "entity" in f:
-        entity = int(f["entity"])
-        for node, ident in farm_rows:
-            if ident == entity:
-                return Endpoint(node, "voter", entity)
-        if entity in runtime.spares:
-            return Endpoint(runtime.spares[entity], "voter", entity)
+    if f["role"] == "user":
+        return Endpoint(f["node"], "user")
+    if "entity" not in f:
+        return Endpoint(f["node"], "voter", f.get("member", f["node"]))
+    entity = f["entity"]
+    node = next((node for node, ident in farm_rows if ident == entity), runtime.spares.get(entity))
+    if node is None:
         raise ScenarioError(f"fault names unknown entity {entity}")
-    return Endpoint(int(f["node"]), "voter", int(f.get("member", f["node"])))
+    return Endpoint(node, "voter", entity)
 
 
 # -- assertions -----------------------------------------------------------
 
-def _detail_tokens(detail: str) -> set[str]:
-    return set(detail.split())
-
-
 def session_latency(result: RunResult, session: int) -> int:
     """Simulated time from a session's scheduled input to its last VF_DONE."""
-    times = sorted(
-        {
-            int(item["at"])
-            for items in result.spec["inputs"].values()
-            for item in items
-            if "algorithm" not in item
-        }
-    )
+    inputs = result.spec["inputs"].values()
+    times = sorted({item["at"] for items in inputs for item in items if "algorithm" not in item})
     if session >= len(times):
         raise ScenarioError(f"no scheduled input for session {session}")
-    t_in = times[session]
+    want = {"status=VF_DONE", "detail=ok", f"session={session}"}
     done = [
-        t
-        for t, kind, _, to, detail in result.trace.events
-        if kind == "deliver"
-        and to.startswith("user")
-        and {"status=VF_DONE", "detail=ok", f"session={session}"}
-        <= _detail_tokens(detail)
+        t for t, kind, _, to, detail in result.trace.events
+        if kind == "deliver" and to.startswith("user") and want <= set(detail.split())
     ]
     if not done:
         raise ScenarioError(f"session {session} never completed")
-    return max(done) - t_in
-
-
-def _evaluate(result: RunResult, a: dict) -> dict:
-    kind = a.get("type")
-    fn = _EVALUATORS.get(kind)
-    if fn is None:
-        return {"type": kind, "ok": False, "detail": f"unknown assertion type {kind!r}"}
-    try:
-        ok, detail = fn(result, a)
-    except VotingFarmError as exc:
-        ok, detail = False, str(exc)
-    # The explanation wins over an assertion's own "detail" (the status
-    # detail a session-status assertion expects).
-    return {**a, "ok": bool(ok), "detail": detail}
+    return max(done) - times[session]
 
 
 def _a_quiescent(result: RunResult, a: dict):
-    ok = result.sim.quiescent and not result.trace.max_time_exceeded
-    ok = ok and result.all_users_finished()
+    ok = result.sim.quiescent and not result.trace.max_time_exceeded and result.all_users_finished()
     return ok, "all processes drained" if ok else "simulation did not settle"
 
 
 def _a_trace_count(result: RunResult, a: dict):
-    count = result.trace.count(a.get("kind"), a.get("contains", ""))
-    if "equals" in a:
-        return count == a["equals"], f"count={count}"
-    ok = count >= a.get("min", 0) and count <= a.get("max", count)
+    count = result.trace.count(a.get("kind"), a["contains"])
+    ok = count == a["equals"] if "equals" in a else a["min"] <= count <= a.get("max", count)
     return ok, f"count={count}"
 
 
 def _a_output_equals(result: RunResult, a: dict):
-    session = a.get("session", 0)
-    want = a["value"]
     nodes = a.get("nodes") or sorted(result.users)
     missing, wrong = [], []
     for node in nodes:
-        rep = result.users.get(int(node))
-        got = [o["value"] for o in rep["outputs"] if o["session"] == session] if rep else []
+        rep = result.users.get(node)
+        got = [o["value"] for o in rep["outputs"] if o["session"] == a["session"]] if rep else []
         if not got:
             missing.append(node)
-        elif any(v != want for v in got):
+        elif any(v != a["value"] for v in got):
             wrong.append((node, got))
     ok = not missing and not wrong
     return ok, f"missing={missing} wrong={wrong}" if not ok else f"{len(nodes)} nodes agree"
 
 
 def _a_session_status(result: RunResult, a: dict):
-    session = a.get("session", 0)
-    code = a.get("status", "VF_DONE")
-    detail = a.get("detail")
-    nodes = a.get("nodes") or sorted(result.users)
+    session, code, detail = a["session"], a["status"], a.get("detail")
     bad = []
-    for node in nodes:
-        rep = result.users.get(int(node), {})
-        hits = [
-            s
-            for s in rep.get("statuses", [])
-            if s["session"] == session
-            and s["code"] == code
-            and (detail is None or s["detail"] == detail)
-        ]
-        if not hits:
+    for node in a.get("nodes") or sorted(result.users):
+        statuses = result.users[node]["statuses"] if node in result.users else []
+        if not any(
+            s["session"] == session and s["code"] == code and (detail is None or s["detail"] == detail)
+            for s in statuses
+        ):
             bad.append(node)
     return not bad, f"nodes without {code}/{detail} for session {session}: {bad}" if bad else "ok"
 
 
 def _a_refused_min(result: RunResult, a: dict):
     total = sum(rep["refused"] for rep in result.users.values())
-    return total >= a.get("count", 1), f"refused={total}"
+    return total >= a["count"], f"refused={total}"
 
 
 def _a_latency_delta(result: RunResult, a: dict):
-    session = a.get("session", 0)
-    baseline_spec = {**result.spec, "faults": [], "assertions": [], "probes": {}}
-    baseline = run_scenario(baseline_spec, result.search_dirs)
+    session, dirs = a["session"], result.search_dirs
+    baseline = run_scenario({**result.spec, "faults": [], "assertions": [], "probes": {}}, dirs)
     delta = session_latency(result, session) - session_latency(baseline, session)
-    ok = abs(delta - a["expected"]) <= a.get("tol", 1)
-    return ok, f"delta={delta} expected={a['expected']}"
+    return abs(delta - a["expected"]) <= a["tol"], f"delta={delta} expected={a['expected']}"
 
 
 def _a_action_log(result: RunResult, a: dict):
     verbs = result.db.verbs() if result.db else []
-    if "verbs" in a:
-        return verbs == a["verbs"], f"log={verbs}"
-    needle = a.get("contains", [])
-    ok = all(v in verbs for v in needle)
+    ok = verbs == a["verbs"] if "verbs" in a else all(v in verbs for v in a["contains"])
     return ok, f"log={verbs}"
 
 
 def _a_recovery_errors(result: RunResult, a: dict):
     errors = result.db.errors if result.db else []
-    needle = a.get("contains", "")
-    ok = any(needle in e for e in errors)
-    return ok, f"errors={errors}"
+    return any(a["contains"] in e for e in errors), f"errors={errors}"
 
 
 def _a_live_voters(result: RunResult, a: dict):
@@ -530,9 +467,7 @@ def _a_live_voters(result: RunResult, a: dict):
 
 
 def _a_spmd_flag(result: RunResult, a: dict):
-    return result.runtime.spmd_incoherent == a.get("value", True), (
-        f"spmd_incoherent={result.runtime.spmd_incoherent}"
-    )
+    return result.runtime.spmd_incoherent == a["value"], f"spmd_incoherent={result.runtime.spmd_incoherent}"
 
 
 def check_phase_grammar(result: RunResult) -> list[str]:
@@ -558,19 +493,83 @@ def _a_phase_grammar(result: RunResult, a: dict):
     return not bad, "; ".join(bad) if bad else "all voters follow the cycle"
 
 
+# Each assertion type: its evaluator and the fields it may hold, in the
+# form of the scenario table below, which adds "type" to each.
 _EVALUATORS = {
-    "quiescent": _a_quiescent,
-    "trace-count": _a_trace_count,
-    "output-equals": _a_output_equals,
-    "session-status": _a_session_status,
-    "refused-min": _a_refused_min,
-    "latency-delta": _a_latency_delta,
-    "action-log": _a_action_log,
-    "recovery-errors": _a_recovery_errors,
-    "live-voters": _a_live_voters,
-    "spmd-flag": _a_spmd_flag,
-    "phase-grammar": _a_phase_grammar,
+    "quiescent": (_a_quiescent, {}),
+    "trace-count": (_a_trace_count, {
+        "kind": (_STRING, OPTIONAL), "contains": (_STRING, ""), "equals": (_COUNT, OPTIONAL),
+        "min": (_COUNT, 0), "max": (_COUNT, OPTIONAL)}),
+    "output-equals": (_a_output_equals, {"session": (_COUNT, 0), "value": (_HEX, REQUIRED),
+                                         "nodes": (_NODES, OPTIONAL)}),
+    "session-status": (_a_session_status, {
+        "session": (_COUNT, 0), "detail": (_STRING, OPTIONAL), "nodes": (_NODES, OPTIONAL),
+        "status": ({**_STRING, "enum": tuple(code.value for code in VfStatusCode)}, "VF_DONE")}),
+    "refused-min": (_a_refused_min, {"count": (_COUNT, 1)}),
+    "latency-delta": (_a_latency_delta, {"session": (_COUNT, 0), "expected": (_INT, REQUIRED),
+                                         "tol": (_COUNT, 1)}),
+    "action-log": (_a_action_log, {"verbs": (_STRINGS, OPTIONAL), "contains": (_STRINGS, [])}),
+    "recovery-errors": (_a_recovery_errors, {"contains": (_STRING, "")}),
+    "live-voters": (_a_live_voters, {"count": (_COUNT, REQUIRED)}),
+    "spmd-flag": (_a_spmd_flag, {"value": (_BOOL, True)}),
+    "phase-grammar": (_a_phase_grammar, {}),
 }
+
+
+# -- the scenario table ----------------------------------------------------
+
+_FAULT = _object("fault", {
+    "kind": ({**_STRING, "enum": FAULT_KINDS}, REQUIRED), "at": (_COUNT, REQUIRED),
+    "role": ({**_STRING, "enum": ("voter", "user")}, "voter"),
+    "entity": (_COUNT, OPTIONAL), "node": (_COUNT, OPTIONAL), "member": (_COUNT, OPTIONAL),
+    "mask": (_HEX, "ff"), "delay": (_COUNT, 0),
+}, check=_fault_target_named)
+
+_INPUT = _object("input", {
+    "at": (_COUNT, REQUIRED), "value": (_HEX, OPTIONAL), "scalar": (_NUMBER, OPTIONAL),
+    "vector": ({"type": "array", "items": _NUMBER, "minItems": 1}, OPTIONAL),
+    "algorithm": (_ALGORITHM, OPTIONAL),
+}, oneOf=(*_PAYLOADS, "algorithm"))
+
+_ASSERTION = {"type": "object", "title": "assertion", "cases": {
+    kind: _object(f"{kind} assertion", {"type": (_STRING, REQUIRED), **fields})
+    for kind, (_, fields) in _EVALUATORS.items()
+}}
+
+_SCENARIO = _object("scenario", {
+    "name": (_STRING, "unnamed"), "seed": (_INT, 0),
+    "farm": ({**_ROWS, "check": _farm_layout}, REQUIRED),
+    "max_time": (_COUNT, 100_000), "delta_t": (_COUNT, 10),
+    "delivery_delay": (_COUNT, 0), "jitter": (_COUNT, 0),
+    "metric": ({**_STRING, "enum": tuple(METRICS)}, "default"),
+    "algorithm": (_ALGORITHM, {}),
+    "spares": ({"type": "array", "items": _object("spare", {
+        "entity": (_COUNT, REQUIRED), "node": (_COUNT, REQUIRED),
+    })}, []),
+    "inputs": ({"type": "object", "keys": "node numbers", "each": "inputs of node {}",
+                "values": {"type": "array", "items": _INPUT}}, {}),
+    "faults": ({"type": "array", "items": _FAULT}, []),
+    "recovery": (_object("recovery", {
+        "rl": (_STRING, REQUIRED),
+        "groups": ({"type": "object", "keys": "group numbers", "each": "members of group {}",
+                    "values": _NODES}, {}),
+    }), OPTIONAL),
+    "spmd_mismatch": (_object("spmd_mismatch", {"node": (_COUNT, REQUIRED), "farm": (_ROWS, REQUIRED)}),
+                      OPTIONAL),
+    "probes": (_object("probes", {"double_input": (_BOOL, False), "premature_close": (_BOOL, False)}),
+               {}),
+    "get_polls": (_COUNT, 8), "get_timeout": (_COUNT, 40), "close_farm": (_BOOL, False),
+    "assertions": ({"type": "array", "items": _ASSERTION}, []),
+}, prefix="", check=_timing)
+
+_DEFAULTS = {key: d for key, (_, d) in _SCENARIO["properties"].items() if d not in (REQUIRED, OPTIONAL)}
+_check_scenario = _walker(_SCENARIO)
+
+
+def validate_scenario(spec: dict) -> dict:
+    """The spec checked against the table, with every default filled in;
+    raises ScenarioError naming the first bad value."""
+    return _check_scenario(spec, "scenario")
 
 
 # -- artifacts -------------------------------------------------------------

@@ -57,8 +57,10 @@ GOLDEN = {
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_bundled_scenario_artifacts_match_golden_hashes(name, tmp_path):
-    # A name not under tests/scenarios falls back to the bundled corpus.
-    spec, dirs = resolve_scenario(str(SCENARIOS / name))
+    # A name not under tests/scenarios is a bundled one, loaded by name:
+    # only a bare name falls back to the bundled corpus.
+    path = SCENARIOS / f"{name}.json"
+    spec, dirs = resolve_scenario(str(path) if path.is_file() else name)
     written = write_artifacts(run_scenario(spec, dirs), str(tmp_path))
     digests = {
         Path(p).name: hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in written

@@ -1,12 +1,13 @@
 """Scenario engine and the vf command line."""
 
+import copy
 import json
 import shutil
 from pathlib import Path
 
 import pytest
 
-from votingfarm import cli, farm
+from votingfarm import cli, farm, scenario
 from votingfarm.fabric import Recv
 from votingfarm.scenario import (
     ScenarioError,
@@ -80,6 +81,7 @@ def test_resolve_missing_and_malformed(tmp_path):
         ({"inputs": {"1": [5]}}, "inputs of node 1 must be a list of objects"),
         ({"faults": ["x"]}, "faults must be a list of objects"),
         ({"spares": [3]}, "spares must be a list of objects"),
+        ({"inputs": {"\u00b2": []}}, "inputs must map node numbers"),
     ],
 )
 def test_validate_rejects(mutation, message):
@@ -87,6 +89,36 @@ def test_validate_rejects(mutation, message):
     spec = {**spec, **mutation}
     with pytest.raises(ScenarioError, match=message):
         validate_scenario(spec)
+
+
+def test_validate_fills_defaults_and_leaves_the_spec_alone():
+    spec, _ = load("three_and_one_spare")
+    before = copy.deepcopy(spec)
+    checked = validate_scenario(spec)
+    assert spec == before
+    assert checked["probes"] == {"double_input": False, "premature_close": False}
+    assert checked["faults"][0] == {**spec["faults"][0], "mask": "ff", "delay": 0}
+    assert checked["inputs"][1] == spec["inputs"]["1"]
+    assert validate_scenario(checked) == checked
+
+
+def _table_keys(schema: dict) -> set:
+    keys = set()
+    for key, (field, _) in schema.get("properties", {}).items():
+        keys |= {key} | _table_keys(field)
+    for tag, case in schema.get("cases", {}).items():
+        keys |= {tag} | _table_keys(case)
+    for part in ("items", "values"):
+        keys |= _table_keys(schema[part]) if part in schema else set()
+    return keys
+
+
+def test_readme_names_every_key_of_the_scenario_table():
+    readme = (HERE.parent / "README.md").read_text()
+    section = readme.split("## Scenario files")[1].split("\n## ")[0]
+    keys = _table_keys(scenario._SCENARIO)
+    assert {"rl", "double_input", "vector", "member", "tol", "phase-grammar"} <= keys
+    assert sorted(key for key in keys if f"`{key}`" not in section) == []
 
 
 @pytest.mark.parametrize("name", BUNDLED)
@@ -334,6 +366,22 @@ def test_cli_run_malformed_scenario(tmp_path, capsys):
         ({"inputs": {"1": [{"at": 10, "algorithm": "median"}]}}, "input algorithm"),
         ({"inputs": {"1": [{"at": 10}]}}, "input needs exactly one"),
         ({"inputs": {"1": [{"at": 10, "value": "01", "scalar": 1.0}]}}, "input needs exactly one"),
+        ({"recovery": {"groups": {}}}, "recovery rl"),
+        ({"recovery": {"rl": "table4.rl", "groups": {"x": [1, 2, 3]}}}, "recovery groups must map"),
+        ({"recovery": {"rl": "table4.rl", "groups": {"1": [1, "two"]}}}, "members of group 1"),
+        ({"spmd_mismatch": {"node": 2}}, "spmd_mismatch farm"),
+        ({"assertions": [{"type": "output-equals"}]}, "output-equals assertion value"),
+        ({"assertions": [{"type": "latency-delta"}]}, "latency-delta assertion expected"),
+        ({"spares": [{"entity": "x", "node": 4}]}, "spare entity"),
+        ({"faults": [{"kind": "crash", "at": 5}]}, "needs an entity or a node"),
+        ({"assertions": [{"type": "session-status", "nodes": ["a"]}]}, "session-status assertion nodes"),
+        ({"assertions": [{"type": "live-voters"}]}, "live-voters assertion count"),
+        ({"assertions": [{"type": "trace-count", "equals": "3"}]}, "trace-count assertion equals"),
+        ({"probes": [1]}, "probes must be an object"),
+        ({"close_farm": "no"}, "close_farm must be true or false"),
+        ({"delt_t": 10}, "unknown scenario key 'delt_t'"),
+        ({"assertions": [{"type": "eventually-ok"}]}, "unknown assertion type"),
+        ({"farm": [[1.5, 1], [2, 2], [3, 3]]}, "farm row"),
     ],
     ids=[
         "string_delta_t",
@@ -350,6 +398,22 @@ def test_cli_run_malformed_scenario(tmp_path, capsys):
         "algorithm_not_an_object",
         "input_without_a_form",
         "input_with_two_forms",
+        "recovery_without_rl",
+        "group_id_not_a_number",
+        "group_member_not_an_integer",
+        "spmd_mismatch_without_farm",
+        "output_equals_without_value",
+        "latency_delta_without_expected",
+        "spare_entity_not_an_integer",
+        "fault_without_a_target",
+        "session_status_node_not_an_integer",
+        "live_voters_without_count",
+        "trace_count_equals_a_string",
+        "probes_not_an_object",
+        "close_farm_a_string",
+        "misspelt_key",
+        "unknown_assertion_type",
+        "fractional_farm_node",
     ],
 )
 def test_cli_run_unusable_field_exits_2(tmp_path, capsys, mutation, field):
@@ -364,6 +428,14 @@ def test_cli_run_unusable_field_exits_2(tmp_path, capsys, mutation, field):
     assert cli.main(["run", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("vf: ") and field in err
+
+
+def test_cli_run_missing_path_is_not_a_bundled_name(capsys):
+    # Only a bare name falls back to the bundled corpus.
+    assert cli.main(["run", "nodir/tmr_happy"]) == 2
+    assert capsys.readouterr().err.startswith("vf: no scenario named 'nodir/tmr_happy'")
+    with pytest.raises(ScenarioError, match="no scenario named"):
+        resolve_scenario(str(HERE / "scenarios" / "tmr_happy.json"))
 
 
 def test_cli_run_failing_assertion(tmp_path, capsys):
