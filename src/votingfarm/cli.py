@@ -39,6 +39,7 @@ from .perf import (
     timing_harness,
 )
 from .recovery import compile_program, disassemble, parse_rl
+from .recovery.lang import read_text
 from .reliability import (
     check_curve_step,
     check_rate,
@@ -141,8 +142,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_rl(args) -> int:
     if args.rl_command == "compile":
-        with open(args.source, "r", encoding="utf-8") as fh:
-            source = fh.read()
+        source = read_text(args.source)
         include_dirs = tuple(args.include_dirs) + (
             os.path.dirname(os.path.abspath(args.source)),
             bundled_dir(),

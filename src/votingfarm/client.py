@@ -149,15 +149,15 @@ def vf_control(
     if output_node is not None:
         handle.runtime.route_output(voter, output_node)
     if params:
-        yield Send(voter, wire.Frame(wire.K_CONTROL, {"req": "algorithm", **params}))
+        yield Send(voter, wire.Control("algorithm", params))
     if output_node is not None:
-        yield Send(voter, wire.Frame(wire.K_CONTROL, {"req": "output", "node": output_node}))
+        yield Send(voter, wire.Control("output", output_node))
     if input is not None:
-        yield Send(voter, wire.Frame(wire.K_INPUT, {"valid": True}, input))
+        yield Send(voter, wire.Input(bytes(input)))
     if reset:
-        yield Send(voter, wire.Frame(wire.K_CONTROL, {"req": "reset"}))
+        yield Send(voter, wire.Control("reset"))
     if close:
-        yield Send(voter, wire.Frame(wire.K_CONTROL, {"req": "close"}))
+        yield Send(voter, wire.Control("close"))
 
 
 def vf_get(handle: FarmHandle, proc: Proc, timeout: int) -> Generator:
@@ -180,20 +180,10 @@ def vf_get(handle: FarmHandle, proc: Proc, timeout: int) -> Generator:
             return VfStatus(VfStatusCode.VF_NONE, "timeout")
         _, frame = got
         if frame.kind == wire.K_OUTPUT:
-            handle.outputs.append(
-                {
-                    "session": frame.get("session"),
-                    "source": frame.get("member"),
-                    "payload": frame.payload,
-                }
-            )
+            handle.outputs.append({"session": frame.session, "source": frame.member, "payload": frame.payload})
             continue
         if frame.kind == wire.K_STATUS:
-            return VfStatus(
-                VfStatusCode(frame.get("status")),
-                frame.get("detail", ""),
-                frame.get("session", -1),
-            )
+            return VfStatus(frame.status, frame.detail, frame.session)
 
 
 def vf_close(handle: FarmHandle, proc: Proc, timeout: int) -> Generator:

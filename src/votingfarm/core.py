@@ -178,11 +178,6 @@ class FarmDescriptor:
     def copy(self) -> "FarmDescriptor":
         return FarmDescriptor(list(self.members))
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FarmDescriptor):
-            return NotImplemented
-        return self.members == other.members
-
 
 def validate_descriptor(desc: FarmDescriptor) -> None:
     """Check a descriptor before activation.

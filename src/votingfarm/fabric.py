@@ -14,7 +14,7 @@ and, on the sender, the FIFO floor towards each peer.  A link between
 endpoints on one node is local, any other is virtual.  A process talks
 to the fabric by yielding syscall objects:
 
-    Send(to, frame)      blocking send of a wire.Frame; returns once
+    Send(to, frame)      blocking send of a wire frame; returns once
                          delivery completed (or the message was
                          discarded for a dead peer)
     Recv(timeout)        oldest pending message as (sender, frame), or
@@ -24,8 +24,9 @@ to the fabric by yielding syscall objects:
     Sleep(dt)            advance local time
     Exit()               end the process and retire its endpoint
 
-Messages are wire.Frame objects from sender to receiver; the fabric
-never serialises them.
+Messages are typed, read-only wire frames (wire.Input, wire.Broadcast,
+...) carried as they are from sender to receiver; the fabric never
+serialises them.
 
 Scheduling is fully deterministic: events are ordered by (time, seq)
 where seq increases monotonically as events are created, so two runs of

@@ -236,9 +236,7 @@ class FarmRuntime:
         self._compact_idents()
         frm = self.rint_ep if self.rint_ep is not None else Endpoint(0, "rint")
         # Frames never leave the process: the WARN carries the view itself.
-        self.sim.post(
-            frm, ep, wire.Frame(wire.K_WARN, {"farm": self.current_view(), "epoch": self.epoch})
-        )
+        self.sim.post(frm, ep, wire.Warn(self.current_view(), self.epoch))
         return None
 
     def restart_entity(self, entity: int) -> Optional[str]:

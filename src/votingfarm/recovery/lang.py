@@ -209,17 +209,25 @@ def _entity_ref(text: str) -> EntityRef:
 _DEFINE_RE = re.compile(r"^\s*#\s*define\s+([A-Za-z_][A-Za-z0-9_]*)\s+(-?[0-9]+)\s*$")
 
 
+def read_text(path: str) -> str:
+    """A strategy source or header file's text; VotingFarmError if it is not UTF-8."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise VotingFarmError(f"{path}: not UTF-8 text: {exc}") from exc
+
+
 def load_definitions(path: str) -> dict[str, int]:
     """Read `#define NAME integer` lines from a C-style header."""
     defs: dict[str, int] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = re.sub(r"/\*.*?\*/", "", raw).strip()
-            if not line or line.startswith("//"):
-                continue
-            m = _DEFINE_RE.match(line)
-            if m:
-                defs[m.group(1)] = int(m.group(2))
+    for raw in read_text(path).splitlines():
+        line = re.sub(r"/\*.*?\*/", "", raw).strip()
+        if not line or line.startswith("//"):
+            continue
+        m = _DEFINE_RE.match(line)
+        if m:
+            defs[m.group(1)] = int(m.group(2))
     return defs
 
 

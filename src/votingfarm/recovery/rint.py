@@ -220,22 +220,16 @@ def director_process(db: DirDatabase, rint_ep: Endpoint):
     def run(proc: Proc) -> Generator:
         while True:
             _, frame = yield Recv(None)
-            entity = frame.get("member")
             if frame.kind == wire.K_PHASE:
-                code = frame.get("code")
-                db.record_phase(entity, code, proc.now)
-                if code != _FAILURE_CODE:
+                db.record_phase(frame.member, frame.code, proc.now)
+                if frame.code != _FAILURE_CODE:
                     continue
             elif frame.kind == wire.K_FAULT:
-                db.record_fault(entity, frame.get("fault", "crash"), proc.now)
+                db.record_fault(frame.member, frame.fault, proc.now)
             else:
                 continue
             # An error event: a fault record or a voter reporting failure.
-            proc.sim.post(
-                proc.endpoint,
-                rint_ep,
-                wire.Frame(wire.K_CONTROL, {"req": "trigger", "member": entity}),
-            )
+            proc.sim.post(proc.endpoint, rint_ep, wire.Control("trigger", member=frame.member))
     return run
 
 
@@ -243,7 +237,7 @@ def interpreter_process(program: RlProgram, db: DirDatabase, runtime: FarmRuntim
     def run(proc: Proc) -> Generator:
         while True:
             _, frame = yield Recv(None)
-            if frame.kind == wire.K_CONTROL and frame.get("req") == "trigger":
+            if frame.kind == wire.K_CONTROL and frame.req == "trigger":
                 instances = rint_step(program, db)
                 execute_actions(instances, runtime, db)
     return run
@@ -272,11 +266,7 @@ def attach_recovery(
 
     def watchdog(endpoint: Endpoint, t: int) -> None:
         if endpoint.role == "voter" and endpoint.member is not None:
-            sim.post(
-                Endpoint(endpoint.node, "watchdog"),
-                dirnet_ep,
-                wire.Frame(wire.K_FAULT, {"member": endpoint.member, "fault": "crash"}),
-            )
+            sim.post(Endpoint(endpoint.node, "watchdog"), dirnet_ep, wire.Fault(endpoint.member, "crash"))
 
     sim.crash_listeners.append(watchdog)
     return db

@@ -28,7 +28,7 @@ from .core import (PHASE_TRANSITIONS, FarmDescriptor, FarmMember, VfStatusCode, 
 from .fabric import Endpoint, FAULT_KINDS, FaultSpec, Proc, Simulator, Sleep
 from .farm import FarmRuntime
 from .recovery import DirDatabase, attach_recovery, parse_rl
-from .recovery.lang import resolve_include
+from .recovery.lang import read_text, resolve_include
 
 _PHASE_STEPS = {(src.value, dst.value) for (src, _), dst in PHASE_TRANSITIONS.items()}
 
@@ -160,7 +160,10 @@ def _container(s: dict):
         def walk(value, label):
             if not all(map(str.isdecimal, map(str, value))):
                 raise ScenarioError(f"{label} must {_must(s)}, got {value!r}")
-            return {int(key): walk_value(v, each.format(key)) for key, v in value.items()}
+            checked = {int(key): walk_value(v, each.format(key)) for key, v in value.items()}
+            if len(checked) < len(value):
+                raise ScenarioError(f"{label} names one of its {s['keys']} twice, got keys {list(value)!r}")
+            return checked
     elif "cases" in s:  # one object schema per value of the "type" key
         cases = {tag: _container(case) for tag, case in s["cases"].items()}
 
@@ -208,9 +211,13 @@ def _fault_target_named(fault: dict, label: str) -> None:
         raise ScenarioError(f"the {fault['role']} {fault['kind']} fault at {fault['at']} needs {needs}")
 
 
-def _timing(spec: dict, label: str) -> None:
+def _scenario_rules(spec: dict, label: str) -> None:
     if spec["delta_t"] <= spec["delivery_delay"] + spec["jitter"]:
         raise ScenarioError("delta_t must exceed the worst-case delivery delay")
+    idents = {ident for _, ident in spec["farm"]}
+    for spare in spec["spares"]:
+        if spare["entity"] in idents:
+            raise ScenarioError(f"spare entity {spare['entity']} is already a farm ident")
 
 
 _INT, _COUNT = {"type": "integer"}, {"type": "integer", "minimum": 0}
@@ -317,9 +324,7 @@ def run_scenario(spec: dict, search_dirs: tuple[str, ...] = ()) -> RunResult:
         rl_path = resolve_include(recovery["rl"], search_dirs)
         if rl_path is None:
             raise ScenarioError(f"referenced file {recovery['rl']!r} not found")
-        with open(rl_path, "r", encoding="utf-8") as fh:
-            source = fh.read()
-        program = parse_rl(source, include_dirs=(os.path.dirname(rl_path),) + search_dirs)
+        program = parse_rl(read_text(rl_path), include_dirs=(os.path.dirname(rl_path),) + search_dirs)
         db = attach_recovery(runtime, program, recovery["groups"])
 
     for spare in spec["spares"]:
@@ -560,7 +565,7 @@ _SCENARIO = _object("scenario", {
                {}),
     "get_polls": (_COUNT, 8), "get_timeout": (_COUNT, 40), "close_farm": (_BOOL, False),
     "assertions": ({"type": "array", "items": _ASSERTION}, []),
-}, prefix="", check=_timing)
+}, prefix="", check=_scenario_rules)
 
 _DEFAULTS = {key: d for key, (_, d) in _SCENARIO["properties"].items() if d not in (REQUIRED, OPTIONAL)}
 _check_scenario = _walker(_SCENARIO)

@@ -31,7 +31,7 @@ its database.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Generator, Optional
 
 from . import wire
@@ -115,19 +115,8 @@ def _report(proc: Proc, state: VoterState, event: VoterEvent) -> None:
         proc.sim.post(
             proc.endpoint,
             state.dirnet_ep,
-            wire.Frame(
-                wire.K_PHASE,
-                {
-                    "member": state.entity,
-                    "phase": str(state.phase),
-                    "code": PHASE_CODES[state.phase],
-                },
-            ),
+            wire.Phase(state.entity, state.phase, PHASE_CODES[state.phase]),
         )
-
-
-def _status_frame(code: VfStatusCode, detail: str, session: int) -> wire.Frame:
-    return wire.Frame(wire.K_STATUS, {"status": str(code), "detail": detail, "session": session})
 
 
 def voter_process(state: VoterState):
@@ -140,12 +129,11 @@ def voter_process(state: VoterState):
             sender, frame = inbox.popleft() if inbox else (yield Recv(None))
 
             if frame.kind == wire.K_CONTROL:
-                req = frame.get("req")
-                if req == "close":
-                    yield Send(sender, _status_frame(VfStatusCode.VF_DONE, "closed", -1))
+                if frame.req == "close":
+                    yield Send(sender, wire.Status(VfStatusCode.VF_DONE, "closed", -1))
                     yield Exit()
                     return
-                if req == "reset":
+                if frame.req == "reset":
                     if state.phase is VoterPhase.VFP_FAILURE:
                         _report(proc, state, VoterEvent.RESET)
                     continue
@@ -160,45 +148,38 @@ def voter_process(state: VoterState):
 
             if frame.kind == wire.K_INPUT:
                 if state.phase is VoterPhase.VFP_FAILURE:
-                    yield Send(sender, _status_frame(VfStatusCode.VF_REFUSED, "failed", state.next_session))
+                    yield Send(sender, wire.Status(VfStatusCode.VF_REFUSED, "failed", state.next_session))
                     continue
                 yield from _session(proc, state, inbox, sender, frame)
                 continue
 
             if frame.kind == wire.K_BROADCAST:
                 if state.phase is VoterPhase.VFP_FAILURE:
-                    _trace(proc, "drop", f"broadcast while failed session={frame.get('session')}")
+                    _trace(proc, "drop", f"broadcast while failed session={frame.session}")
                     continue
-                if frame.get("epoch") != state.epoch or frame.get("session", -1) < state.next_session:
-                    _trace(proc, "drop", f"stale broadcast session={frame.get('session')} epoch={frame.get('epoch')}")
+                if frame.epoch != state.epoch or frame.session < state.next_session:
+                    _trace(proc, "drop", f"stale broadcast session={frame.session} epoch={frame.epoch}")
                     continue
-                state.next_session = frame.get("session")
+                state.next_session = frame.session
                 yield from _session(proc, state, inbox, sender, frame)
                 continue
 
-            _trace(proc, "drop", f"unexpected {frame.kind_name} while idle")
+            _trace(proc, "drop", f"unexpected {frame.name} while idle")
 
     return run
 
 
 def _apply_params(state: VoterState, frame: wire.Frame) -> None:
-    req = frame.get("req")
-    if req == "algorithm":
-        cur = state.select
-        state.select = AlgorithmSelect(
-            kind=frame.get("kind", cur.kind),
-            epsilon=frame.get("epsilon", cur.epsilon),
-            scaling_factor=frame.get("scaling_factor", cur.scaling_factor),
-            tie_break=frame.get("tie_break", cur.tie_break),
-        )
-    elif req == "output":
-        state.output_ep = Endpoint(frame.get("node"), "user")
+    if frame.req == "algorithm":
+        state.select = replace(state.select, **frame.arg)
+    elif frame.req == "output":
+        state.output_ep = Endpoint(frame.arg, "user")
 
 
 def _apply_warn(proc: Proc, state: VoterState, frame: wire.Frame) -> bool:
     """Adopt the farm view a WARN carries.  False means: not a member anymore."""
-    view: FarmView = frame.get("farm")
-    epoch = frame.get("epoch")
+    view: FarmView = frame.farm
+    epoch = frame.epoch
     slot = view.slot_of_entity(state.entity)
     _trace(proc, "warn", f"epoch={epoch} farm={view.to_fields()}")
     if slot is None:
@@ -243,14 +224,13 @@ def _session(
             if frame.kind == wire.K_INPUT and own is None and sender == state.user_ep:
                 own = frame.payload
                 slot = VoteObject(own, True, me)
-            elif frame.kind == wire.K_BROADCAST and frame.get("epoch") == state.epoch:
-                s = frame.get("session", -1)
-                if s == session:
-                    slot = VoteObject(frame.payload, bool(frame.get("valid", True)), frame.get("member", 0))
-                elif s > session:
+            elif frame.kind == wire.K_BROADCAST and frame.epoch == state.epoch:
+                if frame.session == session:
+                    slot = VoteObject(frame.payload, frame.valid, frame.member)
+                elif frame.session > session:
                     held.append(got)
             elif frame.kind in (wire.K_INPUT, wire.K_CONTROL):
-                yield Send(sender, _status_frame(VfStatusCode.VF_REFUSED, "busy", session))
+                yield Send(sender, wire.Status(VfStatusCode.VF_REFUSED, "busy", session))
             elif frame.kind == wire.K_WARN:
                 held.append(got)
         if slot is not None:
@@ -260,11 +240,7 @@ def _session(
             # local reply, so each member's wire order per session is
             # broadcasts first.
             if len(slots) == me:
-                relay = wire.Frame(
-                    wire.K_BROADCAST,
-                    {"member": me, "session": session, "epoch": state.epoch, "valid": own is not None},
-                    own if own is not None else b"",
-                )
+                relay = wire.Broadcast(me, session, state.epoch, own is not None, own or b"")
                 for fellow in state.view.fellows(state.entity):
                     yield Send(fellow, relay)
             if len(slots) == n:
@@ -287,16 +263,13 @@ def _session(
         _report(proc, state, VoterEvent.VOTE_OK)
         state.next_session = session + 1
         if state.output_ep is not None:
-            yield Send(
-                state.output_ep,
-                wire.Frame(wire.K_OUTPUT, {"session": session, "member": winner.source}, winner.payload),
-            )
+            yield Send(state.output_ep, wire.Output(session, winner.source, winner.payload))
         if state.user_ep is not None:
-            yield Send(state.user_ep, _status_frame(VfStatusCode.VF_DONE, "ok", session))
+            yield Send(state.user_ep, wire.Status(VfStatusCode.VF_DONE, "ok", session))
         _report(proc, state, VoterEvent.RESET)
     else:
         _report(proc, state, VoterEvent.VOTE_FAIL)
         state.next_session = session + 1
         _trace(proc, "vote-fail", error or "")
         if state.user_ep is not None:
-            yield Send(state.user_ep, _status_frame(VfStatusCode.VF_DONE, "no-decision", session))
+            yield Send(state.user_ep, wire.Status(VfStatusCode.VF_DONE, "no-decision", session))

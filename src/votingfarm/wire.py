@@ -1,12 +1,17 @@
 """Messages crossing the simulated fabric.
 
-A message is a ``Frame``: a kind, read-only structured control fields,
-and the opaque voted data as the value payload.  Senders build frames,
-the fabric carries them as they are and receivers read them directly,
-so no message is serialised on its way.
+Each of the eight message kinds is a read-only slotted class that
+declares the fields it carries, declared in one line as a namedtuple
+is.  The voted data travels as the ``payload`` of an input, a
+broadcast or an output; the other kinds carry control fields only.
+Senders build frames, the fabric carries them as they are and
+receivers read their attributes, so no message is serialised on its
+way.  A frame renders its trace detail once, when it is built: every
+frame is sent or posted, so it is traced at least once, and a
+broadcast shared by several receivers is rendered only once.
 
-``encode``/``decode`` define a frame's bytes layout, for use outside
-the fabric:
+``encode``/``decode`` define a kind, fields and payload's bytes
+layout, for use outside the fabric:
 
     kind:u8 | header_len:u32be | header (JSON, utf-8) | value payload
 
@@ -18,9 +23,9 @@ messages into garbage.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import struct
-from types import MappingProxyType
 from typing import Any, Mapping
 
 # Frame kinds
@@ -33,17 +38,6 @@ K_PHASE = 6       # voter -> recovery database: phase report
 K_FAULT = 7       # fabric watchdog -> recovery database: fault record
 K_WARN = 8        # recovery interpreter -> voter: rebuilt descriptor
 
-KIND_NAMES = {
-    K_INPUT: "input",
-    K_BROADCAST: "broadcast",
-    K_OUTPUT: "output",
-    K_STATUS: "status",
-    K_CONTROL: "control",
-    K_PHASE: "phase",
-    K_FAULT: "fault",
-    K_WARN: "warn",
-}
-
 _HDR = struct.Struct(">BI")
 
 _TRACED_FIELDS = ("status", "detail", "req", "phase", "fault", "session", "member", "valid")
@@ -54,53 +48,55 @@ class FrameError(Exception):
 
 
 class Frame:
-    """One message: kind, structured control fields, value payload.
+    """Base of the message kinds: a frame's kind, its name and the
+    fields its trace line shows are class attributes."""
 
-    A frame is read-only: ``fields`` is a read-only copy of the given
-    mapping and ``payload`` is bytes, so a broadcast frame shared by
-    several receivers cannot be changed through any one of them.
-    """
+    __slots__ = ("trace_detail",)
+    kind: int
+    name: str
+    traced: tuple[str, ...]
 
-    __slots__ = ("kind", "fields", "payload", "_trace_detail")
+    def __post_init__(self) -> None:
+        """Render the trace detail: kind, notable fields, payload hex."""
+        bits = [self.name]
+        for key in self.traced:
+            value = getattr(self, key)
+            if value is not None:
+                bits.append(f"{key}={value}")
+        payload = getattr(self, "payload", b"")
+        if payload:
+            bits.append(f"payload={payload.hex()}")
+        object.__setattr__(self, "trace_detail", " ".join(bits))
 
-    def __init__(self, kind: int, fields: Mapping[str, Any], payload: bytes = b"") -> None:
-        init = object.__setattr__
-        init(self, "kind", kind)
-        init(self, "fields", MappingProxyType(dict(fields)))
-        init(self, "payload", bytes(payload))
-        init(self, "_trace_detail", None)
+    def __setattr__(self, name: str, value: Any = None) -> None:  # also __delattr__
+        raise AttributeError(f"a {self.name} frame is read-only, cannot set {name}")
 
-    def __setattr__(self, name: str, value: Any) -> None:
-        raise AttributeError(f"Frame is read-only, cannot set {name}")
+    __delattr__ = __setattr__
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Frame):
-            return NotImplemented
-        return (self.kind, self.fields, self.payload) == (other.kind, other.fields, other.payload)
 
-    def __repr__(self) -> str:
-        return f"Frame(kind={self.kind}, fields={dict(self.fields)}, payload={self.payload!r})"
+def _message(name: str, kind: int, fields: str, **defaults: Any) -> type:
+    """A read-only frame class with the given space-separated fields,
+    then the keyword ones with their defaults."""
+    names = fields.split() + list(defaults)
+    namespace = {"kind": kind, "name": name.lower(), "traced": tuple(k for k in _TRACED_FIELDS if k in names)}
+    cls = dataclasses.make_dataclass(
+        name, [(n, Any, defaults[n]) if n in defaults else (n, Any) for n in names], bases=(Frame,),
+        namespace=namespace, frozen=True, slots=True, eq=False, repr=False)
+    # frozen=True gives an __init__ that writes through object.__setattr__;
+    # Frame's own guard refuses every name, where the dataclass one fails
+    # with a TypeError on a name that is not a field (slots=True, 3.11).
+    del cls.__setattr__, cls.__delattr__
+    return cls
 
-    def get(self, key: str, default: Any = None) -> Any:
-        return self.fields.get(key, default)
 
-    @property
-    def kind_name(self) -> str:
-        return KIND_NAMES.get(self.kind, f"kind{self.kind}")
-
-    @property
-    def trace_detail(self) -> str:
-        """The frame as a trace line shows it: kind, notable fields,
-        payload hex.  Rendered once per frame, not once per receiver."""
-        if self._trace_detail is None:
-            bits = [self.kind_name]
-            for key in _TRACED_FIELDS:
-                if key in self.fields:
-                    bits.append(f"{key}={self.fields[key]}")
-            if self.payload:
-                bits.append(f"payload={self.payload.hex()}")
-            object.__setattr__(self, "_trace_detail", " ".join(bits))
-        return self._trace_detail
+Input = _message("Input", K_INPUT, "payload", valid=True)
+Broadcast = _message("Broadcast", K_BROADCAST, "member session epoch valid payload")
+Output = _message("Output", K_OUTPUT, "session member payload")
+Status = _message("Status", K_STATUS, "status detail session")
+Control = _message("Control", K_CONTROL, "req", arg=None, member=None)  # arg: algorithm fields or node
+Phase = _message("Phase", K_PHASE, "member phase code")
+Fault = _message("Fault", K_FAULT, "member fault")
+Warn = _message("Warn", K_WARN, "farm epoch")
 
 
 def encode(kind: int, fields: Mapping[str, Any] | None = None, payload: bytes = b"") -> bytes:
@@ -108,7 +104,8 @@ def encode(kind: int, fields: Mapping[str, Any] | None = None, payload: bytes = 
     return _HDR.pack(kind, len(header)) + header + payload
 
 
-def decode(data: bytes) -> Frame:
+def decode(data: bytes) -> tuple[int, dict[str, Any], bytes]:
+    """The (kind, fields, payload) that encode laid out."""
     if len(data) < _HDR.size:
         raise FrameError("short frame")
     kind, hlen = _HDR.unpack_from(data)
@@ -120,7 +117,7 @@ def decode(data: bytes) -> Frame:
         raise FrameError(f"bad header: {exc}") from exc
     if not isinstance(fields, dict):
         raise FrameError("bad header: not a JSON object")
-    return Frame(kind, fields, bytes(data[_HDR.size + hlen:]))
+    return kind, fields, bytes(data[_HDR.size + hlen:])
 
 
 def _xor(value: bytes, mask: bytes) -> bytes:
@@ -128,11 +125,13 @@ def _xor(value: bytes, mask: bytes) -> bytes:
 
 
 def corrupt_value(frame: Frame, mask: bytes) -> Frame:
-    """XOR the value payload of a frame with a repeating mask.
+    """The same kind of frame with the same fields and its value payload
+    XORed with a repeating mask.
 
     Frames without a value payload pass through unchanged: a value
     fault corrupts data being voted on, not protocol bookkeeping.
     """
-    if not mask or not frame.payload:
+    payload = getattr(frame, "payload", b"")
+    if not mask or not payload:
         return frame
-    return Frame(frame.kind, frame.fields, _xor(frame.payload, mask))
+    return dataclasses.replace(frame, payload=_xor(payload, mask))

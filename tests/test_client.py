@@ -273,7 +273,7 @@ def test_output_redirection_survives_a_restart(pause):
         from votingfarm.fabric import Recv
         for _ in range(2):
             _, frame = yield Recv(None)
-            caught.append((frame.get("session"), frame.payload))
+            caught.append((frame.session, frame.payload))
 
     def prog(proc):
         handle = vf_open(runtime)

@@ -41,8 +41,17 @@ def make_pair(seed=0, delivery_delay=0, jitter=0):
     return sim
 
 
+@dataclasses.dataclass(frozen=True, slots=True, eq=False)
+class Tagged(wire.Frame):
+    """A test message: a tag to tell messages apart, and a payload."""
+
+    kind, name, traced = wire.K_INPUT, "input", ()
+    tag: str
+    payload: bytes = b""
+
+
 def msg(tag, payload=b""):
-    return wire.Frame(wire.K_INPUT, {"tag": tag}, payload)
+    return Tagged(tag, payload)
 
 
 def sender_of(messages, to=B, gap=0):
@@ -58,7 +67,7 @@ def sink(received, n):
     def run(proc):
         for _ in range(n):
             _, frame = yield Recv(None)
-            received.append((proc.now, frame.get("tag")))
+            received.append((proc.now, frame.tag))
     return run
 
 
@@ -256,7 +265,7 @@ def waiter_log(timeouts, seen):
     def run(proc):
         for timeout in timeouts:
             got = yield Recv(timeout)
-            seen.append((proc.now, got if got is TIMEOUT else got[1].get("tag")))
+            seen.append((proc.now, got if got is TIMEOUT else got[1].tag))
     return run
 
 
@@ -339,7 +348,7 @@ def test_a_negative_timeout_counts_as_zero(timeout):
     def late_waiter(proc):
         yield Sleep(3)
         got = yield Recv(timeout)
-        seen.append((proc.now, got if got is TIMEOUT else got[1].get("tag")))
+        seen.append((proc.now, got if got is TIMEOUT else got[1].tag))
 
     sim.spawn(late_waiter, B)
     sim.spawn(sender_of([msg("m")]), A)
@@ -595,11 +604,11 @@ def test_corruption_spares_frames_without_payload():
 
     def source(proc):
         yield Sleep(1)
-        yield Send(B, wire.Frame(wire.K_CONTROL, {"req": "close"}))
+        yield Send(B, wire.Control("close"))
 
     def collector(proc):
         _, frame = yield Recv(None)
-        seen.append(frame.get("req"))
+        seen.append(frame.req)
 
     sim.spawn(source, A)
     sim.spawn(collector, B)

@@ -1,10 +1,14 @@
 """Messages as frame objects: corruption and sharing.
 
-Inside the simulator a message stays a wire.Frame from sender to
-receiver.  These tests pin what that must not change: a value fault
-hits only the payload, and a broadcast frame shared by several
-receivers cannot be altered through one of them.
+Inside the simulator a message stays a typed wire frame (Input,
+Broadcast, ...) from sender to receiver.  These tests pin what that
+must not change: a value fault hits only the payload, a frame of any
+kind is read-only, and a broadcast frame shared by several receivers
+cannot be altered through one of them and is rendered for the trace
+once.
 """
+
+import dataclasses
 
 import pytest
 
@@ -28,24 +32,29 @@ def fan_out_sim():
 # -- corruption ----------------------------------------------------------------
 
 def test_corrupting_a_frame_xors_only_its_payload():
-    fields, payload, mask = {"member": 2, "session": 0}, bytes(range(6)), b"\x0f\xf0"
-    frame = wire.Frame(wire.K_BROADCAST, fields, payload)
-    hit = wire.corrupt_value(frame, mask)
-    assert hit.kind == frame.kind and hit.fields == frame.fields
-    assert hit.payload == bytes(b ^ m for b, m in zip(payload, mask * 3))
-    assert frame.payload == payload  # the sender's frame is untouched
+    payload, mask = bytes(range(6)), b"\x0f\xf0"
+    for frame in (wire.Input(payload), wire.Broadcast(2, 0, 1, True, payload), wire.Output(0, 2, payload)):
+        hit = wire.corrupt_value(frame, mask)
+        assert type(hit) is type(frame)
+        fields = [f.name for f in dataclasses.fields(frame) if f.name != "payload"]
+        assert [getattr(hit, f) for f in fields] == [getattr(frame, f) for f in fields]
+        assert hit.payload == bytes(b ^ m for b, m in zip(payload, mask * 3))
+        assert frame.payload == payload  # the sender's frame is untouched
+        assert hit.trace_detail == frame.trace_detail.replace(payload.hex(), hit.payload.hex())
 
 
 def test_frame_without_payload_passes_unchanged():
-    frame = wire.Frame(wire.K_CONTROL, {"req": "close"})
-    assert wire.corrupt_value(frame, b"\xff") is frame
-    assert wire.corrupt_value(wire.Frame(wire.K_INPUT, {}, b"\x42"), b"").payload == b"\x42"
+    for frame in (wire.Control("close"), wire.Status("VF_DONE", "ok", 0), wire.Phase(1, "VFP_INIT", 0),
+                  wire.Fault(1, "crash"), wire.Warn(None, 1), wire.Input(b"")):
+        assert wire.corrupt_value(frame, b"\xff") is frame
+    frame = wire.Input(b"\x42")
+    assert wire.corrupt_value(frame, b"") is frame
 
 
 def test_value_fault_corrupts_frames_in_flight():
     sim = fan_out_sim()
     sim.inject(FaultSpec("value-corruption", A, 0, mask=b"\xff"))
-    sent = wire.Frame(wire.K_INPUT, {"tag": "m"}, b"\x00\x01")
+    sent = wire.Broadcast(1, 0, 0, True, b"\x00\x01")
     got = []
 
     def source(proc):
@@ -60,7 +69,7 @@ def test_value_fault_corrupts_frames_in_flight():
     sim.spawn(sink, B)
     sim.run_until_quiescent()
     assert [m.payload for m in got] == [b"\xff\xfe"]
-    assert got[0].get("tag") == "m"
+    assert (type(got[0]), got[0].member, got[0].session) == (wire.Broadcast, 1, 0)
     assert sent.payload == b"\x00\x01"
     assert sim.trace.count("send", contains="payload=0001") == 1
     assert sim.trace.count("deliver", contains="payload=fffe") == 1
@@ -68,21 +77,39 @@ def test_value_fault_corrupts_frames_in_flight():
 
 # -- sharing -------------------------------------------------------------------
 
+EVERY_KIND = [
+    wire.Input(b"\x01"),
+    wire.Broadcast(1, 0, 0, True, b"\x01"),
+    wire.Output(0, 1, b"\x01"),
+    wire.Status("VF_DONE", "ok", 0),
+    wire.Control("trigger", member=1),
+    wire.Phase(1, "VFP_INIT", 0),
+    wire.Fault(1, "crash"),
+    wire.Warn(None, 1),
+]
+
+
 def test_frame_fields_and_payload_are_read_only():
-    fields = {"member": 1, "session": 0}
-    frame = wire.Frame(wire.K_BROADCAST, fields, bytearray(b"\x01"))
-    with pytest.raises(TypeError):
-        frame.fields["member"] = 9
-    with pytest.raises(AttributeError):
-        frame.payload = b"\x02"
-    assert isinstance(frame.payload, bytes)
-    fields["member"] = 9  # the caller's dict is copied, not shared
-    assert frame.get("member") == 1
+    for frame in EVERY_KIND:
+        for name in [f.name for f in dataclasses.fields(frame)] + ["trace_detail"]:
+            with pytest.raises(AttributeError):
+                setattr(frame, name, 9)
+            with pytest.raises(AttributeError):
+                delattr(frame, name)
+        with pytest.raises(AttributeError):
+            frame.extra = 9  # slotted: no field beyond the declared ones
+        assert not hasattr(frame, "__dict__")
+    assert isinstance(wire.Input(b"\x01").payload, bytes)
+
+
+def test_each_kind_has_its_own_code_and_name():
+    assert sorted(frame.kind for frame in EVERY_KIND) == list(range(wire.K_INPUT, wire.K_WARN + 1))
+    assert [frame.trace_detail.split()[0] for frame in EVERY_KIND] == [frame.name for frame in EVERY_KIND]
 
 
 def test_shared_broadcast_frame_cannot_be_changed_through_one_receiver():
     sim = fan_out_sim()
-    frame = wire.Frame(wire.K_BROADCAST, {"member": 1, "session": 0, "valid": True}, b"\x07")
+    frame = wire.Broadcast(1, 0, 0, True, b"\x07")
     seen = {}
 
     def source(proc):
@@ -92,18 +119,39 @@ def test_shared_broadcast_frame_cannot_be_changed_through_one_receiver():
     def meddler(proc):
         _, message = yield Recv(None)
         try:
-            message.fields["member"] = 99
-        except TypeError:
+            message.member = 99
+        except AttributeError:
             seen["meddler"] = "refused"
 
     def reader(proc):
         yield Sleep(5)
         _, message = yield Recv(None)
-        seen["reader"] = (message is frame, dict(message.fields), message.payload)
+        seen["reader"] = (message is frame, message.member, message.session, message.payload)
 
     sim.spawn(source, A)
     sim.spawn(meddler, B)
     sim.spawn(reader, C)
     sim.run_until_quiescent()
     assert seen["meddler"] == "refused"
-    assert seen["reader"] == (True, {"member": 1, "session": 0, "valid": True}, b"\x07")
+    assert seen["reader"] == (True, 1, 0, b"\x07")
+
+
+def test_a_shared_broadcast_frame_is_rendered_once():
+    sim = fan_out_sim()
+    frame = wire.Broadcast(1, 0, 0, True, b"\x07")
+
+    def source(proc):
+        yield Send(B, frame)
+        yield Send(C, frame)
+
+    def sink(proc):
+        yield Recv(None)
+
+    sim.spawn(source, A)
+    sim.spawn(sink, B)
+    sim.spawn(sink, C)
+    sim.run_until_quiescent()
+    details = [detail for _, kind, _, _, detail in sim.trace.events if kind in ("send", "deliver")]
+    assert len(details) == 4
+    assert all(detail is frame.trace_detail for detail in details)  # one string, not one per line
+    assert frame.trace_detail == "broadcast session=0 member=1 valid=True payload=07"

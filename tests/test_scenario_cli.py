@@ -82,6 +82,10 @@ def test_resolve_missing_and_malformed(tmp_path):
         ({"faults": ["x"]}, "faults must be a list of objects"),
         ({"spares": [3]}, "spares must be a list of objects"),
         ({"inputs": {"\u00b2": []}}, "inputs must map node numbers"),
+        ({"inputs": {"1": [{"at": 5, "value": "01"}], "01": []}}, "inputs names one of its node numbers twice"),
+        ({"recovery": {"rl": "table4.rl", "groups": {"1": [1, 2], "01": [3]}}},
+         "recovery groups names one of its group numbers twice"),
+        ({"spares": [{"entity": 1, "node": 4}]}, "spare entity 1 is already a farm ident"),
     ],
 )
 def test_validate_rejects(mutation, message):
@@ -438,6 +442,18 @@ def test_cli_run_missing_path_is_not_a_bundled_name(capsys):
         resolve_scenario(str(HERE / "scenarios" / "tmr_happy.json"))
 
 
+NOT_TEXT = b"\x7fELF\x02\x01\x01\x00\xff\xfe\xd0\x00"
+
+
+def test_cli_run_with_a_binary_strategy_file_exits_2(tmp_path, capsys):
+    (tmp_path / "strategy.rl").write_bytes(NOT_TEXT)
+    spec = {"farm": [[1, 1], [2, 2], [3, 3]], "recovery": {"rl": "strategy.rl"}}
+    (tmp_path / "binary_rl.json").write_text(json.dumps(spec))
+    assert cli.main(["run", str(tmp_path / "binary_rl.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("vf: ") and "strategy.rl: not UTF-8 text" in err
+
+
 def test_cli_run_failing_assertion(tmp_path, capsys):
     spec, _ = load("tmr_happy")
     spec["assertions"] = [
@@ -491,6 +507,17 @@ def test_cli_rl_compile_syntax_error(tmp_path, capsys):
     src.write_text("IF [ -FAULTY THREAD1 ] THEN\nFI")
     assert cli.main(["rl", "compile", str(src)]) == 2
     assert "vf:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("binary", ["bad.rl", "bad.h"])
+def test_cli_rl_compile_rejects_a_file_that_is_not_text(tmp_path, capsys, binary):
+    src = tmp_path / "bad.rl"
+    src.write_text('INCLUDE "bad.h"\nIF [ -FAULTY THREAD1 ] THEN KILL THREAD1 FI\n')
+    (tmp_path / "bad.h").write_text("#define VFP_FAILURE 4\n")
+    (tmp_path / binary).write_bytes(NOT_TEXT)
+    assert cli.main(["rl", "compile", str(src), "-o", str(tmp_path / "bad.rc")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("vf: ") and f"{binary}: not UTF-8 text" in err
 
 
 def test_cli_rl_disasm_rejects_garbage(tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Frame layout and the value-corruption helper."""
+"""Frame bytes layout and the value-corruption helper."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,22 +8,15 @@ from votingfarm import wire
 
 def test_round_trip_fields_and_payload():
     raw = wire.encode(wire.K_INPUT, {"valid": True, "session": 4}, b"\x01\x02")
-    frame = wire.decode(raw)
-    assert frame.kind == wire.K_INPUT
-    assert frame.get("valid") is True
-    assert frame.get("session") == 4
-    assert frame.get("missing", "d") == "d"
-    assert frame.payload == b"\x01\x02"
-    assert frame.kind_name == "input"
+    assert wire.decode(raw) == (wire.K_INPUT, {"valid": True, "session": 4}, b"\x01\x02")
 
 
 def test_empty_fields_and_payload():
-    frame = wire.decode(wire.encode(wire.K_CONTROL))
-    assert frame.fields == {} and frame.payload == b""
+    assert wire.decode(wire.encode(wire.K_CONTROL)) == (wire.K_CONTROL, {}, b"")
 
 
 @given(
-    kind=st.sampled_from(sorted(wire.KIND_NAMES)),
+    kind=st.integers(wire.K_INPUT, wire.K_WARN),
     fields=st.dictionaries(
         st.text(st.characters(codec="ascii"), min_size=1, max_size=8),
         st.one_of(st.integers(-1000, 1000), st.booleans(), st.text(max_size=8)),
@@ -33,10 +26,7 @@ def test_empty_fields_and_payload():
 )
 @settings(deadline=None)
 def test_round_trip_any_header(kind, fields, payload):
-    frame = wire.decode(wire.encode(kind, fields, payload))
-    assert frame.kind == kind
-    assert frame.fields == fields
-    assert frame.payload == payload
+    assert wire.decode(wire.encode(kind, fields, payload)) == (kind, fields, payload)
 
 
 def test_short_frame_rejected():
@@ -65,24 +55,25 @@ def test_non_object_header_rejected():
 
 class TestCorruptValue:
     def test_only_payload_region_changes(self):
-        frame = wire.Frame(wire.K_BROADCAST, {"member": 2, "session": 0}, b"\x00" * 8)
+        frame = wire.Broadcast(2, 0, 0, True, b"\x00" * 8)
         hit = wire.corrupt_value(frame, b"\xff")
-        assert hit != frame
-        assert hit.get("member") == 2 and hit.get("session") == 0  # fields survive the hit
+        assert hit is not frame
+        assert (hit.member, hit.session, hit.epoch, hit.valid) == (2, 0, 0, True)  # fields survive the hit
         assert hit.payload == b"\xff" * 8
 
     def test_mask_repeats_over_payload(self):
-        frame = wire.corrupt_value(wire.Frame(wire.K_INPUT, {}, bytes(range(6))), b"\x0f\xf0")
+        frame = wire.corrupt_value(wire.Input(bytes(range(6))), b"\x0f\xf0")
         assert frame.payload == bytes(b ^ m for b, m in zip(range(6), b"\x0f\xf0" * 3))
 
     def test_header_only_frame_passes_through(self):
-        frame = wire.Frame(wire.K_CONTROL, {"req": "close"})
-        assert wire.corrupt_value(frame, b"\xff") == frame
+        frame = wire.Control("close")
+        assert wire.corrupt_value(frame, b"\xff") is frame
 
     def test_empty_mask_is_identity(self):
-        frame = wire.Frame(wire.K_INPUT, {}, b"\x42")
-        assert wire.corrupt_value(frame, b"") == frame
+        frame = wire.Input(b"\x42")
+        assert wire.corrupt_value(frame, b"") is frame
 
     def test_double_corruption_cancels(self):
-        frame = wire.Frame(wire.K_INPUT, {}, b"\x10\x20\x30")
-        assert wire.corrupt_value(wire.corrupt_value(frame, b"\xa5"), b"\xa5") == frame
+        frame = wire.Input(b"\x10\x20\x30")
+        twice = wire.corrupt_value(wire.corrupt_value(frame, b"\xa5"), b"\xa5")
+        assert twice.payload == frame.payload and twice.trace_detail == frame.trace_detail
