@@ -1,10 +1,11 @@
 """Core types shared by the voting-farm runtime.
 
-A voting farm is a set of voter processes, one per node, that jointly mask
+A voting farm is a set of voter processes, one per member, that jointly mask
 value and timing faults of replicated application modules.  This module
 holds the vocabulary everything else builds on: identifiers, the farm
-descriptor, vote objects, the voter phase automaton and the status codes
-exchanged with client code.
+descriptor, vote objects, the status codes exchanged with client code
+and the voter phase automaton, stated once: the phases, whose values
+are the codes recovery strategies compare, and PHASE_STEPS, its edges.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ class NonContiguousIdents(ValidationError):
 
 
 class IllegalTransition(VotingFarmError):
-    """A phase-transition event is not legal in the current phase."""
+    """A phase change that is not an edge of the phase automaton."""
 
 
 # Node and member identifiers are small positive integers.  They are kept
@@ -44,61 +45,39 @@ MemberId = int
 
 
 class VoterPhase(enum.Enum):
-    """Externally observable execution phase of one voter."""
+    """Externally observable execution phase of one voter.  Its value is
+    the code strategies compare (``vf_phases.h``); its str is its name."""
 
-    VFP_INIT = "VFP_INIT"
-    VFP_BROADCAST = "VFP_BROADCAST"
-    VFP_VOTING = "VFP_VOTING"
-    VFP_SUCCESS = "VFP_SUCCESS"
-    VFP_FAILURE = "VFP_FAILURE"
+    VFP_INIT = 0
+    VFP_BROADCAST = 1
+    VFP_VOTING = 2
+    VFP_SUCCESS = 3
+    VFP_FAILURE = 4
 
     def __str__(self) -> str:  # keeps trace lines compact
-        return self.value
+        return self.name
 
 
-#: Integer encoding of the phases, used by recovery strategy files that
-#: reference phases through C-style defines.
-PHASE_CODES = {
-    VoterPhase.VFP_INIT: 0,
-    VoterPhase.VFP_BROADCAST: 1,
-    VoterPhase.VFP_VOTING: 2,
-    VoterPhase.VFP_SUCCESS: 3,
-    VoterPhase.VFP_FAILURE: 4,
-}
+#: The phase automaton's edges, (from, to): a strict cycle INIT ->
+#: BROADCAST -> VOTING -> SUCCESS or FAILURE -> (reset) -> INIT.
+PHASE_STEPS = frozenset({
+    (VoterPhase.VFP_INIT, VoterPhase.VFP_BROADCAST),
+    (VoterPhase.VFP_BROADCAST, VoterPhase.VFP_VOTING),
+    (VoterPhase.VFP_VOTING, VoterPhase.VFP_SUCCESS),
+    (VoterPhase.VFP_VOTING, VoterPhase.VFP_FAILURE),
+    (VoterPhase.VFP_SUCCESS, VoterPhase.VFP_INIT),
+    (VoterPhase.VFP_FAILURE, VoterPhase.VFP_INIT),
+})
 
 
-class VoterEvent(enum.Enum):
-    """Events driving the phase automaton."""
-
-    INPUT_ARRIVED = "input-arrived"
-    BROADCAST_COMPLETE = "broadcast-complete"
-    VOTE_OK = "vote-ok"
-    VOTE_FAIL = "vote-fail"
-    RESET = "reset"
-
-
-PHASE_TRANSITIONS = {
-    (VoterPhase.VFP_INIT, VoterEvent.INPUT_ARRIVED): VoterPhase.VFP_BROADCAST,
-    (VoterPhase.VFP_BROADCAST, VoterEvent.BROADCAST_COMPLETE): VoterPhase.VFP_VOTING,
-    (VoterPhase.VFP_VOTING, VoterEvent.VOTE_OK): VoterPhase.VFP_SUCCESS,
-    (VoterPhase.VFP_VOTING, VoterEvent.VOTE_FAIL): VoterPhase.VFP_FAILURE,
-    (VoterPhase.VFP_SUCCESS, VoterEvent.RESET): VoterPhase.VFP_INIT,
-    (VoterPhase.VFP_FAILURE, VoterEvent.RESET): VoterPhase.VFP_INIT,
-}
-
-
-def phase_transition(phase: VoterPhase, event: VoterEvent) -> VoterPhase:
-    """Return the successor phase, or raise IllegalTransition.
-
-    The automaton is a strict cycle: INIT -> BROADCAST -> VOTING ->
-    SUCCESS or FAILURE -> (reset) -> INIT.  Anything else is a
-    programming error in the caller, e.g. feeding a new input to a voter
-    that has not been reset.
+def phase_transition(phase: VoterPhase, to: VoterPhase) -> VoterPhase:
+    """Return to if phase -> to is an edge of PHASE_STEPS, or raise
+    IllegalTransition: anything else is a programming error in the
+    caller, e.g. feeding a new input to a voter that has not been reset.
     """
-    try:
-        return PHASE_TRANSITIONS[(phase, event)]
-    except KeyError:
-        raise IllegalTransition(f"{event.value} not legal in {phase.value}") from None
+    if (phase, to) not in PHASE_STEPS:
+        raise IllegalTransition(f"{to} not legal in {phase}")
+    return to
 
 
 class VfStatusCode(enum.Enum):
@@ -158,9 +137,10 @@ class FarmMember:
 class FarmDescriptor:
     """Ordered list of (node, ident) pairs making up one farm.
 
-    Idents must be exactly 1..N with no gaps; every member sits on its
-    own node.  The descriptor is built incrementally through the client
-    interface and validated before the farm is activated.
+    Idents must be exactly 1..N with no gaps.  Members may share a node;
+    nothing requires one member per node.  The descriptor is built
+    incrementally through the client interface and validated before the
+    farm is activated.
     """
 
     members: list[FarmMember] = field(default_factory=list)

@@ -17,7 +17,10 @@ Layout:
 
 All integers are unsigned LEB128 varints.  Decoding rebuilds the same
 rule tree the parser produced, so compile/decode round-trips
-structurally.
+structurally.  The parser is the one definition of a well-formed
+strategy: decoding parses its own disassembly and rejects a program
+the parser would refuse or read differently, so the disassembly of
+any r-code that decodes compiles back to the same rules.
 """
 
 from __future__ import annotations
@@ -40,8 +43,11 @@ from .lang import (
     Or,
     PhaseEq,
     RlProgram,
+    RlSyntaxError,
     THREAD,
     VERBS,
+    format_program,
+    parse_rl,
 )
 
 MAGIC = b"EFRC"
@@ -227,9 +233,10 @@ def decode_program(data: bytes) -> RlProgram:
     version = r.u8()
     if version != VERSION:
         raise DecodeError(f"unsupported r-code version {version}")
-    includes = tuple(
-        r.raw(r.varint()).decode("utf-8") for _ in range(r.varint())
-    )
+    try:
+        includes = tuple(r.raw(r.varint()).decode("utf-8") for _ in range(r.varint()))
+    except UnicodeDecodeError as exc:
+        raise DecodeError(f"include name is not UTF-8: {exc}") from None
     rules = []
     for _ in range(r.varint()):
         cond = _decode_condition(r)
@@ -237,10 +244,15 @@ def decode_program(data: bytes) -> RlProgram:
     default = _decode_actions(r) if r.u8() else None
     if r.pos != len(r.data):
         raise DecodeError(f"{len(r.data) - r.pos} trailing bytes")
-    return RlProgram(includes, tuple(rules), default)
+    program = RlProgram(includes, tuple(rules), default)
+    try:
+        again = parse_rl(format_program(program, include_comment=True))
+    except RlSyntaxError as exc:
+        raise DecodeError(f"not a well-formed strategy: {exc}") from None
+    if (again.rules, again.default) != (program.rules, program.default):
+        raise DecodeError("not a well-formed strategy: its source reads back differently")
+    return program
 
 
 def disassemble(data: bytes) -> str:
-    from .lang import format_program
-
     return format_program(decode_program(data), include_comment=True)

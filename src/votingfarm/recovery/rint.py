@@ -3,10 +3,12 @@
 Two backbone processes cooperate: a director process collects phase
 reports and watchdog fault records into a shared database and raises a
 trigger whenever an error event arrives (a fault record, or a voter
-reporting VFP_FAILURE).  The interpreter process answers each trigger
-by evaluating every rule of the installed strategy against the
-database, in order, and executing the actions of all rules whose
-condition holds; if none holds, the DEFAULT block runs instead.
+reporting VFP_FAILURE).  The database keeps each voter's last phase as
+its code, the VoterPhase value that `-PHASE` rules compare.  The
+interpreter process answers each trigger by evaluating every rule of
+the installed strategy against the database, in order, and executing
+the actions of all rules whose condition holds; if none holds, the
+DEFAULT block runs instead.
 
 Rule evaluation is pure.  Only execute_actions touches the farm, via
 the runtime's recovery primitives, and every action lands in the
@@ -19,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Generator, Optional
 
 from .. import wire
-from ..core import PHASE_CODES, VoterPhase
+from ..core import VoterPhase
 from ..fabric import Endpoint, Proc, Recv, Simulator
 from ..farm import FarmRuntime
 from .lang import (
@@ -38,8 +40,6 @@ from .lang import (
     THREAD,
     _condition_groups,
 )
-
-_FAILURE_CODE = PHASE_CODES[VoterPhase.VFP_FAILURE]
 
 
 @dataclass
@@ -221,8 +221,8 @@ def director_process(db: DirDatabase, rint_ep: Endpoint):
         while True:
             _, frame = yield Recv(None)
             if frame.kind == wire.K_PHASE:
-                db.record_phase(frame.member, frame.code, proc.now)
-                if frame.code != _FAILURE_CODE:
+                db.record_phase(frame.member, frame.phase.value, proc.now)
+                if frame.phase is not VoterPhase.VFP_FAILURE:
                     continue
             elif frame.kind == wire.K_FAULT:
                 db.record_fault(frame.member, frame.fault, proc.now)

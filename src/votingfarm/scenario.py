@@ -23,14 +23,12 @@ from typing import Optional
 
 from .algorithms import METRICS, AlgorithmSelect, encode_scalar, encode_vector
 from .client import vf_add, vf_close, vf_control, vf_get, vf_open, vf_run
-from .core import (PHASE_TRANSITIONS, FarmDescriptor, FarmMember, VfStatusCode, VotingFarmError,
+from .core import (PHASE_STEPS, FarmDescriptor, FarmMember, VfStatusCode, VoterPhase, VotingFarmError,
                    validate_descriptor)
 from .fabric import Endpoint, FAULT_KINDS, FaultSpec, Proc, Simulator, Sleep
 from .farm import FarmRuntime
 from .recovery import DirDatabase, attach_recovery, parse_rl
 from .recovery.lang import read_text, resolve_include
-
-_PHASE_STEPS = {(src.value, dst.value) for (src, _), dst in PHASE_TRANSITIONS.items()}
 
 
 class ScenarioError(VotingFarmError):
@@ -477,18 +475,18 @@ def _a_spmd_flag(result: RunResult, a: dict):
 
 def check_phase_grammar(result: RunResult) -> list[str]:
     """Per-voter phase reports must walk the automaton's cycle."""
-    sequences: dict[str, list[str]] = {}
+    sequences: dict[str, list[VoterPhase]] = {}
     for _, kind, frm, _, detail in result.trace.events:
         if kind == "phase":
-            sequences.setdefault(frm, []).append(detail.split()[0])
+            sequences.setdefault(frm, []).append(VoterPhase[detail.split()[0]])
     bad = []
     for ep, seq in sequences.items():
-        if seq[0] != "VFP_INIT":
+        if seq[0] is not VoterPhase.VFP_INIT:
             bad.append(f"{ep} starts in {seq[0]}")
         for prev, cur in zip(seq, seq[1:]):
             # A restarted voter keeps its endpoint and reports VFP_INIT
             # afresh, whatever phase its predecessor was in.
-            if cur != "VFP_INIT" and (prev, cur) not in _PHASE_STEPS:
+            if cur is not VoterPhase.VFP_INIT and (prev, cur) not in PHASE_STEPS:
                 bad.append(f"{ep}: {prev} -> {cur}")
     return bad
 

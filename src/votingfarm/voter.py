@@ -23,9 +23,10 @@ session or another epoch are dropped.
 
 The externally visible life of a voter is the phase automaton from
 core: INIT, BROADCAST, VOTING, then SUCCESS (auto-resets to INIT) or
-FAILURE (sticky until an explicit reset or a recovery WARN).  Phase
-changes are traced and, when a recovery backbone is attached, posted to
-its database.
+FAILURE (sticky until an explicit reset or a recovery WARN).  Each step
+names the phase it enters and is checked against core.PHASE_STEPS.
+Phase changes are traced and, when a recovery backbone is attached,
+posted to its database as a wire.Phase frame carrying the phase.
 """
 
 from __future__ import annotations
@@ -39,10 +40,8 @@ from .algorithms import AlgorithmSelect, NoDecision, vote
 from .core import (
     MemberId,
     NodeId,
-    PHASE_CODES,
     VfStatusCode,
     VoteObject,
-    VoterEvent,
     VoterPhase,
     VotingFarmError,
     phase_transition,
@@ -108,15 +107,12 @@ def _trace_phase(proc: Proc, state: VoterState) -> None:
     _trace(proc, "phase", f"{state.phase} session={state.next_session} epoch={state.epoch}")
 
 
-def _report(proc: Proc, state: VoterState, event: VoterEvent) -> None:
-    state.phase = phase_transition(state.phase, event)
+def _report(proc: Proc, state: VoterState, to: VoterPhase) -> None:
+    """Enter phase to, trace it and post it to the recovery backbone."""
+    state.phase = phase_transition(state.phase, to)
     _trace_phase(proc, state)
     if state.dirnet_ep is not None:
-        proc.sim.post(
-            proc.endpoint,
-            state.dirnet_ep,
-            wire.Phase(state.entity, state.phase, PHASE_CODES[state.phase]),
-        )
+        proc.sim.post(proc.endpoint, state.dirnet_ep, wire.Phase(state.entity, state.phase))
 
 
 def voter_process(state: VoterState):
@@ -135,7 +131,7 @@ def voter_process(state: VoterState):
                     return
                 if frame.req == "reset":
                     if state.phase is VoterPhase.VFP_FAILURE:
-                        _report(proc, state, VoterEvent.RESET)
+                        _report(proc, state, VoterPhase.VFP_INIT)
                     continue
                 _apply_params(state, frame)
                 continue
@@ -189,7 +185,7 @@ def _apply_warn(proc: Proc, state: VoterState, frame: wire.Frame) -> bool:
     state.epoch = epoch
     state.next_session = 0
     if state.phase is VoterPhase.VFP_FAILURE:
-        _report(proc, state, VoterEvent.RESET)
+        _report(proc, state, VoterPhase.VFP_INIT)
     return True
 
 
@@ -213,7 +209,7 @@ def _session(
     held: list[tuple[Endpoint, wire.Frame]] = []
     got = (sender, frame)
 
-    _report(proc, state, VoterEvent.INPUT_ARRIVED)
+    _report(proc, state, VoterPhase.VFP_BROADCAST)
 
     while True:
         slot: Optional[VoteObject] = None
@@ -248,7 +244,7 @@ def _session(
         got = inbox.popleft() if inbox else (yield Recv(state.delta_t))
     inbox.extend(held)
 
-    _report(proc, state, VoterEvent.BROADCAST_COMPLETE)
+    _report(proc, state, VoterPhase.VFP_VOTING)
     try:
         winner = vote(slots, state.metric_name, state.select)
         error: Optional[str] = None
@@ -260,15 +256,15 @@ def _session(
     # The session is closed once the verdict is reported: a RESTART from
     # here on must not reuse its number.
     if winner is not None:
-        _report(proc, state, VoterEvent.VOTE_OK)
+        _report(proc, state, VoterPhase.VFP_SUCCESS)
         state.next_session = session + 1
         if state.output_ep is not None:
             yield Send(state.output_ep, wire.Output(session, winner.source, winner.payload))
         if state.user_ep is not None:
             yield Send(state.user_ep, wire.Status(VfStatusCode.VF_DONE, "ok", session))
-        _report(proc, state, VoterEvent.RESET)
+        _report(proc, state, VoterPhase.VFP_INIT)
     else:
-        _report(proc, state, VoterEvent.VOTE_FAIL)
+        _report(proc, state, VoterPhase.VFP_FAILURE)
         state.next_session = session + 1
         _trace(proc, "vote-fail", error or "")
         if state.user_ep is not None:

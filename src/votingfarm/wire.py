@@ -6,7 +6,8 @@ is.  The voted data travels as the ``payload`` of an input, a
 broadcast or an output; the other kinds carry control fields only.
 Senders build frames, the fabric carries them as they are and
 receivers read their attributes, so no message is serialised on its
-way.  A frame renders its trace detail once, when it is built: every
+way: a phase report carries the voter's VoterPhase itself, whose value
+is the code recovery strategies compare.  A frame renders its trace detail once, when it is built: every
 frame is sent or posted, so it is traced at least once, and a
 broadcast shared by several receivers is rendered only once.
 
@@ -94,7 +95,7 @@ Broadcast = _message("Broadcast", K_BROADCAST, "member session epoch valid paylo
 Output = _message("Output", K_OUTPUT, "session member payload")
 Status = _message("Status", K_STATUS, "status detail session")
 Control = _message("Control", K_CONTROL, "req", arg=None, member=None)  # arg: algorithm fields or node
-Phase = _message("Phase", K_PHASE, "member phase code")
+Phase = _message("Phase", K_PHASE, "member phase")
 Fault = _message("Fault", K_FAULT, "member fault")
 Warn = _message("Warn", K_WARN, "farm epoch")
 

@@ -1,9 +1,12 @@
 """Core vocabulary: phase automaton, descriptors, status values."""
 
+import itertools
+import os
+
 import pytest
 
 from votingfarm.core import (
-    PHASE_CODES,
+    PHASE_STEPS,
     DuplicateIdent,
     EmptyFarm,
     FarmDescriptor,
@@ -13,55 +16,59 @@ from votingfarm.core import (
     VfStatus,
     VfStatusCode,
     VoteObject,
-    VoterEvent,
     VoterPhase,
     phase_transition,
     validate_descriptor,
 )
+from votingfarm.recovery.lang import load_definitions
+from votingfarm.scenario import bundled_dir
+
+
+EDGES = {
+    (VoterPhase.VFP_INIT, VoterPhase.VFP_BROADCAST),
+    (VoterPhase.VFP_BROADCAST, VoterPhase.VFP_VOTING),
+    (VoterPhase.VFP_VOTING, VoterPhase.VFP_SUCCESS),
+    (VoterPhase.VFP_VOTING, VoterPhase.VFP_FAILURE),
+    (VoterPhase.VFP_SUCCESS, VoterPhase.VFP_INIT),
+    (VoterPhase.VFP_FAILURE, VoterPhase.VFP_INIT),
+}
 
 
 class TestPhaseAutomaton:
     def test_happy_cycle(self):
         p = VoterPhase.VFP_INIT
-        p = phase_transition(p, VoterEvent.INPUT_ARRIVED)
-        assert p is VoterPhase.VFP_BROADCAST
-        p = phase_transition(p, VoterEvent.BROADCAST_COMPLETE)
-        assert p is VoterPhase.VFP_VOTING
-        p = phase_transition(p, VoterEvent.VOTE_OK)
-        assert p is VoterPhase.VFP_SUCCESS
-        p = phase_transition(p, VoterEvent.RESET)
-        assert p is VoterPhase.VFP_INIT
+        for to in (VoterPhase.VFP_BROADCAST, VoterPhase.VFP_VOTING, VoterPhase.VFP_SUCCESS, VoterPhase.VFP_INIT):
+            p = phase_transition(p, to)
+            assert p is to
 
     def test_failure_branch_resets(self):
-        p = phase_transition(VoterPhase.VFP_VOTING, VoterEvent.VOTE_FAIL)
+        p = phase_transition(VoterPhase.VFP_VOTING, VoterPhase.VFP_FAILURE)
         assert p is VoterPhase.VFP_FAILURE
-        assert phase_transition(p, VoterEvent.RESET) is VoterPhase.VFP_INIT
+        assert phase_transition(p, VoterPhase.VFP_INIT) is VoterPhase.VFP_INIT
 
     def test_every_undeclared_pair_raises(self):
-        legal = {
-            (VoterPhase.VFP_INIT, VoterEvent.INPUT_ARRIVED),
-            (VoterPhase.VFP_BROADCAST, VoterEvent.BROADCAST_COMPLETE),
-            (VoterPhase.VFP_VOTING, VoterEvent.VOTE_OK),
-            (VoterPhase.VFP_VOTING, VoterEvent.VOTE_FAIL),
-            (VoterPhase.VFP_SUCCESS, VoterEvent.RESET),
-            (VoterPhase.VFP_FAILURE, VoterEvent.RESET),
-        }
-        for phase in VoterPhase:
-            for event in VoterEvent:
-                if (phase, event) in legal:
-                    phase_transition(phase, event)
-                else:
-                    with pytest.raises(IllegalTransition):
-                        phase_transition(phase, event)
+        assert PHASE_STEPS == EDGES
+        for phase, to in itertools.product(VoterPhase, repeat=2):  # all 25 ordered pairs
+            if (phase, to) in EDGES:
+                assert phase_transition(phase, to) is to
+            else:
+                with pytest.raises(IllegalTransition, match=f"{to} not legal in {phase}"):
+                    phase_transition(phase, to)
 
     def test_new_input_needs_reset_first(self):
         # the specific mistake the automaton exists to catch
         with pytest.raises(IllegalTransition):
-            phase_transition(VoterPhase.VFP_SUCCESS, VoterEvent.INPUT_ARRIVED)
+            phase_transition(VoterPhase.VFP_SUCCESS, VoterPhase.VFP_BROADCAST)
 
     def test_phase_codes_are_a_bijection(self):
-        assert set(PHASE_CODES) == set(VoterPhase)
-        assert sorted(PHASE_CODES.values()) == [0, 1, 2, 3, 4]
+        assert sorted(p.value for p in VoterPhase) == [0, 1, 2, 3, 4]
+        assert [str(p) for p in VoterPhase] == [p.name for p in VoterPhase]
+
+    def test_phase_codes_match_the_bundled_header(self):
+        # Strategies compare a voter's phase with the defines of
+        # vf_phases.h, so the header and the enum must agree exactly.
+        defines = load_definitions(os.path.join(bundled_dir(), "vf_phases.h"))
+        assert defines == {p.name: p.value for p in VoterPhase}
 
 
 class TestDescriptor:

@@ -13,6 +13,7 @@ import dataclasses
 import pytest
 
 from votingfarm import wire
+from votingfarm.core import VoterPhase
 from votingfarm.fabric import Endpoint, FaultSpec, Recv, Send, Simulator, Sleep
 
 A = Endpoint(1, "user")
@@ -44,7 +45,7 @@ def test_corrupting_a_frame_xors_only_its_payload():
 
 
 def test_frame_without_payload_passes_unchanged():
-    for frame in (wire.Control("close"), wire.Status("VF_DONE", "ok", 0), wire.Phase(1, "VFP_INIT", 0),
+    for frame in (wire.Control("close"), wire.Status("VF_DONE", "ok", 0), wire.Phase(1, VoterPhase.VFP_INIT),
                   wire.Fault(1, "crash"), wire.Warn(None, 1), wire.Input(b"")):
         assert wire.corrupt_value(frame, b"\xff") is frame
     frame = wire.Input(b"\x42")
@@ -83,7 +84,7 @@ EVERY_KIND = [
     wire.Output(0, 1, b"\x01"),
     wire.Status("VF_DONE", "ok", 0),
     wire.Control("trigger", member=1),
-    wire.Phase(1, "VFP_INIT", 0),
+    wire.Phase(1, VoterPhase.VFP_INIT),
     wire.Fault(1, "crash"),
     wire.Warn(None, 1),
 ]
@@ -105,6 +106,13 @@ def test_frame_fields_and_payload_are_read_only():
 def test_each_kind_has_its_own_code_and_name():
     assert sorted(frame.kind for frame in EVERY_KIND) == list(range(wire.K_INPUT, wire.K_WARN + 1))
     assert [frame.trace_detail.split()[0] for frame in EVERY_KIND] == [frame.name for frame in EVERY_KIND]
+
+
+def test_a_phase_frame_carries_the_phase_and_traces_its_name():
+    frame = wire.Phase(1, VoterPhase.VFP_FAILURE)
+    assert [f.name for f in dataclasses.fields(frame)] == ["member", "phase"]
+    assert frame.phase.value == 4
+    assert frame.trace_detail == "phase phase=VFP_FAILURE member=1"
 
 
 def test_shared_broadcast_frame_cannot_be_changed_through_one_receiver():

@@ -192,3 +192,44 @@ def test_disassembly_reparses_to_same_rules():
     again = parse_rl(text)  # INCLUDE lines come back as comments
     assert again.rules == program.rules
     assert again.default == program.default
+
+
+T1 = EntityRef(THREAD, 1)
+KILL_T1 = (Action("KILL", (T1,)),)
+
+
+def rule(cond, actions=KILL_T1):
+    return RlProgram((), (GuardedRule(cond, actions),), None)
+
+
+def with_include_name(raw):
+    """An r-code file whose one include name is the given bytes."""
+    data = compile_program(RlProgram(("a",), (), (Action("PURGE"),)))
+    return data.replace(b"\x01a", bytes([len(raw)]) + raw, 1)
+
+
+# Each of these decodes structurally, but the parser refuses its
+# disassembly (or reads it as another program), so decoding must too.
+ILL_FORMED = {
+    "no-rules-no-default": compile_program(RlProgram((), (), None)),
+    "empty-rule-block": compile_program(rule(Faulty(T1), ())),
+    "empty-default-block": compile_program(RlProgram((), (), ())),
+    "node-subject": compile_program(rule(Faulty(EntityRef(NODE, 2)))),
+    "fulfilled-subject": compile_program(rule(Faulty(EntityRef(FULFILLED)))),
+    "complement-subject": compile_program(rule(PhaseEq(EntityRef(COMPLEMENT), 4))),
+    "kill-a-node": compile_program(rule(Faulty(T1), (Action("KILL", (EntityRef(NODE, 2),)),))),
+    "kill-nothing": compile_program(rule(Faulty(T1), (Action("KILL"),))),
+    "reboot-a-thread": compile_program(rule(Faulty(T1), (Action("REBOOT", (T1,)),))),
+    "purge-a-target": compile_program(rule(Faulty(T1), (Action("PURGE", (T1,)),))),
+    "selector-in-default": compile_program(RlProgram((), (), (Action("KILL", (EntityRef(FULFILLED),)),))),
+    "selector-over-two-groups": compile_program(
+        rule(Or(Faulty(EntityRef(GROUP, 1)), Faulty(EntityRef(GROUP, 2))), (Action("KILL", (EntityRef(FULFILLED),)),))),
+    "include-injects-a-rule": with_include_name(b'x\nIF [ -FAULTY THREAD1 ] THEN PURGE FI\n#'),
+    "include-not-utf8": with_include_name(b"\xff"),
+}
+
+
+@pytest.mark.parametrize("shape", ILL_FORMED)
+def test_decoding_rejects_what_the_parser_rejects(shape):
+    with pytest.raises(DecodeError):
+        decode_program(ILL_FORMED[shape])

@@ -4,14 +4,16 @@ import random
 
 import pytest
 
+from votingfarm import wire
 from votingfarm.client import vf_add, vf_open, vf_run
-from votingfarm.core import VotingFarmError
-from votingfarm.fabric import Endpoint, Simulator
+from votingfarm.core import VoterPhase, VotingFarmError
+from votingfarm.fabric import Endpoint, Recv, Simulator
 from votingfarm.farm import FarmRuntime
 from votingfarm.recovery.lang import parse_rl
 from votingfarm.recovery.rint import (
     ActionInstance,
     DirDatabase,
+    director_process,
     execute_actions,
     rint_step,
 )
@@ -131,6 +133,32 @@ def test_negated_condition():
     db = DirDatabase()
     db.record_fault(1, "crash", t=1)
     assert rint_step(program, db) == []
+
+
+# -- the director ---------------------------------------------------------
+
+@pytest.mark.parametrize("phase,code,triggers", [
+    (VoterPhase.VFP_FAILURE, 4, True),
+    (VoterPhase.VFP_SUCCESS, 3, False),
+])
+def test_director_records_the_phase_code_and_triggers_only_on_failure(phase, code, triggers):
+    sim = Simulator(seed=1)
+    dirnet = sim.add_endpoint(Endpoint(0, "dirnet"))
+    rint = sim.add_endpoint(Endpoint(0, "rint"))
+    db = DirDatabase()
+    got = []
+
+    def interpreter(proc):
+        while True:
+            _, frame = yield Recv(None)
+            got.append((frame.req, frame.member))
+
+    sim.spawn(director_process(db, rint), dirnet)
+    sim.spawn(interpreter, rint)
+    sim.post(voter_ep(2, 2), dirnet, wire.Phase(2, phase))
+    sim.run_until_quiescent()
+    assert db.phases == {2: (code, 0)}
+    assert got == ([("trigger", 2)] if triggers else [])
 
 
 # -- actions against a live farm -----------------------------------------

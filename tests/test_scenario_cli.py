@@ -485,6 +485,19 @@ def test_cli_rl_compile_and_disasm(tmp_path, capsys):
     assert text.splitlines()[0].startswith("# INCLUDE")
 
 
+@pytest.mark.parametrize("blob,why", [
+    (b"EFRC\x01\x00\x00\x01\x00", "empty action block"),  # DEFAULT with no action
+    (b"EFRC\x01\x01\x01\xff\x00\x01\x01\x26", "not UTF-8"),  # include name 0xff; DEFAULT PURGE
+])
+def test_cli_rl_disasm_rejects_r_code_the_parser_would_refuse(tmp_path, capsys, blob, why):
+    rc = tmp_path / "bad.rc"
+    rc.write_bytes(blob)
+    assert cli.main(["rl", "disasm", str(rc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("vf: ") and why in captured.err
+
+
 def test_cli_rl_compile_to_chosen_path(tmp_path, capsys):
     out = tmp_path / "a.bin"
     assert (
