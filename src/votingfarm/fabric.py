@@ -206,8 +206,9 @@ class TraceLog:
     def append(self, t: int, kind: str, frm: str = "-", to: str = "-", detail: str = "") -> None:
         self.events.append((t, kind, frm, to, detail))
 
-    def lines(self) -> list[str]:
-        return [f"t={t} {kind} {frm} {to} {detail}" for t, kind, frm, to, detail in self.events]
+    def lines(self, start: int = 0, stop: int | None = None) -> list[str]:
+        """The rendered lines of records start to stop (a slice's bounds)."""
+        return [f"t={t} {kind} {frm} {to} {detail}" for t, kind, frm, to, detail in self.events[start:stop]]
 
     def text(self) -> str:
         return "\n".join(self.lines()) + ("\n" if self.events else "")

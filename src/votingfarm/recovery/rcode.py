@@ -5,6 +5,7 @@ Layout:
     magic "EFRC" | version u8 | include pool | rules | default block
 
     include pool: varint count, then per include: varint length + UTF-8
+        holding no '"' and no newline, as an INCLUDE string
     rules: varint count, then per rule:
         condition as a postfix opcode stream terminated by END
         varint action count, then actions
@@ -237,6 +238,9 @@ def decode_program(data: bytes) -> RlProgram:
         includes = tuple(r.raw(r.varint()).decode("utf-8") for _ in range(r.varint()))
     except UnicodeDecodeError as exc:
         raise DecodeError(f"include name is not UTF-8: {exc}") from None
+    for name in includes:  # the lexer's string token holds neither, so no INCLUDE names one
+        if '"' in name or "\n" in name:
+            raise DecodeError(f"include name {name!r} holds a quote or a newline")
     rules = []
     for _ in range(r.varint()):
         cond = _decode_condition(r)

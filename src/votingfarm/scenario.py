@@ -19,6 +19,7 @@ import json
 import os
 from dataclasses import dataclass, field
 from importlib import resources
+from json.encoder import INFINITY, encode_basestring_ascii
 from typing import Optional
 
 from .algorithms import METRICS, AlgorithmSelect, encode_scalar, encode_vector
@@ -577,21 +578,99 @@ def validate_scenario(spec: dict) -> dict:
 
 # -- artifacts -------------------------------------------------------------
 
+_TRACE_BLOCK = 512  # trace records rendered and written at a time
+_JSON_FLUSH = 512  # results.json pieces buffered between writes
+_STR = frozenset({str})  # the key type walked; json.dumps renders dicts with others
+
+
+def _float_text(v: float) -> str:
+    if v != v:
+        return "NaN"
+    return "Infinity" if v == INFINITY else "-Infinity" if v == -INFINITY else float.__repr__(v)
+
+
+_SCALARS = {  # JSON text of a scalar, as json.dumps renders it, by exact type
+    str: encode_basestring_ascii, int: int.__repr__, float: _float_text,
+    bool: lambda v: "true" if v else "false", type(None): lambda v: "null",
+}
+
+
+def _write_json(fh, value) -> None:
+    """Write json.dumps(value, indent=2, sort_keys=True) to fh, byte for
+    byte, a few hundred pieces at a time.
+
+    Dicts with str keys, lists and tuples are walked here; any other
+    container (a dict with another key type, a subclass) is rendered by
+    json.dumps itself and re-indented, which is exact because the
+    ASCII-escaped text holds no newline of its own."""
+    pieces: list[str] = []
+
+    def emit(value, nl: str) -> None:
+        kind = type(value)
+        render = _SCALARS.get(kind)
+        if render is not None:
+            pieces.append(render(value))
+            return
+        if kind is dict and _STR.issuperset(map(type, value)):
+            pairs = [(f"{encode_basestring_ascii(key)}: ", value[key]) for key in sorted(value)]
+            open_, close = "{", "}"
+        elif kind is list or kind is tuple:
+            pairs = [("", item) for item in value]
+            open_, close = "[", "]"
+        else:
+            pieces.append(json.dumps(value, indent=2, sort_keys=True).replace("\n", nl))
+            return
+        if not pairs:
+            pieces.append(open_ + close)
+            return
+        inner = nl + "  "
+        sep = "," + inner
+        renders = [_SCALARS.get(type(item)) for _, item in pairs]
+        if None not in renders:  # all scalars: the whole container in one join
+            texts = [head + render(item) for (head, item), render in zip(pairs, renders)]
+            pieces.append(open_ + inner + sep.join(texts) + nl + close)
+            return
+        lead = open_ + inner
+        for (head, item), render in zip(pairs, renders):
+            if render is None:
+                pieces.append(lead + head)
+                emit(item, inner)
+            else:
+                pieces.append(lead + head + render(item))
+            lead = sep
+            if len(pieces) >= _JSON_FLUSH:
+                fh.write("".join(pieces))
+                pieces.clear()
+        pieces.append(nl + close)
+
+    emit(value, "\n")
+    fh.write("".join(pieces))
+
+
 def write_artifacts(result: RunResult, outdir: str) -> list[str]:
-    """Write trace, results and action log; bytes depend only on the run."""
+    """Write trace, results and action log; bytes depend only on the run.
+
+    The working set is bounded: the trace is rendered and written
+    _TRACE_BLOCK records at a time and results.json streamed through
+    _write_json, so neither file's text is ever held whole.  The
+    bytes are those of trace.text() (plus one blank line) and of
+    json.dumps(summary, indent=2, sort_keys=True) plus a newline."""
     os.makedirs(outdir, exist_ok=True)
     written = []
 
     trace_path = os.path.join(outdir, "trace.txt")
+    trace = result.trace
     with open(trace_path, "w", encoding="utf-8") as fh:
-        fh.write(result.trace.text())
-        fh.write("\n" if result.trace.events else "")
+        for start in range(0, len(trace), _TRACE_BLOCK):
+            fh.write("\n".join(trace.lines(start, start + _TRACE_BLOCK)))
+            fh.write("\n")
+        fh.write("\n" if trace.events else "")
     written.append(trace_path)
 
     results_path = os.path.join(outdir, "results.json")
     with open(results_path, "w", encoding="utf-8") as fh:
-        # One write: json.dump would write each of thousands of chunks.
-        fh.write(json.dumps(result.summary(), indent=2, sort_keys=True) + "\n")
+        _write_json(fh, result.summary())
+        fh.write("\n")
     written.append(results_path)
 
     actions_path = os.path.join(outdir, "actions.log")

@@ -104,7 +104,8 @@ def _trace(proc: Proc, kind: str, detail: str) -> None:
 
 
 def _trace_phase(proc: Proc, state: VoterState) -> None:
-    _trace(proc, "phase", f"{state.phase} session={state.next_session} epoch={state.epoch}")
+    # The member's name read directly: f"{state.phase}" would go through Enum.__format__.
+    _trace(proc, "phase", f"{state.phase._name_} session={state.next_session} epoch={state.epoch}")
 
 
 def _report(proc: Proc, state: VoterState, to: VoterPhase) -> None:

@@ -29,6 +29,8 @@ import json
 import struct
 from typing import Any, Mapping
 
+from .core import VfStatusCode, VoterPhase
+
 # Frame kinds
 K_INPUT = 1       # user module -> voter: new input value
 K_BROADCAST = 2   # voter -> fellow voter: relayed input
@@ -42,6 +44,10 @@ K_WARN = 8        # recovery interpreter -> voter: rebuilt descriptor
 _HDR = struct.Struct(">BI")
 
 _TRACED_FIELDS = ("status", "detail", "req", "phase", "fault", "session", "member", "valid")
+# Enum fields are traced as their member's name, which is also their str,
+# read directly: formatting goes through Enum.__format__, Python code
+# that costs about three times as much.
+_NAMED = frozenset({VfStatusCode, VoterPhase})
 
 
 class FrameError(Exception):
@@ -63,7 +69,7 @@ class Frame:
         for key in self.traced:
             value = getattr(self, key)
             if value is not None:
-                bits.append(f"{key}={value}")
+                bits.append(f"{key}={value._name_}" if type(value) in _NAMED else f"{key}={value}")
         payload = getattr(self, "payload", b"")
         if payload:
             bits.append(f"payload={payload.hex()}")

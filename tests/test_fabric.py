@@ -809,6 +809,7 @@ def test_trace_log_renders_and_counts_its_records():
         "t=3 revive user@2 - ",
     ]
     assert log.text() == "\n".join(log.lines()) + "\n"
+    assert log.lines(1, 2) == log.lines()[1:2] and log.lines(2) == log.lines()[2:] and log.lines(3, 9) == []
     assert len(log) == 3
     assert log.count() == 3
     assert log.count("drop") == 1

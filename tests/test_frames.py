@@ -13,7 +13,7 @@ import dataclasses
 import pytest
 
 from votingfarm import wire
-from votingfarm.core import VoterPhase
+from votingfarm.core import VfStatusCode, VoterPhase
 from votingfarm.fabric import Endpoint, FaultSpec, Recv, Send, Simulator, Sleep
 
 A = Endpoint(1, "user")
@@ -113,6 +113,14 @@ def test_a_phase_frame_carries_the_phase_and_traces_its_name():
     assert [f.name for f in dataclasses.fields(frame)] == ["member", "phase"]
     assert frame.phase.value == 4
     assert frame.trace_detail == "phase phase=VFP_FAILURE member=1"
+
+
+def test_enum_fields_trace_as_their_str():
+    # Frames read an enum member's name directly; it must be the member's str.
+    for code in VfStatusCode:
+        assert wire.Status(code, "ok", 0).trace_detail == f"status status={code} detail=ok session=0"
+    for phase in VoterPhase:
+        assert wire.Phase(1, phase).trace_detail == f"phase phase={phase} member=1"
 
 
 def test_shared_broadcast_frame_cannot_be_changed_through_one_receiver():

@@ -209,7 +209,8 @@ def with_include_name(raw):
 
 
 # Each of these decodes structurally, but the parser refuses its
-# disassembly (or reads it as another program), so decoding must too.
+# disassembly (or reads it as another program), or it names an include
+# no INCLUDE string can hold, so decoding must refuse it too.
 ILL_FORMED = {
     "no-rules-no-default": compile_program(RlProgram((), (), None)),
     "empty-rule-block": compile_program(rule(Faulty(T1), ())),
@@ -226,6 +227,8 @@ ILL_FORMED = {
         rule(Or(Faulty(EntityRef(GROUP, 1)), Faulty(EntityRef(GROUP, 2))), (Action("KILL", (EntityRef(FULFILLED),)),))),
     "include-injects-a-rule": with_include_name(b'x\nIF [ -FAULTY THREAD1 ] THEN PURGE FI\n#'),
     "include-not-utf8": with_include_name(b"\xff"),
+    "include-holds-a-newline": compile_program(RlProgram(("x\n# more",), (), (Action("PURGE"),))),
+    "include-holds-a-quote": compile_program(RlProgram(('a"b',), (), (Action("PURGE"),))),
 }
 
 

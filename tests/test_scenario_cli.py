@@ -488,6 +488,7 @@ def test_cli_rl_compile_and_disasm(tmp_path, capsys):
 @pytest.mark.parametrize("blob,why", [
     (b"EFRC\x01\x00\x00\x01\x00", "empty action block"),  # DEFAULT with no action
     (b"EFRC\x01\x01\x01\xff\x00\x01\x01\x26", "not UTF-8"),  # include name 0xff; DEFAULT PURGE
+    (b'EFRC\x01\x01\x03a"b\x00\x01\x01\x26\x00', "holds a quote or a newline"),  # include name a"b
 ])
 def test_cli_rl_disasm_rejects_r_code_the_parser_would_refuse(tmp_path, capsys, blob, why):
     rc = tmp_path / "bad.rc"
