@@ -46,11 +46,14 @@ times out the wait it belongs to, re-arms the later deadline of the
 wait now running, or is dropped; a timer superseded by an earlier one
 is dropped too.
 
-The trace records each event as a plain (t, kind, frm, to, detail)
-tuple of one int and four strings: endpoint names and the frame's
-cached trace detail, never the Frame or Endpoint objects, so records
-keep no frame alive.  TraceEvent views are built only when the trace is
-iterated, and text only in lines() and text().
+The trace stores its records as columns: the times in one array of
+64-bit ints, and the kinds, endpoint names and details in parallel lists
+of strings, never the Frame or Endpoint objects, so records keep no
+frame alive.  Equal details appended close together, such as the phase
+line each voter builds or the status text each user gets, are stored
+once through a small table the log owns and empties when it fills.
+TraceEvent views are built only when the trace is iterated, and text
+only in lines() and text().
 
 Fault injection covers the fail/stop and value-failure models: crash
 (endpoint falls silent forever), value-corruption (the value payload of
@@ -77,8 +80,10 @@ from __future__ import annotations
 
 import heapq
 import random
+from array import array
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Generator, Iterator, NamedTuple, Optional
 
 from . import wire
@@ -177,6 +182,10 @@ class FaultSpec:
             raise VotingFarmError("corruption fault needs a non-empty mask")
 
 
+# Distinct details the trace's shared table holds before it is emptied.
+_SHARED_DETAILS = 256
+
+
 class TraceEvent(NamedTuple):
     """Read-only view of one trace record, built only when the trace is
     iterated."""
@@ -192,39 +201,72 @@ class TraceEvent(NamedTuple):
         return f"t={self.t} {self.kind} {self.frm} {self.to} {self.detail}"
 
 
+# TraceEvent._make without its Python-level length check, which a record
+# of five columns always passes.
+_as_event = partial(tuple.__new__, TraceEvent)
+
+
 class TraceLog:
     """Ordered record of everything observable that happened.
 
-    Each record is a plain (t, kind, frm, to, detail) tuple of one int
-    and four strings; iteration wraps them as TraceEvent views and
-    lines() and text() render them."""
+    Records are kept as columns: times in an array('q') (a list once a
+    time passes 2**63 - 1), and kinds, endpoint names and details in
+    parallel lists of strings.  A detail equal to one in the shared
+    table is stored as that table's string; the table holds at most
+    _SHARED_DETAILS strings and is emptied when it passes that, so it
+    stays small on any run.  records() yields plain tuples, iteration
+    TraceEvent views, and lines() and text() render them."""
 
     def __init__(self) -> None:
-        self.events: list[tuple[int, str, str, str, str]] = []
+        self._t = array("q")
+        self._kind: list[str] = []
+        self._frm: list[str] = []
+        self._to: list[str] = []
+        self._detail: list[str] = []
+        self._shared: dict[str, str] = {}
         self.max_time_exceeded = False
 
     def append(self, t: int, kind: str, frm: str = "-", to: str = "-", detail: str = "") -> None:
-        self.events.append((t, kind, frm, to, detail))
+        try:
+            self._t.append(t)
+        except OverflowError:  # a scenario's times have no upper bound
+            self._t = [*self._t, t]
+        self._kind.append(kind)
+        self._frm.append(frm)
+        self._to.append(to)
+        shared = self._shared
+        self._detail.append(shared.setdefault(detail, detail))
+        if len(shared) > _SHARED_DETAILS:
+            shared.clear()
+
+    def records(self, start: int = 0, stop: int | None = None) -> Iterator[tuple[int, str, str, str, str]]:
+        """Records start to stop (a slice's bounds) as plain (t, kind,
+        frm, to, detail) tuples.  The whole trace is read in place; a
+        part is first sliced from each column."""
+        columns = (self._t, self._kind, self._frm, self._to, self._detail)
+        if (start, stop) != (0, None):
+            columns = tuple(column[start:stop] for column in columns)
+        return zip(*columns)
 
     def lines(self, start: int = 0, stop: int | None = None) -> list[str]:
         """The rendered lines of records start to stop (a slice's bounds)."""
-        return [f"t={t} {kind} {frm} {to} {detail}" for t, kind, frm, to, detail in self.events[start:stop]]
+        return [f"t={t} {kind} {frm} {to} {detail}" for t, kind, frm, to, detail in self.records(start, stop)]
 
     def text(self) -> str:
-        return "\n".join(self.lines()) + ("\n" if self.events else "")
+        return "\n".join(self.lines()) + ("\n" if self._kind else "")
 
     def count(self, kind: str | None = None, contains: str = "") -> int:
         return sum(
             1
-            for _, k, _, _, detail in self.events
+            for k, detail in zip(self._kind, self._detail)
             if (kind is None or k == kind) and (contains in detail)
         )
 
     def __iter__(self) -> Iterator[TraceEvent]:
-        return map(TraceEvent._make, self.events)
+        return map(_as_event, self.records())
 
     def __len__(self) -> int:
-        return len(self.events)
+        return len(self._kind)
 
 
 # --------------------------------------------------------------------

@@ -396,7 +396,7 @@ def session_latency(result: RunResult, session: int) -> int:
         raise ScenarioError(f"no scheduled input for session {session}")
     want = {"status=VF_DONE", "detail=ok", f"session={session}"}
     done = [
-        t for t, kind, _, to, detail in result.trace.events
+        t for t, kind, _, to, detail in result.trace.records()
         if kind == "deliver" and to.startswith("user") and want <= set(detail.split())
     ]
     if not done:
@@ -477,7 +477,7 @@ def _a_spmd_flag(result: RunResult, a: dict):
 def check_phase_grammar(result: RunResult) -> list[str]:
     """Per-voter phase reports must walk the automaton's cycle."""
     sequences: dict[str, list[VoterPhase]] = {}
-    for _, kind, frm, _, detail in result.trace.events:
+    for _, kind, frm, _, detail in result.trace.records():
         if kind == "phase":
             sequences.setdefault(frm, []).append(VoterPhase[detail.split()[0]])
     bad = []
@@ -664,7 +664,7 @@ def write_artifacts(result: RunResult, outdir: str) -> list[str]:
         for start in range(0, len(trace), _TRACE_BLOCK):
             fh.write("\n".join(trace.lines(start, start + _TRACE_BLOCK)))
             fh.write("\n")
-        fh.write("\n" if trace.events else "")
+        fh.write("\n" if len(trace) else "")
     written.append(trace_path)
 
     results_path = os.path.join(outdir, "results.json")

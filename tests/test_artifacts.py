@@ -1,4 +1,5 @@
-"""Run artifacts: byte-identical files written in a bounded working set."""
+"""Run artifacts: byte-identical files written in a bounded working set,
+and the memory a run keeps while its result lives and after it is gone."""
 
 import gc
 import io
@@ -100,3 +101,40 @@ def test_writing_artifacts_takes_a_fraction_of_the_trace_in_memory(tmp_path):
     assert (tmp_path / "trace.txt").read_text() == trace_text + "\n"
     assert (tmp_path / "results.json").read_text() == dumps(result.summary()) + "\n"
     assert extra_peak < len(trace_text) / 2, (extra_peak, len(trace_text))
+
+
+def test_a_finished_run_keeps_its_trace_in_bounded_memory():
+    # The bound sits between the 1,560 KB this result keeps with one
+    # (t, kind, frm, to, detail) tuple per trace record and the 900 KB
+    # it keeps with the trace in columns, so a return to tuples fails.
+    spec = tmr_stream(200)
+    run_scenario(tmr_stream(2))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = run_scenario(spec)
+        gc.collect()
+        live = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(result.trace) > 8000
+    assert live < 1_200_000, live
+
+
+def test_runs_leave_nothing_behind_once_dropped():
+    # Nothing a run stores outlives its result: not its trace's shared
+    # details, which a table kept across runs, or strings made immortal
+    # by sys.intern, would leave behind.
+    spec = tmr_stream(50)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        for _ in range(3):
+            result = run_scenario(spec)
+            del result
+            gc.collect()
+        left = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert left <= 16_000, left

@@ -16,6 +16,7 @@ import pytest
 from votingfarm import wire
 from votingfarm.core import VotingFarmError
 from votingfarm.fabric import (
+    _SHARED_DETAILS,
     Endpoint,
     Exit,
     FaultSpec,
@@ -798,10 +799,13 @@ def test_trace_log_renders_and_counts_its_records():
     log.append(0, "send", "user@1", "user@2", "input tag=a")
     log.append(3, "drop", "user@1", "user@2", "omission")
     log.append(3, "revive", "user@2")
-    assert log.events[0] == (0, "send", "user@1", "user@2", "input tag=a")
+    records = list(log.records())
+    assert records[0] == (0, "send", "user@1", "user@2", "input tag=a")
+    assert all(type(record) is tuple for record in records)
+    assert list(log.records(1, 2)) == records[1:2] and list(log.records(2)) == records[2:]
     events = list(log)
     assert all(type(ev) is TraceEvent for ev in events)
-    assert [(ev.t, ev.kind, ev.frm, ev.to, ev.detail) for ev in events] == log.events
+    assert [(ev.t, ev.kind, ev.frm, ev.to, ev.detail) for ev in events] == records
     assert events[2] == TraceEvent(3, "revive", "user@2", "-", "")
     assert log.lines() == [ev.line for ev in events] == [
         "t=0 send user@1 user@2 input tag=a",
@@ -816,6 +820,33 @@ def test_trace_log_renders_and_counts_its_records():
     assert log.count(contains="tag=a") == 1
     assert log.count("send", contains="omission") == 0
     assert log.count("revive", contains="") == 1
+
+
+def test_trace_log_stores_an_equal_detail_once_in_a_bounded_table():
+    # Each voter builds its own phase line; the log keeps one string.
+    session = 4
+    details = [f"VFP_VOTE session={session} epoch=0" for _ in range(3)]
+    assert details[0] is not details[1]
+    log = TraceLog()
+    for member, detail in enumerate(details, 1):
+        log.append(7, "phase", f"voter:{member}@{member}", "-", detail)
+    kept = [detail for *_, detail in log.records()]
+    assert kept == details and kept[1] is kept[0] and kept[2] is kept[0]
+    for k in range(3 * _SHARED_DETAILS):
+        log.append(8, "send", "user@1", "user@2", f"input tag={k}")
+        assert len(log._shared) <= _SHARED_DETAILS
+    assert log.lines(3, 5) == ["t=8 send user@1 user@2 input tag=0", "t=8 send user@1 user@2 input tag=1"]
+
+
+def test_trace_log_keeps_a_time_past_64_bits():
+    # A scenario's input times and max_time are counts with no upper bound.
+    log = TraceLog()
+    for t in range(3):
+        log.append(t, "send")
+    log.append(2**64, "fault", "user@1")
+    log.append(2, "revive", "user@1")
+    assert [t for t, *_ in log.records()] == [0, 1, 2, 2**64, 2]
+    assert log.lines(3) == [f"t={2**64} fault user@1 - ", "t=2 revive user@1 - "]
 
 
 @pytest.mark.parametrize("cls", [Send, Recv, Sleep, Exit])

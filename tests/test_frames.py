@@ -167,7 +167,7 @@ def test_a_shared_broadcast_frame_is_rendered_once():
     sim.spawn(sink, B)
     sim.spawn(sink, C)
     sim.run_until_quiescent()
-    details = [detail for _, kind, _, _, detail in sim.trace.events if kind in ("send", "deliver")]
+    details = [detail for _, kind, _, _, detail in sim.trace.records() if kind in ("send", "deliver")]
     assert len(details) == 4
     assert all(detail is frame.trace_detail for detail in details)  # one string, not one per line
     assert frame.trace_detail == "broadcast session=0 member=1 valid=True payload=07"

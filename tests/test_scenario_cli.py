@@ -138,9 +138,9 @@ def test_trace_records_are_plain_tuples(name):
     # Records hold one int and four strings: no Frame or Endpoint that
     # would keep a message alive for the whole run.
     spec, dirs = load(name)
-    events = run_scenario(spec, dirs).trace.events
-    assert events
-    for record in events:
+    trace = run_scenario(spec, dirs).trace
+    assert len(trace)
+    for record in trace.records():
         assert type(record) is tuple
         assert [type(field) for field in record] == [int, str, str, str, str], record
 
