@@ -28,7 +28,6 @@ from typing import Any, Generator, Optional
 from . import wire
 from .algorithms import AlgorithmSelect
 from .core import (
-    FarmDescriptor,
     ValidationError,
     VfStatus,
     VfStatusCode,
@@ -64,7 +63,7 @@ class FarmHandle:
 
     runtime: Any  # FarmRuntime; typed loosely to keep import edges one-way
     metric_name: str
-    descriptor: FarmDescriptor = field(default_factory=FarmDescriptor)
+    descriptor: list[tuple[int, int]] = field(default_factory=list)  # (node, ident) rows
     running: bool = False
     invalidated: bool = False
     outputs: list[dict] = field(default_factory=list)
@@ -85,7 +84,7 @@ def vf_add(handle: FarmHandle, node: int, ident: int) -> None:
     handle._check_open()
     if handle.running:
         raise AlreadyRunning("cannot add members after vf_run")
-    handle.descriptor.add(node, ident)
+    handle.descriptor.append((node, ident))
 
 
 def vf_run(handle: FarmHandle, proc: Proc) -> Generator:

@@ -2,16 +2,17 @@
 
 A voting farm is a set of voter processes, one per member, that jointly mask
 value and timing faults of replicated application modules.  This module
-holds the vocabulary everything else builds on: identifiers, the farm
-descriptor, vote objects, the status codes exchanged with client code
-and the voter phase automaton, stated once: the phases, whose values
-are the codes recovery strategies compare, and PHASE_STEPS, its edges.
+holds the vocabulary everything else builds on: identifiers, the check
+of a farm descriptor (its (node, ident) rows), vote objects, the status
+codes exchanged with client code and the voter phase automaton, stated
+once: the phases, whose values are the codes recovery strategies
+compare, and PHASE_STEPS, its edges.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class VotingFarmError(Exception):
@@ -127,52 +128,19 @@ class VoteObject:
             raise ValidationError("payload must be bytes")
 
 
-@dataclass(frozen=True)
-class FarmMember:
-    node: NodeId
-    ident: MemberId
-
-
-@dataclass
-class FarmDescriptor:
-    """Ordered list of (node, ident) pairs making up one farm.
-
-    Idents must be exactly 1..N with no gaps.  Members may share a node;
-    nothing requires one member per node.  The descriptor is built
-    incrementally through the client interface and validated before the
-    farm is activated.
-    """
-
-    members: list[FarmMember] = field(default_factory=list)
-
-    def add(self, node: NodeId, ident: MemberId) -> None:
-        self.members.append(FarmMember(node, ident))
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
-
-    def idents(self) -> list[MemberId]:
-        return [m.ident for m in self.members]
-
-    def copy(self) -> "FarmDescriptor":
-        return FarmDescriptor(list(self.members))
-
-
-def validate_descriptor(desc: FarmDescriptor) -> None:
-    """Check a descriptor before activation.
+def validate_descriptor(rows: list) -> None:
+    """Check a farm descriptor, its ordered (node, ident) rows, before
+    activation.  Members may share a node.
 
     Raises EmptyFarm, DuplicateIdent or NonContiguousIdents.  A valid
     descriptor has at least one member and idents exactly {1..N}.
     """
-    if desc.size == 0:
+    if not rows:
         raise EmptyFarm("farm has no members")
-    idents = desc.idents()
     seen = set()
-    for ident in idents:
+    for _, ident in rows:
         if ident in seen:
             raise DuplicateIdent(f"ident {ident} added twice")
         seen.add(ident)
-    expected = set(range(1, desc.size + 1))
-    if seen != expected:
-        raise NonContiguousIdents(f"idents {sorted(seen)} are not 1..{desc.size}")
+    if seen != set(range(1, len(rows) + 1)):
+        raise NonContiguousIdents(f"idents {sorted(seen)} are not 1..{len(rows)}")

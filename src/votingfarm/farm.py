@@ -125,11 +125,11 @@ class FarmRuntime:
         node = proc.endpoint.node
         desc = handle.descriptor
         if self.canonical is None:
-            self.canonical = desc.copy()
+            self.canonical = list(desc)
             self.metric_name = handle.metric_name
-            for m in self.canonical.members:
-                self.view[m.ident] = m.ident  # initial entity == ident
-                self.entity_node[m.ident] = m.node
+            for member_node, ident in desc:
+                self.view[ident] = ident  # initial entity == ident
+                self.entity_node[ident] = member_node
         elif self.canonical != desc or self.metric_name != handle.metric_name:
             what = "descriptor" if self.canonical != desc else "metric"
             self.spmd_incoherent = True
@@ -137,9 +137,9 @@ class FarmRuntime:
                 self.sim.now, "spmd", str(proc.endpoint), "-", f"{what} mismatch"
             )
             raise SpmdIncoherence(f"node {node} disagrees with the active {what}")
-        for m in self.canonical.members:
-            if m.node == node and m.ident not in self.voter_states:
-                self._spawn_voter(entity=m.ident, ident=m.ident)
+        for member_node, ident in self.canonical:
+            if member_node == node and ident not in self.voter_states:
+                self._spawn_voter(entity=ident, ident=ident)
 
     def _spawn_voter(
         self,

@@ -24,8 +24,7 @@ from typing import Optional
 
 from .algorithms import METRICS, AlgorithmSelect, encode_scalar, encode_vector
 from .client import vf_add, vf_close, vf_control, vf_get, vf_open, vf_run
-from .core import (PHASE_STEPS, FarmDescriptor, FarmMember, VfStatusCode, VoterPhase, VotingFarmError,
-                   validate_descriptor)
+from .core import PHASE_STEPS, VfStatusCode, VoterPhase, VotingFarmError, validate_descriptor
 from .fabric import Endpoint, FAULT_KINDS, FaultSpec, Proc, Simulator, Sleep
 from .farm import FarmRuntime
 from .recovery import DirDatabase, attach_recovery, parse_rl
@@ -199,7 +198,7 @@ def _farm_layout(rows: list, label: str) -> None:
     if not rows:
         raise ScenarioError("scenario needs a non-empty farm list of [node, ident]")
     try:
-        validate_descriptor(FarmDescriptor([FarmMember(node, ident) for node, ident in rows]))
+        validate_descriptor(rows)
     except VotingFarmError as exc:
         raise ScenarioError(f"bad farm layout: {exc}") from exc
 
@@ -217,6 +216,23 @@ def _scenario_rules(spec: dict, label: str) -> None:
     for spare in spec["spares"]:
         if spare["entity"] in idents:
             raise ScenarioError(f"spare entity {spare['entity']} is already a farm ident")
+    entities = idents | {spare["entity"] for spare in spec["spares"]}
+    for f in spec["faults"]:
+        if f["role"] == "voter" and "entity" in f and f["entity"] not in entities:
+            raise ScenarioError(f"fault names unknown entity {f['entity']}")
+    for group, members in spec.get("recovery", {}).get("groups", {}).items():
+        for entity in members:
+            if entity not in entities:
+                raise ScenarioError(f"group {group} names unknown entity {entity}")
+    mismatch = spec.get("spmd_mismatch")
+    if mismatch and mismatch["node"] not in _user_nodes(spec):
+        raise ScenarioError(f"spmd_mismatch node {mismatch['node']} runs no user program")
+
+
+def _user_nodes(spec: dict) -> list[int]:
+    """The nodes that run the user program: the farm's, the spares' and the inputs'."""
+    nodes = {node for node, _ in spec["farm"]} | {spare["node"] for spare in spec["spares"]}
+    return sorted(nodes | set(spec["inputs"]))
 
 
 _INT, _COUNT = {"type": "integer"}, {"type": "integer", "minimum": 0}
@@ -330,9 +346,7 @@ def run_scenario(spec: dict, search_dirs: tuple[str, ...] = ()) -> RunResult:
         runtime.declare_spare(spare["entity"], spare["node"])
 
     farm_rows = spec["farm"]
-    user_nodes = sorted(
-        {node for node, _ in farm_rows} | {s["node"] for s in spec["spares"]} | set(spec["inputs"])
-    )
+    user_nodes = _user_nodes(spec)
     for node in user_nodes:
         runtime.ensure_user_endpoint(node)
 
@@ -381,8 +395,6 @@ def _fault_target(f: dict, runtime: FarmRuntime, farm_rows) -> Endpoint:
         return Endpoint(f["node"], "voter", f.get("member", f["node"]))
     entity = f["entity"]
     node = next((node for node, ident in farm_rows if ident == entity), runtime.spares.get(entity))
-    if node is None:
-        raise ScenarioError(f"fault names unknown entity {entity}")
     return Endpoint(node, "voter", entity)
 
 

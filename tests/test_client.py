@@ -53,7 +53,7 @@ def opened_farm(runtime, rows, proc):
 def test_open_gives_empty_descriptor_bound_to_metric():
     _, runtime, _ = fresh()
     handle = vf_open(runtime, "scalar")
-    assert handle.descriptor.size == 0
+    assert handle.descriptor == []
     assert handle.metric_name == "scalar"
     assert not handle.running
 
@@ -62,7 +62,7 @@ def test_two_opens_are_independent():
     _, runtime, _ = fresh()
     a, b = vf_open(runtime), vf_open(runtime)
     vf_add(a, 1, 1)
-    assert a.descriptor.size == 1 and b.descriptor.size == 0
+    assert a.descriptor == [(1, 1)] and b.descriptor == []
 
 
 def test_add_after_run_raises():
@@ -99,6 +99,18 @@ def test_invalid_descriptor_fails_validation():
 
     drive(sim, {1: prog})
     assert caught and "ident 1" in caught[0]
+
+
+def test_the_runtime_keeps_its_own_copy_of_the_first_descriptor():
+    sim, runtime, rows = fresh(1)
+    handles = []
+
+    def prog(proc):
+        handles.append((yield from opened_farm(runtime, rows, proc)))
+
+    drive(sim, {1: prog})
+    handles[0].descriptor.append((2, 2))
+    assert runtime.canonical == [(1, 1)]
 
 
 def test_divergent_descriptors_flag_spmd_incoherence():

@@ -9,7 +9,6 @@ from votingfarm.core import (
     PHASE_STEPS,
     DuplicateIdent,
     EmptyFarm,
-    FarmDescriptor,
     IllegalTransition,
     NonContiguousIdents,
     ValidationError,
@@ -72,47 +71,25 @@ class TestPhaseAutomaton:
 
 
 class TestDescriptor:
+    """A descriptor is its ordered list of (node, ident) rows."""
+
     def test_tmr_descriptor_valid(self):
-        desc = FarmDescriptor()
-        desc.add(1, 1)
-        desc.add(2, 2)
-        desc.add(3, 3)
-        validate_descriptor(desc)
-        assert desc.size == 3
-        assert desc.idents() == [1, 2, 3]
+        validate_descriptor([(1, 1), (2, 2), (3, 3)])
 
     def test_empty_farm(self):
         with pytest.raises(EmptyFarm):
-            validate_descriptor(FarmDescriptor())
+            validate_descriptor([])
 
     def test_duplicate_ident(self):
-        desc = FarmDescriptor()
-        desc.add(1, 1)
-        desc.add(2, 1)
-        with pytest.raises(DuplicateIdent):
-            validate_descriptor(desc)
+        with pytest.raises(DuplicateIdent, match="ident 1 added twice"):
+            validate_descriptor([(1, 1), (2, 1)])
 
     def test_gap_in_idents(self):
-        desc = FarmDescriptor()
-        desc.add(1, 1)
-        desc.add(2, 3)
-        with pytest.raises(NonContiguousIdents):
-            validate_descriptor(desc)
+        with pytest.raises(NonContiguousIdents, match=r"idents \[1, 3\] are not 1..2"):
+            validate_descriptor([(1, 1), (2, 3)])
 
     def test_idents_need_not_arrive_in_order(self):
-        desc = FarmDescriptor()
-        desc.add(5, 2)
-        desc.add(6, 1)
-        validate_descriptor(desc)
-
-    def test_copy_is_independent(self):
-        desc = FarmDescriptor()
-        desc.add(1, 1)
-        dup = desc.copy()
-        dup.add(2, 2)
-        assert desc.size == 1 and dup.size == 2
-        assert desc == desc.copy()
-        assert desc != dup
+        validate_descriptor([(5, 2), (6, 1)])
 
 
 def test_vote_object_payload_must_be_bytes():

@@ -2,7 +2,10 @@
 
 import copy
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -386,6 +389,10 @@ def test_cli_run_malformed_scenario(tmp_path, capsys):
         ({"delt_t": 10}, "unknown scenario key 'delt_t'"),
         ({"assertions": [{"type": "eventually-ok"}]}, "unknown assertion type"),
         ({"farm": [[1.5, 1], [2, 2], [3, 3]]}, "farm row"),
+        ({"inputs": {"1": [{"at": 10, "value": "01"}], "01": []}}, "inputs names one of its node numbers twice"),
+        ({"faults": [{"kind": "crash", "entity": 9, "at": 5}]}, "fault names unknown entity 9"),
+        ({"spmd_mismatch": {"node": 9, "farm": [[1, 1]]}}, "spmd_mismatch node 9 runs no user program"),
+        ({"recovery": {"rl": "table5.rl", "groups": {"1": [7, 8]}}}, "group 1 names unknown entity 7"),
     ],
     ids=[
         "string_delta_t",
@@ -418,6 +425,10 @@ def test_cli_run_malformed_scenario(tmp_path, capsys):
         "misspelt_key",
         "unknown_assertion_type",
         "fractional_farm_node",
+        "inputs_keys_1_and_01",
+        "fault_on_an_unknown_entity",
+        "spmd_mismatch_on_a_node_without_a_user",
+        "group_of_unknown_entities",
     ],
 )
 def test_cli_run_unusable_field_exits_2(tmp_path, capsys, mutation, field):
@@ -432,6 +443,9 @@ def test_cli_run_unusable_field_exits_2(tmp_path, capsys, mutation, field):
     assert cli.main(["run", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("vf: ") and field in err
+    # Checking alone finds it: what validate_scenario accepts, run_scenario runs.
+    with pytest.raises(ScenarioError, match=field):
+        validate_scenario(spec)
 
 
 def test_cli_run_missing_path_is_not_a_bundled_name(capsys):
@@ -489,6 +503,7 @@ def test_cli_rl_compile_and_disasm(tmp_path, capsys):
     (b"EFRC\x01\x00\x00\x01\x00", "empty action block"),  # DEFAULT with no action
     (b"EFRC\x01\x01\x01\xff\x00\x01\x01\x26", "not UTF-8"),  # include name 0xff; DEFAULT PURGE
     (b'EFRC\x01\x01\x03a"b\x00\x01\x01\x26\x00', "holds a quote or a newline"),  # include name a"b
+    (b"EFRC\x01\x01\x08x\n# more\x00\x01\x01\x26\x00", "holds a quote or a newline"),  # include name x<LF># more
 ])
 def test_cli_rl_disasm_rejects_r_code_the_parser_would_refuse(tmp_path, capsys, blob, why):
     rc = tmp_path / "bad.rc"
@@ -570,6 +585,17 @@ def test_cli_reliability_rejects_non_finite_inputs(capsys, args):
     captured = capsys.readouterr()
     assert captured.err.startswith("vf: ")
     assert "OK" not in captured.out
+
+
+def test_cli_reliability_refuses_a_nan_rate_promptly():
+    # A NaN rate that slipped through would reach the solver, which may
+    # never return; a child process bounds the wait.
+    package_root = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": package_root}
+    argv = [sys.executable, "-m", "votingfarm.cli", "reliability", "--verify-markov", "--lambda", "nan"]
+    child = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=20)
+    assert child.returncode == 2, child.stderr
+    assert child.stderr.startswith("vf: lambda must be finite and positive")
 
 
 @pytest.mark.parametrize("grid", ["0", "-0.01", "1.5", "nan"])
@@ -655,14 +681,16 @@ def test_cli_perf_steps_skips_a_fit_without_spare_points(capsys, sizes, skipped)
 
 
 def test_cli_perf_best(capsys):
-    assert cli.main(["perf", "--best", "--N", "3,4", "--mode", "full"]) == 0
-    lines = capsys.readouterr().out.strip().split("\n")
-    assert lines[0].startswith("# best schedule, full duplex")
-    assert lines[1:] == [
-        "N,order,relative,steps,one_cycled_steps",
-        "3,1 2 3,false,5,6",
-        "4,1 2 4 3,true,8,9",
+    # test_perf pins the search up to N=7; N=8 is the largest size searched.
+    cases = [
+        (["--N", "3,4", "--mode", "full"], "full", ["3,1 2 3,false,5,6", "4,1 2 4 3,true,8,9"]),
+        (["--N", "8"], "half", ["8,1 2 3 4 5 6 7 8,true,21,21"]),
     ]
+    for args, mode, rows in cases:
+        assert cli.main(["perf", "--best", *args]) == 0
+        lines = capsys.readouterr().out.strip().split("\n")
+        assert lines[0].startswith(f"# best schedule, {mode} duplex")
+        assert lines[1:] == ["N,order,relative,steps,one_cycled_steps", *rows]
 
 
 def test_cli_perf_unknown_permutation(capsys):
