@@ -127,6 +127,11 @@ class AlgorithmSelect:
             raise VotingFarmError("epsilon must be >= 0")
         if self.scaling_factor <= 0:
             raise VotingFarmError("scaling factor must be > 0")
+        for name in ("epsilon", "scaling_factor"):
+            try:
+                float(getattr(self, name))
+            except OverflowError:
+                raise VotingFarmError(f"{name} must fit in a float64") from None
         if self.tie_break not in ("none", "lowest-member"):
             raise VotingFarmError(f"unknown tie break {self.tie_break!r}")
 

@@ -60,8 +60,6 @@ from .scenario import (
     write_artifacts,
 )
 
-OUTPUT_DIR_ENV = "VF_OUTPUT_DIR"
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -74,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument(
         "--output-dir",
         default=None,
-        help=f"write trace/results/actions files here (default ${OUTPUT_DIR_ENV})",
+        help="write trace/results/actions files here (default: write none)",
     )
 
     p_rl = sub.add_parser("rl", help="recovery strategy tooling")
@@ -131,9 +129,8 @@ def _cmd_run(args) -> int:
     for a in result.assertions:
         mark = "ok  " if a["ok"] else "FAIL"
         print(f"{mark} {a['type']}: {a['detail']}")
-    outdir = args.output_dir or os.environ.get(OUTPUT_DIR_ENV)
-    if outdir:
-        for path in write_artifacts(result, outdir):
+    if args.output_dir:
+        for path in write_artifacts(result, args.output_dir):
             print(f"wrote {path}")
     verdict = "PASS" if result.passed else "FAIL"
     print(f"{verdict} {result.spec['name']}")

@@ -41,6 +41,8 @@ from .lang import (
     _condition_groups,
 )
 
+DIRECTOR_NODE = 0  # the node the director and the interpreter run on
+
 
 @dataclass
 class DirDatabase:
@@ -247,9 +249,8 @@ def attach_recovery(
     runtime: FarmRuntime,
     program: RlProgram,
     groups: Optional[dict[int, tuple[int, ...]]] = None,
-    node: int = 0,
 ) -> DirDatabase:
-    """Install the recovery backbone on a director node.
+    """Install the recovery backbone on the director node, DIRECTOR_NODE.
 
     Must run before the farm is activated so voters report their phase
     transitions from the start.  Watchdog behaviour comes from the
@@ -257,8 +258,8 @@ def attach_recovery(
     """
     sim: Simulator = runtime.sim
     db = DirDatabase(groups=dict(groups or {}))
-    dirnet_ep = sim.add_endpoint(Endpoint(node, "dirnet"))
-    rint_ep = sim.add_endpoint(Endpoint(node, "rint"))
+    dirnet_ep = sim.add_endpoint(Endpoint(DIRECTOR_NODE, "dirnet"))
+    rint_ep = sim.add_endpoint(Endpoint(DIRECTOR_NODE, "rint"))
     runtime.dirnet_ep = dirnet_ep
     runtime.rint_ep = rint_ep
     sim.spawn(director_process(db, rint_ep), dirnet_ep)

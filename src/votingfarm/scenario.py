@@ -25,7 +25,7 @@ from typing import Optional
 from .algorithms import METRICS, AlgorithmSelect, encode_scalar, encode_vector
 from .client import vf_add, vf_close, vf_control, vf_get, vf_open, vf_run
 from .core import PHASE_STEPS, VfStatusCode, VoterPhase, VotingFarmError, validate_descriptor
-from .fabric import Endpoint, FAULT_KINDS, FaultSpec, Proc, Simulator, Sleep
+from .fabric import Endpoint, FaultSpec, Proc, Simulator, Sleep
 from .farm import FarmRuntime
 from .recovery import DirDatabase, attach_recovery, parse_rl
 from .recovery.lang import read_text, resolve_include
@@ -113,7 +113,7 @@ def _container(s: dict):
     """The walker of what schema s holds, for a value of its type; None for a leaf."""
     walk = None
     if "properties" in s:  # an object, returned as it is unless a default or a field changed
-        props, title, one_of = s["properties"], s["title"], s.get("oneOf", ())
+        props, title, one_of, apart = s["properties"], s["title"], s.get("oneOf", ()), s.get("apart")
         prefix, walkers = s.get("prefix", title + " "), {}
         for key, (f, _) in props.items():  # a plain leaf is checked inline, without a call
             types = _TYPES[f["type"]][0] if f.keys() <= {"type", "minimum", "enum"} else set()
@@ -138,6 +138,8 @@ def _container(s: dict):
                 raise ScenarioError(f"each {title} needs {key}: {prefix}{key} must {_must(props[key][0])}")
             if one_of and sum(map(keys.__contains__, one_of)) != 1:
                 raise ScenarioError(f"{title} needs exactly one of {', '.join(one_of)}, got {value!r}")
+            if apart and not keys.isdisjoint(apart[0]) and not keys.isdisjoint(apart[1]):
+                raise ScenarioError(f"{title} takes {' or '.join(map('/'.join, apart))}, not both, got {value!r}")
             return {**defaults, **value, **changed} if changed or not keys >= defaulted else value
     elif "items" in s:
         items, least, most = s["items"], s.get("minItems", 0), s.get("maxItems", float("inf"))
@@ -162,13 +164,13 @@ def _container(s: dict):
             if len(checked) < len(value):
                 raise ScenarioError(f"{label} names one of its {s['keys']} twice, got keys {list(value)!r}")
             return checked
-    elif "cases" in s:  # one object schema per value of the "type" key
-        cases = {tag: _container(case) for tag, case in s["cases"].items()}
+    elif "cases" in s:  # one object schema per value of the key named "tag"
+        key, cases = s["tag"], {tag: _container(case) for tag, case in s["cases"].items()}
 
         def walk(value, label):
-            tag = value.get("type")
+            tag = value.get(key)
             if type(tag) is not str or tag not in cases:
-                raise ScenarioError(f"unknown {label} type {tag!r}, expected one of {', '.join(cases)}")
+                raise ScenarioError(f"unknown {label} {key} {tag!r}, expected one of {', '.join(cases)}")
             return cases[tag](value, label)
     return walk
 
@@ -203,23 +205,25 @@ def _farm_layout(rows: list, label: str) -> None:
         raise ScenarioError(f"bad farm layout: {exc}") from exc
 
 
-def _fault_target_named(fault: dict, label: str) -> None:
-    if "node" not in fault and (fault["role"] == "user" or "entity" not in fault):
-        needs = "a node" if fault["role"] == "user" else "an entity or a node"
-        raise ScenarioError(f"the {fault['role']} {fault['kind']} fault at {fault['at']} needs {needs}")
+def _float64(value, label: str) -> None:
+    try:
+        float(value)
+    except OverflowError:
+        raise ScenarioError(f"{label} must fit in a float64, got an integer of {value.bit_length()} bits") from None
 
 
 def _scenario_rules(spec: dict, label: str) -> None:
     if spec["delta_t"] <= spec["delivery_delay"] + spec["jitter"]:
         raise ScenarioError("delta_t must exceed the worst-case delivery delay")
     idents = {ident for _, ident in spec["farm"]}
+    entities = set(idents)
     for spare in spec["spares"]:
-        if spare["entity"] in idents:
-            raise ScenarioError(f"spare entity {spare['entity']} is already a farm ident")
-    entities = idents | {spare["entity"] for spare in spec["spares"]}
+        entity = spare["entity"]
+        if entity in entities:
+            raise ScenarioError(f"spare entity {entity} is already {'a farm ident' if entity in idents else 'a spare'}")
+        entities.add(entity)
     for f in spec["faults"]:
-        if f["role"] == "voter" and "entity" in f and f["entity"] not in entities:
-            raise ScenarioError(f"fault names unknown entity {f['entity']}")
+        _fault_target(f, spec)
     for group, members in spec.get("recovery", {}).get("groups", {}).items():
         for entity in members:
             if entity not in entities:
@@ -229,6 +233,25 @@ def _scenario_rules(spec: dict, label: str) -> None:
         raise ScenarioError(f"spmd_mismatch node {mismatch['node']} runs no user program")
 
 
+def _fault_target(f: dict, spec: dict) -> Endpoint:
+    """The endpoint a checked fault hits: a voter fault names an entity,
+    a farm ident or a spare; a user fault names a node that runs the
+    user program.  Raises ScenarioError for any other target."""
+    role = f["role"]
+    key, other = ("node", "entity") if role == "user" else ("entity", "node")
+    if key not in f or other in f:
+        raise ScenarioError(f"the {role} {f['kind']} fault at {f['at']} must name its {key} and no {other}")
+    if role == "user":
+        if f["node"] not in _user_nodes(spec):
+            raise ScenarioError(f"fault node {f['node']} runs no user program")
+        return Endpoint(f["node"], "user")
+    rows = spec["farm"] + [(spare["node"], spare["entity"]) for spare in spec["spares"]]
+    node = next((node for node, ident in rows if ident == f["entity"]), None)
+    if node is None:
+        raise ScenarioError(f"fault names unknown entity {f['entity']}")
+    return Endpoint(node, "voter", f["entity"])
+
+
 def _user_nodes(spec: dict) -> list[int]:
     """The nodes that run the user program: the farm's, the spares' and the inputs'."""
     nodes = {node for node, _ in spec["farm"]} | {spare["node"] for spare in spec["spares"]}
@@ -236,7 +259,7 @@ def _user_nodes(spec: dict) -> list[int]:
 
 
 _INT, _COUNT = {"type": "integer"}, {"type": "integer", "minimum": 0}
-_NUMBER, _BOOL, _STRING = {"type": "number"}, {"type": "boolean"}, {"type": "string"}
+_FLOAT, _BOOL, _STRING = {"type": "number", "check": _float64}, {"type": "boolean"}, {"type": "string"}
 _HEX, _ALGORITHM = {"type": "string", "check": _hex}, {"type": "object", "check": _algorithm}
 _STRINGS, _NODES = {"type": "array", "items": _STRING}, {"type": "array", "items": _COUNT}
 _ROW = {"type": "array", "items": _COUNT, "minItems": 2, "maxItems": 2, "title": "farm row"}
@@ -362,9 +385,12 @@ def run_scenario(spec: dict, search_dirs: tuple[str, ...] = ()) -> RunResult:
         )
 
     for f in spec["faults"]:
-        target = _fault_target(f, runtime, farm_rows)
-        mask = bytes.fromhex(f["mask"])
-        sim.inject(FaultSpec(kind=f["kind"], target=target, at_time=f["at"], mask=mask, delay=f["delay"]))
+        own = {}  # the fields only this fault's kind has
+        if "mask" in f:
+            own["mask"] = bytes.fromhex(f["mask"])
+        if "delay" in f:
+            own["delay"] = f["delay"]
+        sim.inject(FaultSpec(kind=f["kind"], target=_fault_target(f, spec), at_time=f["at"], **own))
 
     sim.run_until_quiescent(spec["max_time"])
 
@@ -386,16 +412,6 @@ def run_scenario(spec: dict, search_dirs: tuple[str, ...] = ()) -> RunResult:
             ok, detail = False, str(exc)
         result.assertions.append({**as_written, "ok": bool(ok), "detail": detail})
     return result
-
-
-def _fault_target(f: dict, runtime: FarmRuntime, farm_rows) -> Endpoint:
-    if f["role"] == "user":
-        return Endpoint(f["node"], "user")
-    if "entity" not in f:
-        return Endpoint(f["node"], "voter", f.get("member", f["node"]))
-    entity = f["entity"]
-    node = next((node for node, ident in farm_rows if ident == entity), runtime.spares.get(entity))
-    return Endpoint(node, "voter", entity)
 
 
 # -- assertions -----------------------------------------------------------
@@ -423,7 +439,7 @@ def _a_quiescent(result: RunResult, a: dict):
 
 def _a_trace_count(result: RunResult, a: dict):
     count = result.trace.count(a.get("kind"), a["contains"])
-    ok = count == a["equals"] if "equals" in a else a["min"] <= count <= a.get("max", count)
+    ok = count == a["equals"] if "equals" in a else a.get("min", 0) <= count <= a.get("max", count)
     return ok, f"count={count}"
 
 
@@ -468,7 +484,7 @@ def _a_latency_delta(result: RunResult, a: dict):
 
 def _a_action_log(result: RunResult, a: dict):
     verbs = result.db.verbs() if result.db else []
-    ok = verbs == a["verbs"] if "verbs" in a else all(v in verbs for v in a["contains"])
+    ok = verbs == a["verbs"] if "verbs" in a else all(v in verbs for v in a.get("contains", ()))
     return ok, f"log={verbs}"
 
 
@@ -509,13 +525,14 @@ def _a_phase_grammar(result: RunResult, a: dict):
     return not bad, "; ".join(bad) if bad else "all voters follow the cycle"
 
 
-# Each assertion type: its evaluator and the fields it may hold, in the
-# form of the scenario table below, which adds "type" to each.
+# Each assertion type: its evaluator, the fields it may hold and, for
+# some, a rule on the whole object, in the form of the scenario table
+# below, which adds "type" to each.
 _EVALUATORS = {
     "quiescent": (_a_quiescent, {}),
     "trace-count": (_a_trace_count, {
         "kind": (_STRING, OPTIONAL), "contains": (_STRING, ""), "equals": (_COUNT, OPTIONAL),
-        "min": (_COUNT, 0), "max": (_COUNT, OPTIONAL)}),
+        "min": (_COUNT, OPTIONAL), "max": (_COUNT, OPTIONAL)}, {"apart": (("equals",), ("min", "max"))}),
     "output-equals": (_a_output_equals, {"session": (_COUNT, 0), "value": (_HEX, REQUIRED),
                                          "nodes": (_NODES, OPTIONAL)}),
     "session-status": (_a_session_status, {
@@ -524,7 +541,8 @@ _EVALUATORS = {
     "refused-min": (_a_refused_min, {"count": (_COUNT, 1)}),
     "latency-delta": (_a_latency_delta, {"session": (_COUNT, 0), "expected": (_INT, REQUIRED),
                                          "tol": (_COUNT, 1)}),
-    "action-log": (_a_action_log, {"verbs": (_STRINGS, OPTIONAL), "contains": (_STRINGS, [])}),
+    "action-log": (_a_action_log, {"verbs": (_STRINGS, OPTIONAL), "contains": (_STRINGS, OPTIONAL)},
+                   {"apart": (("verbs",), ("contains",))}),
     "recovery-errors": (_a_recovery_errors, {"contains": (_STRING, "")}),
     "live-voters": (_a_live_voters, {"count": (_COUNT, REQUIRED)}),
     "spmd-flag": (_a_spmd_flag, {"value": (_BOOL, True)}),
@@ -534,22 +552,30 @@ _EVALUATORS = {
 
 # -- the scenario table ----------------------------------------------------
 
-_FAULT = _object("fault", {
-    "kind": ({**_STRING, "enum": FAULT_KINDS}, REQUIRED), "at": (_COUNT, REQUIRED),
-    "role": ({**_STRING, "enum": ("voter", "user")}, "voter"),
-    "entity": (_COUNT, OPTIONAL), "node": (_COUNT, OPTIONAL), "member": (_COUNT, OPTIONAL),
-    "mask": (_HEX, "ff"), "delay": (_COUNT, 0),
-}, check=_fault_target_named)
+# Each fault kind: the fields it holds besides kind, at, role and the
+# target that _fault_target reads.
+_FAULT_FIELDS = {
+    "crash": {}, "value-corruption": {"mask": (_HEX, "ff")}, "omission": {},
+    "delay": {"delay": ({"type": "integer", "minimum": 1}, REQUIRED)},
+}
+
+_FAULT = {"type": "object", "title": "fault", "tag": "kind", "cases": {
+    kind: _object(f"{kind} fault", {
+        "kind": (_STRING, REQUIRED), "at": (_COUNT, REQUIRED),
+        "role": ({**_STRING, "enum": ("voter", "user")}, "voter"),
+        "entity": (_COUNT, OPTIONAL), "node": (_COUNT, OPTIONAL), **fields})
+    for kind, fields in _FAULT_FIELDS.items()
+}}
 
 _INPUT = _object("input", {
-    "at": (_COUNT, REQUIRED), "value": (_HEX, OPTIONAL), "scalar": (_NUMBER, OPTIONAL),
-    "vector": ({"type": "array", "items": _NUMBER, "minItems": 1}, OPTIONAL),
+    "at": (_COUNT, REQUIRED), "value": (_HEX, OPTIONAL), "scalar": (_FLOAT, OPTIONAL),
+    "vector": ({"type": "array", "items": _FLOAT, "minItems": 1}, OPTIONAL),
     "algorithm": (_ALGORITHM, OPTIONAL),
 }, oneOf=(*_PAYLOADS, "algorithm"))
 
-_ASSERTION = {"type": "object", "title": "assertion", "cases": {
-    kind: _object(f"{kind} assertion", {"type": (_STRING, REQUIRED), **fields})
-    for kind, (_, fields) in _EVALUATORS.items()
+_ASSERTION = {"type": "object", "title": "assertion", "tag": "type", "cases": {
+    kind: _object(f"{kind} assertion", {"type": (_STRING, REQUIRED), **fields}, **dict(*rules))
+    for kind, (_, fields, *rules) in _EVALUATORS.items()
 }}
 
 _SCENARIO = _object("scenario", {

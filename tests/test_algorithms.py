@@ -494,6 +494,12 @@ def test_algorithm_select_validation():
         AlgorithmSelect(scaling_factor=0.0)
     with pytest.raises(VotingFarmError):
         AlgorithmSelect(tie_break="coin-flip")
+    # An integer no float64 holds would end each voter in OverflowError; infinity is a float64.
+    for field in ("epsilon", "scaling_factor"):
+        with pytest.raises(VotingFarmError, match=f"{field} must fit in a float64"):
+            AlgorithmSelect(**{field: 10**400})
+    AlgorithmSelect(epsilon=2**1023, scaling_factor=math.inf)
+    AlgorithmSelect(epsilon=math.nan)
 
 
 def test_vote_dispatch_covers_every_kind(scalar_ballot):

@@ -104,9 +104,18 @@ def test_validate_fills_defaults_and_leaves_the_spec_alone():
     checked = validate_scenario(spec)
     assert spec == before
     assert checked["probes"] == {"double_input": False, "premature_close": False}
-    assert checked["faults"][0] == {**spec["faults"][0], "mask": "ff", "delay": 0}
+    assert checked["faults"][0] == spec["faults"][0]  # an omission fault has no mask and no delay
+    corrupt = {"kind": "value-corruption", "entity": 1, "at": 5}
+    assert validate_scenario({**spec, "faults": [corrupt]})["faults"] == [{**corrupt, "role": "voter", "mask": "ff"}]
     assert checked["inputs"][1] == spec["inputs"]["1"]
     assert validate_scenario(checked) == checked
+
+
+def test_validate_accepts_json_infinity_and_nan():
+    # Only an integer can overflow a float64; the non-finite floats JSON allows pass as before.
+    spec = json.loads('{"farm": [[1, 1]], "inputs": {"1": [{"at": 10, "scalar": Infinity},'
+                      ' {"at": 20, "vector": [NaN, -Infinity, 1e308]}, {"at": 30, "algorithm": {"epsilon": Infinity}}]}}')
+    assert validate_scenario(spec)["inputs"][1] == spec["inputs"]["1"]
 
 
 def _table_keys(schema: dict) -> set:
@@ -124,7 +133,7 @@ def test_readme_names_every_key_of_the_scenario_table():
     readme = (HERE.parent / "README.md").read_text()
     section = readme.split("## Scenario files")[1].split("\n## ")[0]
     keys = _table_keys(scenario._SCENARIO)
-    assert {"rl", "double_input", "vector", "member", "tol", "phase-grammar"} <= keys
+    assert {"rl", "double_input", "vector", "mask", "tol", "phase-grammar"} <= keys
     assert sorted(key for key in keys if f"`{key}`" not in section) == []
 
 
@@ -338,13 +347,6 @@ def test_cli_run_writes_artifacts(tmp_path, capsys):
     assert summary["name"] == "tmr_happy"
 
 
-def test_cli_run_honours_output_dir_env(tmp_path, capsys, monkeypatch):
-    outdir = tmp_path / "from_env"
-    monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(outdir))
-    assert cli.main(["run", "tmr_happy"]) == 0
-    assert (outdir / "results.json").is_file()
-
-
 def test_cli_run_unknown_scenario(capsys):
     assert cli.main(["run", "no_such_thing"]) == 2
     assert "vf:" in capsys.readouterr().err
@@ -380,7 +382,7 @@ def test_cli_run_malformed_scenario(tmp_path, capsys):
         ({"assertions": [{"type": "output-equals"}]}, "output-equals assertion value"),
         ({"assertions": [{"type": "latency-delta"}]}, "latency-delta assertion expected"),
         ({"spares": [{"entity": "x", "node": 4}]}, "spare entity"),
-        ({"faults": [{"kind": "crash", "at": 5}]}, "needs an entity or a node"),
+        ({"faults": [{"kind": "crash", "at": 5}]}, "voter crash fault at 5 must name its entity and no node"),
         ({"assertions": [{"type": "session-status", "nodes": ["a"]}]}, "session-status assertion nodes"),
         ({"assertions": [{"type": "live-voters"}]}, "live-voters assertion count"),
         ({"assertions": [{"type": "trace-count", "equals": "3"}]}, "trace-count assertion equals"),
@@ -393,6 +395,27 @@ def test_cli_run_malformed_scenario(tmp_path, capsys):
         ({"faults": [{"kind": "crash", "entity": 9, "at": 5}]}, "fault names unknown entity 9"),
         ({"spmd_mismatch": {"node": 9, "farm": [[1, 1]]}}, "spmd_mismatch node 9 runs no user program"),
         ({"recovery": {"rl": "table5.rl", "groups": {"1": [7, 8]}}}, "group 1 names unknown entity 7"),
+        ({"spares": [{"entity": 4, "node": 4}, {"entity": 4, "node": 5}]}, "spare entity 4 is already a spare"),
+        ({"inputs": {"1": [{"at": 10, "scalar": 10**400}]}}, "input scalar must fit in a float64"),
+        ({"inputs": {"1": [{"at": 10, "vector": [1.0, -10**400]}]}}, "input vector must fit in a float64"),
+        ({"inputs": {"1": [{"at": 10, "algorithm": {"epsilon": 10**400}}]}}, "epsilon must fit in a float64"),
+        ({"metric": "scalar", "algorithm": {"epsilon": 10**400}}, "epsilon must fit in a float64"),
+        ({"algorithm": {"scaling_factor": 10**400}}, "scaling_factor must fit in a float64"),
+        ({"assertions": [{"type": "trace-count", "equals": 2, "min": 1}]}, "takes equals or min/max, not both"),
+        ({"assertions": [{"type": "trace-count", "equals": 2, "max": 3}]}, "takes equals or min/max, not both"),
+        ({"assertions": [{"type": "action-log", "verbs": [], "contains": ["KILL"]}]},
+         "takes verbs or contains, not both"),
+        ({"faults": [{"kind": "crash", "node": 2, "at": 5}]}, "voter crash fault at 5 must name its entity and no node"),
+        ({"faults": [{"kind": "crash", "entity": 2, "node": 2, "at": 5}]}, "must name its entity and no node"),
+        ({"faults": [{"kind": "crash", "entity": 2, "member": 2, "at": 5}]}, "unknown crash fault key 'member'"),
+        ({"faults": [{"kind": "crash", "role": "user", "node": 2, "entity": 9, "at": 5}]},
+         "user crash fault at 5 must name its node and no entity"),
+        ({"faults": [{"kind": "crash", "role": "user", "entity": 2, "at": 5}]}, "must name its node and no entity"),
+        ({"faults": [{"kind": "crash", "role": "user", "node": 9, "at": 5}]}, "fault node 9 runs no user program"),
+        ({"faults": [{"kind": "crash", "entity": 2, "at": 5, "mask": "ff"}]}, "unknown crash fault key 'mask'"),
+        ({"faults": [{"kind": "omission", "entity": 2, "at": 5, "delay": 3}]}, "unknown omission fault key 'delay'"),
+        ({"faults": [{"kind": "delay", "entity": 2, "at": 5}]}, "each delay fault needs delay"),
+        ({"faults": [{"kind": "delay", "entity": 2, "at": 5, "delay": 0}]}, "delay fault delay must be >= 1"),
     ],
     ids=[
         "string_delta_t",
@@ -429,6 +452,25 @@ def test_cli_run_malformed_scenario(tmp_path, capsys):
         "fault_on_an_unknown_entity",
         "spmd_mismatch_on_a_node_without_a_user",
         "group_of_unknown_entities",
+        "duplicate_spare_entity",
+        "scalar_past_float64",
+        "vector_item_past_float64",
+        "input_epsilon_past_float64",
+        "scalar_metric_epsilon_past_float64",
+        "scaling_factor_past_float64",
+        "trace_count_equals_and_min",
+        "trace_count_equals_and_max",
+        "action_log_verbs_and_contains",
+        "voter_fault_by_node",
+        "voter_fault_by_entity_and_node",
+        "voter_fault_with_member",
+        "user_fault_with_entity",
+        "user_fault_by_entity",
+        "user_fault_on_a_node_without_a_user",
+        "crash_fault_with_mask",
+        "omission_fault_with_delay",
+        "delay_fault_without_delay",
+        "delay_fault_of_0",
     ],
 )
 def test_cli_run_unusable_field_exits_2(tmp_path, capsys, mutation, field):
