@@ -46,10 +46,13 @@ times out the wait it belongs to, re-arms the later deadline of the
 wait now running, or is dropped; a timer superseded by an earlier one
 is dropped too.
 
-The trace stores its records as columns: the times in one array of
-64-bit ints, and the kinds, endpoint names and details in parallel lists
-of strings, never the Frame or Endpoint objects, so records keep no
-frame alive.  Equal details appended close together, such as the phase
+The trace stores its records as columns, never the Frame or Endpoint
+objects, so records keep no frame alive: the times in one array of
+64-bit ints, the details in a list of strings, and the kinds and
+endpoint names as small-int codes into a name table the log owns.  New
+records' kinds and names wait in short lists of strings, packed into the
+code arrays a block at a time, so a trace shorter than one block keeps
+plain lists.  Equal details appended close together, such as the phase
 line each voter builds or the status text each user gets, are stored
 once through a small table the log owns and empties when it fills.
 TraceEvent views are built only when the trace is iterated, and text
@@ -84,6 +87,8 @@ from array import array
 from collections import deque
 from dataclasses import dataclass
 from functools import partial
+from itertools import chain
+from operator import itemgetter
 from typing import Any, Callable, Generator, Iterator, NamedTuple, Optional
 
 from . import wire
@@ -184,6 +189,9 @@ class FaultSpec:
 
 # Distinct details the trace's shared table holds before it is emptied.
 _SHARED_DETAILS = 256
+# Records whose kinds and endpoint names the trace keeps as strings
+# before it packs them into codes.
+_BLOCK = 512
 
 
 class TraceEvent(NamedTuple):
@@ -210,12 +218,16 @@ class TraceLog:
     """Ordered record of everything observable that happened.
 
     Records are kept as columns: times in an array('q') (a list once a
-    time passes 2**63 - 1), and kinds, endpoint names and details in
-    parallel lists of strings.  A detail equal to one in the shared
-    table is stored as that table's string; the table holds at most
-    _SHARED_DETAILS strings and is emptied when it passes that, so it
-    stays small on any run.  records() yields plain tuples, iteration
-    TraceEvent views, and lines() and text() render them."""
+    time passes 2**63 - 1), details in a list of strings, and kinds and
+    endpoint names as codes into the log's own name table.  Those three
+    columns take new records as strings in short tails and pack each
+    full tail of _BLOCK into an array of codes, one byte each while the
+    table holds at most 256 names and four bytes after.  A detail equal
+    to one in the shared table is stored as that table's string; the
+    table holds at most _SHARED_DETAILS strings and is emptied when it
+    passes that, so it stays small on any run.  records() yields plain
+    tuples, iteration TraceEvent views, and lines() and text() render
+    them."""
 
     def __init__(self) -> None:
         self._t = array("q")
@@ -224,6 +236,8 @@ class TraceLog:
         self._to: list[str] = []
         self._detail: list[str] = []
         self._shared: dict[str, str] = {}
+        self._codes: dict[str, int] = {}  # name -> code
+        self._packed = (array("B"), array("B"), array("B"))  # kind, frm, to codes
         self.max_time_exceeded = False
 
     def append(self, t: int, kind: str, frm: str = "-", to: str = "-", detail: str = "") -> None:
@@ -231,34 +245,67 @@ class TraceLog:
             self._t.append(t)
         except OverflowError:  # a scenario's times have no upper bound
             self._t = [*self._t, t]
-        self._kind.append(kind)
+        kinds = self._kind
+        kinds.append(kind)
         self._frm.append(frm)
         self._to.append(to)
         shared = self._shared
         self._detail.append(shared.setdefault(detail, detail))
         if len(shared) > _SHARED_DETAILS:
             shared.clear()
+        if len(kinds) == _BLOCK:
+            self._pack()
 
-    def records(self, start: int = 0, stop: int | None = None) -> Iterator[tuple[int, str, str, str, str]]:
+    def _pack(self) -> None:
+        """Move the tails of the kind and endpoint columns into their code arrays."""
+        codes, tails = self._codes, (self._kind, self._frm, self._to)
+        try:
+            blocks = [itemgetter(*tail)(codes) for tail in tails]
+        except KeyError:  # a name new to the table takes the next code
+            for name in chain(*tails):
+                codes.setdefault(name, len(codes))
+            blocks = [itemgetter(*tail)(codes) for tail in tails]
+        if len(codes) > 256 and self._packed[0].itemsize == 1:
+            self._packed = tuple(array("I", column) for column in self._packed)
+        for column, block, tail in zip(self._packed, blocks, tails):
+            if column.itemsize == 1:
+                column.frombytes(bytes(block))
+            else:
+                column.extend(array("I", block))
+            tail.clear()
+
+    def _columns(self, start: int | None, stop: int | None) -> tuple:
+        """The five columns of records start to stop (a slice's bounds).
+        The whole trace is read in place; a part is first sliced from
+        each column."""
+        name = list(self._codes).__getitem__  # the codes count up in insertion order
+        tails = (self._kind, self._frm, self._to)
+        if (start, stop) == (0, None):
+            names = [chain(map(name, column), tail) for column, tail in zip(self._packed, tails)]
+            return self._t, *names, self._detail
+        start, stop, _ = slice(start, stop).indices(len(self))
+        n = len(self._packed[0])  # records already packed
+        past, end = max(start - n, 0), max(stop - n, 0)
+        names = [chain(map(name, column[start:stop]), tail[past:end]) for column, tail in zip(self._packed, tails)]
+        return self._t[start:stop], *names, self._detail[start:stop]
+
+    def records(self, start: int | None = 0, stop: int | None = None) -> Iterator[tuple[int, str, str, str, str]]:
         """Records start to stop (a slice's bounds) as plain (t, kind,
-        frm, to, detail) tuples.  The whole trace is read in place; a
-        part is first sliced from each column."""
-        columns = (self._t, self._kind, self._frm, self._to, self._detail)
-        if (start, stop) != (0, None):
-            columns = tuple(column[start:stop] for column in columns)
-        return zip(*columns)
+        frm, to, detail) tuples."""
+        return zip(*self._columns(start, stop))
 
-    def lines(self, start: int = 0, stop: int | None = None) -> list[str]:
+    def lines(self, start: int | None = 0, stop: int | None = None) -> list[str]:
         """The rendered lines of records start to stop (a slice's bounds)."""
         return [f"t={t} {kind} {frm} {to} {detail}" for t, kind, frm, to, detail in self.records(start, stop)]
 
     def text(self) -> str:
-        return "\n".join(self.lines()) + ("\n" if self._kind else "")
+        return "\n".join(self.lines()) + ("\n" if self._detail else "")
 
     def count(self, kind: str | None = None, contains: str = "") -> int:
+        _, kinds, _, _, details = self._columns(0, None)
         return sum(
             1
-            for k, detail in zip(self._kind, self._detail)
+            for k, detail in zip(kinds, details)
             if (kind is None or k == kind) and (contains in detail)
         )
 
@@ -266,7 +313,7 @@ class TraceLog:
         return map(_as_event, self.records())
 
     def __len__(self) -> int:
-        return len(self._kind)
+        return len(self._detail)
 
 
 # --------------------------------------------------------------------

@@ -50,6 +50,8 @@ class FarmRuntime:
         self.spmd_incoherent = False
 
         self.view: dict[int, int] = {}  # ident -> entity
+        self._view_rows: Optional[list[tuple[int, int, int]]] = None  # current_view's rows
+        self._farm_view: Optional[FarmView] = None
         self.entity_node: dict[int, int] = {}
         self.voter_states: dict[int, VoterState] = {}  # started entities
         self.epoch = 0
@@ -93,12 +95,13 @@ class FarmRuntime:
         self.sim.add_link(voter_ep, user_ep)
 
     def current_view(self) -> FarmView:
-        return FarmView(
-            [
-                FarmSlot(ident, entity, self.entity_node[entity])
-                for ident, entity in self.view.items()
-            ]
-        )
+        """The membership as a FarmView: the same object while the
+        (ident, entity, node) rows are unchanged."""
+        rows = [(ident, entity, self.entity_node[entity]) for ident, entity in self.view.items()]
+        if rows != self._view_rows:
+            self._view_rows = rows
+            self._farm_view = FarmView([FarmSlot(*row) for row in rows])
+        return self._farm_view
 
     def live_entities(self) -> list[int]:
         return [st.entity for st in self._live_states()]

@@ -49,7 +49,7 @@ from .core import (
 from .fabric import Endpoint, Exit, Proc, Recv, Send, TIMEOUT
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FarmSlot:
     ident: MemberId
     entity: int
@@ -58,11 +58,21 @@ class FarmSlot:
 
 class FarmView:
     """A voter's current picture of the farm membership, with each
-    member's interned voter endpoint built once."""
+    member's interned voter endpoint built once.  A view is read-only
+    and holds tuples, so the voters and WARNs of one membership share
+    one view."""
+
+    __slots__ = ("slots", "voter_endpoints")
 
     def __init__(self, slots: list[FarmSlot]):
-        self.slots = sorted(slots, key=lambda s: s.ident)
-        self.voter_endpoints = [Endpoint(s.node, "voter", s.entity) for s in self.slots]
+        ordered = tuple(sorted(slots, key=lambda s: s.ident))
+        object.__setattr__(self, "slots", ordered)
+        object.__setattr__(self, "voter_endpoints", tuple(Endpoint(s.node, "voter", s.entity) for s in ordered))
+
+    def __setattr__(self, attr: str, *_: object) -> None:
+        raise AttributeError(f"a farm view is read-only, cannot set {attr}")
+
+    __delattr__ = __setattr__
 
     @property
     def size(self) -> int:

@@ -104,9 +104,10 @@ def test_writing_artifacts_takes_a_fraction_of_the_trace_in_memory(tmp_path):
 
 
 def test_a_finished_run_keeps_its_trace_in_bounded_memory():
-    # The bound sits between the 1,560 KB this result keeps with one
-    # (t, kind, frm, to, detail) tuple per trace record and the 900 KB
-    # it keeps with the trace in columns, so a return to tuples fails.
+    # The bound sits between the 900 KB this result keeps with the
+    # trace's kinds and endpoint names as lists of strings (1,560 KB
+    # with one tuple per record) and the 710 KB it keeps with them
+    # packed into one-byte codes, so a return to string lists fails.
     spec = tmr_stream(200)
     run_scenario(tmr_stream(2))
     gc.collect()
@@ -118,7 +119,7 @@ def test_a_finished_run_keeps_its_trace_in_bounded_memory():
     finally:
         tracemalloc.stop()
     assert len(result.trace) > 8000
-    assert live < 1_200_000, live
+    assert live < 800_000, live
 
 
 def test_runs_leave_nothing_behind_once_dropped():

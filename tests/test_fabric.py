@@ -12,10 +12,12 @@ import random
 import weakref
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from votingfarm import wire
 from votingfarm.core import VotingFarmError
 from votingfarm.fabric import (
+    _BLOCK,
     _SHARED_DETAILS,
     Endpoint,
     Exit,
@@ -847,6 +849,76 @@ def test_trace_log_keeps_a_time_past_64_bits():
     log.append(2, "revive", "user@1")
     assert [t for t, *_ in log.records()] == [0, 1, 2, 2**64, 2]
     assert log.lines(3) == [f"t={2**64} fault user@1 - ", "t=2 revive user@1 - "]
+
+
+KINDS = ["send", "deliver", "drop", "phase", "timeout", "fault", "revive", "post"]
+# Lengths around the edges of the first blocks the log packs.
+LENGTHS = st.one_of(
+    st.sampled_from([0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK, 2 * _BLOCK + 1]),
+    st.integers(0, 3 * _BLOCK),
+)
+BOUNDS = st.one_of(st.none(), st.integers(-3 * _BLOCK - 2, 3 * _BLOCK + 2), st.sampled_from([_BLOCK - 1, _BLOCK, -_BLOCK]))
+
+
+def reference_records(length: int, names: int, seed: int, huge_at: int | None) -> list[tuple]:
+    """length (t, kind, frm, to, detail) records over `names` endpoint
+    names, with a time past 2**63 - 1 at index huge_at."""
+    rng = random.Random(seed)
+    endpoints = ["-"] + [f"voter:{k}@{k % 7}" for k in range(names)]
+    records = []
+    for i in range(length):
+        t = 2**63 + i if i == huge_at else i // 3
+        detail = rng.choice(["", "dead endpoint", f"input tag={rng.randrange(400)}"])
+        records.append((t, rng.choice(KINDS), rng.choice(endpoints), rng.choice(endpoints), detail))
+    return records
+
+
+@given(
+    length=LENGTHS,
+    names=st.sampled_from([1, 30, 300]),  # 300: past 256 names the codes widen
+    seed=st.integers(0, 2**16),
+    huge_at=st.one_of(st.none(), st.integers(0, 3 * _BLOCK)),
+    start=BOUNDS,
+    stop=BOUNDS,
+    kind=st.one_of(st.none(), st.sampled_from(KINDS + ["absent"])),
+    contains=st.sampled_from(["", "tag=1", "dead", "absent"]),
+)
+@example(length=0, names=1, seed=0, huge_at=None, start=None, stop=None, kind=None, contains="")
+@example(length=_BLOCK, names=30, seed=1, huge_at=None, start=_BLOCK - 2, stop=_BLOCK + 2, kind="send", contains="")
+@example(length=_BLOCK + 1, names=300, seed=2, huge_at=_BLOCK, start=-3, stop=None, kind=None, contains="tag")
+@example(length=2 * _BLOCK + 5, names=300, seed=3, huge_at=3, start=_BLOCK - 1, stop=-_BLOCK, kind="drop", contains="dead")
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+def test_packed_trace_log_reads_back_like_a_list_of_tuples(length, names, seed, huge_at, start, stop, kind, contains):
+    records = reference_records(length, names, seed, huge_at)
+    log = TraceLog()
+    for record in records:
+        log.append(*record)
+    assert len(log) == len(records)
+    assert list(log.records()) == records
+    assert list(log.records(start, stop)) == records[start:stop]
+    lines = [f"t={t} {k} {frm} {to} {detail}" for t, k, frm, to, detail in records]
+    assert log.lines() == lines
+    assert log.lines(start, stop) == lines[start:stop]
+    assert log.text() == "".join(line + "\n" for line in lines)
+    assert [ev.line for ev in log] == lines
+    assert log.count(kind, contains) == sum(
+        1 for _, k, _, _, detail in records if (kind is None or k == kind) and contains in detail
+    )
+
+
+def test_trace_log_packs_full_blocks_into_one_byte_codes_then_wider_ones():
+    log = TraceLog()
+    for i in range(_BLOCK - 1):
+        log.append(i, "send", "user@1", "user@2")
+    assert len(log._kind) == _BLOCK - 1 and len(log._packed[0]) == 0  # a short run keeps lists
+    log.append(_BLOCK, "send", "user@1", "user@2")
+    assert log._kind == [] and [len(column) for column in log._packed] == [_BLOCK] * 3
+    assert [column.typecode for column in log._packed] == ["B", "B", "B"]
+    assert sorted(log._codes) == ["send", "user@1", "user@2"]
+    for i in range(_BLOCK):
+        log.append(i, "send", f"voter:{i}@1", "user@2")
+    assert [column.typecode for column in log._packed] == ["I", "I", "I"]
+    assert log.lines(_BLOCK - 1, _BLOCK + 1) == [f"t={_BLOCK} send user@1 user@2 ", "t=0 send voter:0@1 user@2 "]
 
 
 @pytest.mark.parametrize("cls", [Send, Recv, Sleep, Exit])

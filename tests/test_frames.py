@@ -11,6 +11,7 @@ once.
 import dataclasses
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from votingfarm import wire
 from votingfarm.core import VfStatusCode, VoterPhase
@@ -113,6 +114,37 @@ def test_a_phase_frame_carries_the_phase_and_traces_its_name():
     assert [f.name for f in dataclasses.fields(frame)] == ["member", "phase"]
     assert frame.phase.value == 4
     assert frame.trace_detail == "phase phase=VFP_FAILURE member=1"
+
+
+def reference_detail(frame) -> str:
+    """A frame's trace detail by the rules, read field by field: the
+    kind's name, key=value for each traced field that is not None (an
+    enum as its member's name), then the payload's hex if non-empty."""
+    bits = [frame.name]
+    for key in frame.traced:
+        value = getattr(frame, key)
+        if value is not None:
+            bits.append(f"{key}={value._name_}" if type(value) in (VfStatusCode, VoterPhase) else f"{key}={value}")
+    payload = getattr(frame, "payload", b"")
+    if payload:
+        bits.append(f"payload={payload.hex()}")
+    return " ".join(bits)
+
+
+KINDS = [wire.Input, wire.Broadcast, wire.Output, wire.Status, wire.Control, wire.Phase, wire.Fault, wire.Warn]
+FIELD_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 2**70), st.text(max_size=6), st.binary(max_size=4),
+    st.sampled_from(list(VfStatusCode) + list(VoterPhase)), st.floats(allow_nan=False),
+)
+
+
+@given(st.sampled_from(KINDS), st.data())
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+def test_each_kinds_compiled_renderer_follows_the_rules(cls, data):
+    fields = {f.name: data.draw(st.binary(max_size=4) if f.name == "payload" else FIELD_VALUES, label=f.name)
+              for f in dataclasses.fields(cls)}
+    frame = cls(**fields)
+    assert frame.trace_detail == reference_detail(frame)
 
 
 def test_enum_fields_trace_as_their_str():

@@ -9,11 +9,13 @@ members, which makes latency arithmetic integer-precise.
 
 import pytest
 
+from votingfarm import wire
 from votingfarm.algorithms import AlgorithmSelect, encode_scalar
 from votingfarm.client import vf_add, vf_control, vf_get, vf_open, vf_run
 from votingfarm.core import VfStatusCode
 from votingfarm.fabric import Endpoint, FaultSpec, Simulator, Sleep
 from votingfarm.farm import FarmRuntime
+from votingfarm.scenario import resolve_scenario, run_scenario
 from votingfarm.voter import FarmSlot, FarmView
 
 DT = 10
@@ -121,6 +123,55 @@ def test_fellows_are_the_other_members_voter_endpoints_in_ident_order():
     view = FarmView([FarmSlot(3, 7, 2), FarmSlot(1, 5, 4), FarmSlot(2, 6, 6)])
     assert view.fellows(5) == [Endpoint(6, "voter", 6), Endpoint(2, "voter", 7)]
     assert view.fellows(7)[0] is Endpoint(4, "voter", 5)
+
+
+def test_the_voters_of_one_membership_share_one_view():
+    # Each voter of an N-member farm used to build its own N slots.
+    n = 32
+    _, runtime, reports = run_farm(n, {node: 5.0 for node in range(1, n + 1)})
+    assert all(final_status(reports, node).detail == "ok" for node in range(1, n + 1))
+    views = {id(state.view) for state in runtime.voter_states.values()}
+    assert len(runtime.voter_states) == n and len(views) == 1
+    assert runtime.current_view() is runtime.voter_states[1].view
+    assert runtime.current_view().to_fields() == [[k, k, k] for k in range(1, n + 1)]
+
+
+def test_warns_after_a_membership_change_carry_a_new_shared_view(monkeypatch):
+    warns = []
+    post = Simulator.post
+
+    def recording_post(sim, frm, to, data):
+        if isinstance(data, wire.Warn):
+            warns.append(data)
+        post(sim, frm, to, data)
+
+    monkeypatch.setattr(Simulator, "post", recording_post)
+    spec, dirs = resolve_scenario("three_and_one_spare")
+    result = run_scenario(spec, dirs)
+    assert result.passed  # KILL 1, START 4, then a WARN to each survivor
+    states = result.runtime.voter_states
+    before = states[1].view
+    assert before.to_fields() == [[1, 1, 1], [2, 2, 2], [3, 3, 3]]
+    assert len(warns) == 2 and warns[0].farm is warns[1].farm
+    after = warns[0].farm
+    assert after is not before and after.to_fields() == [[1, 4, 4], [2, 2, 2], [3, 3, 3]]
+    assert all(states[entity].view is after for entity in (2, 3, 4))
+
+
+def test_farm_slots_and_views_are_read_only():
+    slot = FarmSlot(1, 1, 1)
+    view = FarmView([slot])
+    assert not hasattr(slot, "__dict__") and not hasattr(view, "__dict__")
+    assert type(view.slots) is tuple and type(view.voter_endpoints) is tuple
+    with pytest.raises(AttributeError):
+        slot.node = 2
+    with pytest.raises(AttributeError):
+        view.slots = ()
+    with pytest.raises(AttributeError):
+        view.extra = 1
+    with pytest.raises(AttributeError):
+        del view.voter_endpoints
+    assert view.to_fields() == [[1, 1, 1]]
 
 
 def test_broadcasts_precede_local_replies():
