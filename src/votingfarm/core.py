@@ -55,6 +55,11 @@ class VoterPhase(enum.Enum):
     VFP_SUCCESS = 3
     VFP_FAILURE = 4
 
+    # Members are singletons and == is identity, so an identity hash agrees
+    # with equality; it runs in C, where Enum.__hash__ hashes the name in
+    # Python on every edge lookup.
+    __hash__ = object.__hash__
+
     def __str__(self) -> str:  # keeps trace lines compact
         return self.name
 

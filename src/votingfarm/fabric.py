@@ -84,10 +84,9 @@ from __future__ import annotations
 import heapq
 import random
 from array import array
-from collections import deque
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain
+from itertools import chain, compress
 from operator import itemgetter
 from typing import Any, Callable, Generator, Iterator, NamedTuple, Optional
 
@@ -294,6 +293,12 @@ class TraceLog:
         frm, to, detail) tuples."""
         return zip(*self._columns(start, stop))
 
+    def records_of(self, kind: str) -> Iterator[tuple[int, str, str, str]]:
+        """The (t, frm, to, detail) of every record of one kind, picked
+        by scanning the kind column."""
+        t, kinds, frm, to, detail = self._columns(0, None)
+        return compress(zip(t, frm, to, detail), map(kind.__eq__, kinds))
+
     def lines(self, start: int | None = 0, stop: int | None = None) -> list[str]:
         """The rendered lines of records start to stop (a slice's bounds)."""
         return [f"t={t} {kind} {frm} {to} {detail}" for t, kind, frm, to, detail in self.records(start, stop)]
@@ -372,7 +377,7 @@ class Proc:
 
 class _EndpointState:
     def __init__(self) -> None:
-        self.mailbox: deque[tuple[Endpoint, wire.Frame]] = deque()
+        self.mailbox: list[tuple[Endpoint, wire.Frame]] = []  # oldest first; costs no block while empty
         self.dead = False
         self.corruption: Optional[bytes] = None
         self.pending_omission = False
@@ -624,11 +629,12 @@ class Simulator:
             self.trace.append(self.now, "drop", frm.name, to.name, "dead endpoint")
             return
         self.trace.append(self.now, "deliver", frm.name, to.name, data.trace_detail)
-        st.mailbox.append((frm, data))
         p = st.proc
-        if p is not None and p.waiting:
+        if p is not None and p.waiting:  # a process waits only on an empty mailbox
             p.waiting = False
-            self._step(p, st.mailbox.popleft())
+            self._step(p, (frm, data))
+        else:
+            st.mailbox.append((frm, data))
 
     def _step(self, p: Proc, value: Any) -> None:
         st = self._endpoints[p.endpoint]
@@ -659,7 +665,7 @@ class Simulator:
                 return
             if isinstance(item, Recv):
                 if st.mailbox:
-                    value = st.mailbox.popleft()
+                    value = st.mailbox.pop(0)
                     continue
                 p.waiting = True
                 if item.timeout is None:

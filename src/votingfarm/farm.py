@@ -25,6 +25,7 @@ from typing import Optional
 
 from . import wire
 from .algorithms import AlgorithmSelect
+from .client import SpmdIncoherence
 from .core import VotingFarmError
 from .fabric import Endpoint, Simulator
 from .voter import FarmSlot, FarmView, VoterState, voter_process
@@ -123,8 +124,6 @@ class FarmRuntime:
     # -- activation (called from vf_run inside a user process) ----------
 
     def activate(self, handle, proc) -> None:
-        from .client import SpmdIncoherence  # local import, avoids a cycle
-
         node = proc.endpoint.node
         desc = handle.descriptor
         if self.canonical is None:
@@ -140,24 +139,31 @@ class FarmRuntime:
                 self.sim.now, "spmd", str(proc.endpoint), "-", f"{what} mismatch"
             )
             raise SpmdIncoherence(f"node {node} disagrees with the active {what}")
-        for member_node, ident in self.canonical:
-            if member_node == node and ident not in self.voter_states:
-                self._spawn_voter(entity=ident, ident=ident)
+        members = [ident for member_node, ident in self.canonical
+                   if member_node == node and ident not in self.voter_states]
+        if members:  # one membership and one user endpoint for all of them
+            view, user_ep = self.current_view(), self.user_endpoint(node)
+            for ident in members:
+                self._spawn_voter(ident, ident, view, user_ep)
 
     def _spawn_voter(
         self,
         entity: int,
         ident: int,
+        view: Optional[FarmView] = None,
+        user_ep: Optional[Endpoint] = None,
         epoch: Optional[int] = None,
         next_session: int = 0,
     ) -> None:
-        """Start the entity's voter on its node; a respawn reuses its endpoint."""
+        """Start the entity's voter on its node; a respawn reuses its
+        endpoint.  activate passes the view and user endpoint it holds."""
         node = self.entity_node[entity]
         ep = Endpoint(node, "voter", entity)
         prev = self.voter_states.get(entity)
         if prev is None:
             self.sim.add_endpoint(ep)
-        user_ep = self.user_endpoint(node)
+        if view is None:
+            view, user_ep = self.current_view(), self.user_endpoint(node)
         if user_ep is not None:
             self.sim.add_link(user_ep, ep)
         for other in self.voter_states:
@@ -168,7 +174,7 @@ class FarmRuntime:
         state = VoterState(
             entity=entity,
             ident=ident,
-            view=self.current_view(),
+            view=view,
             delta_t=self.delta_t,
             select=self.select,
             metric_name=self.metric_name,

@@ -18,6 +18,9 @@ brackets of a condition, line breaks are insignificant; inside a THEN
 block, a line break (or AND) separates actions.  THREAD@ names the
 group members that made the rule's condition true and THREAD~ the rest
 of the group; both require the condition to test exactly one group.
+
+A strategy is translated once and then run many times, so parse_rl
+parses each text once per content (see its docstring).
 """
 
 from __future__ import annotations
@@ -218,6 +221,11 @@ def read_text(path: str) -> str:
         raise VotingFarmError(f"{path}: not UTF-8 text: {exc}") from exc
 
 
+def _file_bytes(path: str) -> bytes:
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
 def load_definitions(path: str) -> dict[str, int]:
     """Read `#define NAME integer` lines from a C-style header."""
     defs: dict[str, int] = {}
@@ -249,7 +257,7 @@ class _Parser:
         self.pos = 0
         self.defs = definitions
         self.include_dirs = include_dirs
-        self.includes: list[str] = []
+        self.headers: list[tuple[str, str, bytes]] = []  # (name, path, bytes) of each INCLUDE
 
     # token plumbing; newlines are skipped unless the caller cares
 
@@ -303,7 +311,7 @@ class _Parser:
                                     tok.line, tok.col)
         if not rules and default is None:
             raise RlSyntaxError("strategy has no rules and no DEFAULT block")
-        program = RlProgram(tuple(self.includes), tuple(rules), default)
+        program = RlProgram(tuple(name for name, _, _ in self.headers), tuple(rules), default)
         _check_selectors(program)
         return program
 
@@ -313,7 +321,7 @@ class _Parser:
         if path is None:
             raise RlSyntaxError(f"include file {name!r} not found", tok.line, tok.col)
         self.defs.update(load_definitions(path))
-        self.includes.append(name)
+        self.headers.append((name, path, _file_bytes(path)))
 
     def rule(self) -> GuardedRule:
         self.expect("kw", "IF")
@@ -447,6 +455,13 @@ def _check_selectors(program: RlProgram) -> None:
         raise RlSyntaxError("DEFAULT block cannot use THREAD@/THREAD~")
 
 
+# Programs parsed so far, least recently used first, keyed on (source,
+# include_dirs, definitions): each with the (name, path, bytes) of the
+# headers it included.
+_PARSED: dict[tuple, tuple[RlProgram, tuple[tuple[str, str, bytes], ...]]] = {}
+_PARSED_MAX = 64
+
+
 def parse_rl(
     source: str,
     definitions: Optional[dict[str, int]] = None,
@@ -456,10 +471,24 @@ def parse_rl(
 
     `definitions` seeds the {NAME} table; INCLUDE statements extend it
     from files looked up in `include_dirs` (then the working directory).
+
+    The same text, directories and definitions give the same read-only
+    program again while every INCLUDE still resolves to the same file
+    with the same bytes; an edited header, or one now found in another
+    directory, is parsed afresh.  The _PARSED_MAX programs used last are
+    kept; a parse that raises is not.
     """
-    defs = dict(definitions) if definitions else {}
-    parser = _Parser(tokenize(source), defs, tuple(include_dirs))
-    return parser.program()
+    include_dirs = tuple(include_dirs)
+    key = (source, include_dirs, frozenset(definitions.items()) if definitions else None)
+    known = _PARSED.pop(key, None)
+    if known is None or not all(resolve_include(name, include_dirs) == path and _file_bytes(path) == data
+                                for name, path, data in known[1]):
+        parser = _Parser(tokenize(source), dict(definitions) if definitions else {}, include_dirs)
+        known = parser.program(), tuple(parser.headers)
+    if len(_PARSED) >= _PARSED_MAX:
+        del _PARSED[next(iter(_PARSED))]
+    _PARSED[key] = known  # now the newest
+    return known[0]
 
 
 def format_program(program: RlProgram, include_comment: bool = False) -> str:

@@ -8,6 +8,12 @@ results, optionally close.  Scenarios are the integration corpus: the
 bundled ones exercise every major feature end to end and are also what
 `vf run` executes.
 
+A run first checks the file against one table, compiled once at import
+into walkers specialised per part of the table; the checks across keys
+also derive the nodes that run the user program and each fault's
+target, which the run then uses as they are.  The strategy file is
+parsed once per content (see recovery.lang.parse_rl).
+
 Everything a run produces (trace, per-user results, recovery action
 log) is collected in a RunResult so assertions and artifact files can
 be derived deterministically: same scenario + same seed = same bytes.
@@ -65,9 +71,10 @@ def resolve_scenario(name_or_path: str) -> tuple[dict, tuple[str, ...]]:
 #
 # One table, modelled on JSON Schema 2020-12, decides what a scenario may
 # say: each key has a type, a range, choices or a rule where it needs
-# one, and is REQUIRED, OPTIONAL or has a default.  The walker made from
-# it rejects unknown keys at every level, names a bad value path-style
-# ("fault at must be >= 0") and fills in every default.
+# one, and is REQUIRED, OPTIONAL or has a default.  The table compiles,
+# once at import, into walkers that each hold only the checks their part
+# of the table has.  They reject unknown keys at every level, name a bad
+# value path-style ("fault at must be >= 0") and fill in every default.
 
 REQUIRED, OPTIONAL = object(), object()
 _TYPES = {  # JSON type: the Python types it admits, and its name in errors
@@ -88,91 +95,129 @@ def _must(s: dict) -> str:
     return f"be a {'non-empty ' if size else ''}list of {noun}"
 
 
-def _walker(s: dict):
-    """The function (value, label) -> checked value that schema s stands for."""
-    types, lo, choices, check = _TYPES[s["type"]][0], s.get("minimum"), s.get("enum"), s.get("check")
-    inner = _container(s)
+def _compile(s: dict, at: str):
+    """The walker (value, key) -> checked value that schema s stands for.
 
-    def walk(value, label):
+    Errors name the value by the label at.  Under a map, at holds a {}
+    that the map's key fills in, only when an error is raised; key is
+    None elsewhere.  A container walker checks its own type, and a leaf
+    runs its check in the same call."""
+    check, must = s.get("check"), _must(s)
+    build = next((build for part, build in _CONTAINERS if part in s), None)
+    if build is not None:
+        walk = build(s, at, must)
+        if check is None:
+            return walk
+
+        def checked(value, key):
+            value = walk(value, key)
+            check(value, at if key is None else at.format(key))
+            return value
+
+        return checked
+    types, lo, choices = _TYPES[s["type"]][0], s.get("minimum"), s.get("enum")
+
+    def leaf(value, key):
         if type(value) not in types:
-            raise ScenarioError(f"{label} must {_must(s)}, got {value!r}")
+            raise ScenarioError(f"{at.format(key)} must {must}, got {value!r}")
         if lo is not None and value < lo:
-            raise ScenarioError(f"{label} must be >= {lo}, got {value}")
+            raise ScenarioError(f"{at.format(key)} must be >= {lo}, got {value}")
         if choices and value not in choices:
-            raise ScenarioError(f"unknown {label} {value!r}, expected one of {', '.join(choices)}")
-        if inner:
-            value = inner(value, label)
-        if check:
-            check(value, label)
+            raise ScenarioError(f"unknown {at.format(key)} {value!r}, expected one of {', '.join(choices)}")
+        if check is not None:
+            check(value, at if key is None else at.format(key))
         return value
 
+    return leaf
+
+
+def _object_walker(s: dict, at: str, must: str):
+    """A dict is returned as it is unless a default or a field changed."""
+    props, title, one_of, apart = s["properties"], s["title"], s.get("oneOf", ()), s.get("apart")
+    prefix, fields, needs, defaults = s.get("prefix", title + " "), {}, {}, {}
+    for key, (f, d) in props.items():
+        walk_field = _compile(f, prefix + key)
+        # A plain leaf is checked inline and walked only to name its error.
+        types = _TYPES[f["type"]][0] if f.keys() <= {"type", "minimum", "enum"} else ()
+        fields[key] = (types, f.get("minimum"), f.get("enum"), walk_field)
+        if d is REQUIRED:
+            needs[key] = f"each {title} needs {key}: {prefix}{key} must {_must(f)}"
+        elif d is not OPTIONAL:
+            defaults[key] = walk_field(d, None)
+    known, required, defaulted = fields.keys(), needs.keys(), defaults.keys()
+
+    def walk(value, key):
+        if type(value) is not dict:
+            raise ScenarioError(f"{at.format(key)} must {must}, got {value!r}")
+        keys, changed = value.keys(), {}
+        if not known >= keys:
+            raise ScenarioError(f"unknown {title} key {min(keys - known)!r}")
+        for k, v in value.items():
+            types, lo, choices, walk_field = fields[k]
+            if type(v) not in types or (lo is not None and v < lo) or (choices and v not in choices):
+                checked = walk_field(v, None)
+                if checked is not v:
+                    changed[k] = checked
+        if not keys >= required:
+            raise ScenarioError(next(needs[k] for k in needs if k not in value))
+        if one_of and sum(map(keys.__contains__, one_of)) != 1:
+            raise ScenarioError(f"{title} needs exactly one of {', '.join(one_of)}, got {value!r}")
+        if apart and not keys.isdisjoint(apart[0]) and not keys.isdisjoint(apart[1]):
+            raise ScenarioError(f"{title} takes {' or '.join(map('/'.join, apart))}, not both, got {value!r}")
+        return {**defaults, **value, **changed} if changed or not keys >= defaulted else value
+
     return walk
 
 
-def _container(s: dict):
-    """The walker of what schema s holds, for a value of its type; None for a leaf."""
-    walk = None
-    if "properties" in s:  # an object, returned as it is unless a default or a field changed
-        props, title, one_of, apart = s["properties"], s["title"], s.get("oneOf", ()), s.get("apart")
-        prefix, walkers = s.get("prefix", title + " "), {}
-        for key, (f, _) in props.items():  # a plain leaf is checked inline, without a call
-            types = _TYPES[f["type"]][0] if f.keys() <= {"type", "minimum", "enum"} else set()
-            walkers[key] = (_walker(f), prefix + key, types, f.get("minimum"), f.get("enum"))
-        required = {key for key, (_, d) in props.items() if d is REQUIRED}
-        defaults = {key: walkers[key][0](d, key) for key, (_, d) in props.items()
-                    if d not in (REQUIRED, OPTIONAL)}
-        known, defaulted = walkers.keys(), defaults.keys()
+def _array_walker(s: dict, at: str, must: str):
+    """A list of plain items in range is returned as it is, any other as a new list."""
+    items, least, most = s["items"], s.get("minItems", 0), s.get("maxItems", float("inf"))
+    types, lo, plain = _TYPES[items["type"]][0], items.get("minimum"), items.keys() <= {"type", "minimum"}
+    walk_item = _compile(items, items.get("title") or at)
 
-        def walk(value, label):
-            keys, changed = value.keys(), {}
-            if not known >= keys:
-                raise ScenarioError(f"unknown {title} key {min(keys - known)!r}")
-            for key, v in value.items():
-                walk_field, field_label, types, lo, choices = walkers[key]
-                if type(v) not in types or (lo is not None and v < lo) or (choices and v not in choices):
-                    checked = walk_field(v, field_label)
-                    if checked is not v:
-                        changed[key] = checked
-            if not keys >= required:
-                key = next(key for key in props if key in required and key not in value)
-                raise ScenarioError(f"each {title} needs {key}: {prefix}{key} must {_must(props[key][0])}")
-            if one_of and sum(map(keys.__contains__, one_of)) != 1:
-                raise ScenarioError(f"{title} needs exactly one of {', '.join(one_of)}, got {value!r}")
-            if apart and not keys.isdisjoint(apart[0]) and not keys.isdisjoint(apart[1]):
-                raise ScenarioError(f"{title} takes {' or '.join(map('/'.join, apart))}, not both, got {value!r}")
-            return {**defaults, **value, **changed} if changed or not keys >= defaulted else value
-    elif "items" in s:
-        items, least, most = s["items"], s.get("minItems", 0), s.get("maxItems", float("inf"))
-        types, title, lo = _TYPES[items["type"]][0], items.get("title"), items.get("minimum")
-        plain = items.keys() <= {"type", "minimum"}  # then the checks below are all there is
-        inner = _container(items)  # enough for a container item of the right type and no check
-        walk_item = inner if inner and "check" not in items else _walker(items)
+    def walk(value, key):
+        if type(value) is not list or not least <= len(value) <= most or not types.issuperset(map(type, value)):
+            raise ScenarioError(f"{at.format(key)} must {must}, got {value!r}")
+        if plain and (lo is None or min(value, default=lo) >= lo):
+            return value
+        return [walk_item(item, key) for item in value]
 
-        def walk(value, label):
-            if not least <= len(value) <= most or not types.issuperset(map(type, value)):
-                raise ScenarioError(f"{label} must {_must(s)}, got {value!r}")
-            if plain and (lo is None or min(value, default=lo) >= lo):
-                return value
-            return [walk_item(item, title or label) for item in value]
-    elif "values" in s:  # a map whose keys are decimal strings, or ints once checked
-        walk_value, each = _walker(s["values"]), s["each"]
-
-        def walk(value, label):
-            if not all(map(str.isdecimal, map(str, value))):
-                raise ScenarioError(f"{label} must {_must(s)}, got {value!r}")
-            checked = {int(key): walk_value(v, each.format(key)) for key, v in value.items()}
-            if len(checked) < len(value):
-                raise ScenarioError(f"{label} names one of its {s['keys']} twice, got keys {list(value)!r}")
-            return checked
-    elif "cases" in s:  # one object schema per value of the key named "tag"
-        key, cases = s["tag"], {tag: _container(case) for tag, case in s["cases"].items()}
-
-        def walk(value, label):
-            tag = value.get(key)
-            if type(tag) is not str or tag not in cases:
-                raise ScenarioError(f"unknown {label} {key} {tag!r}, expected one of {', '.join(cases)}")
-            return cases[tag](value, label)
     return walk
+
+
+def _map_walker(s: dict, at: str, must: str):
+    """A map whose keys are decimal strings, or ints once checked."""
+    walk_value, keys = _compile(s["values"], s["each"]), s["keys"]
+
+    def walk(value, key):
+        if type(value) is not dict or not all(map(str.isdecimal, map(str, value))):
+            raise ScenarioError(f"{at.format(key)} must {must}, got {value!r}")
+        checked = {int(k): walk_value(v, k) for k, v in value.items()}
+        if len(checked) < len(value):
+            raise ScenarioError(f"{at.format(key)} names one of its {keys} twice, got keys {list(value)!r}")
+        return checked
+
+    return walk
+
+
+def _cases_walker(s: dict, at: str, must: str):
+    """One object schema per value of the key named "tag"."""
+    tag, cases = s["tag"], {name: _object_walker(case, at, must) for name, case in s["cases"].items()}
+    expected = ", ".join(cases)
+
+    def walk(value, key):
+        if type(value) is not dict:
+            raise ScenarioError(f"{at.format(key)} must {must}, got {value!r}")
+        name = value.get(tag)
+        if type(name) is not str or name not in cases:
+            raise ScenarioError(f"unknown {at.format(key)} {tag} {name!r}, expected one of {expected}")
+        return cases[name](value, key)
+
+    return walk
+
+
+_CONTAINERS = (("properties", _object_walker), ("items", _array_walker),
+               ("values", _map_walker), ("cases", _cases_walker))
 
 
 def _object(title: str, fields: dict, **rules) -> dict:
@@ -212,28 +257,32 @@ def _float64(value, label: str) -> None:
         raise ScenarioError(f"{label} must fit in a float64, got an integer of {value.bit_length()} bits") from None
 
 
-def _scenario_rules(spec: dict, label: str) -> None:
+def _scenario_rules(spec: dict) -> tuple[list[int], list[Endpoint]]:
+    """Check what the table cannot see alone; return the nodes that run
+    the user program (the farm's, the spares' and the inputs') and each
+    fault's target."""
     if spec["delta_t"] <= spec["delivery_delay"] + spec["jitter"]:
         raise ScenarioError("delta_t must exceed the worst-case delivery delay")
-    idents = {ident for _, ident in spec["farm"]}
-    entities = set(idents)
+    node_of = {ident: node for node, ident in spec["farm"]}  # entity -> node
     for spare in spec["spares"]:
         entity = spare["entity"]
-        if entity in entities:
-            raise ScenarioError(f"spare entity {entity} is already {'a farm ident' if entity in idents else 'a spare'}")
-        entities.add(entity)
-    for f in spec["faults"]:
-        _fault_target(f, spec)
+        if entity in node_of:
+            kind = "a farm ident" if any(ident == entity for _, ident in spec["farm"]) else "a spare"
+            raise ScenarioError(f"spare entity {entity} is already {kind}")
+        node_of[entity] = spare["node"]
+    user_nodes = sorted({*node_of.values(), *spec["inputs"]})
+    targets = [_fault_target(f, node_of, user_nodes) for f in spec["faults"]]
     for group, members in spec.get("recovery", {}).get("groups", {}).items():
         for entity in members:
-            if entity not in entities:
+            if entity not in node_of:
                 raise ScenarioError(f"group {group} names unknown entity {entity}")
     mismatch = spec.get("spmd_mismatch")
-    if mismatch and mismatch["node"] not in _user_nodes(spec):
+    if mismatch and mismatch["node"] not in user_nodes:
         raise ScenarioError(f"spmd_mismatch node {mismatch['node']} runs no user program")
+    return user_nodes, targets
 
 
-def _fault_target(f: dict, spec: dict) -> Endpoint:
+def _fault_target(f: dict, node_of: dict[int, int], user_nodes: list[int]) -> Endpoint:
     """The endpoint a checked fault hits: a voter fault names an entity,
     a farm ident or a spare; a user fault names a node that runs the
     user program.  Raises ScenarioError for any other target."""
@@ -242,20 +291,13 @@ def _fault_target(f: dict, spec: dict) -> Endpoint:
     if key not in f or other in f:
         raise ScenarioError(f"the {role} {f['kind']} fault at {f['at']} must name its {key} and no {other}")
     if role == "user":
-        if f["node"] not in _user_nodes(spec):
+        if f["node"] not in user_nodes:
             raise ScenarioError(f"fault node {f['node']} runs no user program")
         return Endpoint(f["node"], "user")
-    rows = spec["farm"] + [(spare["node"], spare["entity"]) for spare in spec["spares"]]
-    node = next((node for node, ident in rows if ident == f["entity"]), None)
+    node = node_of.get(f["entity"])
     if node is None:
         raise ScenarioError(f"fault names unknown entity {f['entity']}")
     return Endpoint(node, "voter", f["entity"])
-
-
-def _user_nodes(spec: dict) -> list[int]:
-    """The nodes that run the user program: the farm's, the spares' and the inputs'."""
-    nodes = {node for node, _ in spec["farm"]} | {spare["node"] for spare in spec["spares"]}
-    return sorted(nodes | set(spec["inputs"]))
 
 
 _INT, _COUNT = {"type": "integer"}, {"type": "integer", "minimum": 0}
@@ -352,6 +394,7 @@ def _user_program(runtime, spec, node, rows, report, inputs):
 
 def run_scenario(spec: dict, search_dirs: tuple[str, ...] = ()) -> RunResult:
     written, spec = spec, validate_scenario(spec)
+    _, user_nodes, targets = _derived.pop(id(spec))
     sim = Simulator(seed=spec["seed"], delivery_delay=spec["delivery_delay"], jitter=spec["jitter"])
     select = AlgorithmSelect(**spec["algorithm"])
     runtime = FarmRuntime(sim, delta_t=spec["delta_t"], select=select)
@@ -369,7 +412,6 @@ def run_scenario(spec: dict, search_dirs: tuple[str, ...] = ()) -> RunResult:
         runtime.declare_spare(spare["entity"], spare["node"])
 
     farm_rows = spec["farm"]
-    user_nodes = _user_nodes(spec)
     for node in user_nodes:
         runtime.ensure_user_endpoint(node)
 
@@ -384,13 +426,13 @@ def run_scenario(spec: dict, search_dirs: tuple[str, ...] = ()) -> RunResult:
             _user_program(runtime, spec, node, rows, report, inputs), Endpoint(node, "user")
         )
 
-    for f in spec["faults"]:
+    for f, target in zip(spec["faults"], targets):
         own = {}  # the fields only this fault's kind has
         if "mask" in f:
             own["mask"] = bytes.fromhex(f["mask"])
         if "delay" in f:
             own["delay"] = f["delay"]
-        sim.inject(FaultSpec(kind=f["kind"], target=_fault_target(f, spec), at_time=f["at"], **own))
+        sim.inject(FaultSpec(kind=f["kind"], target=target, at_time=f["at"], **own))
 
     sim.run_until_quiescent(spec["max_time"])
 
@@ -502,12 +544,14 @@ def _a_spmd_flag(result: RunResult, a: dict):
     return result.runtime.spmd_incoherent == a["value"], f"spmd_incoherent={result.runtime.spmd_incoherent}"
 
 
+_PHASES = {phase.name: phase for phase in VoterPhase}
+
+
 def check_phase_grammar(result: RunResult) -> list[str]:
     """Per-voter phase reports must walk the automaton's cycle."""
     sequences: dict[str, list[VoterPhase]] = {}
-    for _, kind, frm, _, detail in result.trace.records():
-        if kind == "phase":
-            sequences.setdefault(frm, []).append(VoterPhase[detail.split()[0]])
+    for _, frm, _, detail in result.trace.records_of("phase"):
+        sequences.setdefault(frm, []).append(_PHASES[detail.split(None, 1)[0]])
     bad = []
     for ep, seq in sequences.items():
         if seq[0] is not VoterPhase.VFP_INIT:
@@ -602,16 +646,24 @@ _SCENARIO = _object("scenario", {
                {}),
     "get_polls": (_COUNT, 8), "get_timeout": (_COUNT, 40), "close_farm": (_BOOL, False),
     "assertions": ({"type": "array", "items": _ASSERTION}, []),
-}, prefix="", check=_scenario_rules)
+}, prefix="")
 
 _DEFAULTS = {key: d for key, (_, d) in _SCENARIO["properties"].items() if d not in (REQUIRED, OPTIONAL)}
-_check_scenario = _walker(_SCENARIO)
+_check_scenario = _compile(_SCENARIO, "scenario")
+# The last spec validate_scenario returned, under its id, with the user
+# nodes and fault targets its rules derived.  run_scenario takes them
+# right after validating, so they are derived once per run.
+_derived: dict[int, tuple] = {}
 
 
 def validate_scenario(spec: dict) -> dict:
     """The spec checked against the table, with every default filled in;
     raises ScenarioError naming the first bad value."""
-    return _check_scenario(spec, "scenario")
+    checked = _check_scenario(spec, None)
+    user_nodes, targets = _scenario_rules(checked)
+    _derived.clear()
+    _derived[id(checked)] = checked, user_nodes, targets
+    return checked
 
 
 # -- artifacts -------------------------------------------------------------

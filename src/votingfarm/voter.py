@@ -31,7 +31,6 @@ posted to its database as a wire.Phase frame carrying the phase.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, replace
 from typing import Generator, Optional
 
@@ -131,9 +130,9 @@ def voter_process(state: VoterState):
 
     def run(proc: Proc) -> Generator:
         _trace_phase(proc, state)
-        inbox: deque[tuple[Endpoint, wire.Frame]] = deque()
+        inbox: list[tuple[Endpoint, wire.Frame]] = []  # oldest first
         while True:
-            sender, frame = inbox.popleft() if inbox else (yield Recv(None))
+            sender, frame = inbox.pop(0) if inbox else (yield Recv(None))
 
             if frame.kind == wire.K_CONTROL:
                 if frame.req == "close":
@@ -203,7 +202,7 @@ def _apply_warn(proc: Proc, state: VoterState, frame: wire.Frame) -> bool:
 def _session(
     proc: Proc,
     state: VoterState,
-    inbox: deque[tuple[Endpoint, wire.Frame]],
+    inbox: list[tuple[Endpoint, wire.Frame]],
     sender: Endpoint,
     frame: wire.Frame,
 ):
@@ -252,7 +251,7 @@ def _session(
                     yield Send(fellow, relay)
             if len(slots) == n:
                 break
-        got = inbox.popleft() if inbox else (yield Recv(state.delta_t))
+        got = inbox.pop(0) if inbox else (yield Recv(state.delta_t))
     inbox.extend(held)
 
     _report(proc, state, VoterPhase.VFP_VOTING)

@@ -122,6 +122,31 @@ def test_a_finished_run_keeps_its_trace_in_bounded_memory():
     assert live < 800_000, live
 
 
+def test_a_finished_wide_run_keeps_no_block_in_its_empty_queues():
+    # Every endpoint's mailbox and every voter's inbox is empty once the
+    # run is quiescent.  A finished 32-member run keeps 315 KB with them
+    # as lists; with deques, each of which holds a 64-slot block even
+    # when empty, it kept 383 KB, so a return to deques fails the bound.
+    n = 32
+    spec = {
+        "farm": [[k, k] for k in range(1, n + 1)], "metric": "scalar", "delivery_delay": 1, "delta_t": 60,
+        "get_timeout": 1000, "inputs": {str(k): [{"at": 10, "scalar": 1.5}] for k in range(1, n + 1)},
+    }
+    run_scenario(spec)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = run_scenario(spec)
+        gc.collect()
+        live = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert result.passed and result.sim.quiescent
+    assert all(rep["outputs"] for rep in result.users.values())
+    assert live < 350_000, live
+
+
 def test_runs_leave_nothing_behind_once_dropped():
     # Nothing a run stores outlives its result: not its trace's shared
     # details, which a table kept across runs, or strings made immortal

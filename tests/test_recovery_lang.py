@@ -1,9 +1,12 @@
 """Strategy language: grammar, includes, selector rules, formatting."""
 
+import dataclasses
 from pathlib import Path
 
 import pytest
 
+from votingfarm import scenario
+from votingfarm.recovery import lang
 from votingfarm.recovery.lang import (
     Action,
     And,
@@ -228,3 +231,90 @@ def test_format_parenthesizes_only_where_needed():
     text = format_program(program)
     assert "( -FAULTY THREAD1 OR -FAULTY THREAD2 )" in text
     assert parse(text) == program
+
+
+# -- one parse per content ------------------------------------------------
+
+STRATEGY = 'INCLUDE "codes.h"\nIF [ -PHASE THREAD1 == {BAD} ] THEN KILL THREAD1 FI\n'
+
+
+def _strategy(tmp_path, text=STRATEGY, bad=4):
+    (tmp_path / "codes.h").write_text(f"#define BAD {bad}\n")
+    rl = tmp_path / "strategy.rl"
+    rl.write_text(text)
+    return rl
+
+
+def _parse_file(rl):
+    # as run_scenario reads a strategy: the file's text, its directory first
+    return parse_rl(lang.read_text(str(rl)), include_dirs=(str(rl.parent),))
+
+
+def test_equal_bytes_give_the_same_program(tmp_path):
+    rl = _strategy(tmp_path)
+    first = _parse_file(rl)
+    assert _parse_file(rl) is first
+    _strategy(tmp_path)  # rewritten with the same bytes
+    assert _parse_file(rl) is first
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        first.rules = ()
+
+
+def test_editing_the_strategy_or_its_header_changes_the_program(tmp_path):
+    rl = _strategy(tmp_path)
+    assert _parse_file(rl).rules[0].condition == PhaseEq(T1, 4)
+    _strategy(tmp_path, bad=3)
+    assert _parse_file(rl).rules[0].condition == PhaseEq(T1, 3)
+    _strategy(tmp_path, STRATEGY.replace("THREAD1 ==", "THREAD2 =="), bad=3)
+    assert _parse_file(rl).rules[0].condition == PhaseEq(T2, 3)
+
+
+def test_a_header_found_elsewhere_changes_the_program(tmp_path):
+    first, second = tmp_path / "first", tmp_path / "second"
+    first.mkdir()
+    second.mkdir()
+    _strategy(first)
+    (second / "codes.h").write_text("#define BAD 2\n")
+    dirs = (str(second), str(first))
+    assert parse_rl(STRATEGY, include_dirs=dirs).rules[0].condition == PhaseEq(T1, 2)
+    (second / "codes.h").unlink()  # now the header in the other directory is found
+    assert parse_rl(STRATEGY, include_dirs=dirs).rules[0].condition == PhaseEq(T1, 4)
+
+
+def test_a_deleted_header_is_not_found_again(tmp_path):
+    rl = _strategy(tmp_path)
+    _parse_file(rl)
+    (tmp_path / "codes.h").unlink()
+    with pytest.raises(RlSyntaxError, match="line 1:9: include file 'codes.h' not found"):
+        _parse_file(rl)
+
+
+def test_a_parse_that_raises_is_not_kept(tmp_path, monkeypatch):
+    monkeypatch.setattr(lang, "_PARSED", {})
+    rl = tmp_path / "strategy.rl"
+    rl.write_text(STRATEGY)
+    with pytest.raises(RlSyntaxError, match="not found"):
+        _parse_file(rl)
+    assert lang._PARSED == {}
+    (tmp_path / "codes.h").write_text("#define BAD 1\n")
+    assert _parse_file(rl).rules[0].condition == PhaseEq(T1, 1)
+
+
+def test_the_parsed_programs_kept_are_bounded(monkeypatch):
+    monkeypatch.setattr(lang, "_PARSED", {})
+    for i in range(lang._PARSED_MAX + 5):
+        parse_rl(f"IF [ -FAULTY THREAD{i + 1} ] THEN KILL THREAD1 FI")
+    assert len(lang._PARSED) == lang._PARSED_MAX
+
+
+def test_a_scenario_run_twice_tokenizes_its_strategy_once(monkeypatch):
+    monkeypatch.setattr(lang, "_PARSED", {})
+    calls = []
+    tokenize_once = lang.tokenize
+    monkeypatch.setattr(lang, "tokenize", lambda source: calls.append(source) or tokenize_once(source))
+    spec, dirs = scenario.resolve_scenario("three_and_one_spare")
+    first = scenario.run_scenario(spec, dirs)
+    second = scenario.run_scenario(spec, dirs)
+    assert len(calls) == 1
+    assert first.passed and second.passed
+    assert first.trace.text() == second.trace.text()
