@@ -453,18 +453,13 @@ class Simulator:
             (peer.node == ep.node) == local for ep, st in self._endpoints.items() for peer in st.links
         ) // 2
 
-    def all_endpoints(self, node: Optional[int] = None) -> list[Endpoint]:
-        eps = list(self._endpoints)
-        if node is not None:
-            eps = [e for e in eps if e.node == node]
-        return eps
+    def all_endpoints(self, node: int) -> list[Endpoint]:
+        """The node's endpoints, dead or alive."""
+        return [e for e in self._endpoints if e.node == node]
 
-    def endpoint_count(self, role: str, live_only: bool = False) -> int:
-        return sum(
-            1
-            for ep, st in self._endpoints.items()
-            if ep.role == role and not (live_only and st.dead)
-        )
+    def endpoint_count(self, role: str) -> int:
+        """The live endpoints of that role."""
+        return sum(1 for ep, st in self._endpoints.items() if ep.role == role and not st.dead)
 
     # -- processes ----------------------------------------------------
 

@@ -139,31 +139,24 @@ class FarmRuntime:
                 self.sim.now, "spmd", str(proc.endpoint), "-", f"{what} mismatch"
             )
             raise SpmdIncoherence(f"node {node} disagrees with the active {what}")
-        members = [ident for member_node, ident in self.canonical
-                   if member_node == node and ident not in self.voter_states]
-        if members:  # one membership and one user endpoint for all of them
-            view, user_ep = self.current_view(), self.user_endpoint(node)
-            for ident in members:
-                self._spawn_voter(ident, ident, view, user_ep)
+        for member_node, ident in self.canonical:
+            if member_node == node and ident not in self.voter_states:
+                self._spawn_voter(ident, ident)
 
     def _spawn_voter(
         self,
         entity: int,
         ident: int,
-        view: Optional[FarmView] = None,
-        user_ep: Optional[Endpoint] = None,
         epoch: Optional[int] = None,
         next_session: int = 0,
     ) -> None:
-        """Start the entity's voter on its node; a respawn reuses its
-        endpoint.  activate passes the view and user endpoint it holds."""
+        """Start the entity's voter on its node; a respawn reuses its endpoint."""
         node = self.entity_node[entity]
         ep = Endpoint(node, "voter", entity)
         prev = self.voter_states.get(entity)
         if prev is None:
             self.sim.add_endpoint(ep)
-        if view is None:
-            view, user_ep = self.current_view(), self.user_endpoint(node)
+        user_ep = self.user_endpoint(node)
         if user_ep is not None:
             self.sim.add_link(user_ep, ep)
         for other in self.voter_states:
@@ -174,7 +167,7 @@ class FarmRuntime:
         state = VoterState(
             entity=entity,
             ident=ident,
-            view=view,
+            view=self.current_view(),
             delta_t=self.delta_t,
             select=self.select,
             metric_name=self.metric_name,

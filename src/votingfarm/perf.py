@@ -346,7 +346,7 @@ def live_resource_counts(n: int) -> tuple[int, int, int]:
     """Build an n-member farm for real and count its fabric objects."""
     sim = run_scenario({"farm": [[k, k] for k in range(1, n + 1)]}).sim
     return (
-        sim.endpoint_count("voter", live_only=True),
+        sim.endpoint_count("voter"),
         sim.link_count("local"),
         sim.link_count("virtual"),
     )
@@ -354,10 +354,11 @@ def live_resource_counts(n: int) -> tuple[int, int, int]:
 
 # -- one-session timing harness ---------------------------------------------
 
+_HARNESS_DELTA_T = 10  # the farm timeout of every timing_harness run
+
+
 def timing_harness(
     n_values: Iterable[int] = (1, 2, 3, 4),
-    delta_t: int = 10,
-    delivery_delay: int = 1,
     jitter: int = 0,
     repeats: int = 1,
     seed: int = 0,
@@ -365,11 +366,11 @@ def timing_harness(
     """Mean and spread of one voting session's latency per farm size.
 
     Each run is a generated scenario: an n-member farm, one node per
-    member, every node feeding one input at t=10.  Latency is
-    simulated time from the user inputs to the last completion notice.
-    With jitter 0 the simulation is deterministic and the spread is
-    exactly zero; a positive jitter draws seeded per-message delays,
-    and repeats vary the seed.
+    member, delta_t 10, a delivery delay of one tick, and every node
+    feeding one input at t=10.  Latency is simulated time from the user
+    inputs to the last completion notice.  With jitter 0 the simulation
+    is deterministic and the spread is exactly zero; a positive jitter
+    draws seeded per-message delays, and repeats vary the seed.
     """
     if repeats < 1:
         raise ValidationError("repeats must be at least 1")
@@ -378,10 +379,10 @@ def timing_harness(
         nodes = range(1, n + 1)
         spec = {
             "farm": [[k, k] for k in nodes],
-            "delta_t": delta_t,
-            "delivery_delay": delivery_delay,
+            "delta_t": _HARNESS_DELTA_T,
+            "delivery_delay": 1,
             "jitter": jitter,
-            "get_timeout": 4 * delta_t * n + 8,
+            "get_timeout": 4 * _HARNESS_DELTA_T * n + 8,
             "inputs": {str(k): [{"at": 10, "value": "2a"}] for k in nodes},
         }
         latencies = [

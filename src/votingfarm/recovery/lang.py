@@ -18,6 +18,7 @@ brackets of a condition, line breaks are insignificant; inside a THEN
 block, a line break (or AND) separates actions.  THREAD@ names the
 group members that made the rule's condition true and THREAD~ the rest
 of the group; both require the condition to test exactly one group.
+A condition nests at most MAX_DEPTH levels.
 
 A strategy is translated once and then run many times, so parse_rl
 parses each text once per content (see its docstring).
@@ -103,6 +104,13 @@ class Or:
 
 
 Cond = Union[Faulty, PhaseEq, Not, And, Or]
+
+# How deep a condition may nest: each NOT, parenthesis and AND/OR
+# operator on a path from the top is one level.  Compiling, formatting,
+# evaluating and comparing conditions recurse once per level, so this
+# bound keeps every strategy that parses or decodes far from Python's
+# recursion limit; the bundled strategies nest one level deep.
+MAX_DEPTH = 100
 
 VERBS = ("KILL", "START", "RESTART", "WARN", "REBOOT", "SHUTDOWN", "PURGE")
 _NODE_VERBS = ("REBOOT", "SHUTDOWN")
@@ -251,11 +259,10 @@ def resolve_include(name: str, include_dirs: tuple[str, ...]) -> Optional[str]:
 # -- parser -------------------------------------------------------------
 
 class _Parser:
-    def __init__(self, tokens: list[Token], definitions: dict[str, int],
-                 include_dirs: tuple[str, ...]):
+    def __init__(self, tokens: list[Token], include_dirs: tuple[str, ...]):
         self.tokens = tokens
         self.pos = 0
-        self.defs = definitions
+        self.defs: dict[str, int] = {}  # {NAME} values the INCLUDEs define
         self.include_dirs = include_dirs
         self.headers: list[tuple[str, str, bytes]] = []  # (name, path, bytes) of each INCLUDE
 
@@ -274,8 +281,8 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def expect(self, kind: str, value=None, keep_nl: bool = False) -> Token:
-        tok = self.next(keep_nl)
+    def expect(self, kind: str, value=None) -> Token:
+        tok = self.next()
         if tok.kind != kind or (value is not None and tok.value != value):
             want = value if value is not None else kind
             raise RlSyntaxError(f"expected {want}, got {tok.value!r}", tok.line, tok.col)
@@ -326,46 +333,58 @@ class _Parser:
     def rule(self) -> GuardedRule:
         self.expect("kw", "IF")
         self.expect("[")
-        cond = self.or_expr()
+        cond, _ = self.or_expr(0)
         self.expect("]")
         self.expect("kw", "THEN")
         actions = self.action_block()
         return GuardedRule(cond, actions)
 
-    def or_expr(self) -> Cond:
-        left = self.and_expr()
+    # Each condition rule takes the levels known to lie above it and
+    # returns its node with the node's own height in levels, checking
+    # both against MAX_DEPTH before it descends and as a chain grows.
+
+    def _levels(self, tok: Token, above: int, height: int) -> int:
+        if above + height > MAX_DEPTH:
+            raise RlSyntaxError(f"condition nests deeper than {MAX_DEPTH} levels", tok.line, tok.col)
+        return height
+
+    def or_expr(self, above: int) -> tuple[Cond, int]:
+        left, height = self.and_expr(above)
         while self.at_kw("OR"):
-            self.next()
-            left = Or(left, self.and_expr())
-        return left
+            tok = self.next()
+            right, right_height = self.and_expr(above)
+            left, height = Or(left, right), self._levels(tok, above, max(height, right_height) + 1)
+        return left, height
 
-    def and_expr(self) -> Cond:
-        left = self.not_expr()
+    def and_expr(self, above: int) -> tuple[Cond, int]:
+        left, height = self.not_expr(above)
         while self.at_kw("AND"):
-            self.next()
-            left = And(left, self.not_expr())
-        return left
+            tok = self.next()
+            right, right_height = self.not_expr(above)
+            left, height = And(left, right), self._levels(tok, above, max(height, right_height) + 1)
+        return left, height
 
-    def not_expr(self) -> Cond:
+    def not_expr(self, above: int) -> tuple[Cond, int]:
         if self.at_kw("NOT"):
-            self.next()
-            return Not(self.not_expr())
-        return self.atom()
+            self._levels(self.next(), above, 1)
+            operand, height = self.not_expr(above + 1)
+            return Not(operand), height + 1
+        return self.atom(above)
 
-    def atom(self) -> Cond:
+    def atom(self, above: int) -> tuple[Cond, int]:
         tok = self.peek()
         if tok.kind == "(":
-            self.next()
-            cond = self.or_expr()
+            self._levels(self.next(), above, 1)
+            cond, height = self.or_expr(above + 1)
             self.expect(")")
-            return cond
+            return cond, height + 1
         if tok.kind == "pred":
             self.next()
             subject = self.subject_ref()
             if tok.value == "FAULTY":
-                return Faulty(subject)
+                return Faulty(subject), 0
             self.expect("eqeq")
-            return PhaseEq(subject, self.int_value())
+            return PhaseEq(subject, self.int_value()), 0
         raise RlSyntaxError(f"expected a predicate, got {tok.value!r}", tok.line, tok.col)
 
     def subject_ref(self) -> EntityRef:
@@ -456,34 +475,30 @@ def _check_selectors(program: RlProgram) -> None:
 
 
 # Programs parsed so far, least recently used first, keyed on (source,
-# include_dirs, definitions): each with the (name, path, bytes) of the
-# headers it included.
+# include_dirs): each with the (name, path, bytes) of the headers it
+# included.
 _PARSED: dict[tuple, tuple[RlProgram, tuple[tuple[str, str, bytes], ...]]] = {}
 _PARSED_MAX = 64
 
 
-def parse_rl(
-    source: str,
-    definitions: Optional[dict[str, int]] = None,
-    include_dirs: tuple[str, ...] = (),
-) -> RlProgram:
+def parse_rl(source: str, include_dirs: tuple[str, ...] = ()) -> RlProgram:
     """Parse strategy text into its rule tree.
 
-    `definitions` seeds the {NAME} table; INCLUDE statements extend it
-    from files looked up in `include_dirs` (then the working directory).
+    INCLUDE statements fill the {NAME} table from files looked up in
+    `include_dirs` (then the working directory).
 
-    The same text, directories and definitions give the same read-only
-    program again while every INCLUDE still resolves to the same file
-    with the same bytes; an edited header, or one now found in another
-    directory, is parsed afresh.  The _PARSED_MAX programs used last are
-    kept; a parse that raises is not.
+    The same text and directories give the same read-only program again
+    while every INCLUDE still resolves to the same file with the same
+    bytes; an edited header, or one now found in another directory, is
+    parsed afresh.  The _PARSED_MAX programs used last are kept; a parse
+    that raises is not.
     """
     include_dirs = tuple(include_dirs)
-    key = (source, include_dirs, frozenset(definitions.items()) if definitions else None)
+    key = (source, include_dirs)
     known = _PARSED.pop(key, None)
     if known is None or not all(resolve_include(name, include_dirs) == path and _file_bytes(path) == data
                                 for name, path, data in known[1]):
-        parser = _Parser(tokenize(source), dict(definitions) if definitions else {}, include_dirs)
+        parser = _Parser(tokenize(source), include_dirs)
         known = parser.program(), tuple(parser.headers)
     if len(_PARSED) >= _PARSED_MAX:
         del _PARSED[next(iter(_PARSED))]
@@ -491,12 +506,12 @@ def parse_rl(
     return known[0]
 
 
-def format_program(program: RlProgram, include_comment: bool = False) -> str:
-    """Render a program back to RL text (used by the disassembler)."""
-    out: list[str] = []
-    for inc in program.includes:
-        prefix = "# " if include_comment else ""
-        out.append(f'{prefix}INCLUDE "{inc}"')
+def format_program(program: RlProgram) -> str:
+    """Render a program back to RL text (used by the disassembler).
+
+    INCLUDE lines come out as comments: the program holds the values
+    its headers defined, so the text parses without them."""
+    out = [f'# INCLUDE "{inc}"' for inc in program.includes]
     for rule in program.rules:
         out.append(f"IF [ {format_condition(rule.condition)} ]")
         out.append("THEN")

@@ -11,7 +11,8 @@ Layout:
         varint action count, then actions
     default block: u8 present flag, then varint action count + actions
 
-    condition opcodes: FAULTY entity | PHASE entity value | NOT | AND | OR
+    condition opcodes: FAULTY entity | PHASE entity value | NOT | AND | OR,
+        at most lang.MAX_DEPTH operators deep
     action: verb opcode, varint target count, targets
     entity/target: varint tag (thread, group, fulfilled, complement,
     node) + varint id
@@ -39,6 +40,7 @@ from .lang import (
     FULFILLED,
     GROUP,
     GuardedRule,
+    MAX_DEPTH,
     NODE,
     Not,
     Or,
@@ -186,31 +188,37 @@ def _decode_entity(r: _Reader) -> EntityRef:
 
 
 def _decode_condition(r: _Reader) -> Cond:
-    stack: list[Cond] = []
+    stack: list[tuple[Cond, int]] = []  # each node with its height in levels
     while True:
         op = r.u8()
         if op == _OP_END:
             break
         if op == _OP_FAULTY:
-            stack.append(Faulty(_decode_entity(r)))
-        elif op == _OP_PHASE:
+            stack.append((Faulty(_decode_entity(r)), 0))
+            continue
+        if op == _OP_PHASE:
             subject = _decode_entity(r)
-            stack.append(PhaseEq(subject, r.varint()))
-        elif op == _OP_NOT:
+            stack.append((PhaseEq(subject, r.varint()), 0))
+            continue
+        if op == _OP_NOT:
             if not stack:
                 raise DecodeError("NOT with empty stack")
-            stack.append(Not(stack.pop()))
+            operand, height = stack.pop()
+            node = Not(operand)
         elif op in (_OP_AND, _OP_OR):
             if len(stack) < 2:
                 raise DecodeError("binary operator with short stack")
-            right = stack.pop()
-            left = stack.pop()
-            stack.append(And(left, right) if op == _OP_AND else Or(left, right))
+            (right, right_height), (left, height) = stack.pop(), stack.pop()
+            node = And(left, right) if op == _OP_AND else Or(left, right)
+            height = max(height, right_height)
         else:
             raise DecodeError(f"unknown condition opcode {op:#x}")
+        if height >= MAX_DEPTH:
+            raise DecodeError(f"condition nests deeper than {MAX_DEPTH} levels")
+        stack.append((node, height + 1))
     if len(stack) != 1:
         raise DecodeError("condition stream is not a single expression")
-    return stack[0]
+    return stack[0][0]
 
 
 def _decode_actions(r: _Reader) -> tuple[Action, ...]:
@@ -250,7 +258,7 @@ def decode_program(data: bytes) -> RlProgram:
         raise DecodeError(f"{len(r.data) - r.pos} trailing bytes")
     program = RlProgram(includes, tuple(rules), default)
     try:
-        again = parse_rl(format_program(program, include_comment=True))
+        again = parse_rl(format_program(program))
     except RlSyntaxError as exc:
         raise DecodeError(f"not a well-formed strategy: {exc}") from None
     if (again.rules, again.default) != (program.rules, program.default):
@@ -259,4 +267,4 @@ def decode_program(data: bytes) -> RlProgram:
 
 
 def disassemble(data: bytes) -> str:
-    return format_program(decode_program(data), include_comment=True)
+    return format_program(decode_program(data))

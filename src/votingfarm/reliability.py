@@ -12,8 +12,8 @@ component reliability R = exp(-lambda t) reproduces R1.  State names
 encode (working modules, spares, faulty-but-isolated modules) in the
 d1 d2 d3 digit scheme; FS and FU are the safe-stop and undetected-fail
 absorbers.  ``markov_solve`` propagates the chain with one matrix
-exponential per distinct time step by default; ``method="ivp"``
-integrates it with DOP853 instead and serves as the cross-check.
+exponential per distinct time step; a private DOP853 integration of
+the same chain is kept as the reference the tests compare it against.
 """
 
 from __future__ import annotations
@@ -122,24 +122,7 @@ class MarkovModel:
         return p0
 
 
-def markov_solve(
-    model: MarkovModel,
-    t_grid: Sequence[float],
-    method: str = "expm",
-) -> np.ndarray:
-    """Probabilities over time, one row per grid point, columns = STATES.
-
-    The times must be finite, non-negative and non-decreasing.  The
-    default ``"expm"`` path computes expm(A * dt) once for each distinct
-    step dt between neighbouring times (the first from 0) and carries
-    the initial state from row to row by matrix-vector products, so a
-    repeated time repeats its row exactly.  ``"ivp"`` integrates the
-    chain with DOP853 at relative tolerance 1e-11; it shares only the
-    generator with the default and is kept as its cross-check.
-
-    scipy is imported on use, here and in crosspoint: at module level it
-    was most of the import time every ``vf`` command paid.
-    """
+def _times(t_grid: Sequence[float]) -> np.ndarray:
     t = np.asarray(t_grid, dtype=float)
     if (
         t.ndim != 1
@@ -151,21 +134,41 @@ def markov_solve(
             "t_grid must be a non-empty 1-d sequence of finite, non-negative, "
             "non-decreasing times"
         )
-    A = model.generator()
-    if method == "expm":
-        from scipy.linalg import expm
+    return t
 
-        steps, which = np.unique(np.diff(t, prepend=0.0), return_inverse=True)
-        step_maps = expm(A * steps[:, None, None])
-        out = np.empty((len(t), len(STATES)))
-        p = model.initial
-        for i, k in enumerate(which):
-            out[i] = p = step_maps[k] @ p
-        return out
-    if method != "ivp":
-        raise ValidationError(f"unknown method {method!r}")
+
+def markov_solve(model: MarkovModel, t_grid: Sequence[float]) -> np.ndarray:
+    """Probabilities over time, one row per grid point, columns = STATES.
+
+    The times must be finite, non-negative and non-decreasing.  This
+    computes expm(A * dt) once for each distinct step dt between
+    neighbouring times (the first from 0) and carries the initial state
+    from row to row by matrix-vector products, so a repeated time
+    repeats its row exactly.
+
+    scipy is imported on use, here and in crosspoint: at module level it
+    was most of the import time every ``vf`` command paid.
+    """
+    t = _times(t_grid)
+    from scipy.linalg import expm
+
+    steps, which = np.unique(np.diff(t, prepend=0.0), return_inverse=True)
+    step_maps = expm(model.generator() * steps[:, None, None])
+    out = np.empty((len(t), len(STATES)))
+    p = model.initial
+    for i, k in enumerate(which):
+        out[i] = p = step_maps[k] @ p
+    return out
+
+
+def _markov_solve_ivp(model: MarkovModel, t_grid: Sequence[float]) -> np.ndarray:
+    """markov_solve's reference: the chain integrated with DOP853 at
+    relative tolerance 1e-11.  It shares only the generator with
+    markov_solve, which is why the tests compare the two."""
+    t = _times(t_grid)
     from scipy.integrate import solve_ivp
 
+    A = model.generator()
     times, which = np.unique(t, return_inverse=True)
     sol = solve_ivp(
         lambda _, p: A @ p,

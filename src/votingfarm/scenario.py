@@ -11,8 +11,8 @@ bundled ones exercise every major feature end to end and are also what
 A run first checks the file against one table, compiled once at import
 into walkers specialised per part of the table; the checks across keys
 also derive the nodes that run the user program and each fault's
-target, which the run then uses as they are.  The strategy file is
-parsed once per content (see recovery.lang.parse_rl).
+target.  The strategy file is parsed once per content (see
+recovery.lang.parse_rl).
 
 Everything a run produces (trace, per-user results, recovery action
 log) is collected in a RunResult so assertions and artifact files can
@@ -29,7 +29,7 @@ from json.encoder import INFINITY, encode_basestring_ascii
 from typing import Optional
 
 from .algorithms import METRICS, AlgorithmSelect, encode_scalar, encode_vector
-from .client import vf_add, vf_close, vf_control, vf_get, vf_open, vf_run
+from .client import FarmHandle, vf_add, vf_close, vf_control, vf_get, vf_open, vf_run
 from .core import PHASE_STEPS, VfStatusCode, VoterPhase, VotingFarmError, validate_descriptor
 from .fabric import Endpoint, FaultSpec, Proc, Simulator, Sleep
 from .farm import FarmRuntime
@@ -63,6 +63,8 @@ def resolve_scenario(name_or_path: str) -> tuple[dict, tuple[str, ...]]:
                     spec = json.load(fh)
             except ValueError as exc:  # bad JSON or bad UTF-8
                 raise ScenarioError(f"{candidate}: not valid JSON: {exc}") from exc
+            except RecursionError:
+                raise ScenarioError(f"{candidate}: JSON nested too deeply to read") from None
             return spec, (os.path.dirname(os.path.abspath(candidate)), bundled_dir())
     raise ScenarioError(f"no scenario named {name_or_path!r}")
 
@@ -344,7 +346,7 @@ class RunResult:
         }
 
 
-def _user_program(runtime, spec, node, rows, report, inputs):
+def _user_program(spec, handle, rows, report, inputs):
     probes, polls, get_timeout = spec["probes"], spec["get_polls"], spec["get_timeout"]
 
     def run(proc):
@@ -353,8 +355,6 @@ def _user_program(runtime, spec, node, rows, report, inputs):
                 {"code": str(status.code), "detail": status.detail, "session": status.session, "t": proc.now}
             )
 
-        handle = vf_open(runtime, spec["metric"])
-        report["handle"] = handle
         for nd, ident in rows:
             vf_add(handle, nd, ident)
         try:
@@ -394,7 +394,7 @@ def _user_program(runtime, spec, node, rows, report, inputs):
 
 def run_scenario(spec: dict, search_dirs: tuple[str, ...] = ()) -> RunResult:
     written, spec = spec, validate_scenario(spec)
-    _, user_nodes, targets = _derived.pop(id(spec))
+    user_nodes, targets = _scenario_rules(spec)
     sim = Simulator(seed=spec["seed"], delivery_delay=spec["delivery_delay"], jitter=spec["jitter"])
     select = AlgorithmSelect(**spec["algorithm"])
     runtime = FarmRuntime(sim, delta_t=spec["delta_t"], select=select)
@@ -417,13 +417,15 @@ def run_scenario(spec: dict, search_dirs: tuple[str, ...] = ()) -> RunResult:
 
     mismatch = spec.get("spmd_mismatch")
     users: dict[int, dict] = {}
+    handles: dict[int, FarmHandle] = {}
     procs: dict[int, Proc] = {}
     for node in user_nodes:
         rows = mismatch["farm"] if mismatch and mismatch["node"] == node else farm_rows
         inputs = sorted(spec["inputs"].get(node, []), key=lambda item: item["at"])
         report = users[node] = {"statuses": [], "outputs": [], "refused": 0, "error": None, "done": False}
+        handle = handles[node] = vf_open(runtime, spec["metric"])
         procs[node] = sim.spawn(
-            _user_program(runtime, spec, node, rows, report, inputs), Endpoint(node, "user")
+            _user_program(spec, handle, rows, report, inputs), Endpoint(node, "user")
         )
 
     for f, target in zip(spec["faults"], targets):
@@ -436,13 +438,11 @@ def run_scenario(spec: dict, search_dirs: tuple[str, ...] = ()) -> RunResult:
 
     sim.run_until_quiescent(spec["max_time"])
 
-    for report in users.values():
-        handle = report.pop("handle", None)
-        if handle is not None:
-            report["outputs"] = [
-                {"session": o["session"], "source": o["source"], "value": o["payload"].hex()}
-                for o in handle.outputs
-            ]
+    for node, handle in handles.items():
+        users[node]["outputs"] = [
+            {"session": o["session"], "source": o["source"], "value": o["payload"].hex()}
+            for o in handle.outputs
+        ]
 
     result = RunResult(spec, sim, runtime, db, users, procs, search_dirs)
     # A verdict echoes its assertion as written, without defaults, and its explanation
@@ -536,7 +536,7 @@ def _a_recovery_errors(result: RunResult, a: dict):
 
 
 def _a_live_voters(result: RunResult, a: dict):
-    count = result.sim.endpoint_count("voter", live_only=True)
+    count = result.sim.endpoint_count("voter")
     return count == a["count"], f"live voters={count}"
 
 
@@ -650,19 +650,13 @@ _SCENARIO = _object("scenario", {
 
 _DEFAULTS = {key: d for key, (_, d) in _SCENARIO["properties"].items() if d not in (REQUIRED, OPTIONAL)}
 _check_scenario = _compile(_SCENARIO, "scenario")
-# The last spec validate_scenario returned, under its id, with the user
-# nodes and fault targets its rules derived.  run_scenario takes them
-# right after validating, so they are derived once per run.
-_derived: dict[int, tuple] = {}
 
 
 def validate_scenario(spec: dict) -> dict:
     """The spec checked against the table, with every default filled in;
     raises ScenarioError naming the first bad value."""
     checked = _check_scenario(spec, None)
-    user_nodes, targets = _scenario_rules(checked)
-    _derived.clear()
-    _derived[id(checked)] = checked, user_nodes, targets
+    _scenario_rules(checked)
     return checked
 
 

@@ -1,5 +1,6 @@
 """Binary strategy form: compile/decode round-trips and error detection."""
 
+import dataclasses
 import random
 from pathlib import Path
 
@@ -14,6 +15,7 @@ from votingfarm.recovery.lang import (
     FULFILLED,
     GROUP,
     GuardedRule,
+    MAX_DEPTH,
     NODE,
     Not,
     Or,
@@ -114,9 +116,8 @@ def test_compile_decode_round_trip(idx):
 @pytest.mark.parametrize("idx", range(len(CORPUS)))
 def test_text_layer_round_trip(idx):
     program = CORPUS[idx]
-    if program.includes:
-        return  # formatting re-emits INCLUDE; covered by the language tests
-    assert parse_rl(format_program(program)) == program
+    again = parse_rl(format_program(program))  # INCLUDE lines come back as comments
+    assert again == dataclasses.replace(program, includes=())
 
 
 def test_header_is_magic_then_version():
@@ -208,6 +209,15 @@ def with_include_name(raw):
     return data.replace(b"\x01a", bytes([len(raw)]) + raw, 1)
 
 
+def alternating(n):
+    """n levels of AND and OR, each the right operand of the one above,
+    so the disassembly parenthesises every OR below an AND."""
+    cond = Faulty(T1)
+    for level in range(n):
+        cond = And(Faulty(T1), cond) if level % 2 else Or(Faulty(T1), cond)
+    return cond
+
+
 # Each of these decodes structurally, but the parser refuses its
 # disassembly (or reads it as another program), or it names an include
 # no INCLUDE string can hold, so decoding must refuse it too.
@@ -229,7 +239,26 @@ ILL_FORMED = {
     "include-not-utf8": with_include_name(b"\xff"),
     "include-holds-a-newline": compile_program(RlProgram(("x\n# more",), (), (Action("PURGE"),))),
     "include-holds-a-quote": compile_program(RlProgram(('a"b',), (), (Action("PURGE"),))),
+    "too-deep-once-parenthesised": compile_program(rule(alternating(MAX_DEPTH * 4 // 5))),
 }
+
+
+def deep_r_code(n, op):
+    """The r-code of IF [ -FAULTY THREAD1 ] THEN KILL THREAD1 FI with its
+    condition wrapped in n NOTs, or chained n times with AND."""
+    faulty = bytes([0x10, 0x00, 0x01])  # FAULTY, THREAD tag, ident 1
+    postfix = faulty + (b"\x01" * n if op == "not" else (faulty + b"\x02") * n)
+    data = compile_program(rule(Faulty(T1)))
+    return data.replace(faulty + b"\x00", postfix + b"\x00", 1)
+
+
+@pytest.mark.parametrize("op", ["not", "and"])
+def test_decoding_bounds_condition_depth(op):
+    program = decode_program(deep_r_code(MAX_DEPTH, op))
+    assert parse_rl(disassemble(deep_r_code(MAX_DEPTH, op))) == program
+    for n in (MAX_DEPTH + 1, MAX_DEPTH * 100):
+        with pytest.raises(DecodeError, match=f"nests deeper than {MAX_DEPTH} levels"):
+            disassemble(deep_r_code(n, op))
 
 
 @pytest.mark.parametrize("shape", ILL_FORMED)

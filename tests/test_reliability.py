@@ -10,6 +10,7 @@ from votingfarm.reliability import (
     MarkovModel,
     NoSignChange,
     STATES,
+    _markov_solve_ivp,
     closed_forms,
     crosspoint,
     curve_export,
@@ -101,18 +102,16 @@ class TestMarkov:
     def test_ivp_and_expm_agree(self):
         model = MarkovModel(lam=1.3, C=0.25)
         t = np.linspace(0, 4, 15)
-        a = markov_solve(model, t, method="ivp")
-        b = markov_solve(model, t, method="expm")
+        a = _markov_solve_ivp(model, t)
+        b = markov_solve(model, t)
         assert np.max(np.abs(a - b)) < 1e-9
 
-    def test_grid_and_method_validation(self):
+    def test_grid_validation(self):
         model = MarkovModel(lam=1.0, C=0.5)
         with pytest.raises(ValidationError):
             markov_solve(model, [1.0, 0.5])
         with pytest.raises(ValidationError):
             markov_solve(model, [])
-        with pytest.raises(ValidationError):
-            markov_solve(model, [0.0, 1.0], method="euler")
 
     @pytest.mark.parametrize("lam,C", [(1.0, 0.0), (1.0, 1.0), (0.5, 0.3), (2.0, 0.9)])
     def test_closed_forms_match_the_numeric_chain(self, lam, C):
@@ -154,7 +153,7 @@ class TestPropagator:
         model = MarkovModel(lam=lam, C=C)
         p = markov_solve(model, t)
         assert p.shape == (len(t), len(STATES))
-        assert np.max(np.abs(p - markov_solve(model, t, method="ivp"))) < 1e-9
+        assert np.max(np.abs(p - _markov_solve_ivp(model, t))) < 1e-9
         for name, values in closed_forms(lam, C, t).items():
             got = p[:, STATES.index(name)]
             assert np.max(np.abs(got - values)) < 1e-13, name
@@ -196,15 +195,15 @@ class TestNonFiniteInputs:
         with pytest.raises(DomainError):
             MarkovModel(lam=1.0, C=np.nan)
 
-    @pytest.mark.parametrize("method", ["expm", "ivp"])
+    @pytest.mark.parametrize("solve", [markov_solve, _markov_solve_ivp], ids=["expm", "ivp"])
     @pytest.mark.parametrize(
         "grid",
         [[0.0, np.nan], [np.nan], [0.0, np.inf], [-1.0, 0.0], [[0.0, 1.0]]],
         ids=["nan-after-zero", "nan-alone", "inf", "negative", "two-dimensional"],
     )
-    def test_solver_rejects_bad_times(self, grid, method):
+    def test_solver_rejects_bad_times(self, grid, solve):
         with pytest.raises(ValidationError):
-            markov_solve(MarkovModel(lam=1.0, C=0.5), grid, method=method)
+            solve(MarkovModel(lam=1.0, C=0.5), grid)
 
 
 class TestCrosspoints:

@@ -17,22 +17,25 @@ from votingfarm.recovery.rint import (
     execute_actions,
     rint_step,
 )
+from votingfarm.scenario import bundled_dir
 
-DEFS = {"VFP_FAILURE": 4}
+PHASES = (bundled_dir(),)  # where INCLUDE "vf_phases.h" resolves
 
 REPLACE_WITH_SPARE = parse_rl(
+    'INCLUDE "vf_phases.h"\n'
     "IF [ -FAULTY THREAD1 OR -PHASE THREAD1 == {VFP_FAILURE} ]\n"
     "THEN\n"
     "    KILL THREAD1\n"
     "    START THREAD4 AND WARN THREAD2, THREAD3\n"
     "FI",
-    definitions=DEFS,
+    include_dirs=PHASES,
 )
 
 DEGRADE_GROUP = parse_rl(
+    'INCLUDE "vf_phases.h"\n'
     "IF [ -FAULTY GROUP1 OR -PHASE GROUP1 == {VFP_FAILURE} ]\n"
     "THEN KILL THREAD@ AND WARN THREAD~ FI",
-    definitions=DEFS,
+    include_dirs=PHASES,
 )
 
 
@@ -127,6 +130,26 @@ def test_group_target_expands_to_members():
     assert pairs(rint_step(program, db)) == [("WARN", 4), ("WARN", 5)]
 
 
+def test_and_rule_needs_both_operands():
+    program = parse_rl("IF [ -FAULTY THREAD1 AND -FAULTY THREAD2 ] THEN KILL THREAD3 FI")
+    db = DirDatabase()
+    db.record_fault(1, "crash", t=1)
+    assert rint_step(program, db) == []
+    db.record_fault(2, "crash", t=2)
+    assert pairs(rint_step(program, db)) == [("KILL", 3)]
+
+
+def test_rule_over_two_groups_tests_each_whole_group():
+    # No selector binds a member here, so each group predicate holds
+    # when any member of its group satisfies it.
+    program = parse_rl("IF [ -FAULTY GROUP1 AND -FAULTY GROUP2 ] THEN WARN GROUP1 FI")
+    db = DirDatabase(groups={1: (1, 2), 2: (3, 4)})
+    db.record_fault(2, "crash", t=1)
+    assert rint_step(program, db) == []
+    db.record_fault(4, "crash", t=2)
+    assert pairs(rint_step(program, db)) == [("WARN", 1), ("WARN", 2)]
+
+
 def test_negated_condition():
     program = parse_rl("IF [ NOT -FAULTY THREAD1 ] THEN WARN THREAD1 FI")
     assert pairs(rint_step(program, DirDatabase())) == [("WARN", 1)]
@@ -206,6 +229,16 @@ def test_spare_replacement_updates_the_farm():
     assert db.errors == []
     assert sim.trace.count("action") == 4
     assert sim.trace.count("warn") == 2  # both survivors adopted the table
+
+
+def test_started_spare_takes_the_lowest_freed_ident():
+    sim, runtime = build_farm(spare=(4, 4))
+    db = DirDatabase()
+    execute_actions([ActionInstance("KILL", "entity", 2), ActionInstance("START", "entity", 4)], runtime, db)
+    sim.run_until_quiescent()
+    assert db.errors == []
+    assert runtime.view == {1: 1, 2: 4, 3: 3}
+    assert runtime.voter_states[4].ident == 2
 
 
 def test_failed_action_is_recorded_and_batch_continues():

@@ -57,6 +57,16 @@ def test_resolve_missing_and_malformed(tmp_path):
         resolve_scenario(str(bad))
 
 
+DEEP = 10_000  # nesting far past Python's recursion limit
+
+
+def test_cli_run_of_too_deeply_nested_json_exits_2(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text('{"farm": ' + "[" * (DEEP * 10) + "]" * (DEEP * 10) + "}")
+    assert cli.main(["run", str(deep)]) == 2
+    assert capsys.readouterr().err == f"vf: {deep}: JSON nested too deeply to read\n"
+
+
 @pytest.mark.parametrize(
     "mutation,message",
     [
@@ -297,6 +307,23 @@ def test_evaluator_verdicts(name, extra, assertion, ok):
     spec, dirs = load(name)
     result = run_scenario({**spec, **extra, "assertions": [assertion]}, dirs)
     assert [a["ok"] for a in result.assertions] == [ok], result.assertions
+
+
+def test_phase_grammar_names_each_voter_that_leaves_the_cycle():
+    spec, dirs = load("tmr_happy")
+    result = run_scenario({**spec, "assertions": []}, dirs)
+    assert check_phase_grammar(result) == []
+    walks = {
+        "voter:7@7": ["VFP_VOTING", "VFP_SUCCESS"],  # starts past VFP_INIT
+        "voter:8@8": ["VFP_INIT", "VFP_VOTING"],  # skips VFP_BROADCAST
+        "voter:9@9": ["VFP_INIT", "VFP_BROADCAST", "VFP_INIT", "VFP_BROADCAST"],  # restarted
+    }
+    for ep, phases in walks.items():
+        for phase in phases:
+            result.trace.append(result.sim.now, "phase", ep, "-", f"{phase} session=0 epoch=0")
+    bad = ["voter:7@7 starts in VFP_VOTING", "voter:8@8: VFP_INIT -> VFP_VOTING"]
+    assert check_phase_grammar(result) == bad
+    assert scenario._EVALUATORS["phase-grammar"][0](result, {"type": "phase-grammar"}) == (False, "; ".join(bad))
 
 
 def test_happy_run_delivers_exactly_three_completions():
@@ -589,6 +616,31 @@ def test_cli_rl_compile_rejects_a_file_that_is_not_text(tmp_path, capsys, binary
     assert cli.main(["rl", "compile", str(src), "-o", str(tmp_path / "bad.rc")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("vf: ") and f"{binary}: not UTF-8 text" in err
+
+
+DEEP_CONDITIONS = {
+    "and-chain": " AND ".join(["-FAULTY THREAD1"] * DEEP),
+    "nots": "NOT " * DEEP + "-FAULTY THREAD1",
+}
+
+
+@pytest.mark.parametrize("nesting", DEEP_CONDITIONS)
+def test_cli_on_a_too_deep_strategy_exits_2(tmp_path, capsys, nesting):
+    (tmp_path / "deep.rl").write_text(f"IF [ {DEEP_CONDITIONS[nesting]} ] THEN KILL THREAD1 FI\n")
+    (tmp_path / "deep.json").write_text(json.dumps({"farm": [[1, 1]], "recovery": {"rl": "deep.rl"}}))
+    assert cli.main(["rl", "compile", str(tmp_path / "deep.rl")]) == 2
+    assert cli.main(["run", str(tmp_path / "deep.json")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all(line.startswith("vf: ") and "nests deeper than" in line for line in err)
+
+
+def test_cli_rl_disasm_of_too_deep_r_code_exits_2(tmp_path, capsys):
+    # FAULTY THREAD1, then DEEP NOTs, then END; the rule kills THREAD1.
+    rc = tmp_path / "deep.rc"
+    rc.write_bytes(b"EFRC\x01\x00\x01\x10\x00\x01" + b"\x01" * DEEP + b"\x00\x01\x20\x01\x00\x01\x00")
+    assert cli.main(["rl", "disasm", str(rc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "nests deeper than" in captured.err
 
 
 def test_cli_rl_disasm_rejects_garbage(tmp_path, capsys):
