@@ -47,7 +47,7 @@ for line in disassemble(code).strip().splitlines():
 # group, which phase everyone reported last, which faults arrived.
 # Here thread 1 has tripped the failure phase (code 4).
 
-db = DirDatabase(groups={1: (1, 2, 3)}, phases={1: (4, 50), 2: (2, 50), 3: (2, 50)})
+db = DirDatabase(groups={1: (1, 2, 3)}, phases={1: 4, 2: 2, 3: 2})
 actions = rint_step(program, db)
 print("\nfiring against a database where thread 1 is in phase 4:")
 for act in actions:

@@ -95,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="module failure rate (per time unit)")
     p_rel.add_argument("--C", default="0,0.25,0.5,0.75,1",
                        help="comma list of recovery coverage values")
-    p_rel.add_argument("--grid", type=float, default=0.01, help="R step for curve export")
+    p_rel.add_argument("--grid", type=float, default=0.01, help="R step for curve export, in [0.01, 1]")
     p_rel.add_argument("--crosspoints", action="store_true",
                        help="solve R where each redundant curve meets the plain module")
     p_rel.add_argument("--verify-markov", action="store_true",

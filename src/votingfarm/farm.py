@@ -1,8 +1,11 @@
 """Farm runtime: wiring, membership bookkeeping and recovery actions.
 
 The runtime sits between the client calls (which run inside user-module
-processes) and the fabric.  It owns the canonical membership table and
-is the only component allowed to mutate it: voters learn about changes
+processes) and the fabric.  It owns the membership: `view`, the
+read-only FarmView the voters vote under.  A KILL, START, SHUTDOWN or
+ident compaction that changes its rows replaces it with a new view, so
+every voter spawned under one membership, and every WARN that
+publishes it, holds the same object.  Voters learn about changes
 exclusively through WARN messages.
 
 Terminology used throughout: an *entity* is the stable identity of one
@@ -14,9 +17,11 @@ survivors' idents in order.
 
 An entity is started once it has a VoterState; its voter endpoint is
 always Endpoint(entity_node[entity], "voter", entity), the same
-interned object the fabric registered.  The first node to run vf_run
-fixes the farm's descriptor and metric; a node that disagrees on
-either is rejected as SPMD-incoherent.
+interned object the fabric registered.  entity_node is the only record
+of a killed entity's node: it has left the view, but its endpoint is
+still looked up.  The first node to run vf_run fixes the farm's
+descriptor and metric; a node that disagrees on either is rejected as
+SPMD-incoherent.
 """
 
 from __future__ import annotations
@@ -50,9 +55,7 @@ class FarmRuntime:
         self.metric_name = "default"  # and its handle's metric with it
         self.spmd_incoherent = False
 
-        self.view: dict[int, int] = {}  # ident -> entity
-        self._view_rows: Optional[list[tuple[int, int, int]]] = None  # current_view's rows
-        self._farm_view: Optional[FarmView] = None
+        self.view = FarmView([])
         self.entity_node: dict[int, int] = {}
         self.voter_states: dict[int, VoterState] = {}  # started entities
         self.epoch = 0
@@ -79,12 +82,8 @@ class FarmRuntime:
 
     def local_voter_endpoint(self, node: int) -> Optional[Endpoint]:
         """The live member voter on a node, lowest ident first."""
-        for ident in sorted(self.view):
-            entity = self.view[ident]
-            if self.entity_node.get(entity) != node:
-                continue
-            ep = self.voter_endpoint(entity)
-            if ep is not None and self.sim.endpoint_alive(ep):
+        for ep in self.view.voter_endpoints:
+            if ep.node == node and self.sim.endpoint_alive(ep):
                 return ep
         return None
 
@@ -95,26 +94,9 @@ class FarmRuntime:
             raise VotingFarmError(f"cannot redirect output to node {node}: no user module there")
         self.sim.add_link(voter_ep, user_ep)
 
-    def current_view(self) -> FarmView:
-        """The membership as a FarmView: the same object while the
-        (ident, entity, node) rows are unchanged."""
-        rows = [(ident, entity, self.entity_node[entity]) for ident, entity in self.view.items()]
-        if rows != self._view_rows:
-            self._view_rows = rows
-            self._farm_view = FarmView([FarmSlot(*row) for row in rows])
-        return self._farm_view
-
     def live_entities(self) -> list[int]:
-        return [st.entity for st in self._live_states()]
-
-    def _live_states(self) -> list[VoterState]:
-        """The voter states of the live members, in view order."""
-        live = []
-        for e in self.view.values():
-            ep = self.voter_endpoint(e)
-            if ep is not None and self.sim.endpoint_alive(ep):
-                live.append(self.voter_states[e])
-        return live
+        """The live members, in ident order."""
+        return [ep.member for ep in self.view.voter_endpoints if self.sim.endpoint_alive(ep)]
 
     def declare_spare(self, entity: int, node: int) -> None:
         if entity in self.voter_states or entity in self.spares:
@@ -129,9 +111,8 @@ class FarmRuntime:
         if self.canonical is None:
             self.canonical = list(desc)
             self.metric_name = handle.metric_name
-            for member_node, ident in desc:
-                self.view[ident] = ident  # initial entity == ident
-                self.entity_node[ident] = member_node
+            self.view = FarmView([FarmSlot(ident, ident, n) for n, ident in desc])  # initial entity == ident
+            self.entity_node.update((ident, n) for n, ident in desc)
         elif self.canonical != desc or self.metric_name != handle.metric_name:
             what = "descriptor" if self.canonical != desc else "metric"
             self.spmd_incoherent = True
@@ -141,15 +122,9 @@ class FarmRuntime:
             raise SpmdIncoherence(f"node {node} disagrees with the active {what}")
         for member_node, ident in self.canonical:
             if member_node == node and ident not in self.voter_states:
-                self._spawn_voter(ident, ident)
+                self._spawn_voter(ident)
 
-    def _spawn_voter(
-        self,
-        entity: int,
-        ident: int,
-        epoch: Optional[int] = None,
-        next_session: int = 0,
-    ) -> None:
+    def _spawn_voter(self, entity: int, epoch: Optional[int] = None, next_session: int = 0) -> None:
         """Start the entity's voter on its node; a respawn reuses its endpoint."""
         node = self.entity_node[entity]
         ep = Endpoint(node, "voter", entity)
@@ -166,8 +141,7 @@ class FarmRuntime:
         # A respawned entity keeps any output redirect of its previous life.
         state = VoterState(
             entity=entity,
-            ident=ident,
-            view=self.current_view(),
+            view=self.view,
             delta_t=self.delta_t,
             select=self.select,
             metric_name=self.metric_name,
@@ -195,11 +169,13 @@ class FarmRuntime:
             self.epoch += 1
             self._batch_bumped = True
 
-    def _ident_of(self, entity: int) -> Optional[int]:
-        for ident, e in self.view.items():
-            if e == entity:
-                return ident
-        return None
+    def _drop_members(self, gone) -> bool:
+        """Replace the view without the slots gone(slot) picks; False if none is."""
+        kept = [s for s in self.view.slots if not gone(s)]
+        if len(kept) == self.view.size:
+            return False
+        self.view = FarmView(kept)
+        return True
 
     def kill_entity(self, entity: int) -> Optional[str]:
         ep = self.voter_endpoint(entity)
@@ -208,9 +184,7 @@ class FarmRuntime:
         self._ensure_bump()
         if self.sim.endpoint_alive(ep):
             self.sim.crash_endpoint(ep, reason="kill")
-        ident = self._ident_of(entity)
-        if ident is not None:
-            del self.view[ident]
+        self._drop_members(lambda s: s.entity == entity)
         return None
 
     def start_entity(self, entity: int) -> Optional[str]:
@@ -220,15 +194,14 @@ class FarmRuntime:
         if node is None:
             return f"{UnknownEntityAtRuntime.__name__}: START of undeclared entity {entity}"
         self._ensure_bump()
-        ident = 1
-        while ident in self.view:
-            ident += 1
-        self.view[ident] = entity
+        taken = {s.ident for s in self.view.slots}
+        ident = min(set(range(1, len(taken) + 2)) - taken)
+        self.view = FarmView([*self.view.slots, FarmSlot(ident, entity, node)])
         self.entity_node[entity] = node
         del self.spares[entity]
         # The WARNs that follow a START reset every survivor to session 0
         # under the new epoch, so the newcomer starts there as well.
-        self._spawn_voter(entity=entity, ident=ident)
+        self._spawn_voter(entity)
         return None
 
     def warn_entity(self, entity: int) -> Optional[str]:
@@ -238,15 +211,14 @@ class FarmRuntime:
         self._compact_idents()
         frm = self.rint_ep if self.rint_ep is not None else Endpoint(0, "rint")
         # Frames never leave the process: the WARN carries the view itself.
-        self.sim.post(frm, ep, wire.Warn(self.current_view(), self.epoch))
+        self.sim.post(frm, ep, wire.Warn(self.view, self.epoch))
         return None
 
     def restart_entity(self, entity: int) -> Optional[str]:
         ep = self.voter_endpoint(entity)
         if ep is None:
             return f"{UnknownEntityAtRuntime.__name__}: RESTART of unstarted entity {entity}"
-        ident = self._ident_of(entity)
-        if ident is None:
+        if self.view.slot_of_entity(entity) is None:
             return f"RESTART of entity {entity} which holds no ident"
         if self.sim.endpoint_alive(ep):
             self.sim.crash_endpoint(ep, reason="restart")
@@ -254,19 +226,16 @@ class FarmRuntime:
         # Join at the live members' epoch and session: below their
         # counter the newcomer would run phantom sessions that every
         # peer drops as stale.
-        live = self._live_states()
+        live = [self.voter_states[e] for e in self.live_entities()]
         self._spawn_voter(
-            entity=entity,
-            ident=ident,
+            entity,
             epoch=max((st.epoch for st in live), default=self.epoch),
             next_session=max((st.next_session for st in live), default=0),
         )
         return None
 
     def reboot_node(self, node: int) -> Optional[str]:
-        rebooted = [
-            e for e in self.view.values() if self.entity_node.get(e) == node
-        ]
+        rebooted = [s.entity for s in self.view.slots if s.node == node]
         if not rebooted:
             return f"REBOOT of node {node} which hosts no member"
         for entity in rebooted:
@@ -281,10 +250,8 @@ class FarmRuntime:
             found = True
             if self.sim.endpoint_alive(ep):
                 self.sim.crash_endpoint(ep, reason="shutdown")
-        for ident, entity in list(self.view.items()):
-            if self.entity_node.get(entity) == node:
-                self._ensure_bump()
-                del self.view[ident]
+        if self._drop_members(lambda s: s.node == node):
+            self._ensure_bump()
         if not found:
             return f"SHUTDOWN of unknown node {node}"
         return None
@@ -293,8 +260,8 @@ class FarmRuntime:
 
     def _compact_idents(self) -> None:
         """Renumber survivors 1..K in ident order before publishing."""
-        idents = sorted(self.view)
-        if idents == list(range(1, len(idents) + 1)):
+        slots = self.view.slots
+        if all(s.ident == new for new, s in enumerate(slots, start=1)):
             return
         self._ensure_bump()
-        self.view = {new: self.view[old] for new, old in enumerate(idents, start=1)}
+        self.view = FarmView([FarmSlot(new, s.entity, s.node) for new, s in enumerate(slots, start=1)])

@@ -3,12 +3,13 @@
 Two backbone processes cooperate: a director process collects phase
 reports and watchdog fault records into a shared database and raises a
 trigger whenever an error event arrives (a fault record, or a voter
-reporting VFP_FAILURE).  The database keeps each voter's last phase as
-its code, the VoterPhase value that `-PHASE` rules compare.  The
-interpreter process answers each trigger by evaluating every rule of
-the installed strategy against the database, in order, and executing
-the actions of all rules whose condition holds; if none holds, the
-DEFAULT block runs instead.
+reporting VFP_FAILURE).  The database keeps what rules read: each
+voter's last phase as its code, the VoterPhase value that `-PHASE`
+rules compare, and the entities with a fault record since the last
+PURGE, which `-FAULTY` tests.  The interpreter process answers each
+trigger by evaluating every rule of the installed strategy against the
+database, in order, and executing the actions of all rules whose
+condition holds; if none holds, the DEFAULT block runs instead.
 
 Rule evaluation is pure.  Only execute_actions touches the farm, via
 the runtime's recovery primitives, and every action lands in the
@@ -49,26 +50,10 @@ class DirDatabase:
     """What the recovery backbone knows about the farm."""
 
     groups: dict[int, tuple[int, ...]] = field(default_factory=dict)
-    phases: dict[int, tuple[int, int]] = field(default_factory=dict)  # entity -> (code, t)
-    faults: list[dict] = field(default_factory=list)
+    phases: dict[int, int] = field(default_factory=dict)  # entity -> last phase code
+    faulty: set[int] = field(default_factory=set)  # entities with a fault since the last PURGE
     action_log: list[dict] = field(default_factory=list)
     errors: list[str] = field(default_factory=list)
-
-    def record_phase(self, entity: int, code: int, t: int) -> None:
-        self.phases[entity] = (code, t)
-
-    def record_fault(self, entity: int, kind: str, t: int) -> None:
-        self.faults.append({"entity": entity, "kind": kind, "t": t})
-
-    def faulty(self, entity: int) -> bool:
-        return any(rec["entity"] == entity for rec in self.faults)
-
-    def phase_code(self, entity: int) -> Optional[int]:
-        rec = self.phases.get(entity)
-        return rec[0] if rec else None
-
-    def purge(self) -> None:
-        self.faults.clear()
 
     def verbs(self) -> list[str]:
         return [entry["verb"] for entry in self.action_log]
@@ -91,11 +76,9 @@ class ActionInstance:
 def _eval(cond: Cond, db: DirDatabase, bind: Optional[dict[int, int]]) -> bool:
     """Evaluate a condition; bind maps a group id to one of its members."""
     if isinstance(cond, Faulty):
-        return _subject_test(cond.subject, db, bind, lambda e: db.faulty(e))
+        return _subject_test(cond.subject, db, bind, db.faulty.__contains__)
     if isinstance(cond, PhaseEq):
-        return _subject_test(
-            cond.subject, db, bind, lambda e: db.phase_code(e) == cond.value
-        )
+        return _subject_test(cond.subject, db, bind, lambda e: db.phases.get(e) == cond.value)
     if isinstance(cond, Not):
         return not _eval(cond.operand, db, bind)
     if isinstance(cond, And):
@@ -189,7 +172,7 @@ def execute_actions(
     sim = runtime.sim
     # Looked up per call, so a patched runtime method is the one called.
     primitives = {
-        "PURGE": lambda _: db.purge(),
+        "PURGE": lambda _: db.faulty.clear(),
         "KILL": runtime.kill_entity,
         "START": runtime.start_entity,
         "RESTART": runtime.restart_entity,
@@ -223,11 +206,11 @@ def director_process(db: DirDatabase, rint_ep: Endpoint):
         while True:
             _, frame = yield Recv(None)
             if frame.kind == wire.K_PHASE:
-                db.record_phase(frame.member, frame.phase.value, proc.now)
+                db.phases[frame.member] = frame.phase.value
                 if frame.phase is not VoterPhase.VFP_FAILURE:
                     continue
             elif frame.kind == wire.K_FAULT:
-                db.record_fault(frame.member, frame.fault, proc.now)
+                db.faulty.add(frame.member)
             else:
                 continue
             # An error event: a fault record or a voter reporting failure.

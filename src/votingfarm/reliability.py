@@ -51,9 +51,10 @@ def check_rate(lam: float) -> None:
 
 
 def check_curve_step(step: float) -> None:
-    """Reject an R step for curve_export outside (0, 1]."""
-    if not 0.0 < step <= 1.0:
-        raise ValidationError(f"curve step must lie in (0, 1], got {step!r}")
+    """Reject an R step for curve_export outside [0.01, 1]: the R column
+    has two decimals, so a finer step would repeat its labels."""
+    if not 0.01 <= step <= 1.0:
+        raise ValidationError(f"curve step must lie in [0.01, 1], got {step!r}")
 
 
 def r_tmr(R):

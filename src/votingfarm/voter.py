@@ -56,10 +56,10 @@ class FarmSlot:
 
 
 class FarmView:
-    """A voter's current picture of the farm membership, with each
-    member's interned voter endpoint built once.  A view is read-only
-    and holds tuples, so the voters and WARNs of one membership share
-    one view."""
+    """A farm membership in ident order, each member's interned voter
+    endpoint built once.  Read-only tuples: the runtime replaces its view
+    when the membership changes, so the voters and WARNs of one membership
+    share one view, and a voter reads its own ident from the one it holds."""
 
     __slots__ = ("slots", "voter_endpoints")
 
@@ -95,7 +95,6 @@ class FarmView:
 @dataclass
 class VoterState:
     entity: int
-    ident: MemberId
     view: FarmView
     delta_t: int
     select: AlgorithmSelect
@@ -191,7 +190,6 @@ def _apply_warn(proc: Proc, state: VoterState, frame: wire.Frame) -> bool:
     if slot is None:
         return False
     state.view = view
-    state.ident = slot.ident
     state.epoch = epoch
     state.next_session = 0
     if state.phase is VoterPhase.VFP_FAILURE:
@@ -213,7 +211,7 @@ def _session(
     """
     n = state.view.size
     session = state.next_session
-    me = state.ident
+    me = state.view.slot_of_entity(state.entity).ident
     slots: list[VoteObject] = []
     own: Optional[bytes] = None
     held: list[tuple[Endpoint, wire.Frame]] = []

@@ -7,12 +7,16 @@ broadcast or an output; the other kinds carry control fields only.
 Senders build frames, the fabric carries them as they are and
 receivers read their attributes, so no message is serialised on its
 way: a phase report carries the voter's VoterPhase itself, whose value
-is the code recovery strategies compare.  A frame renders its trace detail once, when it is built: every
-frame is sent or posted, so it is traced at least once, and a
-broadcast shared by several receivers is rendered only once.
+is the code recovery strategies compare.
 
-``encode``/``decode`` define a kind, fields and payload's bytes
-layout, for use outside the fabric:
+A frame renders its trace detail once, when it is built: every frame
+is sent or posted, so it is traced at least once, and a broadcast
+shared by several receivers is rendered only once.
+
+``encode``/``decode`` define a bytes layout of a kind, fields and
+payload.  Nothing in the package or its demos calls them; they remain
+because the benchmark's tracer (perfbench/tracing.py) patches them by
+name, and go once its wire metrics are retired:
 
     kind:u8 | header_len:u32be | header (JSON, utf-8) | value payload
 

@@ -240,7 +240,7 @@ class TestCurveExport:
             assert float(delta) == pytest.approx(float(spare) - float(base), abs=2e-9)
             assert float(delta) >= -1e-9
 
-    @pytest.mark.parametrize("step", [0.0, -0.01, 1.5, np.nan])
+    @pytest.mark.parametrize("step", [0.0, -0.01, 1.5, np.nan, 0.005, 1e-9])
     def test_step_outside_the_unit_interval_is_rejected(self, step):
         with pytest.raises(ValidationError):
             curve_export([0.5], step=step)

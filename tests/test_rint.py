@@ -47,14 +47,14 @@ def pairs(instances):
 
 def test_phase_failure_triggers_spare_replacement():
     db = DirDatabase()
-    db.record_phase(1, 4, t=30)
+    db.phases[1] = 4
     got = rint_step(REPLACE_WITH_SPARE, db)
     assert pairs(got) == [("KILL", 1), ("START", 4), ("WARN", 2), ("WARN", 3)]
 
 
 def test_watchdog_fault_triggers_the_same_rule():
     db = DirDatabase()
-    db.record_fault(1, "crash", t=12)
+    db.faulty.add(1)
     assert pairs(rint_step(REPLACE_WITH_SPARE, db)) == [
         ("KILL", 1),
         ("START", 4),
@@ -65,7 +65,7 @@ def test_watchdog_fault_triggers_the_same_rule():
 
 def test_healthy_database_fires_nothing():
     db = DirDatabase()
-    db.record_phase(1, 3, t=10)  # success is not failure
+    db.phases[1] = 3  # success is not failure
     assert rint_step(REPLACE_WITH_SPARE, db) == []
 
 
@@ -76,13 +76,13 @@ def test_default_runs_only_when_no_rule_fires():
     clean = DirDatabase()
     assert [i.verb for i in rint_step(program, clean)] == ["PURGE"]
     dirty = DirDatabase()
-    dirty.record_fault(1, "crash", t=1)
+    dirty.faulty.add(1)
     assert [i.verb for i in rint_step(program, dirty)] == ["KILL"]
 
 
 def test_group_selector_kills_faulty_and_warns_rest():
     db = DirDatabase(groups={1: (1, 2, 3)})
-    db.record_fault(2, "crash", t=5)
+    db.faulty.add(2)
     assert pairs(rint_step(DEGRADE_GROUP, db)) == [("KILL", 2), ("WARN", 1), ("WARN", 3)]
 
 
@@ -93,7 +93,7 @@ def test_selector_bindings_partition_the_group():
         db = DirDatabase(groups={1: members})
         bad = {m for m in members if rng.random() < 0.4}
         for m in bad:
-            db.record_fault(m, "crash", t=1)
+            db.faulty.add(m)
         got = rint_step(DEGRADE_GROUP, db)
         kills = {i.target for i in got if i.verb == "KILL"}
         warns = {i.target for i in got if i.verb == "WARN"}
@@ -107,7 +107,7 @@ def test_selector_bindings_partition_the_group():
 
 def test_group_phase_predicate_matches_any_member():
     db = DirDatabase(groups={1: (1, 2, 3)})
-    db.record_phase(3, 4, t=9)
+    db.phases[3] = 4
     assert pairs(rint_step(DEGRADE_GROUP, db)) == [("KILL", 3), ("WARN", 1), ("WARN", 2)]
 
 
@@ -118,24 +118,24 @@ def test_all_true_rules_fire_in_order():
         "IF [ -FAULTY THREAD9 ] THEN KILL THREAD9 FI"
     )
     db = DirDatabase()
-    db.record_fault(2, "crash", t=1)
-    db.record_fault(1, "crash", t=2)
+    db.faulty.add(2)
+    db.faulty.add(1)
     assert pairs(rint_step(program, db)) == [("KILL", 1), ("KILL", 2)]
 
 
 def test_group_target_expands_to_members():
     program = parse_rl("IF [ -FAULTY THREAD1 ] THEN WARN GROUP2 FI")
     db = DirDatabase(groups={2: (4, 5)})
-    db.record_fault(1, "crash", t=1)
+    db.faulty.add(1)
     assert pairs(rint_step(program, db)) == [("WARN", 4), ("WARN", 5)]
 
 
 def test_and_rule_needs_both_operands():
     program = parse_rl("IF [ -FAULTY THREAD1 AND -FAULTY THREAD2 ] THEN KILL THREAD3 FI")
     db = DirDatabase()
-    db.record_fault(1, "crash", t=1)
+    db.faulty.add(1)
     assert rint_step(program, db) == []
-    db.record_fault(2, "crash", t=2)
+    db.faulty.add(2)
     assert pairs(rint_step(program, db)) == [("KILL", 3)]
 
 
@@ -144,9 +144,9 @@ def test_rule_over_two_groups_tests_each_whole_group():
     # when any member of its group satisfies it.
     program = parse_rl("IF [ -FAULTY GROUP1 AND -FAULTY GROUP2 ] THEN WARN GROUP1 FI")
     db = DirDatabase(groups={1: (1, 2), 2: (3, 4)})
-    db.record_fault(2, "crash", t=1)
+    db.faulty.add(2)
     assert rint_step(program, db) == []
-    db.record_fault(4, "crash", t=2)
+    db.faulty.add(4)
     assert pairs(rint_step(program, db)) == [("WARN", 1), ("WARN", 2)]
 
 
@@ -154,7 +154,7 @@ def test_negated_condition():
     program = parse_rl("IF [ NOT -FAULTY THREAD1 ] THEN WARN THREAD1 FI")
     assert pairs(rint_step(program, DirDatabase())) == [("WARN", 1)]
     db = DirDatabase()
-    db.record_fault(1, "crash", t=1)
+    db.faulty.add(1)
     assert rint_step(program, db) == []
 
 
@@ -180,7 +180,7 @@ def test_director_records_the_phase_code_and_triggers_only_on_failure(phase, cod
     sim.spawn(interpreter, rint)
     sim.post(voter_ep(2, 2), dirnet, wire.Phase(2, phase))
     sim.run_until_quiescent()
-    assert db.phases == {2: (code, 0)}
+    assert db.phases == {2: code}
     assert got == ([("trigger", 2)] if triggers else [])
 
 
@@ -216,13 +216,13 @@ def voter_ep(entity, node):
 def test_spare_replacement_updates_the_farm():
     sim, runtime = build_farm(spare=(4, 1))
     db = DirDatabase()
-    db.record_phase(1, 4, t=sim.now)
+    db.phases[1] = 4
     execute_actions(rint_step(REPLACE_WITH_SPARE, db), runtime, db)
     sim.run_until_quiescent()
 
     assert not sim.endpoint_alive(voter_ep(1, 1))
     assert sim.endpoint_alive(voter_ep(4, 1))
-    assert runtime.view == {1: 4, 2: 2, 3: 3}
+    assert runtime.view.to_fields() == [[1, 4, 1], [2, 2, 2], [3, 3, 3]]
     assert runtime.epoch == 1  # one bump for the whole batch
     assert db.verbs() == ["KILL", "START", "WARN", "WARN"]
     assert all(entry["ok"] for entry in db.action_log)
@@ -237,14 +237,14 @@ def test_started_spare_takes_the_lowest_freed_ident():
     execute_actions([ActionInstance("KILL", "entity", 2), ActionInstance("START", "entity", 4)], runtime, db)
     sim.run_until_quiescent()
     assert db.errors == []
-    assert runtime.view == {1: 1, 2: 4, 3: 3}
-    assert runtime.voter_states[4].ident == 2
+    assert runtime.view.to_fields() == [[1, 1, 1], [2, 4, 4], [3, 3, 3]]
+    assert runtime.voter_states[4].view is runtime.view
 
 
 def test_failed_action_is_recorded_and_batch_continues():
     sim, runtime = build_farm()
     db = DirDatabase()
-    db.record_fault(2, "crash", t=sim.now)
+    db.faulty.add(2)
     execute_actions(
         [
             ActionInstance("KILL", "entity", 2),
@@ -257,7 +257,7 @@ def test_failed_action_is_recorded_and_batch_continues():
     sim.run_until_quiescent()
     assert [e["ok"] for e in db.action_log] == [True, False, True]
     assert len(db.errors) == 1 and "WARN to dead entity 2" in db.errors[0]
-    assert db.faults == []  # the purge still ran
+    assert db.faulty == set()  # the purge still ran
     assert sim.trace.count("action-error") == 1
 
 
@@ -304,7 +304,7 @@ def test_restart_keeps_ident_and_revives_endpoint():
     execute_actions([ActionInstance("RESTART", "entity", 3)], runtime, db)
     sim.run_until_quiescent()
     assert sim.endpoint_alive(voter_ep(3, 3))
-    assert runtime.view[3] == 3
+    assert runtime.view.slot_of_entity(3).ident == 3
     assert db.action_log[0]["ok"]
 
 
@@ -326,7 +326,7 @@ def test_shutdown_silences_a_node_and_drops_its_member():
     sim.run_until_quiescent()
     assert not sim.endpoint_alive(voter_ep(3, 3))
     assert not sim.endpoint_alive(Endpoint(3, "user"))
-    assert 3 not in runtime.view
+    assert runtime.view.slot_of_entity(3) is None
     execute_actions([ActionInstance("SHUTDOWN", "node", 9)], runtime, db)
     assert "unknown node 9" in db.errors[-1]
 

@@ -692,12 +692,12 @@ def test_cli_reliability_refuses_a_nan_rate_promptly():
     assert child.stderr.startswith("vf: lambda must be finite and positive")
 
 
-@pytest.mark.parametrize("grid", ["0", "-0.01", "1.5", "nan"])
+@pytest.mark.parametrize("grid", ["0", "-0.01", "1.5", "nan", "0.005", "1e-9"])
 def test_cli_reliability_rejects_a_bad_grid(capsys, grid):
     assert cli.main(["reliability", "--C", "0.5", "--grid", grid]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("vf: curve step must lie in (0, 1]")
+    assert captured.err.startswith("vf: curve step must lie in [0.01, 1]")
 
 
 @pytest.mark.parametrize("mode", [[], ["--crosspoints"], ["--verify-markov"]])

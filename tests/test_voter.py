@@ -132,8 +132,8 @@ def test_the_voters_of_one_membership_share_one_view():
     assert all(final_status(reports, node).detail == "ok" for node in range(1, n + 1))
     views = {id(state.view) for state in runtime.voter_states.values()}
     assert len(runtime.voter_states) == n and len(views) == 1
-    assert runtime.current_view() is runtime.voter_states[1].view
-    assert runtime.current_view().to_fields() == [[k, k, k] for k in range(1, n + 1)]
+    assert runtime.view is runtime.voter_states[1].view
+    assert runtime.view.to_fields() == [[k, k, k] for k in range(1, n + 1)]
 
 
 def test_warns_after_a_membership_change_carry_a_new_shared_view(monkeypatch):
