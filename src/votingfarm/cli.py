@@ -104,7 +104,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_perf = sub.add_parser("perf", help="crossbar schedules, resources, latency")
     p_perf.add_argument("--N", default="4..64",
-                        help="farm sizes: single value, comma list, or a..b doubling range")
+                        help=f"farm sizes, each in [1, {MAX_PERF_N}]: single value, comma list, "
+                             "or a..b doubling range")
     p_perf.add_argument("--perm", default="identity,onecycle",
                         help="comma list of schedule permutations")
     p_perf.add_argument("--mode", default="half", choices=("half", "full"),
@@ -114,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_perf.add_argument("--best", action="store_true",
                         help="print the exhaustive search's best schedule for each N")
     p_perf.add_argument("--resources", action="store_true",
-                        help="print voters,endpoints,links for each N")
+                        help="print voters,local links,virtual links for each N")
     p_perf.add_argument("--table6", action="store_true",
                         help="print the simulated latency table for N=1..4")
     p_perf.add_argument("--repeats", type=int, default=3, help="latency runs per N")
@@ -211,6 +212,12 @@ def _cmd_reliability(args) -> int:
     return 0
 
 
+# The largest farm size vf perf takes: --steps and --best build N(N-1)
+# targets per size, and an identity schedule at N = 512 already takes
+# about 0.13 s, growing about as N squared.
+MAX_PERF_N = 1024
+
+
 def _parse_sizes(text: str) -> list[int]:
     try:
         if ".." in text:
@@ -223,8 +230,8 @@ def _parse_sizes(text: str) -> list[int]:
             sizes = [int(v) for v in text.split(",") if v.strip() != ""]
     except ValueError as exc:
         raise VotingFarmError(f"bad --N {text!r}: {exc}") from exc
-    if not sizes or min(sizes) < 1:
-        raise VotingFarmError(f"bad --N {text!r}: need one or more farm sizes, each at least 1")
+    if not sizes or not 1 <= min(sizes) <= max(sizes) <= MAX_PERF_N:
+        raise VotingFarmError(f"bad --N {text!r}: need one or more farm sizes, each in [1, {MAX_PERF_N}]")
     return sizes
 
 

@@ -37,8 +37,9 @@ time.
 
 A blocking send is one event at its delivery time: it delivers the
 frame (unless an omission dropped it) and then resumes the sender, so
-nothing can run between the two.  A timed Recv takes its seq when the
-wait starts; that (time, seq) deadline is where its timeout fires.
+nothing can run between the two.  A post is the same event with no
+sender to resume.  A timed Recv takes its seq when the wait starts;
+that (time, seq) deadline is where its timeout fires.
 Each process has at most one live timer in the queue, since most waits
 end by a delivery long before they expire: a wait arms a timer only
 when the process has none, or only a later one.  When a timer pops, it
@@ -537,11 +538,11 @@ class Simulator:
         Used by the recovery backbone (phase reports, fault records,
         WARN pushes): these travel on a dedicated channel that is not
         part of the farm's accounted resources and never blocks the
-        sender.  Delivery happens at the current time, after everything
-        already scheduled.
+        sender.  Delivery is a send event at the current time, after
+        everything already scheduled, with no sender to resume.
         """
         self.trace.append(self.now, "post", frm.name, to.name, data.trace_detail)
-        self._schedule(self.now, "deliver", (frm, to, data))
+        self._schedule(self.now, "send", (None, frm, to, data))
 
     # -- scheduler ----------------------------------------------------
 
@@ -567,17 +568,15 @@ class Simulator:
             t, _, tag, data = entry = heapq.heappop(heap)
             self.now = max(self.now, t)
             if tag == "send":
-                p, to, frame = data
+                p, frm, to, frame = data
                 if frame is not None:
-                    self._deliver(p.endpoint, to, frame)
-                self._step(p, None)
+                    self._deliver(frm, to, frame)
+                if p is not None:
+                    self._step(p, None)
             elif tag == "timeout":
                 self._expire(data, entry)
             elif tag == "step":
                 self._step(data, None)
-            elif tag == "deliver":
-                frm, to, frame = data
-                self._deliver(frm, to, frame)
             elif tag == "fault":
                 self._activate_fault(data)
         self.quiescent = True
@@ -714,6 +713,6 @@ class Simulator:
             sender_st.pending_omission = False
             self.trace.append(self.now, "drop", frm.name, to.name, "omission")
             data = None
-        self._schedule(t_del, "send", (p, to, data))
+        self._schedule(t_del, "send", (p, frm, to, data))
         return False
 

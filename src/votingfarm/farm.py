@@ -36,10 +36,6 @@ from .fabric import Endpoint, Simulator
 from .voter import FarmSlot, FarmView, VoterState, voter_process
 
 
-class UnknownEntityAtRuntime(VotingFarmError):
-    """A recovery action named an entity that is dead or was never started."""
-
-
 class FarmRuntime:
     def __init__(
         self,
@@ -180,7 +176,7 @@ class FarmRuntime:
     def kill_entity(self, entity: int) -> Optional[str]:
         ep = self.voter_endpoint(entity)
         if ep is None:
-            return f"{UnknownEntityAtRuntime.__name__}: KILL of unstarted entity {entity}"
+            return f"UnknownEntityAtRuntime: KILL of unstarted entity {entity}"
         self._ensure_bump()
         if self.sim.endpoint_alive(ep):
             self.sim.crash_endpoint(ep, reason="kill")
@@ -192,7 +188,7 @@ class FarmRuntime:
             return f"START of already started entity {entity}"
         node = self.spares.get(entity)
         if node is None:
-            return f"{UnknownEntityAtRuntime.__name__}: START of undeclared entity {entity}"
+            return f"UnknownEntityAtRuntime: START of undeclared entity {entity}"
         self._ensure_bump()
         taken = {s.ident for s in self.view.slots}
         ident = min(set(range(1, len(taken) + 2)) - taken)
@@ -207,7 +203,7 @@ class FarmRuntime:
     def warn_entity(self, entity: int) -> Optional[str]:
         ep = self.voter_endpoint(entity)
         if ep is None or not self.sim.endpoint_alive(ep):
-            return f"{UnknownEntityAtRuntime.__name__}: WARN to dead entity {entity}"
+            return f"UnknownEntityAtRuntime: WARN to dead entity {entity}"
         self._compact_idents()
         frm = self.rint_ep if self.rint_ep is not None else Endpoint(0, "rint")
         # Frames never leave the process: the WARN carries the view itself.
@@ -217,7 +213,7 @@ class FarmRuntime:
     def restart_entity(self, entity: int) -> Optional[str]:
         ep = self.voter_endpoint(entity)
         if ep is None:
-            return f"{UnknownEntityAtRuntime.__name__}: RESTART of unstarted entity {entity}"
+            return f"UnknownEntityAtRuntime: RESTART of unstarted entity {entity}"
         if self.view.slot_of_entity(entity) is None:
             return f"RESTART of entity {entity} which holds no ident"
         if self.sim.endpoint_alive(ep):

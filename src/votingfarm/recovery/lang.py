@@ -13,9 +13,12 @@ A strategy is a list of guarded rules plus an optional default block:
 
 Keywords are upper-case.  Predicates are prefixed with `-`.  `{NAME}`
 de-references a definition imported from an included file, which may
-only contain C-style `#define NAME integer` lines.  Inside the square
-brackets of a condition, line breaks are insignificant; inside a THEN
-block, a line break (or AND) separates actions.  THREAD@ names the
+only contain C-style `#define NAME integer` lines and comments; a
+#define inside a /* */ comment, on one line or over several, is not
+read.  Inside the square brackets of a condition, line breaks are
+insignificant; inside a THEN block, a line break (or AND) separates
+actions, and a comma continues an action's target list only on the
+line of the target before it.  THREAD@ names the
 group members that made the rule's condition true and THREAD~ the rest
 of the group; both require the condition to test exactly one group.
 A condition nests at most MAX_DEPTH levels.
@@ -26,6 +29,7 @@ parses each text once per content (see its docstring).
 
 from __future__ import annotations
 
+import io
 import os
 import re
 from dataclasses import dataclass
@@ -166,45 +170,6 @@ class Token:
     col: int
 
 
-def tokenize(source: str) -> list[Token]:
-    tokens: list[Token] = []
-    for lineno, text in enumerate(source.split("\n"), start=1):
-        pos = 0
-        while pos < len(text):
-            m = _TOKEN_RE.match(text, pos)
-            if m is None:
-                raise RlSyntaxError(f"unexpected character {text[pos]!r}", lineno, pos + 1)
-            pos = m.end()
-            kind = m.lastgroup
-            val = m.group()
-            col = m.start() + 1
-            if kind in ("ws", "comment"):
-                continue
-            if kind == "string":
-                tokens.append(Token("string", val[1:-1], lineno, col))
-            elif kind == "deref":
-                tokens.append(Token("deref", val[1:-1], lineno, col))
-            elif kind == "pred":
-                tokens.append(Token("pred", val[1:].upper(), lineno, col))
-            elif kind == "entity":
-                tokens.append(Token("entity", _entity_ref(val), lineno, col))
-            elif kind == "word":
-                if val not in _KEYWORDS:
-                    if val.startswith(("THREAD", "GROUP")):
-                        raise UnknownEntity(f"malformed entity {val!r}", lineno, col)
-                    raise RlSyntaxError(f"unknown word {val!r}", lineno, col)
-                tokens.append(Token("kw", val, lineno, col))
-            elif kind == "int":
-                tokens.append(Token("int", int(val), lineno, col))
-            elif kind == "eqeq":
-                tokens.append(Token("eqeq", "==", lineno, col))
-            else:
-                tokens.append(Token(val, val, lineno, col))
-        tokens.append(Token("nl", "\n", lineno, len(text) + 1))
-    tokens.append(Token("eof", None, len(source.split("\n")) + 1, 1))
-    return tokens
-
-
 def _entity_ref(text: str) -> EntityRef:
     if text == "THREAD@":
         return EntityRef(FULFILLED)
@@ -215,6 +180,36 @@ def _entity_ref(text: str) -> EntityRef:
     return EntityRef(GROUP, int(text[5:]))
 
 
+# A token's value from its text, by kind; any other kind keeps its text.
+_VALUE = {"string": lambda t: t[1:-1], "deref": lambda t: t[1:-1], "pred": lambda t: t[1:],
+          "int": int, "entity": _entity_ref}
+
+
+def tokenize(source: str) -> list[Token]:
+    tokens: list[Token] = []
+    for lineno, text in enumerate(source.split("\n"), start=1):
+        pos = 0
+        while pos < len(text):
+            m = _TOKEN_RE.match(text, pos)
+            if m is None:
+                raise RlSyntaxError(f"unexpected character {text[pos]!r}", lineno, pos + 1)
+            pos = m.end()
+            kind, val, col = m.lastgroup, m.group(), m.start() + 1
+            if kind in ("ws", "comment"):
+                continue
+            if kind == "word":
+                if val not in _KEYWORDS:
+                    if val.startswith(("THREAD", "GROUP")):
+                        raise UnknownEntity(f"malformed entity {val!r}", lineno, col)
+                    raise RlSyntaxError(f"unknown word {val!r}", lineno, col)
+                kind = "kw"
+            elif kind == "punct":
+                kind = val
+            tokens.append(Token(kind, _VALUE.get(kind, str)(val), lineno, col))
+    tokens.append(Token("eof", None, lineno + 1, 1))
+    return tokens
+
+
 # -- include files ------------------------------------------------------
 
 _DEFINE_RE = re.compile(r"^\s*#\s*define\s+([A-Za-z_][A-Za-z0-9_]*)\s+(-?[0-9]+)\s*$")
@@ -222,11 +217,7 @@ _DEFINE_RE = re.compile(r"^\s*#\s*define\s+([A-Za-z_][A-Za-z0-9_]*)\s+(-?[0-9]+)
 
 def read_text(path: str) -> str:
     """A strategy source or header file's text; VotingFarmError if it is not UTF-8."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
-    except UnicodeDecodeError as exc:
-        raise VotingFarmError(f"{path}: not UTF-8 text: {exc}") from exc
+    return _decoded(path, _file_bytes(path))
 
 
 def _file_bytes(path: str) -> bytes:
@@ -234,11 +225,26 @@ def _file_bytes(path: str) -> bytes:
         return fh.read()
 
 
+def _decoded(path: str, data: bytes) -> str:
+    """The file's bytes as text, read as open(path, encoding="utf-8") reads them."""
+    try:
+        return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
+    except UnicodeDecodeError as exc:
+        raise VotingFarmError(f"{path}: not UTF-8 text: {exc}") from exc
+
+
 def load_definitions(path: str) -> dict[str, int]:
     """Read `#define NAME integer` lines from a C-style header."""
+    return _definitions(read_text(path))
+
+
+def _definitions(text: str) -> dict[str, int]:
+    # /* */ comments go first, over the whole text, keeping their line
+    # breaks: a #define inside one that spans lines is not read.
+    text = re.sub(r"/\*.*?\*/", lambda m: "\n" * m.group().count("\n"), text, flags=re.S)
     defs: dict[str, int] = {}
-    for raw in read_text(path).splitlines():
-        line = re.sub(r"/\*.*?\*/", "", raw).strip()
+    for raw in text.splitlines():
+        line = raw.strip()
         if not line or line.startswith("//"):
             continue
         m = _DEFINE_RE.match(line)
@@ -266,17 +272,12 @@ class _Parser:
         self.include_dirs = include_dirs
         self.headers: list[tuple[str, str, bytes]] = []  # (name, path, bytes) of each INCLUDE
 
-    # token plumbing; newlines are skipped unless the caller cares
+    # token plumbing
 
-    def peek(self, keep_nl: bool = False) -> Token:
-        i = self.pos
-        while not keep_nl and self.tokens[i].kind == "nl":
-            i += 1
-        return self.tokens[i]
+    def peek(self) -> Token:
+        return self.tokens[self.pos]
 
-    def next(self, keep_nl: bool = False) -> Token:
-        while not keep_nl and self.tokens[self.pos].kind == "nl":
-            self.pos += 1
+    def next(self) -> Token:
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
@@ -327,8 +328,9 @@ class _Parser:
         path = resolve_include(name, self.include_dirs)
         if path is None:
             raise RlSyntaxError(f"include file {name!r} not found", tok.line, tok.col)
-        self.defs.update(load_definitions(path))
-        self.headers.append((name, path, _file_bytes(path)))
+        data = _file_bytes(path)  # read once: the definitions and the cache key come from the same bytes
+        self.defs.update(_definitions(_decoded(path, data)))
+        self.headers.append((name, path, data))
 
     def rule(self) -> GuardedRule:
         self.expect("kw", "IF")
@@ -430,15 +432,12 @@ class _Parser:
             return Action(verb)
         if verb in _NODE_VERBS:
             return Action(verb, (EntityRef(NODE, self.int_value()),))
-        targets = [self.target_ref()]
-        while self.peek(keep_nl=True).kind == ",":
-            self.next(keep_nl=True)
-            targets.append(self.target_ref())
-        return Action(verb, tuple(targets))
-
-    def target_ref(self) -> EntityRef:
-        tok = self.expect("entity")
-        return tok.value
+        # A comma continues the list only on the line of the target before it.
+        targets = [self.expect("entity")]
+        while self.peek().kind == "," and self.peek().line == targets[-1].line:
+            self.next()
+            targets.append(self.expect("entity"))
+        return Action(verb, tuple(tok.value for tok in targets))
 
 
 def _condition_groups(cond: Cond) -> list[int]:

@@ -138,10 +138,7 @@ def _object_walker(s: dict, at: str, must: str):
     props, title, one_of, apart = s["properties"], s["title"], s.get("oneOf", ()), s.get("apart")
     prefix, fields, needs, defaults = s.get("prefix", title + " "), {}, {}, {}
     for key, (f, d) in props.items():
-        walk_field = _compile(f, prefix + key)
-        # A plain leaf is checked inline and walked only to name its error.
-        types = _TYPES[f["type"]][0] if f.keys() <= {"type", "minimum", "enum"} else ()
-        fields[key] = (types, f.get("minimum"), f.get("enum"), walk_field)
+        walk_field = fields[key] = _compile(f, prefix + key)
         if d is REQUIRED:
             needs[key] = f"each {title} needs {key}: {prefix}{key} must {_must(f)}"
         elif d is not OPTIONAL:
@@ -155,11 +152,9 @@ def _object_walker(s: dict, at: str, must: str):
         if not known >= keys:
             raise ScenarioError(f"unknown {title} key {min(keys - known)!r}")
         for k, v in value.items():
-            types, lo, choices, walk_field = fields[k]
-            if type(v) not in types or (lo is not None and v < lo) or (choices and v not in choices):
-                checked = walk_field(v, None)
-                if checked is not v:
-                    changed[k] = checked
+            checked = fields[k](v, None)
+            if checked is not v:
+                changed[k] = checked
         if not keys >= required:
             raise ScenarioError(next(needs[k] for k in needs if k not in value))
         if one_of and sum(map(keys.__contains__, one_of)) != 1:
@@ -411,21 +406,17 @@ def run_scenario(spec: dict, search_dirs: tuple[str, ...] = ()) -> RunResult:
     for spare in spec["spares"]:
         runtime.declare_spare(spare["entity"], spare["node"])
 
-    farm_rows = spec["farm"]
-    for node in user_nodes:
-        runtime.ensure_user_endpoint(node)
-
     mismatch = spec.get("spmd_mismatch")
     users: dict[int, dict] = {}
     handles: dict[int, FarmHandle] = {}
     procs: dict[int, Proc] = {}
     for node in user_nodes:
-        rows = mismatch["farm"] if mismatch and mismatch["node"] == node else farm_rows
+        rows = mismatch["farm"] if mismatch and mismatch["node"] == node else spec["farm"]
         inputs = sorted(spec["inputs"].get(node, []), key=lambda item: item["at"])
         report = users[node] = {"statuses": [], "outputs": [], "refused": 0, "error": None, "done": False}
         handle = handles[node] = vf_open(runtime, spec["metric"])
         procs[node] = sim.spawn(
-            _user_program(spec, handle, rows, report, inputs), Endpoint(node, "user")
+            _user_program(spec, handle, rows, report, inputs), runtime.ensure_user_endpoint(node)
         )
 
     for f, target in zip(spec["faults"], targets):

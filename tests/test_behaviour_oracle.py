@@ -29,8 +29,10 @@ files feed the validator oracle's pinned corpus.
 """
 
 import hashlib
+import io
 from pathlib import Path
 
+from votingfarm import scenario as scenario_module
 from votingfarm.scenario import bundled_dir, run_scenario, write_artifacts
 
 SCENARIOS = Path(__file__).resolve().parent / "scenarios"
@@ -148,7 +150,21 @@ def scenario(i: int) -> dict:
     return spec
 
 
-def run_digest(spec: dict, outdir: Path) -> str:
+class MemoryFile(io.StringIO):
+    """A file write_artifacts opens, kept in files under its path once
+    closed: the same text, without the disk's cost."""
+
+    def __init__(self, files: dict, path: str, mode: str, encoding: str):
+        assert (mode, encoding) == ("w", "utf-8")
+        super().__init__()
+        self.files, self.path = files, path
+
+    def close(self) -> None:
+        self.files[self.path] = self.getvalue()
+        super().close()
+
+
+def run_digest(spec: dict, outdir: Path, files: dict) -> str:
     """SHA-256 over the run's three artifact files, or over the error it raised."""
     h = hashlib.sha256()
     try:
@@ -157,16 +173,16 @@ def run_digest(spec: dict, outdir: Path) -> str:
         h.update(f"{type(exc).__name__}: {exc}".encode())
         return h.hexdigest()
     for path in written:
-        h.update(Path(path).read_bytes())
+        h.update(files.pop(path).encode())
         h.update(b"\0")
     return h.hexdigest()
 
 
-def bucket_digests(outdir: Path) -> list[str]:
+def bucket_digests(outdir: Path, files: dict) -> list[str]:
     """The first 16 hex digits of each bucket's digest over its runs' digests."""
     buckets = [hashlib.sha256() for _ in range(BUCKETS)]
     for i in range(RUNS):
-        buckets[i * BUCKETS // RUNS].update(run_digest(scenario(i), outdir).encode())
+        buckets[i * BUCKETS // RUNS].update(run_digest(scenario(i), outdir, files).encode())
     return [b.hexdigest()[:16] for b in buckets]
 
 
@@ -191,9 +207,12 @@ ORACLE_BUCKETS = [
 ]
 
 
-def test_runs_answer_the_pinned_oracle(tmp_path):
+def test_runs_answer_the_pinned_oracle(tmp_path, monkeypatch):
+    files = {}
+    monkeypatch.setattr(scenario_module, "open", lambda *args, **kw: MemoryFile(files, *args, **kw),
+                        raising=False)
     assert RUNS == ORACLE_RUNS
-    got = bucket_digests(tmp_path)
+    got = bucket_digests(tmp_path, files)
     moved = [
         f"bucket {b} (runs {-(-b * RUNS // BUCKETS)}..{-(-(b + 1) * RUNS // BUCKETS) - 1})"
         for b, (mine, pinned) in enumerate(zip(got, ORACLE_BUCKETS)) if mine != pinned

@@ -107,6 +107,13 @@ def test_warn_target_list_stays_one_action():
     assert program.rules[0].actions == (Action("WARN", (T2, T3, T4)),)
 
 
+def test_a_comma_continues_a_target_list_only_on_the_line_of_the_target_before_it():
+    program = parse("IF [ -FAULTY THREAD1 ] THEN\nWARN THREAD2,\n    THREAD3\nFI")
+    assert program.rules[0].actions == (Action("WARN", (T2, T3)),)
+    with pytest.raises(RlSyntaxError, match="line 3:1: expected kw, got ','"):
+        parse("IF [ -FAULTY THREAD1 ] THEN\nWARN THREAD2\n, THREAD3\nFI")
+
+
 def test_node_verbs_take_node_numbers():
     program = parse(
         "IF [ -FAULTY THREAD1 ] THEN REBOOT 3 AND SHUTDOWN 1 AND PURGE FI"
@@ -222,6 +229,25 @@ def test_load_definitions_parses_only_define_lines(tmp_path):
         "int x = 5;\n"
     )
     assert load_definitions(str(hdr)) == {"A": 1, "B": -2}
+
+
+def test_a_define_inside_a_comment_over_several_lines_is_not_read(tmp_path):
+    (tmp_path / "old.h").write_text("/* old codes:\n#define VFP_FAILURE 9\n*/\n#define VFP_INIT 0\n")
+    assert load_definitions(str(tmp_path / "old.h")) == {"VFP_INIT": 0}
+    with pytest.raises(UndefinedName, match=r"line 2:24: \{VFP_FAILURE\} is not defined"):
+        parse('INCLUDE "old.h"\nIF [ -PHASE THREAD1 == {VFP_FAILURE} ] THEN KILL THREAD1 FI',
+              include_dirs=(str(tmp_path),))
+
+
+def test_a_parse_reads_each_header_once(tmp_path, monkeypatch):
+    # The definitions and the bytes the kept program is checked against
+    # must come from one read, or an edit between two reads goes unseen.
+    rl = _strategy(tmp_path)
+    opened = []
+    monkeypatch.setattr(lang, "open", lambda path, *a, **k: opened.append(path) or open(path, *a, **k),
+                        raising=False)
+    assert _parse_file(rl).rules[0].condition == PhaseEq(T1, 4)
+    assert opened == [str(rl), str(tmp_path / "codes.h")]
 
 
 def test_syntax_errors_carry_line_and_column():

@@ -798,6 +798,12 @@ def test_cli_perf_resources(capsys):
     assert lines == [f"{n},{n},{n * (n - 1) // 2}" for n in range(1, 9)]
 
 
+def test_cli_perf_takes_sizes_up_to_the_bound(capsys):
+    # --resources only evaluates a formula, so the largest size costs nothing.
+    assert cli.main(["perf", "--resources", "--N", str(cli.MAX_PERF_N)]) == 0
+    assert capsys.readouterr().out == "1024,1024,523776\n"
+
+
 def test_cli_perf_latency_table(capsys):
     assert cli.main(["perf", "--table6", "--repeats", "1"]) == 0
     lines = capsys.readouterr().out.strip().split("\n")
@@ -812,8 +818,10 @@ def test_cli_perf_latency_table(capsys):
         (["--steps", "--N", "8..4"], "bad --N"),
         (["--resources", "--N", "4,x"], "bad --N"),
         (["--table6", "--repeats", "0"], "repeats must be at least 1"),
+        (["--steps", "--N", "2048"], "bad --N '2048': need one or more farm sizes, each in [1, 1024]"),
+        (["--best", "--N", "1..100000"], "each in [1, 1024]"),
     ],
-    ids=["range-from-zero", "empty-range", "not-a-number", "zero-repeats"],
+    ids=["range-from-zero", "empty-range", "not-a-number", "zero-repeats", "above-the-bound", "range-past-the-bound"],
 )
 def test_cli_perf_rejects_unusable_sizes_and_repeats(capsys, argv, message):
     assert cli.main(["perf", *argv]) == 2
