@@ -213,8 +213,9 @@ def _cmd_reliability(args) -> int:
 
 
 # The largest farm size vf perf takes: --steps and --best build N(N-1)
-# targets per size, and an identity schedule at N = 512 already takes
-# about 0.13 s, growing about as N squared.
+# targets per size, and an identity schedule at N = 1024 takes about
+# 0.3 s (Python 3.11 on a shared 2-core x86 host), growing about as N
+# squared.
 MAX_PERF_N = 1024
 
 
@@ -273,9 +274,11 @@ def _cmd_perf(args) -> int:
         print("N,order,relative,steps,one_cycled_steps")
         for n in sizes:
             perm, res = best_permutation(n, mode=args.mode)
-            cycled = schedule_steps(one_cycled_permutation(n), mode=args.mode)
+            cycled = one_cycled_permutation(n)
+            # When one-cycled wins, best_permutation has simulated it already.
+            cycled_res = res if perm == cycled else schedule_steps(cycled, mode=args.mode)
             order = " ".join(str(x) for x in perm.order)
-            print(f"{n},{order},{str(perm.relative).lower()},{res.steps},{cycled.steps}")
+            print(f"{n},{order},{str(perm.relative).lower()},{res.steps},{cycled_res.steps}")
     if args.resources:
         did_something = True
         for n in sizes:

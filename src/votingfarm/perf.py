@@ -34,6 +34,7 @@ from __future__ import annotations
 import itertools
 import math
 import statistics
+from array import array
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -71,12 +72,13 @@ class SchedulePermutation:
         return len(self.order)
 
     def targets(self, k: int) -> list[int]:
-        n = len(self.order)
-        if self.relative:
-            seq = [((x - 1 + (k - 1)) % n) + 1 for x in self.order]
-        else:
-            seq = list(self.order)
-        return [t for t in seq if t != k]
+        if not self.relative:
+            return [x for x in self.order if x != k]
+        # Element 1 is the sender itself; the rest shift by k - 1, and
+        # those above n - (k - 1) wrap around to the start.
+        shift = k - 1
+        wrap = len(self.order) - shift
+        return [x + shift if x <= wrap else x - wrap for x in self.order if x != 1]
 
 
 def identity_permutation(n: int) -> SchedulePermutation:
@@ -100,49 +102,55 @@ def schedule_steps(perm: SchedulePermutation, mode: str = "half") -> ScheduleRes
     mode "half" is the documented model (a node does one transfer per
     step, sending or receiving).  mode "full" lets a node send and
     receive in the same step; it exists for comparison runs only.
+
+    A step allocates nothing.  Each node has a sending and a receiving
+    stamp, made once per call: a node is busy in step s when its stamp
+    equals s.  In half duplex the two stamps are one list, so a node
+    busy receiving cannot send in the same step.  A receipt is counted
+    at its transfer.  The node it makes ready joins the senders at once
+    but is stamped busy sending, so it first sends in the next step, as
+    counting receipts at the end of the step would have it.
     """
     if mode not in ("half", "full"):
         raise ValidationError(f"unknown crossbar mode {mode!r}")
     n = perm.size
-    targets = [[]] + [perm.targets(k) for k in range(1, n + 1)]
+    # One compact row per sender: a list would box each ident above 256.
+    code = "H" if n < 1 << 16 else "L"
+    targets = [array(code)] + [array(code, perm.targets(k)) for k in range(1, n + 1)]
     sent = [0] * (n + 1)
     counts = [1] * (n + 1)  # everyone holds its own input
+    sending = [0] * (n + 1)
+    receiving = sending if mode == "half" else [0] * (n + 1)
     # Senders with targets left that hold k messages, lowest ident first:
     # sender 1 from the start, receiver t once its count reaches t.  While
     # only senders 1..m have been ready, a node j > m + 1 holds at most m
     # of the j - 1 receipts it needs, so only m + 1 can join next and
-    # appending keeps the list sorted.
+    # appending keeps the list sorted.  The first ready sender always
+    # transfers, so the run ends when no sender is ready.
     ready = [1] if n > 1 else []
     last = n - 1
-    remaining = n * last
     steps = 0
-    while remaining:
+    while ready:
         steps += 1
-        busy = bytearray(n + 1)
-        # In half duplex a receiving node is busy for sending too.
-        receiving = busy if mode == "half" else bytearray(n + 1)
-        received = []
         finished = False
         for k in ready:
-            if busy[k]:
+            if sending[k] == steps:
                 continue
             target = targets[k][sent[k]]
-            if receiving[target]:
+            if receiving[target] == steps:
                 continue
-            busy[k] = receiving[target] = 1
+            sending[k] = receiving[target] = steps
             sent[k] += 1
             if sent[k] == last:
                 finished = True
-            received.append(target)
-        if not received:
-            raise VotingFarmError("schedule stalled; eligibility rule violated")
-        remaining -= len(received)
-        if finished:
-            ready = [k for k in ready if sent[k] < last]
-        for target in received:
             counts[target] += 1
             if counts[target] == target:
                 ready.append(target)
+                sending[target] = steps
+        if finished:
+            ready = [k for k in ready if sent[k] < last]
+    if sum(sent) != n * last:
+        raise VotingFarmError("schedule stalled; eligibility rule violated")
     if steps == 0:
         return ScheduleResult(0, 0, 0.0)
     messages = n * (n - 1)

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from votingfarm import cli, farm, scenario
+from votingfarm import cli, farm, perf, scenario
 from votingfarm.fabric import Recv
 from votingfarm.scenario import (
     ScenarioError,
@@ -774,17 +774,36 @@ def test_cli_perf_steps_skips_a_fit_without_spare_points(capsys, sizes, skipped)
     assert captured.err == ""
 
 
-def test_cli_perf_best(capsys):
+def test_cli_perf_best(capsys, monkeypatch):
     # test_perf pins the search up to N=7; N=8 is the largest size searched.
+    # In full duplex the winners at N = 3 and 4 are not one-cycled.
     cases = [
-        (["--N", "3,4", "--mode", "full"], "full", ["3,1 2 3,false,5,6", "4,1 2 4 3,true,8,9"]),
+        (["--N", "3,4,16", "--mode", "full"], "full", [
+            "3,1 2 3,false,5,6",
+            "4,1 2 4 3,true,8,9",
+            "16,1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16,true,45,45",
+        ]),
         (["--N", "8"], "half", ["8,1 2 3 4 5 6 7 8,true,21,21"]),
     ]
+    simulated = []
+    simulate = perf.schedule_steps
+
+    def counted(perm, mode="half"):
+        simulated.append(perm.size)
+        return simulate(perm, mode)
+
+    monkeypatch.setattr(perf, "schedule_steps", counted)
+    monkeypatch.setattr(cli, "schedule_steps", counted)
     for args, mode, rows in cases:
         assert cli.main(["perf", "--best", *args]) == 0
-        lines = capsys.readouterr().out.strip().split("\n")
-        assert lines[0].startswith(f"# best schedule, {mode} duplex")
-        assert lines[1:] == ["N,order,relative,steps,one_cycled_steps", *rows]
+        assert capsys.readouterr().out == "\n".join([
+            f"# best schedule, {mode} duplex (searched up to N=8, one-cycled above)",
+            "N,order,relative,steps,one_cycled_steps",
+            *rows,
+            "",
+        ])
+    # A one-cycled winner's result also fills the last column.
+    assert simulated.count(16) == simulated.count(8) == 1
 
 
 def test_cli_perf_unknown_permutation(capsys):
