@@ -103,7 +103,7 @@ def schedule_steps(perm: SchedulePermutation, mode: str = "half") -> ScheduleRes
     step, sending or receiving).  mode "full" lets a node send and
     receive in the same step; it exists for comparison runs only.
 
-    A step allocates nothing.  Each node has a sending and a receiving
+    A step builds no buffers.  Each node has a sending and a receiving
     stamp, made once per call: a node is busy in step s when its stamp
     equals s.  In half duplex the two stamps are one list, so a node
     busy receiving cannot send in the same step.  A receipt is counted
