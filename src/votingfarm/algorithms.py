@@ -30,7 +30,9 @@ built: payload bytes for the default metric with epsilon < 1, the
 decoded value for the scalar metric at epsilon = 0, both by name.  A
 non-finite scalar stays a singleton there, because inf - inf is NaN and
 NaN is never <= epsilon.  The median ranks a NaN distance as farther
-than any number, so a non-finite item is discarded first.  The weighted
+than any number, so a non-finite item is discarded first, and it ranks
+an even count's last two survivors by math.fsum of their distances,
+which is correctly rounded and so the same in any order.  The weighted
 average sums in canonical (member ident, payload) order, so every voter
 of a session computes the same bits whatever order its ballot arrived
 in.
@@ -287,10 +289,12 @@ def median(ballot: Ballot, metric: Metric) -> VoteObject:
     """Generalized median: discard farthest pairs until one item is left.
 
     With an even number of valid items the final two are ranked by total
-    distance to every valid item; the smaller sum survives, with the
+    distance to every valid item, summed by math.fsum (correctly rounded,
+    so arrival order cannot change it); the smaller sum survives, with the
     lower member ident breaking exact ties.  On scalars with an odd
-    count this reproduces the ordinary median.  A NaN distance counts as
-    the farthest, so non-finite scalars are discarded first.
+    count this reproduces the ordinary median.  A NaN distance, or a NaN
+    total, counts as the farthest, so non-finite scalars are discarded
+    first.
     """
     items = _valid_items(ballot)
     if not items:
@@ -317,13 +321,24 @@ def median(ballot: Ballot, metric: Metric) -> VoteObject:
         if alive[a] and alive[b]:
             alive[a] = alive[b] = False
             left -= 2
-    survivors = sorted(order[r] for r in range(n) if alive[r])
+    survivors = [order[r] for r in range(n) if alive[r]]
     if len(survivors) == 1:
         return items[survivors[0]][1]
-    a, b = survivors
-    ka = (sum(d[a].tolist()), items[a][1].source, items[a][0])
-    kb = (sum(d[b].tolist()), items[b][1].source, items[b][0])
-    return items[a][1] if ka <= kb else items[b][1]
+
+    def spread(k: int) -> tuple:
+        # fsum is order-free on finite rows only: a NaN in the row must
+        # decide before an overflow can raise.
+        row = d[k].tolist()
+        try:
+            total = math.nan if any(x != x for x in row) else math.fsum(row)
+        except OverflowError:  # distances are >= 0: the exact total passes the float range
+            total = math.inf
+        except ValueError:  # inf + -inf, from a metric function that is no metric
+            total = math.nan
+        nan = math.isnan(total)
+        return (nan, 0.0 if nan else total, items[k][1].source, items[k][0])
+
+    return items[min(survivors, key=spread)][1]
 
 
 def weighted_average(

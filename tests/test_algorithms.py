@@ -13,7 +13,7 @@ import warnings
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from votingfarm.algorithms import (
     METRICS,
@@ -264,6 +264,18 @@ def test_median_even_count_breaks_total_distance_tie_by_member(scalar_ballot):
     assert winner.source == 2
 
 
+@pytest.mark.parametrize("values", [[-1e308, 0.0, 0.0, 1e308], [0.0, 0.0, 1e308, math.nan]])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # 1e308 - -1e308 overflows to inf
+def test_median_even_count_totals_past_the_float_range(scalar_ballot, values):
+    # Both survivors' distances sum past the float range, or hold a NaN:
+    # fsum would raise, or answer by the order it meets them in.
+    ballot = scalar_ballot(values)
+    winner = median(ballot, "scalar")
+    assert winner.payload == encode_scalar(0.0)
+    for shuffled in itertools.permutations(ballot):
+        assert median(list(shuffled), "scalar") == winner
+
+
 def test_median_no_valid_items(scalar_ballot):
     with pytest.raises(NoDecision):
         median(scalar_ballot([], invalid=()), scalar_metric)
@@ -397,31 +409,45 @@ def test_consensus_within_epsilon(scalar_ballot):
 
 # -- permutation invariance ----------------------------------------------------
 
+PERMUTED_SELECTS = [
+    AlgorithmSelect("majority"), AlgorithmSelect("majority", epsilon=0.5),
+    AlgorithmSelect("plurality"), AlgorithmSelect("plurality", epsilon=0.5, tie_break="lowest-member"),
+    AlgorithmSelect("median"), AlgorithmSelect("weighted-average", scaling_factor=1.5),
+    AlgorithmSelect("consensus"), AlgorithmSelect("consensus", epsilon=0.5),
+]
+EVEN_MEDIAN_TIE = [0.2849574619862052, 0.06346057714522935, 0.8539424884226802,
+                   0.9898060149215813, 0.08851809310972836, 0.8005953212575019]
+
+
+def verdict(ballot, metric, select):
+    """What vote returns, as (payload, source), or the type and message it raised."""
+    try:
+        won = vote(ballot, metric, select)
+    except VotingFarmError as exc:
+        return type(exc), str(exc)
+    return won.payload, won.source
+
+
 @given(
-    values=st.lists(st.integers(0, 4), min_size=3, max_size=7),
+    values=st.lists(st.one_of(st.integers(0, 4).map(float), st.floats(-4, 4),
+                              st.sampled_from([math.inf, -math.inf, math.nan, 1e308, -1e308])), min_size=1, max_size=8),
+    invalid=st.sets(st.integers(0, 7)),
+    metric=st.sampled_from(["default", "scalar", "euclidean"]),
     seed=st.integers(0, 2**16),
 )
-@settings(max_examples=80)
-def test_class_techniques_are_permutation_invariant(values, seed):
-    n = len(values)
-    ballot = [VoteObject(encode_scalar(float(v)), True, i + 1) for i, v in enumerate(values)]
-    rng = random.Random(seed)
+@example(values=EVEN_MEDIAN_TIE, invalid=set(), metric="scalar", seed=9)
+@settings(max_examples=200, deadline=None)
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf * 0 in weighted averages
+def test_class_techniques_are_permutation_invariant(values, invalid, metric, seed):
+    # Every voter of a session may receive the same items in another
+    # order, and they must reach one verdict: the same winner (payload
+    # and member), or the same NoDecision message.
+    encode = (lambda v: encode_vector([v, -v])) if metric == "euclidean" else encode_scalar
+    ballot = [VoteObject(encode(v), i not in invalid, i + 1) for i, v in enumerate(values)]
     shuffled = ballot[:]
-    rng.shuffle(shuffled)
-
-    for fn in (majority, median, lambda b, m: consensus(b, m)):
-        try:
-            a = fn(ballot, scalar_metric)
-        except NoDecision:
-            with pytest.raises(NoDecision):
-                fn(shuffled, scalar_metric)
-            continue
-        b = fn(shuffled, scalar_metric)
-        assert (a.payload, a.source) == (b.payload, b.source)
-
-    wa = weighted_average(ballot, scalar_metric, 1.0)
-    wb = weighted_average(shuffled, scalar_metric, 1.0)
-    assert wa.payload == wb.payload
+    random.Random(seed).shuffle(shuffled)
+    for select in PERMUTED_SELECTS:
+        assert verdict(shuffled, metric, select) == verdict(ballot, metric, select), select
 
 
 # -- kernels against pairwise calls ------------------------------------------------

@@ -199,11 +199,11 @@ ORACLE_BUCKETS = [
     "c81c7e72f0cb3277", "acc7065ef80d06d4", "62777a1cd6d2b1dc", "8e3e8efa2a45dd4c",
     "ff455a4e259bdd18", "e035616d2dc91726", "413788cb50ea821a", "d557ebf03627d610",
     "3cc7babdeb4c9032", "4b55e08e97cc58e4", "b6eafb5f689f5361", "26cbd0bd196f75b7",
-    "60c8fbb6fbff9106", "2d7159eeb377888e", "17b5d3610e36b658", "033ff0b636ad26a0",
+    "60c8fbb6fbff9106", "2d7159eeb377888e", "17b5d3610e36b658", "b9d91f21931c8b2b",
     "58ab120419201efd", "0a3b4ce66114334f", "c5c1c749d82266f4", "fbaabf31e92a42d4",
     "311a12545b9a02cd", "d8722b1e931cb497", "798d7e4f1653b426", "1b8c7ed1544e7d3c",
     "20f3fce5176b8bf7", "e49c4e386d4eeda1", "e5fc443d600a579e", "922df616689c4ef5",
-    "53923d306e1b996f", "f1b36ca8767de0c8", "4eec3f9383380748", "1d888b06931e0625",
+    "53923d306e1b996f", "6e50d66d909ce131", "4eec3f9383380748", "1d888b06931e0625",
 ]
 
 

@@ -225,6 +225,23 @@ def test_all_distinct_inputs_reach_no_decision():
     assert sim.trace.count("phase", contains="VFP_FAILURE") == 3
 
 
+def test_fault_free_even_median_farm_agrees():
+    # The two survivors' distance sums are equal in exact arithmetic, so
+    # summing them in arrival order let rounding pick a different winner
+    # for user 5 than for the other five.
+    values = [0.2849574619862052, 0.06346057714522935, 0.8539424884226802,
+              0.9898060149215813, 0.08851809310972836, 0.8005953212575019]
+    spec = {
+        "farm": [[k, k] for k in range(1, 7)], "metric": "scalar", "algorithm": {"kind": "median"},
+        "delivery_delay": 1, "delta_t": 10,
+        "inputs": {str(k): [{"at": 10, "scalar": v}] for k, v in enumerate(values, start=1)},
+    }
+    result = run_scenario(spec)
+    outputs = {(o["source"], o["value"]) for rep in result.users.values() for o in rep["outputs"]}
+    assert outputs == {(1, encode_scalar(values[0]).hex())}
+    assert all(rep["statuses"][-1]["detail"] == "ok" for rep in result.users.values())
+
+
 # -- crashed members and the latency penalty -----------------------------------
 
 @pytest.mark.parametrize("m", [1, 2, 3])
