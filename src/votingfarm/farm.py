@@ -33,7 +33,7 @@ from .algorithms import AlgorithmSelect
 from .client import SpmdIncoherence
 from .core import VotingFarmError
 from .fabric import Endpoint, Simulator
-from .voter import FarmSlot, FarmView, VoterState, voter_process
+from .voter import FarmSlot, FarmView, VerdictMemo, VoterState, voter_process
 
 
 class FarmRuntime:
@@ -52,6 +52,7 @@ class FarmRuntime:
         self.spmd_incoherent = False
 
         self.view = FarmView([])
+        self.memo = VerdictMemo()  # the verdicts every voter of the run shares
         self.entity_node: dict[int, int] = {}
         self.voter_states: dict[int, VoterState] = {}  # started entities
         self.epoch = 0
@@ -143,6 +144,7 @@ class FarmRuntime:
             metric_name=self.metric_name,
             user_ep=user_ep,
             output_ep=user_ep if prev is None else prev.output_ep,
+            memo=self.memo,
             dirnet_ep=self.dirnet_ep,
             epoch=self.epoch if epoch is None else epoch,
             next_session=next_session,

@@ -27,6 +27,18 @@ FAILURE (sticky until an explicit reset or a recovery WARN).  Each step
 names the phase it enters and is checked against core.PHASE_STEPS.
 Phase changes are traced and, when a recovery backbone is attached,
 posted to its database as a wire.Phase frame carrying the phase.
+
+The voters of a run share one VerdictMemo, which their runtime owns.
+Every technique is invariant under permutation of the ballot, so the
+voters of a session whose ballots hold the same items reach the same
+verdict, and only the first of them votes: the rest reuse its winner or
+its NoDecision message, looked up by the ballot's sorted (source, valid,
+payload) triples.  The memo keeps the entries of one (epoch, session,
+metric, select) tag and empties itself for another.  A voter votes for
+itself when its ballot holds two valid items from one member with
+different payloads, since the slot index then breaks ties, and when
+the vote raises any other error, whose message names the first bad
+payload in ballot order.
 """
 
 from __future__ import annotations
@@ -92,6 +104,20 @@ class FarmView:
         return [[s.ident, s.entity, s.node] for s in self.slots]
 
 
+Verdict = tuple[Optional[VoteObject], Optional[str]]  # the winner, or the error to trace
+
+
+class VerdictMemo:
+    """The verdicts of one session's distinct ballots, keyed by their
+    sorted items, under the tag they were voted with."""
+
+    __slots__ = ("tag", "verdicts")
+
+    def __init__(self) -> None:
+        self.tag: object = None
+        self.verdicts: dict[tuple, Verdict] = {}
+
+
 @dataclass
 class VoterState:
     entity: int
@@ -101,6 +127,7 @@ class VoterState:
     metric_name: str
     user_ep: Optional[Endpoint]
     output_ep: Optional[Endpoint]
+    memo: VerdictMemo
     dirnet_ep: Optional[Endpoint] = None
     phase: VoterPhase = VoterPhase.VFP_INIT
     epoch: int = 0
@@ -253,13 +280,7 @@ def _session(
     inbox.extend(held)
 
     _report(proc, state, VoterPhase.VFP_VOTING)
-    try:
-        winner = vote(slots, state.metric_name, state.select)
-        error: Optional[str] = None
-    except NoDecision as exc:
-        winner, error = None, f"no-decision: {exc}"
-    except VotingFarmError as exc:
-        winner, error = None, f"internal: {exc}"
+    winner, error = _verdict(state, session, slots)
 
     # The session is closed once the verdict is reported: a RESTART from
     # here on must not reuse its number.
@@ -277,3 +298,31 @@ def _session(
         _trace(proc, "vote-fail", error or "")
         if state.user_ep is not None:
             yield Send(state.user_ep, wire.Status(VfStatusCode.VF_DONE, "no-decision", session))
+
+
+def _verdict(state: VoterState, session: int, slots: list[VoteObject]) -> Verdict:
+    """The verdict on a closed ballot, from the run's memo where it may be shared."""
+    key = tuple(sorted([(obj.source, obj.valid, obj.payload) for obj in slots]))
+    valid = [(obj.source, obj.payload) for obj in slots if obj.valid]
+    by_member = dict(valid)
+    # Not shared if a member has two different valid payloads: then the
+    # slot index breaks ties.
+    shared = len(by_member) == len(valid) or len(set(valid)) == len(by_member)
+    memo = state.memo
+    if shared:
+        tag = (state.epoch, session, state.metric_name, state.select)
+        if memo.tag != tag:
+            memo.tag = tag
+            memo.verdicts.clear()
+        known = memo.verdicts.get(key)
+        if known is not None:
+            return known
+    try:
+        verdict: Verdict = (vote(slots, state.metric_name, state.select), None)
+    except NoDecision as exc:
+        verdict = (None, f"no-decision: {exc}")
+    except VotingFarmError as exc:  # may name the first bad payload in ballot order
+        return None, f"internal: {exc}"
+    if shared:
+        memo.verdicts[key] = verdict
+    return verdict

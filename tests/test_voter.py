@@ -9,14 +9,15 @@ members, which makes latency arithmetic integer-precise.
 
 import pytest
 
-from votingfarm import wire
-from votingfarm.algorithms import AlgorithmSelect, encode_scalar
+from test_golden_artifacts import MEMBERSHIP_RUNS, SCENARIOS
+from votingfarm import voter, wire
+from votingfarm.algorithms import AlgorithmSelect, encode_scalar, vote
 from votingfarm.client import vf_add, vf_control, vf_get, vf_open, vf_run
-from votingfarm.core import VfStatusCode
+from votingfarm.core import VfStatusCode, VoteObject, VotingFarmError
 from votingfarm.fabric import Endpoint, FaultSpec, Simulator, Sleep
 from votingfarm.farm import FarmRuntime
-from votingfarm.scenario import resolve_scenario, run_scenario
-from votingfarm.voter import FarmSlot, FarmView
+from votingfarm.scenario import bundled_dir, resolve_scenario, run_scenario
+from votingfarm.voter import FarmSlot, FarmView, VerdictMemo, VoterState
 
 DT = 10
 INPUT_AT = 10
@@ -392,3 +393,123 @@ def test_algorithm_update_applies_to_next_session():
         assert select_probe[(node, 0)] == (VfStatusCode.VF_DONE, "no-decision")
         assert reports[node]["status"].detail == "ok"
         assert reports[node]["outputs"][-1]["payload"] == encode_scalar(20.0)
+
+
+# -- one vote per distinct ballot ------------------------------------------------
+
+def farm_spec(n, values_at, **extra):
+    """An n-member farm, one member per node; values_at maps a time to each node's value."""
+    return {
+        "farm": [[k, k] for k in range(1, n + 1)], "metric": "scalar", "delivery_delay": 1, "delta_t": 60,
+        "get_timeout": 1000, "inputs": {str(k): [{"at": t, "scalar": value(k)} for t, value in values_at.items()]
+                   for k in range(1, n + 1)},
+        **extra,
+    }
+
+
+def count_votes(monkeypatch):
+    """The ballots voter.vote is called with, in call order."""
+    ballots = []
+    real = voter.vote
+
+    def counted(ballot, metric, select):
+        ballots.append(list(ballot))
+        return real(ballot, metric, select)
+
+    monkeypatch.setattr(voter, "vote", counted)
+    return ballots
+
+
+@pytest.mark.parametrize("n", [3, 32])
+def test_a_fault_free_session_is_voted_once(monkeypatch, n):
+    ballots = count_votes(monkeypatch)
+    result = run_scenario(farm_spec(n, {10: lambda k: 1.5, 300: lambda k: float(k % 2)},
+                                    algorithm={"kind": "plurality", "tie_break": "lowest-member"}))
+    assert len(ballots) == 2
+    outputs = [[o["value"] for o in rep["outputs"]] for rep in result.users.values()]
+    assert outputs == [[encode_scalar(1.5).hex(), encode_scalar(1.0).hex()]] * n
+    assert result.sim.trace.count("phase", contains="VFP_SUCCESS") == 2 * n
+
+
+def test_shared_verdicts_are_what_each_voter_would_vote(monkeypatch):
+    # Every verdict a voter takes from the memo equals the one it would
+    # reach on its own ballot, in the order that ballot arrived.
+    ballots = count_votes(monkeypatch)
+    checked = []
+    real = voter._verdict
+
+    def checked_verdict(state, session, slots):
+        got = real(state, session, slots)
+        try:
+            alone = (vote(slots, state.metric_name, state.select), None)
+        except VotingFarmError:
+            alone = None
+        if alone is not None:
+            assert (got[0].payload, got[0].source) == (alone[0].payload, alone[0].source)
+        else:
+            assert got[0] is None
+        checked.append(got)
+        return got
+
+    monkeypatch.setattr(voter, "_verdict", checked_verdict)
+    for kind in ("median", "weighted-average", "majority"):
+        run_scenario(farm_spec(6, {10: lambda k: 0.1 * k * k, 200: lambda k: 7.0 if k == 2 else 1.0},
+                               algorithm={"kind": kind}, jitter=3))
+    for name in MEMBERSHIP_RUNS:
+        run_scenario(MEMBERSHIP_RUNS[name], (str(SCENARIOS), bundled_dir()))
+    assert len(checked) > 2 * len(ballots) > 0
+
+
+def test_a_ballot_holding_one_members_slot_twice_is_voted_as_it_came(monkeypatch):
+    # In the pinned kill_two_start_spare run three voters time out on
+    # ident 2 and then append its late invalid broadcast as well.  Their
+    # ballots differ from each other (each holds its own voter's value),
+    # so each is voted on, and the verdicts are the pinned no-decisions.
+    ballots = count_votes(monkeypatch)
+    result = run_scenario(MEMBERSHIP_RUNS["kill_two_start_spare"], (str(SCENARIOS), bundled_dir()))
+    twice = [b for b in ballots if {(o.source, o.valid) for o in b} >= {(0, False), (2, False)}]
+    assert len(twice) == 3
+    assert result.sim.trace.count("vote-fail", contains="no-decision") == 4
+    assert (len(ballots), result.sim.trace.count("phase", contains="VFP_VOTING")) == (7, 11)
+
+
+def test_two_valid_items_from_one_member_are_voted_by_each_voter(monkeypatch):
+    # The slot index breaks the tie between one member's two values, so
+    # such a ballot never goes into the memo.
+    ballots = count_votes(monkeypatch)
+    view = FarmView([FarmSlot(k, k, k) for k in (1, 2, 3)])
+    state = VoterState(1, view, 10, AlgorithmSelect("plurality", tie_break="lowest-member"), "scalar",
+                       None, None, VerdictMemo())
+    ballot = [VoteObject(encode_scalar(x), True, src) for x, src in ((1.0, 1), (2.0, 1), (3.0, 2))]
+    won = [voter._verdict(state, 0, order)[0].payload for order in (ballot, ballot[::-1], ballot)]
+    assert won == [encode_scalar(1.0), encode_scalar(2.0), encode_scalar(1.0)]
+    assert len(ballots) == 3 and state.memo.verdicts == {}
+    # Without the duplicate, the second voter of the ballot reuses the first's verdict.
+    assert voter._verdict(state, 0, ballot[1:]) == voter._verdict(state, 0, ballot[:0:-1])
+    assert len(ballots) == 4 and len(state.memo.verdicts) == 1
+
+
+def test_an_internal_vote_failure_is_voted_by_each_voter(monkeypatch):
+    # A 1-byte raw payload cannot decode as a vector; the message names
+    # the first bad payload in ballot order, so it is never shared.
+    ballots = count_votes(monkeypatch)
+    spec = farm_spec(3, {}, metric="default", algorithm={"kind": "weighted-average"},
+                     inputs={str(k): [{"at": 10, "value": "10"}] for k in (1, 2, 3)})
+    result = run_scenario(spec)
+    assert len(ballots) == 3
+    assert result.sim.trace.count("vote-fail", contains="internal: vector payload") == 3
+    assert result.runtime.memo.verdicts == {}
+
+
+def test_the_memo_keeps_one_sessions_verdicts():
+    values = [f"{k * 2654435761 % 2**64:016x}" for k in range(200)]
+    spec = {
+        "farm": [[1, 1], [2, 2], [3, 3]], "delta_t": 10, "delivery_delay": 1, "max_time": 10 + 50 * 204,
+        "inputs": {str(node): [{"at": 10 + 50 * k, "value": v} for k, v in enumerate(values)]
+                   for node in (1, 2, 3)},
+        "faults": [{"kind": "value-corruption", "role": "user", "node": 3, "at": 5, "mask": "5a"}],
+    }
+    result = run_scenario(spec)
+    memo = result.runtime.memo
+    assert memo.tag[:2] == (0, 199)
+    assert len(memo.verdicts) == 1
