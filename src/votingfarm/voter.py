@@ -304,10 +304,9 @@ def _verdict(state: VoterState, session: int, slots: list[VoteObject]) -> Verdic
     """The verdict on a closed ballot, from the run's memo where it may be shared."""
     key = tuple(sorted([(obj.source, obj.valid, obj.payload) for obj in slots]))
     valid = [(obj.source, obj.payload) for obj in slots if obj.valid]
-    by_member = dict(valid)
     # Not shared if a member has two different valid payloads: then the
     # slot index breaks ties.
-    shared = len(by_member) == len(valid) or len(set(valid)) == len(by_member)
+    shared = len(set(valid)) == len(dict(valid))
     memo = state.memo
     if shared:
         tag = (state.epoch, session, state.metric_name, state.select)
