@@ -303,25 +303,24 @@ def _session(
 def _verdict(state: VoterState, session: int, slots: list[VoteObject]) -> Verdict:
     """The verdict on a closed ballot, from the run's memo where it may be shared."""
     key = tuple(sorted([(obj.source, obj.valid, obj.payload) for obj in slots]))
-    valid = [(obj.source, obj.payload) for obj in slots if obj.valid]
-    # Not shared if a member has two different valid payloads: then the
-    # slot index breaks ties.
-    shared = len(set(valid)) == len(dict(valid))
     memo = state.memo
-    if shared:
-        tag = (state.epoch, session, state.metric_name, state.select)
-        if memo.tag != tag:
-            memo.tag = tag
-            memo.verdicts.clear()
-        known = memo.verdicts.get(key)
-        if known is not None:
-            return known
+    tag = (state.epoch, session, state.metric_name, state.select)
+    if memo.tag != tag:
+        memo.tag = tag
+        memo.verdicts.clear()
+    known = memo.verdicts.get(key)
+    if known is not None:
+        return known
     try:
         verdict: Verdict = (vote(slots, state.metric_name, state.select), None)
     except NoDecision as exc:
         verdict = (None, f"no-decision: {exc}")
     except VotingFarmError as exc:  # may name the first bad payload in ballot order
         return None, f"internal: {exc}"
-    if shared:
+    # Kept unless a member has two different valid payloads: the slot
+    # index broke their tie.  The key holds the items, so a ballot that
+    # is not kept never finds a verdict either.
+    valid = [(source, payload) for source, ok, payload in key if ok]
+    if len(set(valid)) == len(dict(valid)):
         memo.verdicts[key] = verdict
     return verdict

@@ -9,6 +9,7 @@ members, which makes latency arithmetic integer-precise.
 
 import pytest
 
+from test_artifacts import tmr_stream
 from test_golden_artifacts import MEMBERSHIP_RUNS, SCENARIOS
 from votingfarm import voter, wire
 from votingfarm.algorithms import AlgorithmSelect, encode_scalar, vote
@@ -399,11 +400,10 @@ def test_algorithm_update_applies_to_next_session():
 
 def farm_spec(n, values_at, **extra):
     """An n-member farm, one member per node; values_at maps a time to each node's value."""
+    inputs = {str(k): [{"at": t, "scalar": value(k)} for t, value in values_at.items()] for k in range(1, n + 1)}
     return {
         "farm": [[k, k] for k in range(1, n + 1)], "metric": "scalar", "delivery_delay": 1, "delta_t": 60,
-        "get_timeout": 1000, "inputs": {str(k): [{"at": t, "scalar": value(k)} for t, value in values_at.items()]
-                   for k in range(1, n + 1)},
-        **extra,
+        "get_timeout": 1000, "inputs": inputs, **extra,
     }
 
 
@@ -441,15 +441,15 @@ def test_shared_verdicts_are_what_each_voter_would_vote(monkeypatch):
     def checked_verdict(state, session, slots):
         got = real(state, session, slots)
         try:
-            alone = (vote(slots, state.metric_name, state.select), None)
+            alone = vote(slots, state.metric_name, state.select)
         except VotingFarmError:
             alone = None
-        if alone is not None:
-            assert (got[0].payload, got[0].source) == (alone[0].payload, alone[0].source)
-        else:
-            assert got[0] is None
+        assert outcome(got[0]) == outcome(alone)
         checked.append(got)
         return got
+
+    def outcome(won):
+        return None if won is None else (won.payload, won.source)
 
     monkeypatch.setattr(voter, "_verdict", checked_verdict)
     for kind in ("median", "weighted-average", "majority"):
@@ -501,15 +501,19 @@ def test_an_internal_vote_failure_is_voted_by_each_voter(monkeypatch):
     assert result.runtime.memo.verdicts == {}
 
 
-def test_the_memo_keeps_one_sessions_verdicts():
-    values = [f"{k * 2654435761 % 2**64:016x}" for k in range(200)]
-    spec = {
-        "farm": [[1, 1], [2, 2], [3, 3]], "delta_t": 10, "delivery_delay": 1, "max_time": 10 + 50 * 204,
-        "inputs": {str(node): [{"at": 10 + 50 * k, "value": v} for k, v in enumerate(values)]
-                   for node in (1, 2, 3)},
-        "faults": [{"kind": "value-corruption", "role": "user", "node": 3, "at": 5, "mask": "5a"}],
-    }
+def test_voters_on_other_techniques_do_not_share_a_verdict():
+    # Only user 1 switches its voter to the median: the three ballots
+    # hold the same items, but voters 2 and 3 still vote by majority.
+    spec = farm_spec(3, {10: float}, delta_t=10)
+    spec["inputs"]["1"].insert(0, {"at": 5, "algorithm": {"kind": "median"}})
     result = run_scenario(spec)
+    details = [rep["statuses"][-1]["detail"] for _, rep in sorted(result.users.items())]
+    assert details == ["ok", "no-decision", "no-decision"]
+    assert result.users[1]["outputs"][0]["value"] == encode_scalar(2.0).hex()
+
+
+def test_the_memo_keeps_one_sessions_verdicts():
+    result = run_scenario(tmr_stream(200))
     memo = result.runtime.memo
     assert memo.tag[:2] == (0, 199)
     assert len(memo.verdicts) == 1
