@@ -14,9 +14,11 @@ and, on the sender, the FIFO floor towards each peer.  A link between
 endpoints on one node is local, any other is virtual.  A process talks
 to the fabric by yielding syscall objects:
 
-    Send(to, frame)      blocking send of a wire frame; returns once
-                         delivery completed (or the message was
-                         discarded for a dead peer)
+    Send(targets, frame) blocking send of a wire frame to each of a
+                         tuple of endpoints (or one endpoint) in turn:
+                         each send waits until its delivery completed
+                         (or the message was discarded for a dead peer)
+                         before the next is issued
     Recv(timeout)        oldest pending message as (sender, frame), or
                          the TIMEOUT sentinel after exactly `timeout`
                          units (a negative timeout counts as 0);
@@ -36,9 +38,12 @@ injected delays and jitter.  No event is scheduled before the current
 time.
 
 A blocking send is one event at its delivery time: it delivers the
-frame (unless an omission dropped it) and then resumes the sender, so
-nothing can run between the two.  A post is the same event with no
-sender to resume.  A timed Recv takes its seq when the wait starts;
+frame (unless an omission dropped it) and then issues the Send's next
+send, or resumes the sender after the last, so nothing can run between
+the two.  Each send is traced, delayed, faulted and checked as if it
+were yielded alone; a sender that dies while a frame is in flight sends
+nothing more.  A post is the same event with no sender to resume.  A
+timed Recv takes its seq when the wait starts;
 that (time, seq) deadline is where its timeout fires.
 Each process has at most one live timer in the queue, since most waits
 end by a delivery long before they expire: a wait arms a timer only
@@ -327,10 +332,12 @@ class TraceLog:
 # --------------------------------------------------------------------
 
 class Send:
-    __slots__ = ("to", "data")
+    """targets are sent to in tuple order; one endpoint is a tuple of one."""
 
-    def __init__(self, to: Endpoint, data: wire.Frame) -> None:
-        self.to = to
+    __slots__ = ("targets", "data")
+
+    def __init__(self, targets: Endpoint | tuple[Endpoint, ...], data: wire.Frame) -> None:
+        self.targets = (targets,) if isinstance(targets, Endpoint) else targets
         self.data = data
 
 
@@ -542,7 +549,7 @@ class Simulator:
         everything already scheduled, with no sender to resume.
         """
         self.trace.append(self.now, "post", frm.name, to.name, data.trace_detail)
-        self._schedule(self.now, "send", (None, frm, to, data))
+        self._schedule(self.now, "send", (None, frm, to, data, None, 0))
 
     # -- scheduler ----------------------------------------------------
 
@@ -568,11 +575,13 @@ class Simulator:
             t, _, tag, data = entry = heapq.heappop(heap)
             self.now = max(self.now, t)
             if tag == "send":
-                p, frm, to, frame = data
+                p, frm, to, frame, item, i = data
                 if frame is not None:
                     self._deliver(frm, to, frame)
                 if p is not None:
-                    self._step(p, None)
+                    st = self._endpoints[frm]
+                    if st.proc is p and self._handle_send(p, st, item, i):
+                        self._step(p, None)
             elif tag == "timeout":
                 self._expire(data, entry)
             elif tag == "step":
@@ -654,7 +663,7 @@ class Simulator:
             value = None
 
             if isinstance(item, Send):
-                if self._handle_send(p, st, item):
+                if self._handle_send(p, st, item, 0):
                     continue
                 return
             if isinstance(item, Recv):
@@ -680,39 +689,44 @@ class Simulator:
             self._proc_error(p, st, VotingFarmError(f"process yielded unknown item {item!r}"))
             return
 
-    def _handle_send(self, p: Proc, sender_st: _EndpointState, item: Send) -> bool:
-        """Returns True if the sender continues immediately."""
+    def _handle_send(self, p: Proc, sender_st: _EndpointState, item: Send, i: int) -> bool:
+        """Issue item's sends from target i on, up to the first that is
+        in flight.  Returns True if none is, so the sender continues
+        immediately."""
         frm = p.endpoint
-        to = item.to
-        target_st = self._endpoints.get(to)
-        if target_st is not None and not target_st.dead and to not in sender_st.links:
-            self._proc_error(p, sender_st, NoSuchLink(f"no link {frm} -- {to}"))
+        targets = item.targets
+        while i < len(targets):
+            to = targets[i]
+            i += 1
+            target_st = self._endpoints.get(to)
+            if target_st is not None and not target_st.dead and to not in sender_st.links:
+                self._proc_error(p, sender_st, NoSuchLink(f"no link {frm} -- {to}"))
+                return False
+
+            self.trace.append(self.now, "send", frm.name, to.name, item.data.trace_detail)
+            if target_st is None or target_st.dead:
+                # Fail/stop: a send to a dead or never-added peer is
+                # discarded, whether or not a link to it was ever wired,
+                # and costs the sender nothing. The caller sees success.
+                self.trace.append(self.now, "drop", frm.name, to.name, "dead endpoint")
+                continue
+
+            data = item.data
+            if sender_st.corruption is not None:
+                data = wire.corrupt_value(data, sender_st.corruption)
+
+            delay = self.delivery_delay
+            if self.jitter > 0:
+                delay += self._rng.randrange(self.jitter + 1)
+            if sender_st.pending_delay:
+                delay += sender_st.pending_delay
+                sender_st.pending_delay = 0
+            t_del = sender_st.fifo_floor[to] = max(self.now + delay, sender_st.fifo_floor.get(to, 0))
+
+            if sender_st.pending_omission:
+                sender_st.pending_omission = False
+                self.trace.append(self.now, "drop", frm.name, to.name, "omission")
+                data = None
+            self._schedule(t_del, "send", (p, frm, to, data, item, i))
             return False
-
-        self.trace.append(self.now, "send", frm.name, to.name, item.data.trace_detail)
-        if target_st is None or target_st.dead:
-            # Fail/stop: a send to a dead or never-added peer is
-            # discarded, whether or not a link to it was ever wired, and
-            # costs the sender nothing. The caller sees success.
-            self.trace.append(self.now, "drop", frm.name, to.name, "dead endpoint")
-            return True
-
-        data = item.data
-        if sender_st.corruption is not None:
-            data = wire.corrupt_value(data, sender_st.corruption)
-
-        delay = self.delivery_delay
-        if self.jitter > 0:
-            delay += self._rng.randrange(self.jitter + 1)
-        if sender_st.pending_delay:
-            delay += sender_st.pending_delay
-            sender_st.pending_delay = 0
-        t_del = sender_st.fifo_floor[to] = max(self.now + delay, sender_st.fifo_floor.get(to, 0))
-
-        if sender_st.pending_omission:
-            sender_st.pending_omission = False
-            self.trace.append(self.now, "drop", frm.name, to.name, "omission")
-            data = None
-        self._schedule(t_del, "send", (p, frm, to, data))
-        return False
-
+        return True

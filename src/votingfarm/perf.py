@@ -22,10 +22,11 @@ keeps 2/3 of the crossbar capacity busy.  Those two claims are what the
 regression tests pin down; the constants are properties of this model,
 not universal truths.
 
-An exhaustive search over both schedule families (best_permutation)
-checks how good one-cycled is.  In half duplex it finds exactly 3(N-1)
-steps for every 3 <= N <= 8, against a lower bound of 2(N-1): every
-node sends N-1 times and receives N-1 times.  In full duplex it beats
+An exhaustive search over both schedule families (best_permutation),
+simulating each distinct schedule once, checks how good one-cycled is.
+In half duplex it finds exactly 3(N-1) steps for every 3 <= N <= 8,
+against a lower bound of 2(N-1): every node sends N-1 times and
+receives N-1 times.  In full duplex it beats
 one-cycled at N = 3 (5 steps against 6) and N = 4 (8 against 9).
 """
 
@@ -43,7 +44,7 @@ import numpy as np
 from .core import ValidationError, VotingFarmError
 from .scenario import run_scenario, session_latency
 
-# Largest farm best_permutation searches: 2 * 8! candidates.
+# Largest farm best_permutation searches: 7! + 8! candidates.
 EXHAUSTIVE_LIMIT = 8
 
 
@@ -251,11 +252,15 @@ def _batch_steps(targets: np.ndarray, mode: str, limit: int) -> np.ndarray:
 
 
 def _candidate_blocks(n: int):
-    """Every candidate order, in blocks that share a leading element.
+    """Every distinct candidate order, in blocks that share a leading
+    element.
 
-    Blocks come relative first, then absolute, and rows within a block
-    follow itertools.permutations order, so the concatenation is the
-    order the search tie-breaks by.
+    A relative order's targets skip element 1 wherever it stands, so the
+    relative block led by 1 holds every distinct relative schedule, and
+    the other relative blocks only later copies of it, which cannot win.
+    That block comes first, then the n absolute blocks, and rows within
+    a block follow itertools.permutations order, so the concatenation is
+    the order the search tie-breaks by.
     """
     rows = math.factorial(n - 1)
     tails = np.fromiter(
@@ -263,8 +268,8 @@ def _candidate_blocks(n: int):
         np.int8,
         count=rows * (n - 1),
     ).reshape(rows, n - 1)
-    for relative in (True, False):
-        for lead in range(1, n + 1):
+    for relative, leads in ((True, [1]), (False, range(1, n + 1))):
+        for lead in leads:
             orders = np.empty((rows, n), np.int8)
             orders[:, 0] = lead
             tail = orders[:, 1:]
@@ -294,8 +299,8 @@ def _block_targets(orders: np.ndarray, relative: bool) -> np.ndarray:
 def best_permutation(n: int, mode: str = "half") -> tuple[SchedulePermutation, ScheduleResult]:
     """Lowest-step schedule.
 
-    Exhaustive over both families up to EXHAUSTIVE_LIMIT (2 * n!
-    candidates, relative orders first, each family in
+    Exhaustive over both families up to EXHAUSTIVE_LIMIT ((n-1)! + n!
+    distinct candidates, relative orders first, each family in
     itertools.permutations order; the first candidate with the fewest
     steps wins).  Beyond it the one-cycled schedule is returned
     unsearched.  A candidate is dropped as soon as a lower bound on its

@@ -28,17 +28,20 @@ names the phase it enters and is checked against core.PHASE_STEPS.
 Phase changes are traced and, when a recovery backbone is attached,
 posted to its database as a wire.Phase frame carrying the phase.
 
-The voters of a run share one VerdictMemo, which their runtime owns.
-Every technique is invariant under permutation of the ballot, so the
-voters of a session whose ballots hold the same items reach the same
-verdict, and only the first of them votes: the rest reuse its winner or
-its NoDecision message, looked up by the ballot's sorted (source, valid,
-payload) triples.  The memo keeps the entries of one (epoch, session,
-metric, select) tag and empties itself for another.  A voter votes for
-itself when its ballot holds two valid items from one member with
-different payloads, since the slot index then breaks ties, and when
-the vote raises any other error, whose message names the first bad
-payload in ballot order.
+A voter relays its value with one Send to all its fellows, in ident
+order.  A ballot slot is a plain (source, valid, payload) item; a wait
+that expired gives (0, False, b"").  The voters of a run share one
+VerdictMemo, which their runtime owns.  Every technique is invariant
+under permutation of the ballot, so the voters of a session whose
+ballots hold the same items reach the same verdict, and only the first
+of them votes, on VoteObjects built in arrival order: the rest reuse
+its winner or its NoDecision message, looked up by the ballot's sorted
+items.  The memo keeps the entries of one (epoch, session, metric,
+select) tag and empties itself for another.  A voter votes for itself
+when its ballot holds two valid items from one member with different
+payloads, since the slot index then breaks ties, and when the vote
+raises any other error, whose message names the first bad payload in
+ballot order.
 """
 
 from __future__ import annotations
@@ -105,6 +108,7 @@ class FarmView:
 
 
 Verdict = tuple[Optional[VoteObject], Optional[str]]  # the winner, or the error to trace
+Slot = tuple[MemberId, bool, bytes]  # (source, valid, payload)
 
 
 class VerdictMemo:
@@ -239,7 +243,7 @@ def _session(
     n = state.view.size
     session = state.next_session
     me = state.view.slot_of_entity(state.entity).ident
-    slots: list[VoteObject] = []
+    slots: list[Slot] = []
     own: Optional[bytes] = None
     held: list[tuple[Endpoint, wire.Frame]] = []
     got = (sender, frame)
@@ -247,17 +251,17 @@ def _session(
     _report(proc, state, VoterPhase.VFP_BROADCAST)
 
     while True:
-        slot: Optional[VoteObject] = None
+        slot: Optional[Slot] = None
         if got is TIMEOUT:
-            slot = VoteObject(b"", False, 0)
+            slot = (0, False, b"")
         else:
             sender, frame = got
             if frame.kind == wire.K_INPUT and own is None and sender == state.user_ep:
                 own = frame.payload
-                slot = VoteObject(own, True, me)
+                slot = (me, True, own)
             elif frame.kind == wire.K_BROADCAST and frame.epoch == state.epoch:
                 if frame.session == session:
-                    slot = VoteObject(frame.payload, frame.valid, frame.member)
+                    slot = (frame.member, frame.valid, frame.payload)
                 elif frame.session > session:
                     held.append(got)
             elif frame.kind in (wire.K_INPUT, wire.K_CONTROL):
@@ -272,8 +276,7 @@ def _session(
             # broadcasts first.
             if len(slots) == me:
                 relay = wire.Broadcast(me, session, state.epoch, own is not None, own or b"")
-                for fellow in state.view.fellows(state.entity):
-                    yield Send(fellow, relay)
+                yield Send(tuple(state.view.fellows(state.entity)), relay)
             if len(slots) == n:
                 break
         got = inbox.pop(0) if inbox else (yield Recv(state.delta_t))
@@ -300,9 +303,11 @@ def _session(
             yield Send(state.user_ep, wire.Status(VfStatusCode.VF_DONE, "no-decision", session))
 
 
-def _verdict(state: VoterState, session: int, slots: list[VoteObject]) -> Verdict:
-    """The verdict on a closed ballot, from the run's memo where it may be shared."""
-    key = tuple(sorted([(obj.source, obj.valid, obj.payload) for obj in slots]))
+def _verdict(state: VoterState, session: int, slots: list[Slot]) -> Verdict:
+    """The verdict on a closed ballot of (source, valid, payload) slots,
+    from the run's memo where it may be shared.  The VoteObjects are
+    built, in ballot order, only when the ballot is voted."""
+    key = tuple(sorted(slots))
     memo = state.memo
     tag = (state.epoch, session, state.metric_name, state.select)
     if memo.tag != tag:
@@ -311,8 +316,9 @@ def _verdict(state: VoterState, session: int, slots: list[VoteObject]) -> Verdic
     known = memo.verdicts.get(key)
     if known is not None:
         return known
+    ballot = [VoteObject(payload, valid, source) for source, valid, payload in slots]
     try:
-        verdict: Verdict = (vote(slots, state.metric_name, state.select), None)
+        verdict: Verdict = (vote(ballot, state.metric_name, state.select), None)
     except NoDecision as exc:
         verdict = (None, f"no-decision: {exc}")
     except VotingFarmError as exc:  # may name the first bad payload in ballot order

@@ -713,6 +713,131 @@ def test_revive_resets_fault_state():
     assert [tag for _, tag in received] == ["clean"]
 
 
+# -- one Send to many targets ---------------------------------------------------
+
+C = Endpoint(3, "user")
+D = Endpoint(4, "user")
+E = Endpoint(5, "user")
+FANOUT = (B, C, D)
+
+
+def broadcaster(frames, batched, targets=FANOUT):
+    """Sends each frame to every target, as one Send or one Send per target."""
+
+    def run(proc):
+        for frame in frames:
+            if batched:
+                yield Send(targets, frame)
+            else:
+                for to in targets:
+                    yield Send(to, frame)
+            yield Sleep(1)
+
+    return run
+
+
+def drain(proc):
+    while True:
+        yield Recv(None)
+
+
+def fanout_run(batched, senders=(A,), unlinked=(), dead=(), faults=(), delivery_delay=1, jitter=0):
+    """Run broadcasters from senders to FANOUT.  Returns the trace text
+    and the (t, seq, tag) key of every event scheduled through the queue."""
+    sim = Simulator(seed=5, delivery_delay=delivery_delay, jitter=jitter)
+    for ep in (*senders, *FANOUT):
+        sim.add_endpoint(ep)
+    for sender in senders:
+        for to in FANOUT:
+            if (sender, to) not in unlinked:
+                sim.add_link(sender, to)
+    keys = []
+    schedule = sim._schedule
+
+    def keyed(t, tag, data):
+        keys.append((t, sim._seq, tag))
+        schedule(t, tag, data)
+
+    sim._schedule = keyed
+    for ep in FANOUT:
+        sim.spawn(drain, ep)
+    for ep in dead:
+        sim.crash_endpoint(ep)
+    for spec in faults:
+        sim.inject(spec)
+    for i, sender in enumerate(senders):
+        frames = [msg(f"{sender.node}.{k}", bytes([i, k])) for k in range(3)]
+        sim.spawn(broadcaster(frames, batched), sender)
+    sim.run_until_quiescent()
+    return sim.trace.text(), keys
+
+
+FANOUT_CASES = {
+    "jitter": dict(senders=(A, E), jitter=3),
+    "dead target": dict(dead=(C,), faults=[FaultSpec("crash", D, 3)]),
+    "sender faults": dict(delivery_delay=2, faults=[
+        FaultSpec("omission", A, 1), FaultSpec("delay", A, 3, delay=4),
+        FaultSpec("value-corruption", A, 12, mask=b"\x0f")]),
+    "no link to the second target": dict(unlinked=[(A, C)]),
+    "sender crashed in flight": dict(delivery_delay=5, faults=[FaultSpec("crash", A, 2)]),
+}
+
+
+@pytest.mark.parametrize("case", FANOUT_CASES)
+def test_a_multi_target_send_is_its_sends_yielded_one_by_one(case):
+    text, keys = fanout_run(True, **FANOUT_CASES[case])
+    assert (text, keys) == fanout_run(False, **FANOUT_CASES[case])
+    assert "deliver user@1 user@2" in text
+
+
+def test_each_send_of_a_send_meets_its_own_faults_and_targets():
+    # A dead target is skipped at once; a fault that fires while a send
+    # is in flight hits the next sends of the same list.
+    text, _ = fanout_run(True, **FANOUT_CASES["dead target"])
+    assert "t=1 send user@1 user@3 input payload=0000\nt=1 drop user@1 user@3 dead endpoint\n" \
+        "t=1 send user@1 user@4 input payload=0000\nt=2 deliver user@1 user@4" in text
+    assert "t=4 send user@1 user@4 input payload=0001\nt=4 drop user@1 user@4 dead endpoint" in text
+    text, _ = fanout_run(True, **FANOUT_CASES["sender faults"])
+    assert text.count("omission") == 2 and "t=2 drop user@1 user@3 omission" in text
+    assert "t=4 send user@1 user@4 input payload=0000\nt=10 deliver user@1 user@4" in text  # 2 + 4 ticks
+    assert "t=13 deliver user@1 user@2 input payload=0001" in text
+    assert "t=15 deliver user@1 user@3 input payload=0f0e" in text  # corrupted from t=12 on
+
+
+def test_no_link_to_a_later_target_ends_the_sender_after_the_earlier_ones():
+    text, _ = fanout_run(True, **FANOUT_CASES["no link to the second target"])
+    assert text.splitlines()[-3:] == [
+        "t=0 send user@1 user@2 input payload=0000",
+        "t=1 deliver user@1 user@2 input payload=0000",
+        "t=1 proc-error user@1 - NoSuchLink: no link user@1 -- user@3",
+    ]
+
+
+def test_a_sender_crashed_in_flight_sends_nothing_more():
+    text, _ = fanout_run(True, **FANOUT_CASES["sender crashed in flight"])
+    assert text.splitlines()[-3:] == [
+        "t=0 send user@1 user@2 input payload=0000",
+        "t=2 fault user@1 - crash",
+        "t=5 deliver user@1 user@2 input payload=0000",
+    ]
+
+
+def test_a_broadcasting_sender_holds_at_most_one_queue_entry():
+    sim = Simulator(seed=3, delivery_delay=1, jitter=2)
+    for ep in (A, *FANOUT):
+        sim.add_endpoint(ep)
+        if ep is not A:
+            sim.add_link(A, ep)
+            sim.spawn(drain, ep)
+    p = sim.spawn(broadcaster([msg("a"), msg("b")], True), A)
+    held = []
+    for t in range(20):
+        sim.run_until_quiescent(max_time=t)
+        held.append(sum(1 for _, _, tag, data in sim._heap if data is p or (tag == "send" and data[0] is p)))
+    assert p.finished and max(held) == 1
+    assert sim.trace.count("deliver") == 6
+
+
 # -- delivery timing against a replay oracle ------------------------------------
 
 def replay_oracle(send_times, base_delay, extra_first):

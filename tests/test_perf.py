@@ -235,9 +235,18 @@ class TestBestPermutation:
         for row, perm in zip(table, perms):
             for k in range(1, n + 1):
                 row[k] = perm.targets(k)
-        # The search's blocks list the same candidates in the same order.
+        # The search's blocks list each distinct candidate in search order:
+        # the relative orders led by 1, then every absolute order.  Each
+        # relative order they skip has the table of its earlier twin, the
+        # same order with 1 moved to the front.
+        distinct = [i for i, perm in enumerate(perms) if not perm.relative or perm.order[0] == 1]
         blocks = [_block_targets(orders, rel) for rel, orders in _candidate_blocks(n)]
-        assert np.array_equal(np.concatenate(blocks), table)
+        assert np.array_equal(np.concatenate(blocks), table[distinct])
+        row = {(perm.order, perm.relative): i for i, perm in enumerate(perms)}
+        for i, perm in enumerate(perms):
+            if perm.relative and perm.order[0] != 1:
+                twin = row[((1, *(x for x in perm.order if x != 1)), True)]
+                assert twin < i and np.array_equal(table[i], table[twin])
         results = [schedule_steps(perm, mode) for perm in perms]
         assert results == [reference_steps(perm, mode) for perm in perms]
         # Every step moves a message, so n(n-1) + 1 steps is never reached

@@ -423,9 +423,16 @@ def count_votes(monkeypatch):
 @pytest.mark.parametrize("n", [3, 32])
 def test_a_fault_free_session_is_voted_once(monkeypatch, n):
     ballots = count_votes(monkeypatch)
+    built = []  # the VoteObjects of the ballots voted, and of no other
+
+    def counted(*fields):
+        built.append(fields)
+        return VoteObject(*fields)
+
+    monkeypatch.setattr(voter, "VoteObject", counted)
     result = run_scenario(farm_spec(n, {10: lambda k: 1.5, 300: lambda k: float(k % 2)},
                                     algorithm={"kind": "plurality", "tie_break": "lowest-member"}))
-    assert len(ballots) == 2
+    assert len(ballots) == 2 and len(built) == 2 * n
     outputs = [[o["value"] for o in rep["outputs"]] for rep in result.users.values()]
     assert outputs == [[encode_scalar(1.5).hex(), encode_scalar(1.0).hex()]] * n
     assert result.sim.trace.count("phase", contains="VFP_SUCCESS") == 2 * n
@@ -440,8 +447,9 @@ def test_shared_verdicts_are_what_each_voter_would_vote(monkeypatch):
 
     def checked_verdict(state, session, slots):
         got = real(state, session, slots)
+        ballot = [VoteObject(payload, valid, source) for source, valid, payload in slots]
         try:
-            alone = vote(slots, state.metric_name, state.select)
+            alone = vote(ballot, state.metric_name, state.select)
         except VotingFarmError:
             alone = None
         assert outcome(got[0]) == outcome(alone)
@@ -480,7 +488,7 @@ def test_two_valid_items_from_one_member_are_voted_by_each_voter(monkeypatch):
     view = FarmView([FarmSlot(k, k, k) for k in (1, 2, 3)])
     state = VoterState(1, view, 10, AlgorithmSelect("plurality", tie_break="lowest-member"), "scalar",
                        None, None, VerdictMemo())
-    ballot = [VoteObject(encode_scalar(x), True, src) for x, src in ((1.0, 1), (2.0, 1), (3.0, 2))]
+    ballot = [(src, True, encode_scalar(x)) for x, src in ((1.0, 1), (2.0, 1), (3.0, 2))]
     won = [voter._verdict(state, 0, order)[0].payload for order in (ballot, ballot[::-1], ballot)]
     assert won == [encode_scalar(1.0), encode_scalar(2.0), encode_scalar(1.0)]
     assert len(ballots) == 3 and state.memo.verdicts == {}
