@@ -32,10 +32,11 @@ non-finite scalar stays a singleton there, because inf - inf is NaN and
 NaN is never <= epsilon.  The median ranks a NaN distance as farther
 than any number, so a non-finite item is discarded first, and it ranks
 an even count's last two survivors by math.fsum of their distances,
-which is correctly rounded and so the same in any order.  The weighted
-average sums in canonical (member ident, payload) order, so every voter
-of a session computes the same bits whatever order its ballot arrived
-in.
+which is correctly rounded on every Python version.
+
+Every technique reads the valid items in one canonical order, by
+(member ident, payload, slot), so what it returns or raises depends on
+the ballot's items and never on the order they arrived in.
 """
 
 from __future__ import annotations
@@ -149,7 +150,11 @@ def _resolve(metric: Metric) -> tuple[Optional[str], MetricFn]:
 
 
 def _valid_items(ballot: Ballot) -> list[tuple[int, VoteObject]]:
-    return [(i, obj) for i, obj in enumerate(ballot) if obj.valid]
+    """The valid (slot, item) pairs in canonical order: by member ident,
+    then payload, then slot, which only orders identical items."""
+    valid = [(obj.source, obj.payload, i, obj) for i, obj in enumerate(ballot) if obj.valid]
+    valid.sort()
+    return [(i, obj) for _, _, i, obj in valid]
 
 
 def _payload_ids(payloads: list[bytes]) -> list[int]:
@@ -173,8 +178,8 @@ def _distance_matrix(items: list[tuple[int, VoteObject]], metric: Metric) -> np.
     """Distances between the valid items: symmetric, with a zero diagonal.
 
     Built from the payloads only when there are two items or more, so a
-    lone item is never decoded.  The first bad payload in ballot order
-    raises, as the pairwise calls in (a, b) order would.
+    lone item is never decoded.  The first bad payload in canonical
+    order raises, as the pairwise calls in (a, b) order would.
     """
     n = len(items)
     d = np.zeros((n, n))
@@ -213,8 +218,8 @@ def _linkage_keys(items: list[tuple[int, VoteObject]], metric: Metric, epsilon: 
 def equivalence_classes(ballot: Ballot, metric: Metric, epsilon: float) -> list[list[int]]:
     """Partition the valid ballot slots into epsilon-linkage classes.
 
-    Returns lists of ballot indices.  Classes come out ordered by their
-    smallest slot index, and slots within a class stay in ballot order.
+    Returns lists of ballot indices, each class and the classes in
+    canonical order: the class holding the lowest member ident first.
     """
     items = _valid_items(ballot)
     if len(items) < 2:
@@ -243,13 +248,6 @@ def equivalence_classes(ballot: Ballot, metric: Metric, epsilon: float) -> list[
     return classes
 
 
-def _class_representative(ballot: Ballot, cls: list[int]) -> VoteObject:
-    # Lowest member ident within the winning class; arrival slot breaks
-    # the (unusual) case of duplicate idents in a malformed ballot.
-    best = min(cls, key=lambda i: (ballot[i].source, i))
-    return ballot[best]
-
-
 def majority(ballot: Ballot, metric: Metric, epsilon: float = 0.0) -> VoteObject:
     """Formalized majority: a class must exceed half the ballot size.
 
@@ -261,7 +259,7 @@ def majority(ballot: Ballot, metric: Metric, epsilon: float = 0.0) -> VoteObject
         raise NoDecision("empty ballot")
     for cls in equivalence_classes(ballot, metric, epsilon):
         if len(cls) > n / 2:
-            return _class_representative(ballot, cls)
+            return ballot[cls[0]]
     raise NoDecision("no class exceeds half the ballot")
 
 
@@ -277,40 +275,34 @@ def plurality(
         raise NoDecision("no valid items")
     top = max(len(c) for c in classes)
     tied = [c for c in classes if len(c) == top]
-    if len(tied) == 1:
-        return _class_representative(ballot, tied[0])
-    if tie_break == "lowest-member":
-        cls = min(tied, key=lambda c: min(ballot[i].source for i in c))
-        return _class_representative(ballot, cls)
-    raise NoDecision(f"{len(tied)} classes tied at size {top}")
+    if len(tied) > 1 and tie_break != "lowest-member":
+        raise NoDecision(f"{len(tied)} classes tied at size {top}")
+    return ballot[tied[0][0]]
 
 
 def median(ballot: Ballot, metric: Metric) -> VoteObject:
     """Generalized median: discard farthest pairs until one item is left.
 
     With an even number of valid items the final two are ranked by total
-    distance to every valid item, summed by math.fsum (correctly rounded,
-    so arrival order cannot change it); the smaller sum survives, with the
-    lower member ident breaking exact ties.  On scalars with an odd
-    count this reproduces the ordinary median.  A NaN distance, or a NaN
-    total, counts as the farthest, so non-finite scalars are discarded
-    first.
+    distance to every valid item, summed by math.fsum; the smaller sum
+    survives, and canonical order breaks exact ties.  On scalars with an
+    odd count this reproduces the ordinary median.  A NaN distance, or a
+    NaN total, counts as the farthest, so non-finite scalars are
+    discarded first.
     """
     items = _valid_items(ballot)
     if not items:
         raise NoDecision("no valid items")
     n = len(items)
     d = _distance_matrix(items, metric)
-    # Each round drops the farthest pair of live items (NaN first).  Ties
-    # go to the pair whose items rank lowest by (member ident, slot), an
-    # order stable under ballot permutation.  So one sort of all pairs,
-    # by distance and then by rank, lists every round's pair in turn:
-    # each round takes the first pair whose items are both still alive.
-    order = sorted(range(n), key=lambda k: (items[k][1].source, items[k][0]))
-    rank = np.arange(n)
-    ra, rb = np.nonzero(rank[:, None] < rank)  # row-major pairs ra < rb
-    item = np.array(order)
-    dist = d[item[ra], item[rb]]
+    # Each round drops the farthest pair of live items (NaN first), ties
+    # going to the pair that comes first in canonical order.  So one sort
+    # of all pairs, by distance and then by index, lists every round's
+    # pair in turn: each round takes the first pair whose items are both
+    # still alive.
+    idx = np.arange(n)
+    ra, rb = np.nonzero(idx[:, None] < idx)  # row-major pairs ra < rb
+    dist = d[ra, rb]
     nan = np.isnan(dist)
     by_distance = np.lexsort((np.where(nan, 0.0, -dist), ~nan))
     alive = [True] * n
@@ -321,13 +313,12 @@ def median(ballot: Ballot, metric: Metric) -> VoteObject:
         if alive[a] and alive[b]:
             alive[a] = alive[b] = False
             left -= 2
-    survivors = [order[r] for r in range(n) if alive[r]]
+    survivors = [k for k in range(n) if alive[k]]
     if len(survivors) == 1:
         return items[survivors[0]][1]
 
     def spread(k: int) -> tuple:
-        # fsum is order-free on finite rows only: a NaN in the row must
-        # decide before an overflow can raise.
+        # A NaN in the row must decide before fsum can raise on an overflow.
         row = d[k].tolist()
         try:
             total = math.nan if any(x != x for x in row) else math.fsum(row)
@@ -336,7 +327,7 @@ def median(ballot: Ballot, metric: Metric) -> VoteObject:
         except ValueError:  # inf + -inf, from a metric function that is no metric
             total = math.nan
         nan = math.isnan(total)
-        return (nan, 0.0 if nan else total, items[k][1].source, items[k][0])
+        return (nan, 0.0 if nan else total, k)
 
     return items[min(survivors, key=spread)][1]
 
@@ -361,17 +352,11 @@ def weighted_average(
     for v in vectors[1:]:
         if len(v) != width:
             raise LengthMismatch("mixed vector widths in ballot")
-    n = len(items)
-    # The arithmetic runs in canonical (member ident, payload) order, so
-    # every voter of a session computes the same bits whatever order its
-    # ballot arrived in.  Decoding and the distance matrix stay in ballot
-    # order: the first bad payload in the ballot is the one that raises.
-    order = sorted(range(n), key=lambda k: (items[k][1].source, items[k][1].payload))
-    d = _distance_matrix(items, metric)[np.ix_(order, order)]
+    d = _distance_matrix(items, metric)
     with np.errstate(invalid="ignore"):  # a ballot holding ±inf averages to NaN
-        mean_d = d.sum(axis=1) / max(n - 1, 1)
+        mean_d = d.sum(axis=1) / max(len(items) - 1, 1)
         weights = 1.0 / (1.0 + (mean_d / scaling_factor) ** 2)
-        mixed = (weights[:, None] * np.array(vectors)[order]).sum(axis=0) / weights.sum()
+        mixed = (weights[:, None] * np.array(vectors)).sum(axis=0) / weights.sum()
     return VoteObject(payload=encode_vector(mixed), valid=True, source=0)
 
 
@@ -393,8 +378,7 @@ def consensus(ballot: Ballot, metric: Metric, epsilon: float = 0.0) -> VoteObjec
     np.fill_diagonal(disagree, False)
     if disagree.any():
         raise NoDecision("items disagree beyond epsilon")
-    best = min(range(len(items)), key=lambda k: (items[k][1].source, items[k][0]))
-    return items[best][1]
+    return items[0][1]
 
 
 def vote(ballot: Ballot, metric: Metric, select: AlgorithmSelect) -> VoteObject:

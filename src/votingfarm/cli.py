@@ -190,15 +190,15 @@ def _cmd_reliability(args) -> int:
         return 0
     if args.verify_markov:
         t_grid = np.linspace(0.0, 2000.0, 25)
-        worst = 0.0
+        diffs = []
         for c in c_values:
             model = MarkovModel(args.lam, c)
             p = markov_solve(model, t_grid)
             numeric = live_probability(p)
             analytic = markov_reliability(args.lam, c, t_grid)
-            diff = float(np.max(np.abs(numeric - analytic)))
-            worst = max(worst, diff)
-            print(f"C={c:g} max|numeric-analytic|={diff:.3e}")
+            diffs.append(float(np.max(np.abs(numeric - analytic))))
+            print(f"C={c:g} max|numeric-analytic|={diffs[-1]:.3e}")
+        worst = float(np.max(diffs))  # a NaN difference is the worst, and fails
         ok = worst <= 1e-9
         print(f"overall max diff {worst:.3e} {'OK' if ok else 'TOO LARGE'}")
         return 0 if ok else 1
@@ -242,16 +242,24 @@ _PERMS = {
 }
 
 
+def _parse_perms(text: str) -> list[str]:
+    names = [p.strip() for p in text.split(",") if p.strip()]
+    if not names:
+        raise VotingFarmError(f"bad --perm {text!r}: need one or more of {', '.join(_PERMS)}")
+    for name in names:
+        if name not in _PERMS:
+            raise VotingFarmError(f"unknown permutation {name!r}")
+    return names
+
+
 def _cmd_perf(args) -> int:
     sizes = _parse_sizes(args.N)
+    names = _parse_perms(args.perm)
     did_something = False
     if args.steps:
         did_something = True
-        names = [p.strip() for p in args.perm.split(",") if p.strip()]
         for name in names:
-            maker = _PERMS.get(name)
-            if maker is None:
-                raise VotingFarmError(f"unknown permutation {name!r}")
+            maker = _PERMS[name]
             steps = []
             print(f"# {name}, {args.mode} duplex")
             print("N,steps,utilization")

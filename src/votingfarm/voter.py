@@ -31,17 +31,13 @@ posted to its database as a wire.Phase frame carrying the phase.
 A voter relays its value with one Send to all its fellows, in ident
 order.  A ballot slot is a plain (source, valid, payload) item; a wait
 that expired gives (0, False, b"").  The voters of a run share one
-VerdictMemo, which their runtime owns.  Every technique is invariant
-under permutation of the ballot, so the voters of a session whose
-ballots hold the same items reach the same verdict, and only the first
-of them votes, on VoteObjects built in arrival order: the rest reuse
-its winner or its NoDecision message, looked up by the ballot's sorted
-items.  The memo keeps the entries of one (epoch, session, metric,
-select) tag and empties itself for another.  A voter votes for itself
-when its ballot holds two valid items from one member with different
-payloads, since the slot index then breaks ties, and when the vote
-raises any other error, whose message names the first bad payload in
-ballot order.
+VerdictMemo, which their runtime owns.  Every technique reads a ballot
+in one canonical order, so the voters of a session whose ballots hold
+the same items reach the same verdict, and only the first of them
+votes, on VoteObjects built in arrival order: the rest reuse its
+winner, its NoDecision message or its error, looked up by the ballot's
+sorted items.  The memo keeps the entries of one (epoch, session,
+metric, select) tag and empties itself for another.
 """
 
 from __future__ import annotations
@@ -305,8 +301,8 @@ def _session(
 
 def _verdict(state: VoterState, session: int, slots: list[Slot]) -> Verdict:
     """The verdict on a closed ballot of (source, valid, payload) slots,
-    from the run's memo where it may be shared.  The VoteObjects are
-    built, in ballot order, only when the ballot is voted."""
+    from the run's memo if a ballot of the same items was voted.  The
+    VoteObjects are built, in ballot order, only when the ballot is voted."""
     key = tuple(sorted(slots))
     memo = state.memo
     tag = (state.epoch, session, state.metric_name, state.select)
@@ -321,12 +317,7 @@ def _verdict(state: VoterState, session: int, slots: list[Slot]) -> Verdict:
         verdict: Verdict = (vote(ballot, state.metric_name, state.select), None)
     except NoDecision as exc:
         verdict = (None, f"no-decision: {exc}")
-    except VotingFarmError as exc:  # may name the first bad payload in ballot order
-        return None, f"internal: {exc}"
-    # Kept unless a member has two different valid payloads: the slot
-    # index broke their tie.  The key holds the items, so a ballot that
-    # is not kept never finds a verdict either.
-    valid = [(source, payload) for source, ok, payload in key if ok]
-    if len(set(valid)) == len(dict(valid)):
-        memo.verdicts[key] = verdict
+    except VotingFarmError as exc:
+        verdict = (None, f"internal: {exc}")
+    memo.verdicts[key] = verdict
     return verdict

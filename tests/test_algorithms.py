@@ -138,7 +138,7 @@ def test_classes_skip_invalid_items(scalar_ballot):
     assert equivalence_classes(ballot, scalar_metric, 0.0) == [[0], [2]]
 
 
-def test_classes_ordered_by_first_slot(scalar_ballot):
+def test_classes_ordered_by_first_member(scalar_ballot):
     ballot = scalar_ballot([7.0, 3.0, 7.0, 3.0])
     assert equivalence_classes(ballot, scalar_metric, 0.0) == [[0, 2], [1, 3]]
 
@@ -434,16 +434,25 @@ def verdict(ballot, metric, select):
     invalid=st.sets(st.integers(0, 7)),
     metric=st.sampled_from(["default", "scalar", "euclidean"]),
     seed=st.integers(0, 2**16),
+    sources=st.one_of(st.just(list(range(1, 9))), st.lists(st.integers(1, 4), min_size=8, max_size=8)),
+    wrong=st.lists(st.tuples(st.integers(0, 7), st.sampled_from([b"", b"\x01", b"\x00" * 16])), max_size=2),
 )
-@example(values=EVEN_MEDIAN_TIE, invalid=set(), metric="scalar", seed=9)
-@settings(max_examples=200, deadline=None)
+@example(values=EVEN_MEDIAN_TIE, invalid=set(), metric="scalar", seed=9, sources=list(range(1, 9)), wrong=[])
+@example(values=[1.0] * 8, invalid=set(), metric="default", seed=1, sources=[1] * 8, wrong=[(0, b"")])
+@settings(max_examples=300, deadline=None)
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf * 0 in weighted averages
-def test_class_techniques_are_permutation_invariant(values, invalid, metric, seed):
+def test_class_techniques_are_permutation_invariant(values, invalid, metric, seed, sources, wrong):
     # Every voter of a session may receive the same items in another
     # order, and they must reach one verdict: the same winner (payload
-    # and member), or the same NoDecision message.
+    # and member), the same NoDecision message or the same error.  That
+    # holds for any ballot: one member may fill two slots, and a payload
+    # may have the wrong length.
     encode = (lambda v: encode_vector([v, -v])) if metric == "euclidean" else encode_scalar
-    ballot = [VoteObject(encode(v), i not in invalid, i + 1) for i, v in enumerate(values)]
+    payloads = [encode(v) for v in values]
+    for slot, payload in wrong:
+        if slot < len(payloads):
+            payloads[slot] = payload
+    ballot = [VoteObject(p, i not in invalid, sources[i]) for i, p in enumerate(payloads)]
     shuffled = ballot[:]
     random.Random(seed).shuffle(shuffled)
     for select in PERMUTED_SELECTS:

@@ -670,6 +670,13 @@ def test_cli_reliability_verify_markov(capsys):
     assert "OK" in out.strip().split("\n")[-1]
 
 
+def test_cli_reliability_verify_markov_fails_on_nan(capsys):
+    # At this rate the closed forms give NaN; max(0.0, nan) would be 0.0.
+    assert cli.main(["reliability", "--verify-markov", "--lambda", "1e300", "--C", "1"]) == 1
+    lines = capsys.readouterr().out.strip().split("\n")
+    assert lines == ["C=1 max|numeric-analytic|=nan", "overall max diff nan TOO LARGE"]
+
+
 @pytest.mark.parametrize(
     "args",
     [["--lambda", "nan"], ["--lambda", "inf"], ["--C", "nan"], ["--C", "0.5,nan"]],
@@ -808,6 +815,17 @@ def test_cli_perf_best(capsys, monkeypatch):
 
 def test_cli_perf_unknown_permutation(capsys):
     assert cli.main(["perf", "--steps", "--perm", "zigzag"]) == 2
+
+
+@pytest.mark.parametrize(
+    "perm, message",
+    [(",", "bad --perm ','"), (" , ", "bad --perm"), ("identity,bogus", "unknown permutation 'bogus'")],
+)
+def test_cli_perf_checks_every_permutation_before_printing(capsys, perm, message):
+    assert cli.main(["perf", "--steps", "--N", "4", "--perm", perm]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("vf: ") and message in captured.err
 
 
 def test_cli_perf_resources(capsys):

@@ -7,6 +7,8 @@ exact: a session's only waits are the delta_t timeouts for silent
 members, which makes latency arithmetic integer-precise.
 """
 
+import itertools
+
 import pytest
 
 from test_artifacts import tmr_stream
@@ -481,32 +483,31 @@ def test_a_ballot_holding_one_members_slot_twice_is_voted_as_it_came(monkeypatch
     assert (len(ballots), result.sim.trace.count("phase", contains="VFP_VOTING")) == (7, 11)
 
 
-def test_two_valid_items_from_one_member_are_voted_by_each_voter(monkeypatch):
-    # The slot index breaks the tie between one member's two values, so
-    # such a ballot never goes into the memo.
+def test_every_order_of_one_members_two_values_gives_one_verdict(monkeypatch):
+    # Canonical order, not the slot, breaks the tie between one member's
+    # two values, so every order of the ballot has one verdict, stored once.
     ballots = count_votes(monkeypatch)
     view = FarmView([FarmSlot(k, k, k) for k in (1, 2, 3)])
     state = VoterState(1, view, 10, AlgorithmSelect("plurality", tie_break="lowest-member"), "scalar",
                        None, None, VerdictMemo())
     ballot = [(src, True, encode_scalar(x)) for x, src in ((1.0, 1), (2.0, 1), (3.0, 2))]
-    won = [voter._verdict(state, 0, order)[0].payload for order in (ballot, ballot[::-1], ballot)]
-    assert won == [encode_scalar(1.0), encode_scalar(2.0), encode_scalar(1.0)]
-    assert len(ballots) == 3 and state.memo.verdicts == {}
-    # Without the duplicate, the second voter of the ballot reuses the first's verdict.
-    assert voter._verdict(state, 0, ballot[1:]) == voter._verdict(state, 0, ballot[:0:-1])
-    assert len(ballots) == 4 and len(state.memo.verdicts) == 1
+    orders = [list(order) for order in itertools.permutations(ballot)]
+    shared = [voter._verdict(state, 0, order) for order in orders]
+    alone = [vote([VoteObject(p, ok, src) for src, ok, p in order], "scalar", state.select) for order in orders]
+    assert shared == [(won, None) for won in alone] == [shared[0]] * len(orders)
+    assert len(ballots) == 1 and len(state.memo.verdicts) == 1
 
 
-def test_an_internal_vote_failure_is_voted_by_each_voter(monkeypatch):
-    # A 1-byte raw payload cannot decode as a vector; the message names
-    # the first bad payload in ballot order, so it is never shared.
+def test_an_internal_vote_failure_is_voted_once(monkeypatch):
+    # A 1-byte raw payload cannot decode as a vector.  The error names
+    # the first bad payload in canonical order, so the voters share it.
     ballots = count_votes(monkeypatch)
     spec = farm_spec(3, {}, metric="default", algorithm={"kind": "weighted-average"},
                      inputs={str(k): [{"at": 10, "value": "10"}] for k in (1, 2, 3)})
     result = run_scenario(spec)
-    assert len(ballots) == 3
+    assert len(ballots) == 1
     assert result.sim.trace.count("vote-fail", contains="internal: vector payload") == 3
-    assert result.runtime.memo.verdicts == {}
+    assert len(result.runtime.memo.verdicts) == 1
 
 
 def test_voters_on_other_techniques_do_not_share_a_verdict():
