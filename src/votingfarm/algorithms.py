@@ -343,6 +343,8 @@ def weighted_average(
     distance from item i to the other valid items and s is the scaling
     factor.  Invalid items weigh zero.  Payloads must decode as
     fixed-width float64 vectors; the result is synthesized (source 0).
+    The sums run in canonical order, so the result's bits depend only
+    on the items.
     """
     items = _valid_items(ballot)
     if not items:

@@ -141,6 +141,10 @@ def test_classes_skip_invalid_items(scalar_ballot):
 def test_classes_ordered_by_first_member(scalar_ballot):
     ballot = scalar_ballot([7.0, 3.0, 7.0, 3.0])
     assert equivalence_classes(ballot, scalar_metric, 0.0) == [[0, 2], [1, 3]]
+    # Arrival order does not matter: member 1's class comes first, and
+    # within a class the slots follow their members.
+    arrived = [VoteObject(encode_scalar(x), True, src) for x, src in ((3.0, 4), (7.0, 3), (3.0, 2), (7.0, 1))]
+    assert equivalence_classes(arrived, scalar_metric, 0.0) == [[3, 1], [2, 0]]
 
 
 # -- majority -----------------------------------------------------------------

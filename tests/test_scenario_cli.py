@@ -671,7 +671,7 @@ def test_cli_reliability_verify_markov(capsys):
 
 
 def test_cli_reliability_verify_markov_fails_on_nan(capsys):
-    # At this rate the closed forms give NaN; max(0.0, nan) would be 0.0.
+    # At this rate the numeric chain gives NaN, and max(0.0, nan) is 0.0.
     assert cli.main(["reliability", "--verify-markov", "--lambda", "1e300", "--C", "1"]) == 1
     lines = capsys.readouterr().out.strip().split("\n")
     assert lines == ["C=1 max|numeric-analytic|=nan", "overall max diff nan TOO LARGE"]
