@@ -48,7 +48,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .core import MemberId, VoteObject, VotingFarmError
+from .core import VoteObject, VotingFarmError
 
 MetricFn = Callable[[bytes, bytes], float]
 
