@@ -169,9 +169,10 @@ def vf_get(handle: FarmHandle, proc: Proc, timeout: int) -> Generator:
     handle._check_open()
     if handle.statuses:
         return handle.statuses.pop(0)
-    deadline = proc.now + timeout
+    sim = proc.sim
+    deadline = sim.now + timeout
     while True:
-        remaining = deadline - proc.now
+        remaining = deadline - sim.now
         if remaining < 0:
             return VfStatus(VfStatusCode.VF_NONE, "timeout")
         got = yield Recv(remaining)
@@ -196,11 +197,12 @@ def vf_close(handle: FarmHandle, proc: Proc, timeout: int) -> Generator:
     if not handle.running:
         raise NotRunning("farm is not running")
     yield from vf_control(handle, proc, close=True)
-    deadline = proc.now + timeout
+    sim = proc.sim
+    deadline = sim.now + timeout
     unrelated: list[VfStatus] = []
     result: VfStatus
     while True:
-        budget = deadline - proc.now
+        budget = deadline - sim.now
         if budget < 0:
             result = VfStatus(VfStatusCode.VF_NONE, "timeout")
             break

@@ -8,11 +8,12 @@ one and lookups hash by identity.  Each endpoint runs at most one
 process at a time, as each voter or user module of a farm is one task
 on its node.  A Proc is the one record of a process: spawn returns it,
 its generator gets it as the handle, and the scheduler steps it.  The
-fabric forgets a process once it finishes, exits or crashes.  Each
+fabric forgets a process once it finishes, exits or crashes.  A Proc
+holds its endpoint's state, so stepping it looks nothing up.  Each
 endpoint's state also holds its links (the set of peers, on both ends)
-and, on the sender, the FIFO floor towards each peer.  A link between
-endpoints on one node is local, any other is virtual.  A process talks
-to the fabric by yielding syscall objects:
+and, on the sender, the FIFO floors of its held-back deliveries.  A
+link between endpoints on one node is local, any other is virtual.  A
+process talks to the fabric by yielding syscall objects:
 
     Send(targets, frame) blocking send of a wire frame to each of a
                          tuple of endpoints (or one endpoint) in turn:
@@ -33,18 +34,27 @@ serialises them.
 Scheduling is fully deterministic: events are ordered by (time, seq)
 where seq increases monotonically as events are created, so two runs of
 the same scenario with the same seed produce byte-identical traces.
-Delivery order per (sender, receiver) pair is FIFO even under
-injected delays and jitter.  No event is scheduled before the current
-time.
+No event is scheduled before the current time.
 
-A blocking send is one event at its delivery time: it delivers the
-frame (unless an omission dropped it) and then issues the Send's next
-send, or resumes the sender after the last, so nothing can run between
-the two.  Each send is traced, delayed, faulted and checked as if it
-were yielded alone; a sender that dies while a frame is in flight sends
-nothing more.  A post is the same event with no sender to resume.  A
-timed Recv takes its seq when the wait starts;
-that (time, seq) deadline is where its timeout fires.
+Delivery order per (sender, receiver) pair is FIFO even under
+injected delays and jitter, across the sender's deaths and revivals.
+A send is due at now + delivery_delay.  The FIFO floor rule: a
+delivery held back past its due time (by jitter or a delay fault) is
+recorded as the sender's floor towards that peer, and a later send on
+the link is delivered no earlier than the floor, ties going by seq.
+The rule is exact, the same as a floor recorded on every send: a
+delivery that was not held back lands at its due time, and every later
+send on the link is due no earlier than that.  So without jitter or
+delay faults a run keeps no floor at all.
+
+A blocking send is one event at its delivery time.  The event loop
+delivers the frame itself (unless an omission dropped it) and then
+issues the Send's next send, or resumes the sender after the last, so
+nothing can run between the two.  Each send is traced, delayed,
+faulted and checked as if it were yielded alone; a sender that dies
+while a frame is in flight sends nothing more.  A post is the same
+event with no sender to resume.  A timed Recv takes its seq when the
+wait starts; that (time, seq) deadline is where its timeout fires.
 Each process has at most one live timer in the queue, since most waits
 end by a delivery long before they expire: a wait arms a timer only
 when the process has none, or only a later one.  When a timer pops, it
@@ -363,15 +373,17 @@ class Exit:
 
 class Proc:
     """One process: the handle its generator gets and the record the
-    scheduler steps.  It runs exactly while its endpoint's slot holds it.
-    deadline is the timer entry of its wait (None if untimed) and timer
-    the one entry it has in the queue, if any."""
+    scheduler steps.  It runs exactly while its endpoint's slot (in st,
+    its endpoint's state) holds it.  deadline is the timer entry of its
+    wait (None if untimed) and timer the one entry it has in the queue,
+    if any."""
 
-    __slots__ = ("sim", "endpoint", "gen", "finished", "waiting", "deadline", "timer")
+    __slots__ = ("sim", "endpoint", "st", "gen", "finished", "waiting", "deadline", "timer")
 
-    def __init__(self, sim: "Simulator", endpoint: Endpoint):
+    def __init__(self, sim: "Simulator", endpoint: Endpoint, st: "_EndpointState"):
         self.sim = sim
         self.endpoint = endpoint
+        self.st = st
         self.gen: Optional[Generator] = None
         self.finished = False
         self.waiting = False
@@ -384,6 +396,8 @@ class Proc:
 
 
 class _EndpointState:
+    __slots__ = ("mailbox", "dead", "corruption", "pending_omission", "pending_delay", "proc", "links", "fifo_floor")
+
     def __init__(self) -> None:
         self.mailbox: list[tuple[Endpoint, wire.Frame]] = []  # oldest first; costs no block while empty
         self.dead = False
@@ -392,7 +406,7 @@ class _EndpointState:
         self.pending_delay = 0
         self.proc: Optional[Proc] = None  # the running process, if any
         self.links: set[Endpoint] = set()  # peers, kept on both ends
-        self.fifo_floor: dict[Endpoint, int] = {}  # peer -> last delivery time sent to it
+        self.fifo_floor: dict[Endpoint, int] = {}  # peer -> last held-back delivery time sent to it
 
 
 def _is_work(entry: tuple) -> bool:
@@ -483,7 +497,7 @@ class Simulator:
             raise NoSuchEndpoint(str(endpoint))
         if st.proc is not None:
             raise VotingFarmError(f"endpoint {endpoint} already runs a process")
-        p = Proc(self, endpoint)
+        p = Proc(self, endpoint, st)
         p.gen = fn(p)
         st.proc = p
         self._schedule(self.now, "step", p)
@@ -564,7 +578,7 @@ class Simulator:
         the trace is marked max_time_exceeded and the simulator is left
         non-quiescent.  Timers that can no longer fire are not work.
         """
-        heap = self._heap
+        heap, endpoints, append, pop = self._heap, self._endpoints, self.trace.append, heapq.heappop
         while heap:
             if heap[0][0] > max_time:
                 if any(map(_is_work, heap)):
@@ -572,16 +586,24 @@ class Simulator:
                     self.quiescent = False
                     return self.trace
                 break
-            t, _, tag, data = entry = heapq.heappop(heap)
-            self.now = max(self.now, t)
+            t, _, tag, data = entry = pop(heap)
+            self.now = t  # never earlier: nothing is queued before the current time
             if tag == "send":
                 p, frm, to, frame, item, i = data
-                if frame is not None:
-                    self._deliver(frm, to, frame)
-                if p is not None:
-                    st = self._endpoints[frm]
-                    if st.proc is p and self._handle_send(p, st, item, i):
-                        self._step(p, None)
+                if frame is not None:  # deliver it, unless an omission dropped it
+                    st = endpoints.get(to)
+                    if st is None or st.dead:
+                        append(t, "drop", frm.name, to.name, "dead endpoint")
+                    else:
+                        append(t, "deliver", frm.name, to.name, frame.trace_detail)
+                        q = st.proc
+                        if q is not None and q.waiting:  # a process waits only on an empty mailbox
+                            q.waiting = False
+                            self._step(q, (frm, frame))
+                        else:
+                            st.mailbox.append((frm, frame))
+                if p is not None and p.st.proc is p and self._handle_send(p, item, i):
+                    self._step(p, None)
             elif tag == "timeout":
                 self._expire(data, entry)
             elif tag == "step":
@@ -626,21 +648,8 @@ class Simulator:
             st.pending_delay += spec.delay
         self.trace.append(self.now, "fault", str(spec.target), "-", spec.kind)
 
-    def _deliver(self, frm: Endpoint, to: Endpoint, data: wire.Frame) -> None:
-        st = self._endpoints.get(to)
-        if st is None or st.dead:
-            self.trace.append(self.now, "drop", frm.name, to.name, "dead endpoint")
-            return
-        self.trace.append(self.now, "deliver", frm.name, to.name, data.trace_detail)
-        p = st.proc
-        if p is not None and p.waiting:  # a process waits only on an empty mailbox
-            p.waiting = False
-            self._step(p, (frm, data))
-        else:
-            st.mailbox.append((frm, data))
-
     def _step(self, p: Proc, value: Any) -> None:
-        st = self._endpoints[p.endpoint]
+        st = p.st
         if st.proc is not p:
             return
         while True:
@@ -663,7 +672,7 @@ class Simulator:
             value = None
 
             if isinstance(item, Send):
-                if self._handle_send(p, st, item, 0):
+                if self._handle_send(p, item, 0):
                     continue
                 return
             if isinstance(item, Recv):
@@ -689,44 +698,47 @@ class Simulator:
             self._proc_error(p, st, VotingFarmError(f"process yielded unknown item {item!r}"))
             return
 
-    def _handle_send(self, p: Proc, sender_st: _EndpointState, item: Send, i: int) -> bool:
+    def _handle_send(self, p: Proc, item: Send, i: int) -> bool:
         """Issue item's sends from target i on, up to the first that is
         in flight.  Returns True if none is, so the sender continues
         immediately."""
-        frm = p.endpoint
-        targets = item.targets
+        frm, sender_st, targets, frame = p.endpoint, p.st, item.targets, item.data
+        now, append, endpoints = self.now, self.trace.append, self._endpoints
         while i < len(targets):
             to = targets[i]
             i += 1
-            target_st = self._endpoints.get(to)
+            target_st = endpoints.get(to)
             if target_st is not None and not target_st.dead and to not in sender_st.links:
                 self._proc_error(p, sender_st, NoSuchLink(f"no link {frm} -- {to}"))
                 return False
 
-            self.trace.append(self.now, "send", frm.name, to.name, item.data.trace_detail)
+            append(now, "send", frm.name, to.name, frame.trace_detail)
             if target_st is None or target_st.dead:
                 # Fail/stop: a send to a dead or never-added peer is
                 # discarded, whether or not a link to it was ever wired,
                 # and costs the sender nothing. The caller sees success.
-                self.trace.append(self.now, "drop", frm.name, to.name, "dead endpoint")
+                append(now, "drop", frm.name, to.name, "dead endpoint")
                 continue
 
-            data = item.data
-            if sender_st.corruption is not None:
-                data = wire.corrupt_value(data, sender_st.corruption)
+            data = frame if sender_st.corruption is None else wire.corrupt_value(frame, sender_st.corruption)
 
-            delay = self.delivery_delay
+            t_due = t_del = now + self.delivery_delay
             if self.jitter > 0:
-                delay += self._rng.randrange(self.jitter + 1)
+                t_del += self._rng.randrange(self.jitter + 1)
             if sender_st.pending_delay:
-                delay += sender_st.pending_delay
+                t_del += sender_st.pending_delay
                 sender_st.pending_delay = 0
-            t_del = sender_st.fifo_floor[to] = max(self.now + delay, sender_st.fifo_floor.get(to, 0))
+            floors = sender_st.fifo_floor
+            if floors and floors.get(to, 0) > t_del:
+                t_del = floors[to]
+            if t_del > t_due:  # held back: later sends on this link must not pass it
+                floors[to] = t_del
 
             if sender_st.pending_omission:
                 sender_st.pending_omission = False
-                self.trace.append(self.now, "drop", frm.name, to.name, "omission")
+                append(now, "drop", frm.name, to.name, "omission")
                 data = None
-            self._schedule(t_del, "send", (p, frm, to, data, item, i))
+            heapq.heappush(self._heap, (t_del, self._seq, "send", (p, frm, to, data, item, i)))
+            self._seq += 1
             return False
         return True

@@ -145,7 +145,8 @@ def markov_solve(model: MarkovModel, t_grid: Sequence[float]) -> np.ndarray:
     computes expm(A * dt) once for each distinct step dt between
     neighbouring times (the first from 0) and carries the initial state
     from row to row by matrix-vector products, so a repeated time
-    repeats its row exactly.
+    repeats its row exactly.  A rate so large that a step map is not
+    finite raises DomainError, where the rows would be NaN.
 
     scipy is imported on use, here and in crosspoint: at module level it
     was most of the import time every ``vf`` command paid.
@@ -155,6 +156,10 @@ def markov_solve(model: MarkovModel, t_grid: Sequence[float]) -> np.ndarray:
 
     steps, which = np.unique(np.diff(t, prepend=0.0), return_inverse=True)
     step_maps = expm(model.generator() * steps[:, None, None])
+    finite = np.isfinite(step_maps).all(axis=(1, 2))
+    if not finite.all():
+        step = steps[np.argmin(finite)]
+        raise DomainError(f"lambda={model.lam} is too large: the chain's step map over dt={step} is not finite")
     out = np.empty((len(t), len(STATES)))
     p = model.initial
     for i, k in enumerate(which):

@@ -345,9 +345,11 @@ def _user_program(spec, handle, rows, report, inputs):
     probes, polls, get_timeout = spec["probes"], spec["get_polls"], spec["get_timeout"]
 
     def run(proc):
+        sim = proc.sim
+
         def record(status):
             report["statuses"].append(
-                {"code": str(status.code), "detail": status.detail, "session": status.session, "t": proc.now}
+                {"code": str(status.code), "detail": status.detail, "session": status.session, "t": sim.now}
             )
 
         for nd, ident in rows:
@@ -358,8 +360,8 @@ def _user_program(spec, handle, rows, report, inputs):
             report["error"] = type(exc).__name__
             return
         for item in inputs:
-            if item["at"] > proc.now:
-                yield Sleep(item["at"] - proc.now)
+            if item["at"] > sim.now:
+                yield Sleep(item["at"] - sim.now)
             if "algorithm" in item:
                 alg = item["algorithm"]
                 yield from vf_control(

@@ -25,8 +25,10 @@ The externally visible life of a voter is the phase automaton from
 core: INIT, BROADCAST, VOTING, then SUCCESS (auto-resets to INIT) or
 FAILURE (sticky until an explicit reset or a recovery WARN).  Each step
 names the phase it enters and is checked against core.PHASE_STEPS.
-Phase changes are traced and, when a recovery backbone is attached,
-posted to its database as a wire.Phase frame carrying the phase.
+Phase changes are traced, each with one trace call, and, when a
+recovery backbone is attached, posted to its database as a wire.Phase
+frame carrying the phase.  A session yields the same Recv(delta_t) for
+every wait, built once when the session starts.
 
 A voter relays its value with one Send to all its fellows, in ident
 order.  A ballot slot is a plain (source, valid, payload) item; a wait
@@ -135,27 +137,27 @@ class VoterState:
 
 
 def _trace(proc: Proc, kind: str, detail: str) -> None:
-    proc.sim.trace.append(proc.now, kind, proc.endpoint.name, "-", detail)
-
-
-def _trace_phase(proc: Proc, state: VoterState) -> None:
-    # The member's name read directly: f"{state.phase}" would go through Enum.__format__.
-    _trace(proc, "phase", f"{state.phase._name_} session={state.next_session} epoch={state.epoch}")
+    sim = proc.sim
+    sim.trace.append(sim.now, kind, proc.endpoint.name, "-", detail)
 
 
 def _report(proc: Proc, state: VoterState, to: VoterPhase) -> None:
-    """Enter phase to, trace it and post it to the recovery backbone."""
-    state.phase = phase_transition(state.phase, to)
-    _trace_phase(proc, state)
+    """Enter phase to, trace it as the voter's first phase line is traced
+    and post it to the recovery backbone."""
+    phase = state.phase = phase_transition(state.phase, to)
+    sim = proc.sim
+    # The member's name read directly: f"{phase}" would go through Enum.__format__.
+    sim.trace.append(sim.now, "phase", proc.endpoint.name, "-",
+                     f"{phase._name_} session={state.next_session} epoch={state.epoch}")
     if state.dirnet_ep is not None:
-        proc.sim.post(proc.endpoint, state.dirnet_ep, wire.Phase(state.entity, state.phase))
+        sim.post(proc.endpoint, state.dirnet_ep, wire.Phase(state.entity, phase))
 
 
 def voter_process(state: VoterState):
     """Build the generator for one voter's whole life."""
 
     def run(proc: Proc) -> Generator:
-        _trace_phase(proc, state)
+        _trace(proc, "phase", f"{state.phase._name_} session={state.next_session} epoch={state.epoch}")
         inbox: list[tuple[Endpoint, wire.Frame]] = []  # oldest first
         while True:
             sender, frame = inbox.pop(0) if inbox else (yield Recv(None))
@@ -243,6 +245,7 @@ def _session(
     own: Optional[bytes] = None
     held: list[tuple[Endpoint, wire.Frame]] = []
     got = (sender, frame)
+    wait = Recv(state.delta_t)  # one wait, yielded again each time
 
     _report(proc, state, VoterPhase.VFP_BROADCAST)
 
@@ -275,7 +278,7 @@ def _session(
                 yield Send(tuple(state.view.fellows(state.entity)), relay)
             if len(slots) == n:
                 break
-        got = inbox.pop(0) if inbox else (yield Recv(state.delta_t))
+        got = inbox.pop(0) if inbox else (yield wait)
     inbox.extend(held)
 
     _report(proc, state, VoterPhase.VFP_VOTING)

@@ -1,17 +1,20 @@
 """Messages crossing the simulated fabric.
 
-Each of the eight message kinds is a read-only slotted class that
-declares the fields it carries, declared in one line as a namedtuple
-is.  The voted data travels as the ``payload`` of an input, a
-broadcast or an output; the other kinds carry control fields only.
-Senders build frames, the fabric carries them as they are and
-receivers read their attributes, so no message is serialised on its
-way: a phase report carries the voter's VoterPhase itself, whose value
-is the code recovery strategies compare.
+Each of the eight message kinds is a read-only tuple subclass that
+declares the fields it carries in one line, as a namedtuple does, and
+lists them, in constructor order, in its class attribute ``fields``.
+The voted data travels as the ``payload`` of an input, a broadcast or
+an output; the other kinds carry control fields only.  Senders build
+frames, the fabric carries them as they are and receivers read their
+attributes, so no message is serialised on its way: a phase report
+carries the voter's VoterPhase itself, whose value is the code recovery
+strategies compare.  Frames compare and hash by identity: two frames
+with equal fields are still two messages.
 
-A frame renders its trace detail once, when it is built: every frame
-is sent or posted, so it is traced at least once, and a broadcast
-shared by several receivers is rendered only once.
+A frame renders its trace detail when it is built, in the same call
+that builds it, and keeps it as its last item: every frame is sent or
+posted, so it is traced at least once, and a broadcast shared by
+several receivers is rendered only once.
 
 ``encode``/``decode`` define a bytes layout of a kind, fields and
 payload.  Nothing in the package or its demos calls them; they remain
@@ -28,10 +31,10 @@ messages into garbage.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import struct
-from typing import Any, Callable, Mapping
+from collections import _tuplegetter  # the field accessor namedtuples use
+from typing import Any, Mapping
 
 from .core import VfStatusCode, VoterPhase
 
@@ -58,62 +61,54 @@ class FrameError(Exception):
     pass
 
 
-class Frame:
-    """Base of the message kinds: a frame's kind, its name and the
-    fields its trace line shows are class attributes."""
+class Frame(tuple):
+    """Base of the message kinds: a read-only tuple of the kind's fields,
+    then its trace detail.  A frame's kind, its name, its fields in
+    constructor order and the fields its trace line shows are class
+    attributes.  Frames compare and hash by identity, as distinct
+    messages do, and have no order."""
 
-    __slots__ = ("trace_detail",)
+    __slots__ = ()
     kind: int
     name: str
+    fields: tuple[str, ...]
     traced: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        """Render the trace detail.  The first frame of a kind compiles
-        that kind's renderer and installs it as its __post_init__."""
-        cls = type(self)
-        cls.__post_init__ = _renderer(cls)
-        self.__post_init__()
 
     def __setattr__(self, name: str, value: Any = None) -> None:  # also __delattr__
         raise AttributeError(f"a {self.name} frame is read-only, cannot set {name}")
 
     __delattr__ = __setattr__
+    __eq__, __ne__, __hash__, __repr__ = object.__eq__, object.__ne__, object.__hash__, object.__repr__
+    __lt__, __le__, __gt__, __ge__ = object.__lt__, object.__le__, object.__gt__, object.__ge__
 
-
-def _renderer(cls: type) -> Callable[[Frame], None]:
-    """A __post_init__ for the frame class: it sets trace_detail to the
-    kind's name, then key=value for each traced field that is not None
-    (an enum as its member's name), then payload=<hex> if the frame has
-    a non-empty payload.  It is compiled from the kind's own fields, as
-    dataclass methods are, and costs about half as much as a loop over
-    them."""
-    lines = ["def __post_init__(self):"]
-    for i, key in enumerate(cls.traced):
-        lines.append(f"    v = self.{key}")
-        lines.append(f"    f{i} = '' if v is None else f' {key}={{v._name_}}' if type(v) in _NAMED else f' {key}={{v}}'")
-    parts = "".join(f"{{f{i}}}" for i in range(len(cls.traced)))
-    if any(f.name == "payload" for f in dataclasses.fields(cls)):
-        lines.append("    payload = f' payload={self.payload.hex()}' if self.payload else ''")
-        parts += "{payload}"
-    lines.append(f"    set_detail(self, f'{cls.name}{parts}')")
-    namespace = {"_NAMED": _NAMED, "set_detail": Frame.trace_detail.__set__}  # the slot's own setter
-    exec("\n".join(lines), namespace)
-    return namespace["__post_init__"]
+    def __getnewargs__(self) -> tuple:
+        return self[:-1]
 
 
 def _message(name: str, kind: int, fields: str, **defaults: Any) -> type:
-    """A read-only frame class with the given space-separated fields,
-    then the keyword ones with their defaults."""
-    names = fields.split() + list(defaults)
-    namespace = {"kind": kind, "name": name.lower(), "traced": tuple(k for k in _TRACED_FIELDS if k in names)}
-    cls = dataclasses.make_dataclass(
-        name, [(n, Any, defaults[n]) if n in defaults else (n, Any) for n in names], bases=(Frame,),
-        namespace=namespace, frozen=True, slots=True, eq=False, repr=False)
-    # frozen=True gives an __init__ that writes through object.__setattr__;
-    # Frame's own guard refuses every name, where the dataclass one fails
-    # with a TypeError on a name that is not a field (slots=True, 3.11).
-    del cls.__setattr__, cls.__delattr__
-    return cls
+    """A frame class with the given space-separated fields, then the
+    keyword ones with their defaults.  Its __new__ is compiled from the
+    kind's own fields, as a namedtuple's is, and renders the trace detail
+    in the same call: the kind's name, then key=value for each traced
+    field that is not None (an enum as its member's name), then
+    payload=<hex> if the frame has a non-empty payload."""
+    names = tuple(fields.split()) + tuple(defaults)
+    traced = tuple(k for k in _TRACED_FIELDS if k in names)
+    parts = [f"{{'' if {k} is None else f' {k}={{{k}._name_}}' if type({k}) in _NAMED else f' {k}={{{k}}}'}}"
+             for k in traced]
+    if "payload" in names:
+        parts.append("{f' payload={payload.hex()}' if payload else ''}")
+    args = ", ".join(names)
+    source = (f"def __new__(_cls, {args}):\n"
+              f"    return _new(_cls, ({args}, f\"{name.lower()}{''.join(parts)}\"))")
+    namespace = {"_new": tuple.__new__, "_NAMED": _NAMED}
+    exec(source, namespace)
+    new = namespace["__new__"]
+    new.__defaults__ = tuple(defaults.values()) or None
+    accessors = {key: _tuplegetter(i, None) for i, key in enumerate(names + ("trace_detail",))}
+    return type(name, (Frame,), {
+        "__slots__": (), "__new__": new, "__module__": __name__, "kind": kind, "name": name.lower(),
+        "fields": names, "traced": traced, **accessors})
 
 
 Input = _message("Input", K_INPUT, "payload", valid=True)
@@ -161,4 +156,4 @@ def corrupt_value(frame: Frame, mask: bytes) -> Frame:
     payload = getattr(frame, "payload", b"")
     if not mask or not payload:
         return frame
-    return dataclasses.replace(frame, payload=_xor(payload, mask))
+    return type(frame)(**{**dict(zip(frame.fields, frame)), "payload": _xor(payload, mask)})

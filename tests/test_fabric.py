@@ -8,13 +8,16 @@ from first principles instead of trusting the scheduler.
 import copy
 import dataclasses
 import gc
+import heapq
 import random
 import weakref
+from contextlib import contextmanager
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from votingfarm import wire
+from votingfarm import fabric, wire
 from votingfarm.core import VotingFarmError
 from votingfarm.fabric import (
     _BLOCK,
@@ -44,13 +47,8 @@ def make_pair(seed=0, delivery_delay=0, jitter=0):
     return sim
 
 
-@dataclasses.dataclass(frozen=True, slots=True, eq=False)
-class Tagged(wire.Frame):
-    """A test message: a tag to tell messages apart, and a payload."""
-
-    kind, name, traced = wire.K_INPUT, "input", ()
-    tag: str
-    payload: bytes = b""
+# A test message traced as an input: a tag to tell messages apart, and a payload.
+Tagged = wire._message("Input", wire.K_INPUT, "tag", payload=b"")
 
 
 def msg(tag, payload=b""):
@@ -64,6 +62,27 @@ def sender_of(messages, to=B, gap=0):
             if gap:
                 yield Sleep(gap)
     return run
+
+
+@contextmanager
+def queue_log():
+    """Note every entry the fabric queues and pops, as (t, seq, tag, data)."""
+    log = {"queued": [], "popped": []}
+
+    class Queue:
+        @staticmethod
+        def heappush(heap, entry):
+            log["queued"].append(entry)
+            heapq.heappush(heap, entry)
+
+        @staticmethod
+        def heappop(heap):
+            entry = heapq.heappop(heap)
+            log["popped"].append(entry)
+            return entry
+
+    with mock.patch.object(fabric, "heapq", Queue):
+        yield log
 
 
 def sink(received, n):
@@ -743,7 +762,7 @@ def drain(proc):
 
 def fanout_run(batched, senders=(A,), unlinked=(), dead=(), faults=(), delivery_delay=1, jitter=0):
     """Run broadcasters from senders to FANOUT.  Returns the trace text
-    and the (t, seq, tag) key of every event scheduled through the queue."""
+    and the (t, seq, tag) key of every event queued."""
     sim = Simulator(seed=5, delivery_delay=delivery_delay, jitter=jitter)
     for ep in (*senders, *FANOUT):
         sim.add_endpoint(ep)
@@ -751,14 +770,6 @@ def fanout_run(batched, senders=(A,), unlinked=(), dead=(), faults=(), delivery_
         for to in FANOUT:
             if (sender, to) not in unlinked:
                 sim.add_link(sender, to)
-    keys = []
-    schedule = sim._schedule
-
-    def keyed(t, tag, data):
-        keys.append((t, sim._seq, tag))
-        schedule(t, tag, data)
-
-    sim._schedule = keyed
     for ep in FANOUT:
         sim.spawn(drain, ep)
     for ep in dead:
@@ -768,8 +779,9 @@ def fanout_run(batched, senders=(A,), unlinked=(), dead=(), faults=(), delivery_
     for i, sender in enumerate(senders):
         frames = [msg(f"{sender.node}.{k}", bytes([i, k])) for k in range(3)]
         sim.spawn(broadcaster(frames, batched), sender)
-    sim.run_until_quiescent()
-    return sim.trace.text(), keys
+    with queue_log() as log:
+        sim.run_until_quiescent()
+    return sim.trace.text(), [entry[:3] for entry in log["queued"]]
 
 
 FANOUT_CASES = {
@@ -882,6 +894,142 @@ def test_fifo_order_holds_under_jitter():
     assert [tag for _, tag in received] == [f"m{i}" for i in range(8)]
     times = [t for t, _ in received]
     assert times == sorted(times)
+
+
+class EveryFloorSimulator(Simulator):
+    """The reference for the FIFO floor: a sender records the floor
+    towards a peer on every send, not only for a held-back delivery."""
+
+    def _handle_send(self, p, item, i):
+        frm, sender_st, targets = p.endpoint, p.st, item.targets
+        while i < len(targets):
+            to = targets[i]
+            i += 1
+            target_st = self._endpoints.get(to)
+            if target_st is not None and not target_st.dead and to not in sender_st.links:
+                self._proc_error(p, sender_st, fabric.NoSuchLink(f"no link {frm} -- {to}"))
+                return False
+            self.trace.append(self.now, "send", frm.name, to.name, item.data.trace_detail)
+            if target_st is None or target_st.dead:
+                self.trace.append(self.now, "drop", frm.name, to.name, "dead endpoint")
+                continue
+            data = item.data
+            if sender_st.corruption is not None:
+                data = wire.corrupt_value(data, sender_st.corruption)
+            delay = self.delivery_delay
+            if self.jitter > 0:
+                delay += self._rng.randrange(self.jitter + 1)
+            if sender_st.pending_delay:
+                delay += sender_st.pending_delay
+                sender_st.pending_delay = 0
+            t_del = sender_st.fifo_floor[to] = max(self.now + delay, sender_st.fifo_floor.get(to, 0))
+            if sender_st.pending_omission:
+                sender_st.pending_omission = False
+                self.trace.append(self.now, "drop", frm.name, to.name, "omission")
+                data = None
+            self._schedule(t_del, "send", (p, frm, to, data, item, i))
+            return False
+        return True
+
+
+CTL = Endpoint(9, "ctl")  # unlinked: it only crashes and revives an endpoint
+LINKED = (A, B, C, D)
+
+
+def chatter(me, life, ops):
+    """Runs ops: ("send", targets), ("sleep", dt) or ("recv", timeout);
+    each message is tagged with its sender, the sender's life and its
+    number."""
+
+    def run(proc):
+        for k, (op, arg) in enumerate(ops):
+            if op == "send":
+                yield Send(arg, msg(f"{me.node}.{life}.{k}", bytes([me.node, life, k])))
+            elif op == "sleep":
+                yield Sleep(arg)
+            else:
+                yield Recv(arg)
+
+    return run
+
+
+def floor_run(sim_class, seed, delivery_delay, jitter, programs, faults, crash, crash_at, yields, revive_after, reborn):
+    """Run the chatter programs on four linked endpoints under the
+    faults.  At crash_at, after yielding the tick `yields` times, crash
+    the endpoint `crash`, and revive_after ticks later revive it with
+    the program reborn.  Returns the trace text and the queue log."""
+    sim = sim_class(seed=seed, delivery_delay=delivery_delay, jitter=jitter)
+    for ep in (*LINKED, CTL):
+        sim.add_endpoint(ep)
+    for i, a in enumerate(LINKED):
+        for b in LINKED[i + 1:]:
+            sim.add_link(a, b)
+    for spec in faults:
+        sim.inject(spec)
+    for ep, ops in zip(LINKED, programs):
+        sim.spawn(chatter(ep, 0, ops), ep)
+
+    def controller(proc):
+        yield Sleep(crash_at)
+        for _ in range(yields):  # let the tick's other events go first
+            yield Sleep(0)
+        proc.sim.crash_endpoint(crash)
+        yield Sleep(revive_after)
+        proc.sim.revive_endpoint(crash)
+        proc.sim.spawn(chatter(crash, 1, reborn), crash)
+
+    sim.spawn(controller, CTL)
+    with queue_log() as log:
+        sim.run_until_quiescent()
+    return sim.trace.text(), log
+
+
+def ops_for(me):
+    targets = st.lists(st.sampled_from([ep for ep in LINKED if ep is not me]), min_size=1, max_size=3)
+    return st.lists(st.one_of(
+        st.tuples(st.just("send"), targets.map(tuple)),
+        st.tuples(st.just("sleep"), st.integers(0, 3)),
+        st.tuples(st.just("recv"), st.integers(0, 3)),
+    ), max_size=6)
+
+
+FAULTS = st.lists(st.builds(
+    FaultSpec, st.sampled_from(["delay", "delay", "omission"]), st.sampled_from(LINKED), st.integers(0, 6),
+    delay=st.integers(1, 12)), max_size=5)
+
+
+@given(
+    seed=st.integers(0, 2**16), delivery_delay=st.integers(0, 2), jitter=st.integers(0, 5),
+    programs=st.tuples(*map(ops_for, LINKED)), faults=FAULTS, crash=st.sampled_from(LINKED),
+    crash_at=st.integers(0, 6), yields=st.integers(0, 3), revive_after=st.integers(0, 2), data=st.data(),
+)
+@example(  # the reborn A's message would land at 1, before its first life's at 11, without the floor
+    seed=0, delivery_delay=1, jitter=0, programs=((("send", (B,)),), (), (), ()),
+    faults=[FaultSpec("delay", A, 0, delay=10)], crash=A, crash_at=1, yields=0, revive_after=1, data=None,
+).via("the crash-and-revive floor")
+@example(  # held back by one tick, then crashed and revived in the same tick as the send
+    seed=0, delivery_delay=0, jitter=0, programs=((("send", (B,)),), (), (), ()),
+    faults=[FaultSpec("delay", A, 0, delay=1)], crash=A, crash_at=0, yields=0, revive_after=0, data=None,
+).via("a floor one tick above the due time")
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+def test_a_floor_kept_only_for_held_back_sends_matches_a_floor_on_every_send(
+        seed, delivery_delay, jitter, programs, faults, crash, crash_at, yields, revive_after, data):
+    # The crashed endpoint is revived soon after, possibly at the same
+    # tick, and first sends to every peer, so it often sends on a link
+    # that its first life still has a held-back delivery in flight on.
+    peers = tuple(ep for ep in LINKED if ep is not crash)
+    reborn = [("send", peers), *(() if data is None else data.draw(ops_for(crash)))]
+    args = (seed, delivery_delay, jitter, programs, faults, crash, crash_at, yields, revive_after, reborn)
+    text, log = floor_run(Simulator, *args)
+    reference_text, reference_log = floor_run(EveryFloorSimulator, *args)
+    assert text == reference_text
+    deliveries = [(t, seq, d[1], d[2]) for t, seq, tag, d in log["popped"] if tag == "send"]
+    assert deliveries == [(t, seq, d[1], d[2]) for t, seq, tag, d in reference_log["popped"] if tag == "send"]
+    assert [entry[:3] for entry in log["queued"]] == [entry[:3] for entry in reference_log["queued"]]
+    sent: dict = {}
+    for _, seq, frm, to in deliveries:  # each pair's deliveries come in the order they were sent
+        assert seq > sent.get((frm, to), -1)
+        sent[frm, to] = seq
 
 
 # -- determinism -----------------------------------------------------------------

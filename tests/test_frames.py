@@ -3,12 +3,13 @@
 Inside the simulator a message stays a typed wire frame (Input,
 Broadcast, ...) from sender to receiver.  These tests pin what that
 must not change: a value fault hits only the payload, a frame of any
-kind is read-only, and a broadcast frame shared by several receivers
-cannot be altered through one of them and is rendered for the trace
-once.
+kind is read-only and equal only to itself, its trace detail is the one
+the kind's rules give, and a broadcast frame shared by several
+receivers cannot be altered through one of them and is rendered for the
+trace once.
 """
 
-import dataclasses
+import copy
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -38,7 +39,7 @@ def test_corrupting_a_frame_xors_only_its_payload():
     for frame in (wire.Input(payload), wire.Broadcast(2, 0, 1, True, payload), wire.Output(0, 2, payload)):
         hit = wire.corrupt_value(frame, mask)
         assert type(hit) is type(frame)
-        fields = [f.name for f in dataclasses.fields(frame) if f.name != "payload"]
+        fields = [name for name in frame.fields if name != "payload"]
         assert [getattr(hit, f) for f in fields] == [getattr(frame, f) for f in fields]
         assert hit.payload == bytes(b ^ m for b, m in zip(payload, mask * 3))
         assert frame.payload == payload  # the sender's frame is untouched
@@ -93,15 +94,50 @@ EVERY_KIND = [
 
 def test_frame_fields_and_payload_are_read_only():
     for frame in EVERY_KIND:
-        for name in [f.name for f in dataclasses.fields(frame)] + ["trace_detail"]:
-            with pytest.raises(AttributeError):
+        for name in [*frame.fields, "trace_detail", "extra"]:  # extra: no field beyond the declared ones
+            refused = f"^a {frame.name} frame is read-only, cannot set {name}$"
+            with pytest.raises(AttributeError, match=refused):
                 setattr(frame, name, 9)
-            with pytest.raises(AttributeError):
+            with pytest.raises(AttributeError, match=refused):
                 delattr(frame, name)
-        with pytest.raises(AttributeError):
-            frame.extra = 9  # slotted: no field beyond the declared ones
         assert not hasattr(frame, "__dict__")
     assert isinstance(wire.Input(b"\x01").payload, bytes)
+
+
+def test_frames_are_equal_and_hash_only_by_identity():
+    for frame in EVERY_KIND:
+        twin = type(frame)(*(getattr(frame, name) for name in frame.fields))
+        assert tuple(twin) == tuple(frame)  # the same fields and detail
+        assert frame == frame and not frame != frame
+        assert twin != frame and not twin == frame
+        assert hash(frame) == object.__hash__(frame) and hash(twin) == object.__hash__(twin)
+        assert len({frame, twin, frame}) == 2
+        with pytest.raises(TypeError):
+            frame < twin  # noqa: B015 - no order, as before
+        copied = copy.copy(frame)
+        assert copied is not frame and type(copied) is type(frame) and tuple(copied) == tuple(frame)
+
+
+def test_fields_list_each_kinds_constructor_order():
+    declared = {
+        wire.Input: ("payload", "valid"),
+        wire.Broadcast: ("member", "session", "epoch", "valid", "payload"),
+        wire.Output: ("session", "member", "payload"),
+        wire.Status: ("status", "detail", "session"),
+        wire.Control: ("req", "arg", "member"),
+        wire.Phase: ("member", "phase"),
+        wire.Fault: ("member", "fault"),
+        wire.Warn: ("farm", "epoch"),
+    }
+    assert set(declared) == set(KINDS)
+    for cls, fields in declared.items():
+        assert cls.fields == fields
+        values = [bytes([i]) if name == "payload" else f"v{i}" for i, name in enumerate(fields)]
+        by_position, by_name = cls(*values), cls(**dict(zip(fields, values)))
+        assert [getattr(by_position, name) for name in fields] == values
+        assert tuple(by_name) == tuple(by_position) == (*values, by_position.trace_detail)
+    assert wire.Input(b"\x01").valid is True
+    assert (wire.Control("close").arg, wire.Control("close").member) == (None, None)
 
 
 def test_each_kind_has_its_own_code_and_name():
@@ -111,7 +147,7 @@ def test_each_kind_has_its_own_code_and_name():
 
 def test_a_phase_frame_carries_the_phase_and_traces_its_name():
     frame = wire.Phase(1, VoterPhase.VFP_FAILURE)
-    assert [f.name for f in dataclasses.fields(frame)] == ["member", "phase"]
+    assert frame.fields == ("member", "phase")
     assert frame.phase.value == 4
     assert frame.trace_detail == "phase phase=VFP_FAILURE member=1"
 
@@ -138,14 +174,46 @@ FIELD_VALUES = st.one_of(
 )
 
 
+def old_renderer_detail(frame) -> str:
+    """A frame's trace detail as the renderer that frames compiled before
+    they were tuples gave it: the same generated lines, run on the frame."""
+    lines = ["def render(self):"]
+    for i, key in enumerate(frame.traced):
+        lines.append(f"    v = self.{key}")
+        lines.append(f"    f{i} = '' if v is None else f' {key}={{v._name_}}' if type(v) in _NAMED else f' {key}={{v}}'")
+    parts = "".join(f"{{f{i}}}" for i in range(len(frame.traced)))
+    if "payload" in frame.fields:
+        lines.append("    payload = f' payload={self.payload.hex()}' if self.payload else ''")
+        parts += "{payload}"
+    lines.append(f"    return f'{frame.name}{parts}'")
+    namespace = {"_NAMED": frozenset({VfStatusCode, VoterPhase})}
+    exec("\n".join(lines), namespace)
+    return namespace["render"](frame)
+
+
+def draw_fields(cls, data) -> dict:
+    return {name: data.draw(st.binary(max_size=4) if name == "payload" else FIELD_VALUES, label=name)
+            for name in cls.fields}
+
+
 @given(st.sampled_from(KINDS), st.data())
 @settings(max_examples=300, derandomize=True, deadline=None, database=None)
 def test_each_kinds_compiled_renderer_follows_the_rules(cls, data):
-    fields = {f.name: data.draw(st.binary(max_size=4) if f.name == "payload" else FIELD_VALUES, label=f.name)
-              for f in dataclasses.fields(cls)}
-    frame = cls(**fields)
+    frame = cls(**draw_fields(cls, data))
     assert frame.trace_detail == reference_detail(frame)
+    assert frame.trace_detail == old_renderer_detail(frame)
+    assert frame[-1] is frame.trace_detail and isinstance(frame, tuple)
 
+
+@given(st.sampled_from([wire.Input, wire.Broadcast, wire.Output]), st.data(), st.binary(min_size=1, max_size=3))
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+def test_a_corrupted_frame_is_the_frame_built_with_the_xored_payload(cls, data, mask):
+    fields = draw_fields(cls, data)
+    hit = wire.corrupt_value(cls(**fields), mask)
+    payload = fields["payload"]
+    built = cls(**{**fields, "payload": bytes(b ^ mask[i % len(mask)] for i, b in enumerate(payload))})
+    assert type(hit) is cls
+    assert tuple(hit) == tuple(built)  # every field and the trace detail
 
 def test_enum_fields_trace_as_their_str():
     # Frames read an enum member's name directly; it must be the member's str.

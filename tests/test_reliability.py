@@ -1,5 +1,7 @@
 """Reliability models: polynomial forms, the Markov chain, crosspoints."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -204,6 +206,18 @@ class TestNonFiniteInputs:
     def test_solver_rejects_bad_times(self, grid, solve):
         with pytest.raises(ValidationError):
             solve(MarkovModel(lam=1.0, C=0.5), grid)
+
+    @pytest.mark.parametrize("lam", [1e50, 1e300])
+    def test_a_rate_whose_step_map_is_not_finite_is_refused(self, lam):
+        # At these rates expm's step maps hold NaN, which the rows would
+        # carry as 24 NaN live probabilities out of 25.
+        t = np.linspace(0.0, 2000.0, 25)
+        with pytest.raises(DomainError, match=re.escape(f"lambda={lam:g} is too large: the chain's step map over dt=83.33")):
+            markov_solve(MarkovModel(lam=lam, C=1.0), t)
+
+    def test_a_large_rate_with_finite_step_maps_is_solved(self):
+        p = live_probability(markov_solve(MarkovModel(lam=1e10, C=1.0), np.linspace(0.0, 2000.0, 25)))
+        assert np.isfinite(p).all() and p[0] == 1.0
 
 
 class TestCrosspoints:
