@@ -142,8 +142,8 @@ def _trace(proc: Proc, kind: str, detail: str) -> None:
 
 
 def _report(proc: Proc, state: VoterState, to: VoterPhase) -> None:
-    """Enter phase to, trace it as the voter's first phase line is traced
-    and post it to the recovery backbone."""
+    """Enter phase to, trace its phase line and post it to the recovery
+    backbone."""
     phase = state.phase = phase_transition(state.phase, to)
     sim = proc.sim
     # The member's name read directly: f"{phase}" would go through Enum.__format__.

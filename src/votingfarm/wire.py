@@ -107,7 +107,7 @@ def _message(name: str, kind: int, fields: str, **defaults: Any) -> type:
     new.__defaults__ = tuple(defaults.values()) or None
     accessors = {key: _tuplegetter(i, None) for i, key in enumerate(names + ("trace_detail",))}
     return type(name, (Frame,), {
-        "__slots__": (), "__new__": new, "__module__": __name__, "kind": kind, "name": name.lower(),
+        "__slots__": (), "__new__": new, "kind": kind, "name": name.lower(),
         "fields": names, "traced": traced, **accessors})
 
 
