@@ -49,10 +49,11 @@ perm, best = best_permutation(4)
 print(f"\nbest schedule for N=4 by exhaustive search: {best.steps} steps "
       f"(one-cycled gives {schedule_steps(one_cycled_permutation(4)).steps})")
 
-# Fabric footprint: a farm of N members needs N voters, N user
-# endpoints and a full mesh of N(N-1)/2 voter links.  The live counts
-# after wiring match the formula.
-print("\nN  voters  users  links   (formula vs live objects)")
+# Fabric footprint: a farm of N members needs N voters, N local links
+# (each voter to the user endpoint on its node) and a full mesh of
+# N(N-1)/2 virtual links between voters.  The live counts after wiring
+# match the formula.
+print("\nN  voters  local  virtual (formula vs live objects)")
 for n in (1, 2, 4, 8):
     formula = resource_report(n)
     live = live_resource_counts(n)

@@ -8,8 +8,10 @@ Four subcommands:
 * ``vf rl``                compile a recovery strategy to r-code or
                            disassemble r-code back to source;
 * ``vf reliability``       reliability curves, crosspoints against the
-                           non-redundant module, and a numeric check of
-                           the analytic chain solutions;
+                           non-redundant module, or a numeric check of
+                           the analytic chain solutions (one mode per
+                           call: --crosspoints with --verify-markov
+                           exits 2);
 * ``vf perf``              crossbar schedule lengths and fits, the
                            exhaustive best schedule, resource counts,
                            and the simulated latency table.
@@ -96,10 +98,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_rel.add_argument("--C", default="0,0.25,0.5,0.75,1",
                        help="comma list of recovery coverage values")
     p_rel.add_argument("--grid", type=float, default=0.01, help="R step for curve export, in [0.01, 1]")
-    p_rel.add_argument("--crosspoints", action="store_true",
-                       help="solve R where each redundant curve meets the plain module")
-    p_rel.add_argument("--verify-markov", action="store_true",
-                       help="compare the numeric chain solution with the closed forms")
+    mode = p_rel.add_mutually_exclusive_group()  # each runs instead of the curve export
+    mode.add_argument("--crosspoints", action="store_true",
+                      help="solve R where each redundant curve meets the plain module")
+    mode.add_argument("--verify-markov", action="store_true",
+                      help="compare the numeric chain solution with the closed forms")
     p_rel.add_argument("--out", default=None, help="write curve export to a file")
 
     p_perf = sub.add_parser("perf", help="crossbar schedules, resources, latency")

@@ -191,11 +191,9 @@ def vf_close(handle: FarmHandle, proc: Proc, timeout: int) -> Generator:
 
     Succeeds only between sessions: a close during an active session is
     answered VF_REFUSED and leaves the handle usable.  After a
-    successful close the handle is invalidated and further calls raise.
+    successful close the handle is invalidated and further calls raise;
+    vf_control raises for a closed or not running handle.
     """
-    handle._check_open()
-    if not handle.running:
-        raise NotRunning("farm is not running")
     yield from vf_control(handle, proc, close=True)
     sim = proc.sim
     deadline = sim.now + timeout

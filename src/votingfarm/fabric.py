@@ -446,6 +446,13 @@ class Simulator:
         self._endpoints[endpoint] = _EndpointState()
         return endpoint
 
+    def _state(self, endpoint: Endpoint) -> _EndpointState:
+        """The endpoint's state; NoSuchEndpoint if it was never added."""
+        st = self._endpoints.get(endpoint)
+        if st is None:
+            raise NoSuchEndpoint(str(endpoint))
+        return st
+
     def has_endpoint(self, endpoint: Endpoint) -> bool:
         return endpoint in self._endpoints
 
@@ -455,9 +462,7 @@ class Simulator:
 
     def add_link(self, a: Endpoint, b: Endpoint) -> None:
         """Join a and b both ways; re-adding a link does nothing."""
-        sa, sb = self._endpoints.get(a), self._endpoints.get(b)
-        if sa is None or sb is None:
-            raise NoSuchEndpoint(str(a if sa is None else b))
+        sa, sb = self._state(a), self._state(b)
         if a == b:
             raise VotingFarmError("link endpoints must differ")
         sa.links.add(b)
@@ -492,9 +497,7 @@ class Simulator:
         An endpoint runs one process at a time: spawning again is
         allowed once the previous one finished, exited or crashed.
         """
-        st = self._endpoints.get(endpoint)
-        if st is None:
-            raise NoSuchEndpoint(str(endpoint))
+        st = self._state(endpoint)
         if st.proc is not None:
             raise VotingFarmError(f"endpoint {endpoint} already runs a process")
         p = Proc(self, endpoint, st)
@@ -516,18 +519,13 @@ class Simulator:
 
     def crash_endpoint(self, endpoint: Endpoint, reason: str = "crash") -> None:
         """Immediately silence a live endpoint (crash fault, KILL, RESTART, SHUTDOWN)."""
-        st = self._endpoints.get(endpoint)
-        if st is None:
-            raise NoSuchEndpoint(str(endpoint))
+        st = self._state(endpoint)
         if not st.dead:
             self._end(endpoint, st, "fault", reason, notify=reason == "crash")
 
     def revive_endpoint(self, endpoint: Endpoint) -> None:
         """Bring a dead endpoint back (its death left it clean) for a RESTART."""
-        st = self._endpoints.get(endpoint)
-        if st is None:
-            raise NoSuchEndpoint(str(endpoint))
-        st.dead = False
+        self._state(endpoint).dead = False
         self.trace.append(self.now, "revive", str(endpoint), "-", "")
 
     def _end(self, endpoint: Endpoint, st: _EndpointState, kind: str, detail: str, notify: bool) -> None:

@@ -351,19 +351,18 @@ class _Parser:
         return height
 
     def or_expr(self, above: int) -> tuple[Cond, int]:
-        left, height = self.and_expr(above)
-        while self.at_kw("OR"):
-            tok = self.next()
-            right, right_height = self.and_expr(above)
-            left, height = Or(left, right), self._levels(tok, above, max(height, right_height) + 1)
-        return left, height
+        return self.chain(above, "OR", Or, self.and_expr)
 
     def and_expr(self, above: int) -> tuple[Cond, int]:
-        left, height = self.not_expr(above)
-        while self.at_kw("AND"):
+        return self.chain(above, "AND", And, self.not_expr)
+
+    def chain(self, above: int, word: str, node: type, operand) -> tuple[Cond, int]:
+        """operand (word operand)*, grouped from the left into node(left, right)."""
+        left, height = operand(above)
+        while self.at_kw(word):
             tok = self.next()
-            right, right_height = self.not_expr(above)
-            left, height = And(left, right), self._levels(tok, above, max(height, right_height) + 1)
+            right, right_height = operand(above)
+            left, height = node(left, right), self._levels(tok, above, max(height, right_height) + 1)
         return left, height
 
     def not_expr(self, above: int) -> tuple[Cond, int]:
@@ -410,15 +409,12 @@ class _Parser:
 
     def action_block(self) -> tuple[Action, ...]:
         actions: list[Action] = []
-        while True:
-            tok = self.peek()
-            if tok.kind == "kw" and tok.value == "FI":
-                self.next()
-                break
+        while not self.at_kw("FI"):
             actions.append(self.action())
             # separator: AND, or simply the line break already consumed
             if self.at_kw("AND"):
                 self.next()
+        self.next()  # FI
         if not actions:
             raise RlSyntaxError("empty action block")
         return tuple(actions)
@@ -510,16 +506,15 @@ def format_program(program: RlProgram) -> str:
 
     INCLUDE lines come out as comments: the program holds the values
     its headers defined, so the text parses without them."""
+    def block(head: str, actions: tuple[Action, ...]) -> list[str]:
+        return [head, *(f"    {format_action(a)}" for a in actions), "FI"]
+
     out = [f'# INCLUDE "{inc}"' for inc in program.includes]
     for rule in program.rules:
         out.append(f"IF [ {format_condition(rule.condition)} ]")
-        out.append("THEN")
-        out.extend(f"    {format_action(a)}" for a in rule.actions)
-        out.append("FI")
+        out += block("THEN", rule.actions)
     if program.default is not None:
-        out.append("DEFAULT")
-        out.extend(f"    {format_action(a)}" for a in program.default)
-        out.append("FI")
+        out += block("DEFAULT", program.default)
     return "\n".join(out) + "\n"
 
 

@@ -135,14 +135,10 @@ def _postfix(cond: Cond) -> Iterator[bytes]:
     elif isinstance(cond, Not):
         yield from _postfix(cond.operand)
         yield bytes([_OP_NOT])
-    elif isinstance(cond, And):
+    elif isinstance(cond, (And, Or)):
         yield from _postfix(cond.left)
         yield from _postfix(cond.right)
-        yield bytes([_OP_AND])
-    elif isinstance(cond, Or):
-        yield from _postfix(cond.left)
-        yield from _postfix(cond.right)
-        yield bytes([_OP_OR])
+        yield bytes([_OP_AND if isinstance(cond, And) else _OP_OR])
     else:
         raise VotingFarmError(f"unencodable condition node {cond!r}")
 

@@ -27,7 +27,6 @@ from ..fabric import Endpoint, Proc, Recv, Simulator
 from ..farm import FarmRuntime
 from .lang import (
     And,
-    COMPLEMENT,
     Cond,
     Faulty,
     FULFILLED,
@@ -115,6 +114,8 @@ def evaluate_rule(rule: GuardedRule, db: DirDatabase):
 
 
 def _expand(actions, db: DirDatabase, fulfilling: set[int], group_id: Optional[int]):
+    """Bind each action to a node, to no target, or to each entity its
+    targets name, in target order: THREAD, GROUP, sorted THREAD@, sorted THREAD~."""
     members = db.groups.get(group_id, ()) if group_id is not None else ()
     out: list[ActionInstance] = []
     for action in actions:
@@ -122,25 +123,18 @@ def _expand(actions, db: DirDatabase, fulfilling: set[int], group_id: Optional[i
             out.append(ActionInstance(action.verb, "none"))
             continue
         for t in action.targets:
-            if t.kind == THREAD:
-                out.append(ActionInstance(action.verb, "entity", t.ident))
-            elif t.kind == GROUP:
-                out.extend(
-                    ActionInstance(action.verb, "entity", m)
-                    for m in db.groups.get(t.ident, ())
-                )
-            elif t.kind == FULFILLED:
-                out.extend(
-                    ActionInstance(action.verb, "entity", m)
-                    for m in sorted(fulfilling)
-                )
-            elif t.kind == COMPLEMENT:
-                out.extend(
-                    ActionInstance(action.verb, "entity", m)
-                    for m in sorted(set(members) - fulfilling)
-                )
-            elif t.kind == NODE:
+            if t.kind == NODE:
                 out.append(ActionInstance(action.verb, "node", t.ident))
+                continue
+            if t.kind == THREAD:
+                entities = (t.ident,)
+            elif t.kind == GROUP:
+                entities = db.groups.get(t.ident, ())
+            elif t.kind == FULFILLED:
+                entities = sorted(fulfilling)
+            else:  # COMPLEMENT
+                entities = sorted(set(members) - fulfilling)
+            out.extend(ActionInstance(action.verb, "entity", m) for m in entities)
     return out
 
 

@@ -10,19 +10,12 @@ import time
 
 import numpy as np
 
+from farm_harness import DT, INPUT_AT, build_farm, completion_time, final_status, opened_farm, run_farm
 from test_rcode import CORPUS
 from votingfarm.algorithms import encode_scalar
-from votingfarm.client import (
-    vf_add,
-    vf_close,
-    vf_control,
-    vf_get,
-    vf_open,
-    vf_run,
-)
+from votingfarm.client import vf_close, vf_control, vf_get
 from votingfarm.core import VfStatusCode
-from votingfarm.fabric import Endpoint, FaultSpec, Simulator, Sleep
-from votingfarm.farm import FarmRuntime
+from votingfarm.fabric import Endpoint, FaultSpec, Sleep
 from votingfarm.perf import (
     fit_polynomial,
     identity_permutation,
@@ -45,9 +38,6 @@ from votingfarm.reliability import (
 )
 from votingfarm.scenario import resolve_scenario, run_scenario
 
-DT = 10
-INPUT_AT = 10
-
 
 def report(name: str, ok: bool, detail: str = "") -> bool:
     line = f"{'PASS' if ok else 'FAIL'} {name}"
@@ -55,59 +45,6 @@ def report(name: str, ok: bool, detail: str = "") -> bool:
         line += f"  [{detail}]"
     print(line)
     return ok
-
-
-# -- shared farm driver ----------------------------------------------------
-
-def run_voted_session(n, values, seed=0, crash_idents=()):
-    """One farm, one session: every user inputs its value at t=10.
-
-    Returns ({node: final status}, {node: outputs list}, simulator).
-    """
-    sim = Simulator(seed=seed)
-    runtime = FarmRuntime(sim, delta_t=DT)
-    rows = [(node, node) for node in range(1, n + 1)]
-    for node, _ in rows:
-        runtime.ensure_user_endpoint(node)
-    for ident in crash_idents:
-        sim.inject(
-            FaultSpec(kind="crash", target=Endpoint(ident, "voter", ident), at_time=5)
-        )
-    statuses, outputs = {}, {}
-
-    def user(node, value):
-        def run(proc):
-            handle = vf_open(runtime)
-            for nd, ident in rows:
-                vf_add(handle, nd, ident)
-            yield from vf_run(handle, proc)
-            yield Sleep(INPUT_AT - proc.now)
-            yield from vf_control(handle, proc, input=encode_scalar(value))
-            while True:
-                status = yield from vf_get(handle, proc, timeout=8 * DT)
-                if status.code is not VfStatusCode.VF_REFUSED:
-                    break
-            statuses[node] = status
-            outputs[node] = list(handle.outputs)
-        return run
-
-    for (node, _), value in zip(rows, values):
-        sim.spawn(user(node, value), Endpoint(node, "user"))
-    sim.run_until_quiescent()
-    assert sim.quiescent
-    return statuses, outputs, sim
-
-
-def completion_time(sim):
-    """Simulated time of the last session verdict reaching a user."""
-    return max(
-        ev.t
-        for ev in sim.trace
-        if ev.kind == "deliver"
-        and ev.to.startswith("user")
-        and "status=VF_DONE" in ev.detail
-        and "detail=closed" not in ev.detail
-    )
 
 
 # -- criteria ----------------------------------------------------------------
@@ -180,12 +117,12 @@ def test_fault_masking():
         values = [correct] * n
         for ident in rng.sample(range(n), fault_count):
             values[ident] = correct + rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 9.0)
-        statuses, outputs, _ = run_voted_session(n, values, seed=seed)
+        _, _, reports = run_farm(n, dict(enumerate(values, 1)), seed=seed)
         want = encode_scalar(correct)
         for node in range(1, n + 1):
-            if statuses[node].detail != "ok":
+            if final_status(reports, node).detail != "ok":
                 return False
-            mine = [o for o in outputs[node] if o["session"] == 0]
+            mine = [o for o in reports[node]["outputs"] if o["session"] == 0]
             if len(mine) != 1 or mine[0]["payload"] != want:
                 return False
         return True
@@ -200,9 +137,7 @@ def test_fault_masking():
 
 def test_timeout_arithmetic():
     def latency(m):
-        _, _, sim = run_voted_session(
-            4, [7.0, 7.0, 7.0, 7.0], crash_idents=tuple(range(1, m + 1))
-        )
+        sim, _, _ = run_farm(4, {1: 7.0, 2: 7.0, 3: 7.0, 4: 7.0}, crash_idents=tuple(range(1, m + 1)))
         return completion_time(sim)
 
     base = latency(0)
@@ -220,11 +155,7 @@ def test_protocol_safety_fuzz():
         rng = random.Random(seed)
         n = rng.choice([2, 3, 4, 5])
         prober = rng.randrange(1, n + 1)
-        sim = Simulator(seed=seed)
-        runtime = FarmRuntime(sim, delta_t=DT)
-        rows = [(node, node) for node in range(1, n + 1)]
-        for node, _ in rows:
-            runtime.ensure_user_endpoint(node)
+        sim, runtime, rows = build_farm(n, seed=seed)
         victims = [i for i in range(1, n + 1) if i != prober]
         # one member's input arrives half a timeout late, so the session
         # provably spans the probes: a same-tick close or second input
@@ -248,10 +179,7 @@ def test_protocol_safety_fuzz():
 
         def user(node):
             def run(proc):
-                handle = vf_open(runtime)
-                for nd, ident in rows:
-                    vf_add(handle, nd, ident)
-                yield from vf_run(handle, proc)
+                handle = yield from opened_farm(runtime, rows, proc)
                 wake = INPUT_AT + (DT // 2 if node == laggard else 0)
                 yield Sleep(wake - proc.now)
                 yield from vf_control(handle, proc, input=encode_scalar(1.0))

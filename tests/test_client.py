@@ -2,6 +2,7 @@
 
 import pytest
 
+from farm_harness import DT, build_farm, drive, opened_farm
 from votingfarm.algorithms import encode_scalar
 from votingfarm.client import (
     AlreadyRunning,
@@ -17,41 +18,13 @@ from votingfarm.client import (
     vf_run,
 )
 from votingfarm.core import VfStatusCode, VotingFarmError
-from votingfarm.fabric import Endpoint, Simulator, Sleep
-from votingfarm.farm import FarmRuntime
-
-DT = 10
-
-
-def fresh(n=1):
-    sim = Simulator(seed=0)
-    runtime = FarmRuntime(sim, delta_t=DT)
-    rows = [(node, node) for node in range(1, n + 1)]
-    for node, _ in rows:
-        runtime.ensure_user_endpoint(node)
-    return sim, runtime, rows
-
-
-def drive(sim, programs):
-    """Spawn one scripted generator per node and run to quiescence."""
-    for node, fn in programs.items():
-        sim.spawn(fn, Endpoint(node, "user"))
-    sim.run_until_quiescent()
-    assert sim.quiescent
-
-
-def opened_farm(runtime, rows, proc):
-    handle = vf_open(runtime)
-    for nd, ident in rows:
-        vf_add(handle, nd, ident)
-    yield from vf_run(handle, proc)
-    return handle
+from votingfarm.fabric import Endpoint, Sleep
 
 
 # -- open and add -----------------------------------------------------------
 
 def test_open_gives_empty_descriptor_bound_to_metric():
-    _, runtime, _ = fresh()
+    _, runtime, _ = build_farm(1)
     handle = vf_open(runtime, "scalar")
     assert handle.descriptor == []
     assert handle.metric_name == "scalar"
@@ -59,14 +32,14 @@ def test_open_gives_empty_descriptor_bound_to_metric():
 
 
 def test_two_opens_are_independent():
-    _, runtime, _ = fresh()
+    _, runtime, _ = build_farm(1)
     a, b = vf_open(runtime), vf_open(runtime)
     vf_add(a, 1, 1)
     assert a.descriptor == [(1, 1)] and b.descriptor == []
 
 
 def test_add_after_run_raises():
-    sim, runtime, rows = fresh(1)
+    sim, runtime, rows = build_farm(1)
     failures = []
 
     def prog(proc):
@@ -85,7 +58,7 @@ def test_add_after_run_raises():
 
 
 def test_invalid_descriptor_fails_validation():
-    sim, runtime, rows = fresh(1)
+    sim, runtime, rows = build_farm(1)
     caught = []
 
     def prog(proc):
@@ -102,7 +75,7 @@ def test_invalid_descriptor_fails_validation():
 
 
 def test_the_runtime_keeps_its_own_copy_of_the_first_descriptor():
-    sim, runtime, rows = fresh(1)
+    sim, runtime, rows = build_farm(1)
     handles = []
 
     def prog(proc):
@@ -114,7 +87,7 @@ def test_the_runtime_keeps_its_own_copy_of_the_first_descriptor():
 
 
 def test_divergent_descriptors_flag_spmd_incoherence():
-    sim, runtime, _ = fresh(2)
+    sim, runtime, _ = build_farm(2)
     caught = []
 
     def first(proc):
@@ -139,7 +112,7 @@ def test_divergent_descriptors_flag_spmd_incoherence():
 
 
 def test_a_node_opened_with_another_metric_is_spmd_incoherent():
-    sim, runtime, rows = fresh(2)
+    sim, runtime, rows = build_farm(2)
     caught = []
 
     def opener(metric):
@@ -161,7 +134,7 @@ def test_a_node_opened_with_another_metric_is_spmd_incoherent():
 
 
 def test_the_farm_votes_with_the_metric_given_to_vf_open():
-    sim, runtime, rows = fresh(3)
+    sim, runtime, rows = build_farm(3)
     values = {1: 1.0, 2: 2.0, 3: 90.0}
     outputs = {}
 
@@ -184,7 +157,7 @@ def test_the_farm_votes_with_the_metric_given_to_vf_open():
 # -- control and get ----------------------------------------------------------
 
 def test_control_before_run_raises():
-    sim, runtime, rows = fresh(1)
+    sim, runtime, rows = build_farm(1)
 
     def prog(proc):
         handle = vf_open(runtime)
@@ -198,7 +171,7 @@ def test_control_before_run_raises():
 
 
 def test_single_member_farm_session():
-    sim, runtime, rows = fresh(1)
+    sim, runtime, rows = build_farm(1)
     got = {}
 
     def prog(proc):
@@ -214,7 +187,7 @@ def test_single_member_farm_session():
 
 
 def test_get_times_out_quietly_when_nothing_happens():
-    sim, runtime, rows = fresh(1)
+    sim, runtime, rows = build_farm(1)
     got = {}
 
     def prog(proc):
@@ -230,8 +203,27 @@ def test_get_times_out_quietly_when_nothing_happens():
     assert got["waited"] == 15
 
 
+def test_a_negative_timeout_returns_none_without_waiting():
+    sim, runtime, rows = build_farm(1)
+    got = {}
+
+    def prog(proc):
+        handle = yield from opened_farm(runtime, rows, proc)
+        before = proc.now
+        got["get"] = yield from vf_get(handle, proc, timeout=-1)
+        got["close"] = yield from vf_close(handle, proc, timeout=-1)
+        got["waited"] = proc.now - before
+        got["open"] = not handle.invalidated
+
+    drive(sim, {1: prog})
+    for op in ("get", "close"):
+        assert (got[op].code, got[op].detail) == (VfStatusCode.VF_NONE, "timeout")
+    assert got["waited"] == 0
+    assert got["open"]
+
+
 def test_algorithm_only_control_starts_no_session():
-    sim, runtime, rows = fresh(1)
+    sim, runtime, rows = build_farm(1)
 
     def prog(proc):
         handle = yield from opened_farm(runtime, rows, proc)
@@ -246,7 +238,7 @@ def test_algorithm_only_control_starts_no_session():
 
 
 def test_output_redirection():
-    sim, runtime, rows = fresh(2)
+    sim, runtime, rows = build_farm(2)
     caught = []
 
     def observer(proc):
@@ -277,7 +269,7 @@ def test_output_redirection():
 def test_output_redirection_survives_a_restart(pause):
     # pause 0 restarts right after session 0's last reply: the restarted
     # voter must still go on with session 1
-    sim, runtime, rows = fresh(2)
+    sim, runtime, rows = build_farm(2)
     caught = []
     done = {}
 
@@ -307,7 +299,7 @@ def test_output_redirection_survives_a_restart(pause):
 
 
 def test_output_redirection_to_the_voters_own_node_keeps_the_local_link():
-    sim, runtime, rows = fresh(1)
+    sim, runtime, rows = build_farm(1)
     done = {}
 
     def prog(proc):
@@ -325,7 +317,7 @@ def test_output_redirection_to_the_voters_own_node_keeps_the_local_link():
 
 
 def test_output_redirection_to_a_node_without_user_raises_in_the_caller():
-    sim, runtime, rows = fresh(1)
+    sim, runtime, rows = build_farm(1)
     caught = []
 
     def prog(proc):
@@ -353,7 +345,7 @@ def test_output_redirection_to_a_node_without_user_raises_in_the_caller():
     ],
 )
 def test_bad_algorithm_parameters_raise_in_the_caller(params, message):
-    sim, runtime, rows = fresh(1)
+    sim, runtime, rows = build_farm(1)
     caught = []
 
     def prog(proc):
@@ -371,15 +363,12 @@ def test_bad_algorithm_parameters_raise_in_the_caller(params, message):
 
 
 def test_user_talks_only_to_its_local_voter():
-    sim, runtime, rows = fresh(3)
+    sim, runtime, rows = build_farm(3)
     done = {}
 
     def prog(node):
         def run(proc):
-            handle = vf_open(runtime)
-            for nd, ident in rows:
-                vf_add(handle, nd, ident)
-            yield from vf_run(handle, proc)
+            handle = yield from opened_farm(runtime, rows, proc)
             yield Sleep(10 - proc.now)
             yield from vf_control(handle, proc, input=encode_scalar(1.0))
             while True:
@@ -399,14 +388,11 @@ def test_user_talks_only_to_its_local_voter():
 # -- close ----------------------------------------------------------------------
 
 def test_close_mid_session_is_refused_and_farm_survives():
-    sim, runtime, rows = fresh(3)
+    sim, runtime, rows = build_farm(3)
     got = {}
 
     def closer(proc):
-        handle = vf_open(runtime)
-        for nd, ident in rows:
-            vf_add(handle, nd, ident)
-        yield from vf_run(handle, proc)
+        handle = yield from opened_farm(runtime, rows, proc)
         yield Sleep(10 - proc.now)
         yield from vf_control(handle, proc, input=encode_scalar(2.0))
         got["early"] = yield from vf_close(handle, proc, timeout=2 * DT)
@@ -420,10 +406,7 @@ def test_close_mid_session_is_refused_and_farm_survives():
 
     def peer(node):
         def run(proc):
-            handle = vf_open(runtime)
-            for nd, ident in rows:
-                vf_add(handle, nd, ident)
-            yield from vf_run(handle, proc)
+            handle = yield from opened_farm(runtime, rows, proc)
             yield Sleep(10 - proc.now)
             yield from vf_control(handle, proc, input=encode_scalar(2.0))
             while True:
@@ -444,7 +427,7 @@ def test_a_refused_close_replays_an_unread_completion():
     # Session 0's VF_DONE is still unread when the close races session
     # 1: vf_close reads past it to the refusal, and the next vf_get
     # returns it.
-    sim, runtime, rows = fresh(3)
+    sim, runtime, rows = build_farm(3)
     got = {}
 
     def user(node):
@@ -470,7 +453,7 @@ def test_a_refused_close_replays_an_unread_completion():
 
 
 def test_operations_on_closed_handle_raise():
-    sim, runtime, rows = fresh(1)
+    sim, runtime, rows = build_farm(1)
     errors = []
 
     def prog(proc):

@@ -414,6 +414,23 @@ def test_self_link_rejected():
         sim.add_link(A, A)
 
 
+@pytest.mark.parametrize("call", [
+    lambda sim, ep: sim.spawn(lambda proc: iter(()), ep),
+    lambda sim, ep: sim.crash_endpoint(ep),
+    lambda sim, ep: sim.revive_endpoint(ep),
+    lambda sim, ep: sim.add_link(ep, A),
+    lambda sim, ep: sim.add_link(A, ep),
+    lambda sim, ep: sim.add_link(ep, Endpoint(8, "user")),  # both unknown: the first is named
+], ids=["spawn", "crash", "revive", "link-from", "link-to", "link-both"])
+def test_an_endpoint_never_added_is_named_by_no_such_endpoint(call):
+    sim = make_pair()
+    unknown = Endpoint(9, "voter", 9)
+    with pytest.raises(fabric.NoSuchEndpoint) as exc:
+        call(sim, unknown)
+    assert str(exc.value) == str(unknown)
+    assert sim.trace.text() == "" and not sim.has_endpoint(unknown) and sim.link_count("virtual") == 1
+
+
 def test_send_without_link_ends_the_sender():
     sim = Simulator()
     sim.add_endpoint(A)

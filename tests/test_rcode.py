@@ -265,3 +265,64 @@ def test_decoding_bounds_condition_depth(op):
 def test_decoding_rejects_what_the_parser_rejects(shape):
     with pytest.raises(DecodeError):
         decode_program(ILL_FORMED[shape])
+
+
+def test_idents_and_values_past_one_varint_byte_round_trip():
+    program = parse_rl("IF [ -PHASE THREAD200 == 300 ] THEN KILL THREAD200 FI")
+    data = compile_program(program)
+    # PHASE, THREAD tag, 200 and 300 as two-byte varints, END
+    assert bytes([0x11, 0x00, 0xC8, 0x01, 0xAC, 0x02, 0x00]) in data
+    assert decode_program(data) == program
+    assert disassemble(data) == "IF [ -PHASE THREAD200 == 300 ]\nTHEN\n    KILL THREAD200\nFI\n"
+
+
+HEAD = MAGIC + bytes([VERSION, 0x00])  # no includes
+FAULTY_T1 = bytes([0x10, 0x00, 0x01])
+KILL_T1_CODE = bytes([0x01, 0x20, 0x01, 0x00, 0x01])  # one action: KILL, one target, THREAD 1
+
+
+def one_rule(condition, actions=KILL_T1_CODE):
+    """The r-code of one rule with the given condition stream (END
+    included) and actions, and no DEFAULT block."""
+    return HEAD + b"\x01" + condition + actions + b"\x00"
+
+
+# One r-code file per message decoding can raise, with that message.
+DECODE_ERRORS = {
+    "magic": (b"EFRX\x01", "bad magic; not an r-code file"),
+    "shorter-than-magic": (b"EFR", "truncated r-code"),
+    "no-version": (MAGIC, "truncated r-code"),
+    "version": (MAGIC + b"\x63", "unsupported r-code version 99"),
+    "varint-past-63-bits": (MAGIC + bytes([VERSION]) + b"\x80" * 10 + b"\x00", "varint too long"),
+    "include-past-the-end": (MAGIC + bytes([VERSION, 0x01, 0x05]) + b"ab", "truncated r-code"),
+    "include-not-utf8": (MAGIC + bytes([VERSION, 0x01, 0x01, 0xFF, 0x00, 0x01, 0x01, 0x26]),
+                         "include name is not UTF-8: 'utf-8' codec can't decode byte 0xff "
+                         "in position 0: invalid start byte"),
+    "include-quote": (MAGIC + bytes([VERSION, 0x01, 0x03]) + b'a"b\x00\x01\x01\x26',
+                      "include name 'a\"b' holds a quote or a newline"),
+    "entity-tag": (one_rule(bytes([0x10, 0x09, 0x01, 0x00])), "unknown entity tag 9"),
+    "not-on-empty-stack": (one_rule(b"\x01\x00"), "NOT with empty stack"),
+    "and-on-short-stack": (one_rule(FAULTY_T1 + b"\x02\x00"), "binary operator with short stack"),
+    "or-on-empty-stack": (one_rule(b"\x03\x00"), "binary operator with short stack"),
+    "condition-opcode": (one_rule(FAULTY_T1 + b"\x07\x00"), "unknown condition opcode 0x7"),
+    "too-deep": (one_rule(FAULTY_T1 + b"\x01" * (MAX_DEPTH + 1) + b"\x00"),
+                 f"condition nests deeper than {MAX_DEPTH} levels"),
+    "two-expressions": (one_rule(FAULTY_T1 + FAULTY_T1 + b"\x00"), "condition stream is not a single expression"),
+    "no-expression": (one_rule(b"\x00"), "condition stream is not a single expression"),
+    "action-opcode": (one_rule(FAULTY_T1 + b"\x00", b"\x01\x7f\x00"), "unknown action opcode 0x7f"),
+    "trailing": (one_rule(FAULTY_T1 + b"\x00") + b"\x00", "1 trailing bytes"),
+    "parser-refuses": (HEAD + b"\x00\x00",
+                       "not a well-formed strategy: strategy has no rules and no DEFAULT block"),
+    # THREAD@ with ident 5: its disassembly reads back as THREAD@ with ident 0
+    "reads-back-differently": (
+        one_rule(bytes([0x10, 0x01, 0x01, 0x00]), bytes([0x01, 0x20, 0x01, 0x02, 0x05])),
+        "not a well-formed strategy: its source reads back differently"),
+}
+
+
+@pytest.mark.parametrize("case", DECODE_ERRORS)
+def test_each_decode_error_names_its_fault(case):
+    data, message = DECODE_ERRORS[case]
+    with pytest.raises(DecodeError) as exc:
+        decode_program(data)
+    assert str(exc.value) == message

@@ -258,6 +258,50 @@ def test_syntax_errors_carry_line_and_column():
         parse("IF [ -FAULTY THREAD1 ] THEN KILL THREAD1 FI $")
 
 
+def too_deep_chain(word):
+    """A chain of MAX_DEPTH + 1 `word` operators, and the 1-based column
+    of the last one, where the depth check must point."""
+    atom = "-FAULTY THREAD1"
+    head = "IF [ " + f" {word} ".join([atom] * (lang.MAX_DEPTH + 1)) + " "
+    return f"{head}{word} {atom} ] THEN PURGE FI", len(head) + 1
+
+
+# Each message the parser can raise, with the line:col it reports.
+SYNTAX_ERRORS = {
+    "unexpected-character": ("DEFAULT\n  PURGE $\nFI", "line 2:9: unexpected character '$'"),
+    "malformed-entity": ("DEFAULT\nKILL THREADX\nFI", "line 2:6: malformed entity 'THREADX'"),
+    "unknown-word": ("DEFAULT\nFROB THREAD1\nFI", "line 2:1: unknown word 'FROB'"),
+    "expected-token": ("IF -FAULTY THREAD1 ] THEN PURGE FI", "line 1:4: expected [, got 'FAULTY'"),
+    "second-default": ("DEFAULT\nPURGE\nFI\nDEFAULT\nPURGE\nFI", "line 4:1: more than one DEFAULT block"),
+    "expected-if-default-or-end": ("DEFAULT\nPURGE\nFI\n  THEN", "line 4:3: expected IF, DEFAULT or end, got 'THEN'"),
+    "nothing": ("# only a comment\n", "strategy has no rules and no DEFAULT block"),
+    "include-not-found": ('\nINCLUDE "no_such.h"\nDEFAULT\nPURGE\nFI', "line 2:9: include file 'no_such.h' not found"),
+    "too-deep-or": (too_deep_chain("OR")[0],
+                    f"line 1:{too_deep_chain('OR')[1]}: condition nests deeper than {lang.MAX_DEPTH} levels"),
+    "too-deep-and": (too_deep_chain("AND")[0],
+                     f"line 1:{too_deep_chain('AND')[1]}: condition nests deeper than {lang.MAX_DEPTH} levels"),
+    "expected-predicate": ("IF [ -FAULTY THREAD1 OR\n  KILL ] THEN PURGE FI", "line 2:3: expected a predicate, got 'KILL'"),
+    "selector-in-condition": ("IF [ -FAULTY THREAD@ ] THEN PURGE FI",
+                              "line 1:14: THREAD@/THREAD~ cannot appear in a condition"),
+    "undefined-name": ("IF [ -PHASE THREAD1 == {NOPE} ] THEN PURGE FI", "line 1:24: {NOPE} is not defined"),
+    "expected-integer": ("IF [ -PHASE THREAD1 == ] THEN PURGE FI",
+                         "line 1:24: expected an integer or {NAME}, got ']'"),
+    "empty-action-block": ("IF [ -FAULTY THREAD1 ] THEN FI", "empty action block"),
+    "expected-action": ("IF [ -FAULTY THREAD1 ] THEN\n  IF\nFI", "line 2:3: expected an action, got 'IF'"),
+    "selector-needs-one-group": ("IF [ -FAULTY THREAD1 ] THEN KILL THREAD@ FI",
+                                 "rule 1: THREAD@/THREAD~ require a condition over exactly one group"),
+    "selector-in-default": ("DEFAULT\nWARN THREAD~\nFI", "DEFAULT block cannot use THREAD@/THREAD~"),
+}
+
+
+@pytest.mark.parametrize("case", SYNTAX_ERRORS)
+def test_each_syntax_error_names_its_place(case):
+    source, message = SYNTAX_ERRORS[case]
+    with pytest.raises(RlSyntaxError) as exc:
+        parse(source)
+    assert str(exc.value) == message
+
+
 def test_format_round_trip_preserves_structure():
     for name in ("table4.rl", "table5.rl"):
         first = parse((SCEN / name).read_text(), include_dirs=(str(SCEN),))

@@ -4,11 +4,11 @@ import random
 
 import pytest
 
+import farm_harness
+from farm_harness import opened_farm
 from votingfarm import wire
-from votingfarm.client import vf_add, vf_open, vf_run
 from votingfarm.core import VoterPhase, VotingFarmError
 from votingfarm.fabric import Endpoint, Recv, Simulator
-from votingfarm.farm import FarmRuntime
 from votingfarm.recovery.lang import parse_rl
 from votingfarm.recovery.rint import (
     ActionInstance,
@@ -188,17 +188,10 @@ def test_director_records_the_phase_code_and_triggers_only_on_failure(phase, cod
 
 def build_farm(n=3, spare=None, active=None):
     """An n-member farm; only the nodes in active (default all) ran vf_run."""
-    sim = Simulator(seed=1)
-    runtime = FarmRuntime(sim, delta_t=10)
-    rows = [(node, node) for node in range(1, n + 1)]
-    for node, _ in rows:
-        runtime.ensure_user_endpoint(node)
+    sim, runtime, rows = farm_harness.build_farm(n, seed=1)
 
     def user(proc):
-        handle = vf_open(runtime)
-        for nd, ident in rows:
-            vf_add(handle, nd, ident)
-        yield from vf_run(handle, proc)
+        yield from opened_farm(runtime, rows, proc)
 
     for node, _ in rows:
         if active is None or node in active:

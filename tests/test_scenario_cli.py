@@ -12,6 +12,7 @@ import pytest
 
 from votingfarm import cli, farm, perf, scenario
 from votingfarm.fabric import Recv
+from votingfarm.recovery import compile_program, parse_rl
 from votingfarm.scenario import (
     ScenarioError,
     bundled_dir,
@@ -55,6 +56,20 @@ def test_resolve_missing_and_malformed(tmp_path):
     bad.write_text("{ not json")
     with pytest.raises(ScenarioError, match="not valid JSON"):
         resolve_scenario(str(bad))
+
+
+def test_a_missing_strategy_file_is_named(tmp_path):
+    spec, _ = load("tmr_happy")
+    spec = {**spec, "recovery": {"rl": "no_such.rl"}}
+    with pytest.raises(ScenarioError, match=r"^referenced file 'no_such\.rl' not found$"):
+        run_scenario(spec, (str(tmp_path),))
+
+
+def test_session_latency_needs_a_scheduled_input():
+    result = run_scenario(*load("tmr_happy"))
+    assert scenario.session_latency(result, 0) == 0  # no delivery delay, no silent member
+    with pytest.raises(ScenarioError, match=r"^no scheduled input for session 1$"):
+        scenario.session_latency(result, 1)
 
 
 DEEP = 10_000  # nesting far past Python's recursion limit
@@ -600,6 +615,14 @@ def test_cli_rl_compile_to_chosen_path(tmp_path, capsys):
     assert out.read_bytes().startswith(b"EFRC")
 
 
+def test_cli_rl_compile_to_stdout(capsysbinary):
+    source = Path(bundled_dir()) / "table5.rl"
+    assert cli.main(["rl", "compile", str(source), "-o", "-"]) == 0
+    captured = capsysbinary.readouterr()
+    want = compile_program(parse_rl(source.read_text(), include_dirs=(bundled_dir(),)))
+    assert captured.out == want and captured.err == b""
+
+
 def test_cli_rl_compile_syntax_error(tmp_path, capsys):
     src = tmp_path / "bad.rl"
     src.write_text("IF [ -FAULTY THREAD1 ] THEN\nFI")
@@ -716,6 +739,24 @@ def test_cli_reliability_rejects_an_empty_coverage_list(capsys, mode, c_list):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("vf: bad --C list")
+
+
+def test_cli_reliability_rejects_a_coverage_value_that_is_not_a_number(capsys):
+    assert cli.main(["reliability", "--C", "0,x"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "vf: bad --C list '0,x': could not convert string to float: 'x'\n"
+
+
+def test_cli_reliability_runs_one_mode_per_call(capsys):
+    # Each mode runs instead of the curve export, so asking for both
+    # would silently skip one: the pair is an unusable request.
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["reliability", "--crosspoints", "--verify-markov", "--lambda", "1e300", "--C", "1"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --verify-markov: not allowed with argument --crosspoints" in captured.err
 
 
 @pytest.mark.parametrize(

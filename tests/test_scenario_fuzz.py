@@ -20,30 +20,17 @@ import io
 import json
 import re
 import shutil
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from test_validator_oracle import OTHER_TYPES, SCENARIOS, SOURCES, containers
 from votingfarm import cli
 from votingfarm.core import VotingFarmError
 from votingfarm.recovery import RlSyntaxError
-from votingfarm.scenario import ScenarioError, bundled_dir, resolve_scenario, run_scenario, validate_scenario
+from votingfarm.scenario import ScenarioError, resolve_scenario, run_scenario, validate_scenario
 
-SCENARIOS = Path(__file__).parent / "scenarios"
-SOURCES = sorted(Path(bundled_dir()).glob("*.json")) + sorted(SCENARIOS.glob("*.json"))
-OTHER_TYPES = ["x", 1.5, True, None, [], {}, [1], {"x": 1}]
 STRATEGY_FILE = re.compile(r"referenced file .* not found|: not UTF-8 text")
-
-
-def containers(value) -> list:
-    """Every JSON object and list in value, the outermost first."""
-    if not isinstance(value, (dict, list)):
-        return []
-    found = [value]
-    for child in value.values() if isinstance(value, dict) else value:
-        found += containers(child)
-    return found
 
 
 @pytest.fixture(scope="module")

@@ -11,86 +11,16 @@ import itertools
 
 import pytest
 
+from farm_harness import DT, INPUT_AT, build_farm, completion_time, final_status, opened_farm, run_farm, standard_user
 from test_artifacts import tmr_stream
 from test_golden_artifacts import MEMBERSHIP_RUNS, SCENARIOS
 from votingfarm import voter, wire
 from votingfarm.algorithms import AlgorithmSelect, encode_scalar, vote
 from votingfarm.client import vf_add, vf_control, vf_get, vf_open, vf_run
 from votingfarm.core import VfStatusCode, VoteObject, VotingFarmError
-from votingfarm.fabric import Endpoint, FaultSpec, Simulator, Sleep
-from votingfarm.farm import FarmRuntime
+from votingfarm.fabric import Endpoint, Simulator, Sleep
 from votingfarm.scenario import bundled_dir, resolve_scenario, run_scenario
 from votingfarm.voter import FarmSlot, FarmView, VerdictMemo, VoterState
-
-DT = 10
-INPUT_AT = 10
-
-
-def build_farm(n, select=None, delta_t=DT, seed=0):
-    sim = Simulator(seed=seed)
-    runtime = FarmRuntime(sim, delta_t=delta_t, select=select or AlgorithmSelect())
-    rows = [(node, node) for node in range(1, n + 1)]
-    for node, _ in rows:
-        runtime.ensure_user_endpoint(node)
-    return sim, runtime, rows
-
-
-def standard_user(runtime, rows, node, value, reports, extra=None):
-    """Open/add/run, feed one input (None = stay silent), poll to completion."""
-
-    def run(proc):
-        handle = vf_open(runtime)
-        for nd, ident in rows:
-            vf_add(handle, nd, ident)
-        yield from vf_run(handle, proc)
-        yield Sleep(INPUT_AT - proc.now)
-        if value is not None:
-            yield from vf_control(handle, proc, input=encode_scalar(value))
-        statuses = []
-        while True:
-            status = yield from vf_get(handle, proc, timeout=8 * DT)
-            statuses.append(status)
-            if status.code is not VfStatusCode.VF_REFUSED:
-                break
-        reports[node] = {"statuses": statuses, "outputs": handle.outputs, "handle": handle}
-        if extra is not None:
-            yield from extra(handle, proc, reports[node])
-
-    return run
-
-
-def run_farm(n, values, crash_idents=(), select=None, extra=None):
-    sim, runtime, rows = build_farm(n, select=select)
-    for ident in crash_idents:
-        sim.inject(FaultSpec("crash", Endpoint(ident, "voter", ident), 5))
-    reports = {}
-    for node, _ in rows:
-        sim.spawn(
-            standard_user(runtime, rows, node, values.get(node), reports,
-                          extra=extra.get(node) if extra else None),
-            Endpoint(node, "user"),
-        )
-    sim.run_until_quiescent()
-    assert sim.quiescent, "farm run did not settle"
-    return sim, runtime, reports
-
-
-def final_status(reports, node):
-    return reports[node]["statuses"][-1]
-
-
-def completion_time(sim):
-    """Simulated time of the last session-completion notice to any user."""
-    times = [
-        ev.t
-        for ev in sim.trace
-        if ev.kind == "deliver"
-        and ev.to.startswith("user")
-        and "status=VF_DONE" in ev.detail
-        and "detail=closed" not in ev.detail
-    ]
-    assert times, "no completion notice in trace"
-    return max(times)
 
 
 # -- plain sessions -----------------------------------------------------------
@@ -277,10 +207,7 @@ def test_two_crashes_in_five_stay_masked():
 def test_second_input_mid_session_is_refused_busy():
     def impatient(runtime, rows, reports):
         def run(proc):
-            handle = vf_open(runtime)
-            for nd, ident in rows:
-                vf_add(handle, nd, ident)
-            yield from vf_run(handle, proc)
+            handle = yield from opened_farm(runtime, rows, proc)
             yield Sleep(INPUT_AT - proc.now)
             yield from vf_control(handle, proc, input=encode_scalar(6.0))
             yield from vf_control(handle, proc, input=encode_scalar(6.5))
@@ -315,10 +242,7 @@ def test_input_while_failed_is_refused_until_reset():
 
     def user(node):
         def run(proc):
-            handle = vf_open(runtime)
-            for nd, ident in rows:
-                vf_add(handle, nd, ident)
-            yield from vf_run(handle, proc)
+            handle = yield from opened_farm(runtime, rows, proc)
             yield Sleep(INPUT_AT - proc.now)
             # disagreeing inputs: the vote cannot reach a decision
             yield from vf_control(handle, proc, input=encode_scalar(float(node)))
