@@ -9,10 +9,12 @@ Four subcommands:
                            disassemble r-code back to source;
 * ``vf reliability``       reliability curves, crosspoints against the
                            non-redundant module, or a numeric check of
-                           the analytic chain solutions (one mode per
-                           call: --crosspoints with --verify-markov
-                           exits 2);
-* ``vf perf``              crossbar schedule lengths and fits, the
+                           the analytic chain solutions at lambda 1e-3
+                           (one mode per call: any two of --crosspoints,
+                           --verify-markov and --out exit 2, since only
+                           the curve export writes a file);
+* ``vf perf``              crossbar schedule lengths and fits for the
+                           identity and one-cycled schedules, the
                            exhaustive best schedule, resource counts,
                            and the simulated latency table.
 
@@ -43,8 +45,6 @@ from .perf import (
 from .recovery import compile_program, disassemble, parse_rl
 from .recovery.lang import read_text
 from .reliability import (
-    check_curve_step,
-    check_rate,
     crosspoint,
     curve_export,
     markov_reliability,
@@ -93,24 +93,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_disasm.add_argument("rcode", help="compiled r-code file")
 
     p_rel = sub.add_parser("reliability", help="redundancy reliability models")
-    p_rel.add_argument("--lambda", dest="lam", type=float, default=1e-3,
-                       help="module failure rate (per time unit)")
     p_rel.add_argument("--C", default="0,0.25,0.5,0.75,1",
                        help="comma list of recovery coverage values")
-    p_rel.add_argument("--grid", type=float, default=0.01, help="R step for curve export, in [0.01, 1]")
-    mode = p_rel.add_mutually_exclusive_group()  # each runs instead of the curve export
+    mode = p_rel.add_mutually_exclusive_group()  # one run per call; only the export writes a file
     mode.add_argument("--crosspoints", action="store_true",
                       help="solve R where each redundant curve meets the plain module")
     mode.add_argument("--verify-markov", action="store_true",
-                      help="compare the numeric chain solution with the closed forms")
-    p_rel.add_argument("--out", default=None, help="write curve export to a file")
+                      help="compare the numeric chain solution with the closed forms at lambda 1e-3")
+    mode.add_argument("--out", default=None, help="write curve export to a file")
 
     p_perf = sub.add_parser("perf", help="crossbar schedules, resources, latency")
     p_perf.add_argument("--N", default="4..64",
                         help=f"farm sizes, each in [1, {MAX_PERF_N}]: single value, comma list, "
                              "or a..b doubling range")
-    p_perf.add_argument("--perm", default="identity,onecycle",
-                        help="comma list of schedule permutations")
     p_perf.add_argument("--mode", default="half", choices=("half", "full"),
                         help="crossbar port discipline")
     p_perf.add_argument("--steps", action="store_true",
@@ -121,8 +116,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="print voters,local links,virtual links for each N")
     p_perf.add_argument("--table6", action="store_true",
                         help="print the simulated latency table for N=1..4")
-    p_perf.add_argument("--repeats", type=int, default=3, help="latency runs per N")
-    p_perf.add_argument("--seed", type=int, default=0, help="base seed for latency runs")
 
     return parser
 
@@ -179,9 +172,6 @@ def _parse_c_list(text: str) -> list[float]:
 
 def _cmd_reliability(args) -> int:
     c_values = _parse_c_list(args.C)
-    # Every option is checked, also one the chosen mode does not use.
-    check_rate(args.lam)
-    check_curve_step(args.grid)
     if args.crosspoints:
         r0 = crosspoint(r_tmr, simplex, (1e-6, 1 - 1e-9))
         print(f"triple-vs-simplex R={r0:.6f}")
@@ -192,20 +182,20 @@ def _cmd_reliability(args) -> int:
             print(f"spare-vs-simplex C={c:g} R={rc:.6f}")
         return 0
     if args.verify_markov:
+        lam = 1e-3  # module failure rate per time unit
         t_grid = np.linspace(0.0, 2000.0, 25)
         diffs = []
         for c in c_values:
-            model = MarkovModel(args.lam, c)
-            p = markov_solve(model, t_grid)
+            p = markov_solve(MarkovModel(lam, c), t_grid)
             numeric = live_probability(p)
-            analytic = markov_reliability(args.lam, c, t_grid)
+            analytic = markov_reliability(lam, c, t_grid)
             diffs.append(float(np.max(np.abs(numeric - analytic))))
             print(f"C={c:g} max|numeric-analytic|={diffs[-1]:.3e}")
         worst = float(np.max(diffs))  # a NaN difference is the worst, and fails
         ok = worst <= 1e-9
         print(f"overall max diff {worst:.3e} {'OK' if ok else 'TOO LARGE'}")
         return 0 if ok else 1
-    text = curve_export(c_values, step=args.grid)
+    text = curve_export(c_values)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -239,30 +229,12 @@ def _parse_sizes(text: str) -> list[int]:
     return sizes
 
 
-_PERMS = {
-    "identity": identity_permutation,
-    "onecycle": one_cycled_permutation,
-}
-
-
-def _parse_perms(text: str) -> list[str]:
-    names = [p.strip() for p in text.split(",") if p.strip()]
-    if not names:
-        raise VotingFarmError(f"bad --perm {text!r}: need one or more of {', '.join(_PERMS)}")
-    for name in names:
-        if name not in _PERMS:
-            raise VotingFarmError(f"unknown permutation {name!r}")
-    return names
-
-
 def _cmd_perf(args) -> int:
     sizes = _parse_sizes(args.N)
-    names = _parse_perms(args.perm)
     did_something = False
     if args.steps:
         did_something = True
-        for name in names:
-            maker = _PERMS[name]
+        for name, maker in (("identity", identity_permutation), ("onecycle", one_cycled_permutation)):
             steps = []
             print(f"# {name}, {args.mode} duplex")
             print("N,steps,utilization")
@@ -297,7 +269,7 @@ def _cmd_perf(args) -> int:
             print(f"{voters},{endpoints},{links}")
     if args.table6:
         did_something = True
-        rows = timing_harness(repeats=args.repeats, seed=args.seed)
+        rows = timing_harness()
         sys.stdout.write(table_text(rows))
     if not did_something:
         raise VotingFarmError("pick at least one of --steps, --best, --resources, --table6")

@@ -57,7 +57,7 @@ class ValidationFailed(ValidationError):
     pass
 
 
-@dataclass
+@dataclass(slots=True)  # a handle per user per run: no per-instance dict
 class FarmHandle:
     """Client-side state for one farm, private to one user module."""
 
@@ -68,6 +68,7 @@ class FarmHandle:
     invalidated: bool = False
     outputs: list[dict] = field(default_factory=list)
     statuses: list[VfStatus] = field(default_factory=list)
+    closing: bool = field(default=False, init=False)  # vf_close has sent its request
 
     def _check_open(self) -> None:
         if self.invalidated:
@@ -164,7 +165,11 @@ def vf_get(handle: FarmHandle, proc: Proc, timeout: int) -> Generator:
 
     Voted-output messages arriving in between are buffered on the
     handle (handle.outputs) without consuming the wait budget beyond
-    the time they took to arrive.
+    the time they took to arrive.  Statuses that vf_close set aside come
+    first; none of them is a close reply, since vf_close marks the
+    handle closing before it reads one.  This is the one place that
+    acts on a close reply: VF_DONE "closed" on a closing handle
+    invalidates it, also when it comes after vf_close timed out.
     """
     handle._check_open()
     if handle.statuses:
@@ -183,6 +188,9 @@ def vf_get(handle: FarmHandle, proc: Proc, timeout: int) -> Generator:
             handle.outputs.append({"session": frame.session, "source": frame.member, "payload": frame.payload})
             continue
         if frame.kind == wire.K_STATUS:
+            if handle.closing and frame.status is VfStatusCode.VF_DONE and frame.detail == "closed":
+                handle.invalidated = True
+                handle.running = False
             return VfStatus(frame.status, frame.detail, frame.session)
 
 
@@ -190,29 +198,21 @@ def vf_close(handle: FarmHandle, proc: Proc, timeout: int) -> Generator:
     """Tear the local voter down.
 
     Succeeds only between sessions: a close during an active session is
-    answered VF_REFUSED and leaves the handle usable.  After a
-    successful close the handle is invalidated and further calls raise;
-    vf_control raises for a closed or not running handle.
+    answered VF_REFUSED and leaves the handle usable.  The reply is
+    awaited through vf_get, which invalidates the handle on VF_DONE
+    "closed", so further calls raise; a reply that comes after the
+    timeout does the same at a later vf_get.  vf_control raises for a
+    closed or not running handle.
     """
     yield from vf_control(handle, proc, close=True)
+    handle.closing = True
     sim = proc.sim
     deadline = sim.now + timeout
     unrelated: list[VfStatus] = []
-    result: VfStatus
     while True:
-        budget = deadline - sim.now
-        if budget < 0:
-            result = VfStatus(VfStatusCode.VF_NONE, "timeout")
-            break
-        status = yield from vf_get(handle, proc, budget)
-        if status.code is VfStatusCode.VF_DONE and status.detail == "closed":
-            handle.invalidated = True
-            handle.running = False
-            result = status
-            break
-        if status.code in (VfStatusCode.VF_REFUSED, VfStatusCode.VF_NONE):
-            result = status
+        status = yield from vf_get(handle, proc, deadline - sim.now)
+        if handle.invalidated or status.code in (VfStatusCode.VF_REFUSED, VfStatusCode.VF_NONE):
             break
         unrelated.append(status)  # e.g. a session completion racing the close
     handle.statuses[:0] = unrelated
-    return result
+    return status

@@ -323,12 +323,10 @@ class TraceLog:
         return "\n".join(self.lines()) + ("\n" if self._detail else "")
 
     def count(self, kind: str | None = None, contains: str = "") -> int:
-        _, kinds, _, _, details = self._columns(0, None)
-        return sum(
-            1
-            for k, detail in zip(kinds, details)
-            if (kind is None or k == kind) and (contains in detail)
-        )
+        """How many records of one kind (of any kind for None) hold
+        contains in their detail."""
+        details = self._detail if kind is None else (detail for *_, detail in self.records_of(kind))
+        return sum(contains in detail for detail in details)
 
     def __iter__(self) -> Iterator[TraceEvent]:
         return map(_as_event, self.records())

@@ -374,7 +374,6 @@ def timing_harness(
     n_values: Iterable[int] = (1, 2, 3, 4),
     jitter: int = 0,
     repeats: int = 1,
-    seed: int = 0,
 ) -> list[dict]:
     """Mean and spread of one voting session's latency per farm size.
 
@@ -383,7 +382,7 @@ def timing_harness(
     feeding one input at t=10.  Latency is simulated time from the user
     inputs to the last completion notice.  With jitter 0 the simulation
     is deterministic and the spread is exactly zero; a positive jitter
-    draws seeded per-message delays, and repeats vary the seed.
+    draws seeded per-message delays, and repeat k runs with seed k.
     """
     if repeats < 1:
         raise ValidationError("repeats must be at least 1")
@@ -399,8 +398,8 @@ def timing_harness(
             "inputs": {str(k): [{"at": 10, "value": "2a"}] for k in nodes},
         }
         latencies = [
-            session_latency(run_scenario({**spec, "seed": seed + rep}), 0)
-            for rep in range(repeats)
+            session_latency(run_scenario({**spec, "seed": k}), 0)
+            for k in range(repeats)
         ]
         out.append(
             {

@@ -44,19 +44,6 @@ def _check_unit(name: str, value) -> None:
         raise DomainError(f"{name} must lie in [0, 1], got {value!r}")
 
 
-def check_rate(lam: float) -> None:
-    """Reject a module failure rate that is not finite and positive."""
-    if not 0.0 < lam < np.inf:
-        raise DomainError(f"lambda must be finite and positive, got {lam}")
-
-
-def check_curve_step(step: float) -> None:
-    """Reject an R step for curve_export outside [0.01, 1]: the R column
-    has two decimals, so a finer step would repeat its labels."""
-    if not 0.01 <= step <= 1.0:
-        raise ValidationError(f"curve step must lie in [0.01, 1], got {step!r}")
-
-
 def r_tmr(R):
     """Reliability of a 2-out-of-3 voted system with component reliability R."""
     _check_unit("R", R)
@@ -104,7 +91,8 @@ class MarkovModel:
     C: float
 
     def __post_init__(self) -> None:
-        check_rate(self.lam)
+        if not 0.0 < self.lam < np.inf:
+            raise DomainError(f"lambda must be finite and positive, got {self.lam}")
         _check_unit("C", self.C)
 
     def generator(self) -> np.ndarray:
@@ -244,15 +232,14 @@ def simplex(R):
     return R
 
 
-def curve_export(C_values: Iterable[float], step: float = 0.01) -> str:
-    """Tabulate both curves over R in [0, 1] as comma-separated text.
+def curve_export(C_values: Iterable[float]) -> str:
+    """Tabulate both curves over R = 0, 0.01, ..., 1 as comma-separated text.
 
     One block per coverage value; columns are R, the plain voted-triple
     curve, the one-spare curve, and their difference.
     """
-    check_curve_step(step)
     lines = []
-    grid = np.arange(0.0, 1.0 + step / 2, step)
+    grid = np.arange(101) * 0.01
     for C in C_values:
         lines.append(f"# C={C:g}")
         lines.append("R,R_tmr,R_tmr1spare,delta")

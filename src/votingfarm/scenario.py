@@ -198,13 +198,12 @@ def _map_walker(s: dict, at: str, must: str):
 
 
 def _cases_walker(s: dict, at: str, must: str):
-    """One object schema per value of the key named "tag"."""
+    """One object schema per value of the key named "tag".  Cases are
+    list items only, which _array_walker has checked are objects."""
     tag, cases = s["tag"], {name: _object_walker(case, at, must) for name, case in s["cases"].items()}
     expected = ", ".join(cases)
 
     def walk(value, key):
-        if type(value) is not dict:
-            raise ScenarioError(f"{at.format(key)} must {must}, got {value!r}")
         name = value.get(tag)
         if type(name) is not str or name not in cases:
             raise ScenarioError(f"unknown {at.format(key)} {tag} {name!r}, expected one of {expected}")
@@ -459,8 +458,8 @@ def session_latency(result: RunResult, session: int) -> int:
         raise ScenarioError(f"no scheduled input for session {session}")
     want = {"status=VF_DONE", "detail=ok", f"session={session}"}
     done = [
-        t for t, kind, _, to, detail in result.trace.records()
-        if kind == "deliver" and to.startswith("user") and want <= set(detail.split())
+        t for t, _, to, detail in result.trace.records_of("deliver")
+        if to.startswith("user") and want <= set(detail.split())
     ]
     if not done:
         raise ScenarioError(f"session {session} never completed")

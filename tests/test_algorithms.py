@@ -280,6 +280,18 @@ def test_median_even_count_totals_past_the_float_range(scalar_ballot, values):
         assert median(list(shuffled), "scalar") == winner
 
 
+def test_median_even_count_totals_of_both_infinities_tie_as_nan(scalar_ballot):
+    # A metric function that is no metric: after the first +inf pair goes,
+    # both survivors' rows hold +inf and -inf, which fsum refuses to add.
+    # Both totals count as NaN, and canonical order picks the winner.
+    def metric(a, b):
+        return -math.inf if {decode_scalar(a), decode_scalar(b)} == {2.0, 3.0} else math.inf
+
+    ballot = scalar_ballot([0.0, 1.0, 2.0, 3.0])
+    for shuffled in itertools.permutations(ballot):
+        assert median(list(shuffled), metric) is ballot[2]
+
+
 def test_median_no_valid_items(scalar_ballot):
     with pytest.raises(NoDecision):
         median(scalar_ballot([], invalid=()), scalar_metric)

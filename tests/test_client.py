@@ -220,6 +220,30 @@ def test_a_negative_timeout_returns_none_without_waiting():
     assert got["waited"] == 0
 
 
+def test_a_close_served_after_vf_close_timed_out_ends_the_handle_at_the_next_get():
+    # vf_close gives up at once, yet the voter serves the close in the
+    # same tick: the reply the next vf_get reads invalidates the handle,
+    # so the input after it raises instead of going to a dead voter.
+    sim, runtime, rows = build_farm(1)
+    got = {}
+
+    def prog(proc):
+        handle = yield from opened_farm(runtime, rows, proc)
+        got["close"] = yield from vf_close(handle, proc, timeout=-1)
+        got["get"] = yield from vf_get(handle, proc, timeout=DT)
+        got["running"] = handle.running
+        try:
+            yield from vf_control(handle, proc, input=encode_scalar(1.0))
+        except InvalidatedHandle as exc:
+            got["control"] = str(exc)
+
+    drive(sim, {1: prog})
+    assert (got["close"].code, got["close"].detail) == (VfStatusCode.VF_NONE, "timeout")
+    assert (got["get"].code, got["get"].detail) == (VfStatusCode.VF_DONE, "closed")
+    assert not got["running"]
+    assert got["control"] == "handle was closed"
+
+
 def test_algorithm_only_control_starts_no_session():
     sim, runtime, rows = build_farm(1)
 

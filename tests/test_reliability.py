@@ -232,6 +232,7 @@ class TestCrosspoints:
 
     def test_exact_bracket_endpoint_is_returned(self):
         assert crosspoint(r_tmr, simplex, (0.5, 0.8)) == 0.5
+        assert crosspoint(r_tmr, simplex, (0.25, 0.5)) == 0.5
 
     def test_no_sign_change_raises(self):
         with pytest.raises(NoSignChange):
@@ -253,15 +254,6 @@ class TestCurveExport:
             # difference from them can be off by one ulp of the format
             assert float(delta) == pytest.approx(float(spare) - float(base), abs=2e-9)
             assert float(delta) >= -1e-9
-
-    @pytest.mark.parametrize("step", [0.0, -0.01, 1.5, np.nan, 0.005, 1e-9])
-    def test_step_outside_the_unit_interval_is_rejected(self, step):
-        with pytest.raises(ValidationError):
-            curve_export([0.5], step=step)
-
-    def test_step_of_one_gives_the_endpoints(self):
-        data = [ln for ln in curve_export([0.5], step=1.0).split("\n") if ln[:1].isdigit()]
-        assert [ln.split(",")[0] for ln in data] == ["0.00", "1.00"]
 
     def test_rows_cover_the_unit_interval(self):
         text = curve_export([0.2])

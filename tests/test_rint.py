@@ -165,6 +165,19 @@ def test_negated_condition():
     (VoterPhase.VFP_SUCCESS, 3, False),
 ])
 def test_director_records_the_phase_code_and_triggers_only_on_failure(phase, code, triggers):
+    db, got = run_director(wire.Phase(2, phase))
+    assert db.phases == {2: code}
+    assert got == ([("trigger", 2)] if triggers else [])
+
+
+def test_director_ignores_a_frame_that_is_neither_a_phase_report_nor_a_fault_record():
+    db, got = run_director(wire.Control("reset", member=2))
+    assert (db.phases, db.faulty, got) == ({}, set(), [])
+
+
+def run_director(frame):
+    """Post one frame from voter 2 to the director; returns its database
+    and the (req, member) of each frame it passed to the interpreter."""
     sim = Simulator(seed=1)
     dirnet = sim.add_endpoint(Endpoint(0, "dirnet"))
     rint = sim.add_endpoint(Endpoint(0, "rint"))
@@ -178,10 +191,9 @@ def test_director_records_the_phase_code_and_triggers_only_on_failure(phase, cod
 
     sim.spawn(director_process(db, rint), dirnet)
     sim.spawn(interpreter, rint)
-    sim.post(voter_ep(2, 2), dirnet, wire.Phase(2, phase))
+    sim.post(voter_ep(2, 2), dirnet, frame)
     sim.run_until_quiescent()
-    assert db.phases == {2: code}
-    assert got == ([("trigger", 2)] if triggers else [])
+    return db, got
 
 
 # -- actions against a live farm -----------------------------------------
@@ -276,10 +288,11 @@ def declare_twice(runtime):
         (lambda rt: rt.start_entity(3), "UnknownEntityAtRuntime: START of undeclared entity 3"),
         (lambda rt: rt.kill_entity(2) or rt.restart_entity(2), "RESTART of entity 2 which holds no ident"),
         (lambda rt: rt.reboot_node(9), "REBOOT of node 9 which hosts no member"),
+        (lambda rt: rt.reboot_node(3), "UnknownEntityAtRuntime: RESTART of unstarted entity 3"),
         (declare_twice, "entity 4 already declared"),
     ],
     ids=["kill-unstarted", "restart-unstarted", "start-started", "start-canonical",
-         "restart-killed", "reboot-empty-node", "spare-twice"],
+         "restart-killed", "reboot-empty-node", "reboot-unstarted", "spare-twice"],
 )
 def test_runtime_refusals(act, refusal):
     sim, runtime = build_farm(active=(1, 2))  # member 3 never started

@@ -92,6 +92,37 @@ def test_warns_after_a_membership_change_carry_a_new_shared_view(monkeypatch):
     assert all(states[entity].view is after for entity in (2, 3, 4))
 
 
+def idle_farm_trace(*frames):
+    """Post each (frm, frame) to voter 1 of an idle two-member farm;
+    returns the trace lines they caused and whether voter 1 lives."""
+    sim, runtime, rows = build_farm(2)
+
+    def user(proc):
+        yield from opened_farm(runtime, rows, proc)
+
+    for node, _ in rows:
+        sim.spawn(user, Endpoint(node, "user"))
+    sim.run_until_quiescent()
+    start, voter_1 = len(sim.trace), Endpoint(1, "voter", 1)
+    for frm, frame in frames:
+        sim.post(frm, voter_1, frame)
+    sim.run_until_quiescent()
+    return [line.split(" ", 1)[1] for line in sim.trace.lines(start)], sim.endpoint_alive(voter_1)
+
+
+def test_an_idle_voter_drops_an_unexpected_frame():
+    lines, alive = idle_farm_trace((Endpoint(1, "user"), wire.Output(0, 1, b"")))
+    assert lines[-1] == "drop voter:1@1 - unexpected output while idle"
+    assert alive
+
+
+def test_a_warn_whose_view_leaves_the_voter_out_ends_it():
+    view = FarmView([FarmSlot(2, 2, 2)])
+    lines, alive = idle_farm_trace((Endpoint(0, "rint"), wire.Warn(view, 1)))
+    assert lines[-2:] == ["warn voter:1@1 - epoch=1 farm=[[2, 2, 2]]", "exit voter:1@1 - closed"]
+    assert not alive
+
+
 def test_farm_slots_and_views_are_read_only():
     slot = FarmSlot(1, 1, 1)
     view = FarmView([slot])
