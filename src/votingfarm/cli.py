@@ -231,9 +231,9 @@ def _parse_sizes(text: str) -> list[int]:
 
 def _cmd_perf(args) -> int:
     sizes = _parse_sizes(args.N)
-    did_something = False
+    if not (args.steps or args.best or args.resources or args.table6):
+        raise VotingFarmError("pick at least one of --steps, --best, --resources, --table6")
     if args.steps:
-        did_something = True
         for name, maker in (("identity", identity_permutation), ("onecycle", one_cycled_permutation)):
             steps = []
             print(f"# {name}, {args.mode} duplex")
@@ -251,7 +251,6 @@ def _cmd_perf(args) -> int:
             _, r2 = fit_polynomial(sizes, steps, degree)
             print(f"fit {name}: {shape} R^2={r2:.6f}")
     if args.best:
-        did_something = True
         print(f"# best schedule, {args.mode} duplex "
               f"(searched up to N={EXHAUSTIVE_LIMIT}, one-cycled above)")
         print("N,order,relative,steps,one_cycled_steps")
@@ -263,16 +262,12 @@ def _cmd_perf(args) -> int:
             order = " ".join(str(x) for x in perm.order)
             print(f"{n},{order},{str(perm.relative).lower()},{res.steps},{cycled_res.steps}")
     if args.resources:
-        did_something = True
         for n in sizes:
             voters, endpoints, links = resource_report(n)
             print(f"{voters},{endpoints},{links}")
     if args.table6:
-        did_something = True
         rows = timing_harness()
         sys.stdout.write(table_text(rows))
-    if not did_something:
-        raise VotingFarmError("pick at least one of --steps, --best, --resources, --table6")
     return 0
 
 

@@ -161,7 +161,8 @@ def vf_control(
 
 
 def vf_get(handle: FarmHandle, proc: Proc, timeout: int) -> Generator:
-    """Return the next status reply, or VF_NONE after the timeout.
+    """Return the next status reply, or VF_NONE "timeout" once the wait
+    ends with none: at the deadline, or at once for a negative timeout.
 
     Voted-output messages arriving in between are buffered on the
     handle (handle.outputs) without consuming the wait budget beyond
@@ -176,22 +177,19 @@ def vf_get(handle: FarmHandle, proc: Proc, timeout: int) -> Generator:
         return handle.statuses.pop(0)
     sim = proc.sim
     deadline = sim.now + timeout
-    while True:
-        remaining = deadline - sim.now
-        if remaining < 0:
-            return VfStatus(VfStatusCode.VF_NONE, "timeout")
-        got = yield Recv(remaining)
+    while sim.now <= deadline:
+        got = yield Recv(deadline - sim.now)
         if got is TIMEOUT:
-            return VfStatus(VfStatusCode.VF_NONE, "timeout")
+            break
         _, frame = got
         if frame.kind == wire.K_OUTPUT:
             handle.outputs.append({"session": frame.session, "source": frame.member, "payload": frame.payload})
-            continue
-        if frame.kind == wire.K_STATUS:
+        elif frame.kind == wire.K_STATUS:
             if handle.closing and frame.status is VfStatusCode.VF_DONE and frame.detail == "closed":
                 handle.invalidated = True
                 handle.running = False
             return VfStatus(frame.status, frame.detail, frame.session)
+    return VfStatus(VfStatusCode.VF_NONE, "timeout")
 
 
 def vf_close(handle: FarmHandle, proc: Proc, timeout: int) -> Generator:

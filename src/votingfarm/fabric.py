@@ -325,7 +325,9 @@ class TraceLog:
     def count(self, kind: str | None = None, contains: str = "") -> int:
         """How many records of one kind (of any kind for None) hold
         contains in their detail."""
-        details = self._detail if kind is None else (detail for *_, detail in self.records_of(kind))
+        details = self._detail
+        if kind is not None:  # of the lazy name columns only the kinds are read
+            details = compress(details, map(kind.__eq__, self._columns(0, None)[1]))
         return sum(contains in detail for detail in details)
 
     def __iter__(self) -> Iterator[TraceEvent]:

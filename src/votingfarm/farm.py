@@ -243,14 +243,13 @@ class FarmRuntime:
         return None
 
     def shutdown_node(self, node: int) -> Optional[str]:
-        found = False
-        for ep in self.sim.all_endpoints(node):
-            found = True
+        endpoints = self.sim.all_endpoints(node)
+        for ep in endpoints:
             if self.sim.endpoint_alive(ep):
                 self.sim.crash_endpoint(ep, reason="shutdown")
         if self._drop_members(lambda s: s.node == node):
             self._ensure_bump()
-        if not found:
+        if not endpoints:
             return f"SHUTDOWN of unknown node {node}"
         return None
 

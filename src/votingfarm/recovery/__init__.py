@@ -1,28 +1,6 @@
-"""Recovery strategy toolchain: RL parsing, r-codes and the interpreter."""
+"""Recovery strategy toolchain: RL parsing, r-codes and the interpreter.
+Re-exports what callers import through the package; the rest lives in lang, rcode and rint."""
 
-from .lang import (
-    Action,
-    And,
-    EntityRef,
-    Faulty,
-    GuardedRule,
-    Not,
-    Or,
-    PhaseEq,
-    RlProgram,
-    RlSyntaxError,
-    UndefinedName,
-    UnknownEntity,
-    format_program,
-    load_definitions,
-    parse_rl,
-)
-from .rcode import DecodeError, compile_program, decode_program, disassemble
-from .rint import (
-    ActionInstance,
-    DirDatabase,
-    attach_recovery,
-    evaluate_rule,
-    execute_actions,
-    rint_step,
-)
+from .lang import RlSyntaxError, parse_rl
+from .rcode import compile_program, decode_program, disassemble
+from .rint import DirDatabase, attach_recovery, rint_step

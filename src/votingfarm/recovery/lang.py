@@ -21,7 +21,8 @@ actions, and a comma continues an action's target list only on the
 line of the target before it.  THREAD@ names the
 group members that made the rule's condition true and THREAD~ the rest
 of the group; both require the condition to test exactly one group.
-A condition nests at most MAX_DEPTH levels.
+A condition nests at most MAX_DEPTH levels, and every ident, node and
+phase value, written or defined, lies in 0..MAX_VALUE.
 
 A strategy is translated once and then run many times, so parse_rl
 parses each text once per content (see its docstring).
@@ -116,6 +117,10 @@ Cond = Union[Faulty, PhaseEq, Not, And, Or]
 # recursion limit; the bundled strategies nest one level deep.
 MAX_DEPTH = 100
 
+# The largest ident, node or phase value: the 63 bits that nine r-code
+# varint bytes carry, so every strategy that parses also decodes.
+MAX_VALUE = 2**63 - 1
+
 VERBS = ("KILL", "START", "RESTART", "WARN", "REBOOT", "SHUTDOWN", "PURGE")
 _NODE_VERBS = ("REBOOT", "SHUTDOWN")
 
@@ -205,7 +210,10 @@ def tokenize(source: str) -> list[Token]:
                 kind = "kw"
             elif kind == "punct":
                 kind = val
-            tokens.append(Token(kind, _VALUE.get(kind, str)(val), lineno, col))
+            value = _VALUE.get(kind, str)(val)
+            if (value if kind == "int" else value.ident if kind == "entity" else 0) > MAX_VALUE:
+                raise RlSyntaxError(f"{val} is above {MAX_VALUE}, the largest value an r-code holds", lineno, col)
+            tokens.append(Token(kind, value, lineno, col))
     tokens.append(Token("eof", None, lineno + 1, 1))
     return tokens
 
@@ -403,7 +411,10 @@ class _Parser:
         if tok.kind == "deref":
             if tok.value not in self.defs:
                 raise UndefinedName(f"{{{tok.value}}} is not defined", tok.line, tok.col)
-            return self.defs[tok.value]
+            value = self.defs[tok.value]
+            if not 0 <= value <= MAX_VALUE:
+                raise RlSyntaxError(f"{{{tok.value}}} is {value}, not in 0..{MAX_VALUE}", tok.line, tok.col)
+            return value
         raise RlSyntaxError(f"expected an integer or {{NAME}}, got {tok.value!r}",
                             tok.line, tok.col)
 

@@ -17,7 +17,10 @@ Layout:
     entity/target: varint tag (thread, group, fulfilled, complement,
     node) + varint id
 
-All integers are unsigned LEB128 varints.  Decoding rebuilds the same
+All integers are unsigned LEB128 varints.  An ident, node or phase
+value lies in 0..lang.MAX_VALUE (2^63 - 1), which nine varint bytes
+carry: the parser refuses any other, and the encoder refuses a
+negative in a program built some other way.  Decoding rebuilds the same
 rule tree the parser produced, so compile/decode round-trips
 structurally.  The parser is the one definition of a well-formed
 strategy: decoding parses its own disassembly and rejects a program

@@ -53,12 +53,13 @@ def r_tmr(R):
 
 
 def r_tmr_1spare(C, R):
-    """Voted triple plus one spare switched in with coverage C."""
+    """Voted triple plus one spare switched in with coverage C: r_tmr(R),
+    which checks R, plus the coverage term (-3C^2 + 6C) [R(1-R)]^2."""
     _check_unit("C", C)
-    _check_unit("R", R)
+    tmr = r_tmr(R)
     C = np.asarray(C, dtype=float)
     R = np.asarray(R, dtype=float)
-    out = (-3.0 * C**2 + 6.0 * C) * (R * (1.0 - R)) ** 2 + (3.0 * R**2 - 2.0 * R**3)
+    out = (-3.0 * C**2 + 6.0 * C) * (R * (1.0 - R)) ** 2 + tmr
     return float(out) if out.ndim == 0 else out
 
 

@@ -656,7 +656,6 @@ def validate_scenario(spec: dict) -> dict:
 
 _TRACE_BLOCK = 512  # trace records rendered and written at a time
 _JSON_FLUSH = 512  # results.json pieces buffered between writes
-_STR = frozenset({str})  # the key type walked; json.dumps renders dicts with others
 
 
 def _float_text(v: float) -> str:
@@ -675,10 +674,10 @@ def _write_json(fh, value) -> None:
     """Write json.dumps(value, indent=2, sort_keys=True) to fh, byte for
     byte, a few hundred pieces at a time.
 
-    Dicts with str keys, lists and tuples are walked here; any other
-    container (a dict with another key type, a subclass) is rendered by
-    json.dumps itself and re-indented, which is exact because the
-    ASCII-escaped text holds no newline of its own."""
+    value holds, by exact type, only None, bools, ints, floats, strs,
+    lists, tuples (written as lists) and dicts with str keys, as
+    RunResult.summary() does; a dict with another key type raises
+    TypeError, and so does any other type."""
     pieces: list[str] = []
 
     def emit(value, nl: str) -> None:
@@ -687,15 +686,14 @@ def _write_json(fh, value) -> None:
         if render is not None:
             pieces.append(render(value))
             return
-        if kind is dict and _STR.issuperset(map(type, value)):
+        if kind is dict:
             pairs = [(f"{encode_basestring_ascii(key)}: ", value[key]) for key in sorted(value)]
             open_, close = "{", "}"
         elif kind is list or kind is tuple:
             pairs = [("", item) for item in value]
             open_, close = "[", "]"
         else:
-            pieces.append(json.dumps(value, indent=2, sort_keys=True).replace("\n", nl))
-            return
+            raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
         if not pairs:
             pieces.append(open_ + close)
             return

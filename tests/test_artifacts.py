@@ -7,6 +7,7 @@ import json
 import math
 import tracemalloc
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from votingfarm import scenario
@@ -36,8 +37,6 @@ VALUES = st.recursive(
         st.lists(inner, max_size=4),
         st.lists(inner, max_size=4).map(tuple),
         st.dictionaries(st.text(max_size=4), inner, max_size=4),
-        # keys json.dumps converts to strings, so the writer hands the subtree back to it
-        st.dictionaries(st.one_of(st.integers(-3, 3), st.booleans()), inner, max_size=3),
     ),
     max_leaves=24,
 )
@@ -48,10 +47,16 @@ VALUES = st.recursive(
 @example([])
 @example(())
 @example({"a": [], "b": {}, "c": ()})
-@example([{1: [{"x": 1}], 2: None}, {"k": {10: "v", 9: ()}}])
 @settings(max_examples=200, derandomize=True, deadline=None, database=None)
 def test_json_writer_matches_json_dumps(value):
     assert written(value) == dumps(value)
+
+
+@pytest.mark.parametrize("value", [{1: "a"}, {"k": [{True: 0}]}, {"a": 1, 2: "b"}, [{"x"}]],
+                         ids=["int-key", "nested-bool-key", "mixed-keys", "a-set"])
+def test_json_writer_refuses_what_a_run_summary_never_holds(value):
+    with pytest.raises(TypeError):
+        written(value)
 
 
 def test_json_writer_flushes_a_large_value_in_pieces():

@@ -289,6 +289,10 @@ class TestTimingHarness:
         means = [r["mean"] for r in timing_harness()]
         assert all(b > a for a, b in zip(means, means[1:]))
 
+    def test_no_repeats_rejected(self):
+        with pytest.raises(ValidationError, match="repeats must be at least 1"):
+            timing_harness(repeats=0)
+
     def test_jitter_spreads_the_repeats(self):
         rows = timing_harness(n_values=(3,), jitter=2, repeats=5)
         assert rows[0]["std"] > 0.0

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from votingfarm.core import VotingFarmError
 from votingfarm.recovery.lang import (
     Action,
     And,
@@ -16,6 +17,7 @@ from votingfarm.recovery.lang import (
     GROUP,
     GuardedRule,
     MAX_DEPTH,
+    MAX_VALUE,
     NODE,
     Not,
     Or,
@@ -274,6 +276,19 @@ def test_idents_and_values_past_one_varint_byte_round_trip():
     assert bytes([0x11, 0x00, 0xC8, 0x01, 0xAC, 0x02, 0x00]) in data
     assert decode_program(data) == program
     assert disassemble(data) == "IF [ -PHASE THREAD200 == 300 ]\nTHEN\n    KILL THREAD200\nFI\n"
+    top = MAX_VALUE  # 2**63 - 1, the largest value the parser takes
+    program = parse_rl(f"IF [ -PHASE THREAD{top} == {top} ] THEN REBOOT {top} FI")
+    data = compile_program(program)
+    nine = b"\xff" * 8 + b"\x7f"  # 63 one-bits as nine varint bytes
+    assert bytes([0x11, 0x00]) + nine + nine + bytes([0x00]) in data
+    assert decode_program(data) == program
+    assert disassemble(data) == f"IF [ -PHASE THREAD{top} == {top} ]\nTHEN\n    REBOOT {top}\nFI\n"
+
+
+def test_a_negative_in_a_program_built_in_code_does_not_compile():
+    program = RlProgram(rules=(GuardedRule(Faulty(EntityRef(THREAD, -1)), KILL_T1),))
+    with pytest.raises(VotingFarmError, match="varints are unsigned"):
+        compile_program(program)
 
 
 HEAD = MAGIC + bytes([VERSION, 0x00])  # no includes

@@ -291,14 +291,28 @@ SYNTAX_ERRORS = {
     "selector-needs-one-group": ("IF [ -FAULTY THREAD1 ] THEN KILL THREAD@ FI",
                                  "rule 1: THREAD@/THREAD~ require a condition over exactly one group"),
     "selector-in-default": ("DEFAULT\nWARN THREAD~\nFI", "DEFAULT block cannot use THREAD@/THREAD~"),
+    # every value must fit the nine varint bytes of an r-code, so that what compiles decodes
+    "value-above-max": ("IF [ -PHASE THREAD1 == 99999999999999999999999 ] THEN KILL THREAD1 FI",
+                        "line 1:24: 99999999999999999999999 is above 9223372036854775807,"
+                        " the largest value an r-code holds"),
+    "ident-above-max": ("IF [ -FAULTY THREAD9223372036854775808 ] THEN PURGE FI",
+                        "line 1:14: THREAD9223372036854775808 is above 9223372036854775807,"
+                        " the largest value an r-code holds"),
+    "negative-name": ('INCLUDE "values.h"\nIF [ -PHASE THREAD1 == {NEG} ] THEN KILL THREAD1 FI',
+                      "line 2:24: {NEG} is -1, not in 0..9223372036854775807"),
+    "negative-node": ('INCLUDE "values.h"\nIF [ -FAULTY THREAD1 ] THEN REBOOT {NEG} FI',
+                      "line 2:36: {NEG} is -1, not in 0..9223372036854775807"),
+    "name-above-max": ('INCLUDE "values.h"\nIF [ -PHASE THREAD1 == {BIG} ] THEN KILL THREAD1 FI',
+                       "line 2:24: {BIG} is 9223372036854775808, not in 0..9223372036854775807"),
 }
 
 
 @pytest.mark.parametrize("case", SYNTAX_ERRORS)
-def test_each_syntax_error_names_its_place(case):
+def test_each_syntax_error_names_its_place(case, tmp_path):
     source, message = SYNTAX_ERRORS[case]
+    (tmp_path / "values.h").write_text("#define NEG -1\n#define BIG 9223372036854775808\n")
     with pytest.raises(RlSyntaxError) as exc:
-        parse(source)
+        parse(source, include_dirs=(str(tmp_path),))
     assert str(exc.value) == message
 
 

@@ -848,8 +848,10 @@ def test_cli_perf_latency_table(capsys):
         (["--resources", "--N", "4,x"], "bad --N"),
         (["--steps", "--N", "2048"], "bad --N '2048': need one or more farm sizes, each in [1, 1024]"),
         (["--best", "--N", "1..100000"], "each in [1, 1024]"),
+        (["--N", "0"], "bad --N '0'"),  # the sizes are checked before the mode flags
     ],
-    ids=["range-from-zero", "empty-range", "not-a-number", "above-the-bound", "range-past-the-bound"],
+    ids=["range-from-zero", "empty-range", "not-a-number", "above-the-bound", "range-past-the-bound",
+         "bad-size-and-no-mode"],
 )
 def test_cli_perf_rejects_unusable_sizes_and_repeats(capsys, argv, message):
     assert cli.main(["perf", *argv]) == 2
