@@ -182,9 +182,9 @@ def vf_get(handle: FarmHandle, proc: Proc, timeout: int) -> Generator:
         if got is TIMEOUT:
             break
         _, frame = got
-        if frame.kind == wire.K_OUTPUT:
+        if type(frame) is wire.Output:
             handle.outputs.append({"session": frame.session, "source": frame.member, "payload": frame.payload})
-        elif frame.kind == wire.K_STATUS:
+        elif type(frame) is wire.Status:
             if handle.closing and frame.status is VfStatusCode.VF_DONE and frame.detail == "closed":
                 handle.invalidated = True
                 handle.running = False

@@ -35,6 +35,8 @@ from .core import VotingFarmError
 from .fabric import Endpoint, Simulator
 from .voter import FarmSlot, FarmView, VerdictMemo, VoterState, voter_process
 
+DIRECTOR_NODE = 0  # the node the recovery director and interpreter run on
+
 
 class FarmRuntime:
     def __init__(
@@ -60,7 +62,6 @@ class FarmRuntime:
 
         self.spares: dict[int, int] = {}  # entity -> node, declared but idle
         self.dirnet_ep: Optional[Endpoint] = None
-        self.rint_ep: Optional[Endpoint] = None
 
     # -- topology helpers ----------------------------------------------
 
@@ -207,9 +208,8 @@ class FarmRuntime:
         if ep is None or not self.sim.endpoint_alive(ep):
             return f"UnknownEntityAtRuntime: WARN to dead entity {entity}"
         self._compact_idents()
-        frm = self.rint_ep if self.rint_ep is not None else Endpoint(0, "rint")
         # Frames never leave the process: the WARN carries the view itself.
-        self.sim.post(frm, ep, wire.Warn(self.view, self.epoch))
+        self.sim.post(Endpoint(DIRECTOR_NODE, "rint"), ep, wire.Warn(self.view, self.epoch))
         return None
 
     def restart_entity(self, entity: int) -> Optional[str]:

@@ -24,7 +24,7 @@ from typing import Generator, Optional
 from .. import wire
 from ..core import VoterPhase
 from ..fabric import Endpoint, Proc, Recv, Simulator
-from ..farm import FarmRuntime
+from ..farm import DIRECTOR_NODE, FarmRuntime
 from .lang import (
     And,
     Cond,
@@ -40,8 +40,6 @@ from .lang import (
     THREAD,
     _condition_groups,
 )
-
-DIRECTOR_NODE = 0  # the node the director and the interpreter run on
 
 
 @dataclass
@@ -199,11 +197,11 @@ def director_process(db: DirDatabase, rint_ep: Endpoint):
     def run(proc: Proc) -> Generator:
         while True:
             _, frame = yield Recv(None)
-            if frame.kind == wire.K_PHASE:
+            if type(frame) is wire.Phase:
                 db.phases[frame.member] = frame.phase.value
                 if frame.phase is not VoterPhase.VFP_FAILURE:
                     continue
-            elif frame.kind == wire.K_FAULT:
+            elif type(frame) is wire.Fault:
                 db.faulty.add(frame.member)
             else:
                 continue
@@ -216,7 +214,7 @@ def interpreter_process(program: RlProgram, db: DirDatabase, runtime: FarmRuntim
     def run(proc: Proc) -> Generator:
         while True:
             _, frame = yield Recv(None)
-            if frame.kind == wire.K_CONTROL and frame.req == "trigger":
+            if type(frame) is wire.Control and frame.req == "trigger":
                 instances = rint_step(program, db)
                 execute_actions(instances, runtime, db)
     return run
@@ -229,7 +227,9 @@ def attach_recovery(
 ) -> DirDatabase:
     """Install the recovery backbone on the director node, DIRECTOR_NODE.
 
-    Must run before the farm is activated so voters report their phase
+    The runtime is told only the director's endpoint; it posts WARNs
+    from the interpreter's, Endpoint(DIRECTOR_NODE, "rint").  Must run
+    before the farm is activated so voters report their phase
     transitions from the start.  Watchdog behaviour comes from the
     fabric's crash knowledge: endpoint crashes turn into fault records.
     """
@@ -238,7 +238,6 @@ def attach_recovery(
     dirnet_ep = sim.add_endpoint(Endpoint(DIRECTOR_NODE, "dirnet"))
     rint_ep = sim.add_endpoint(Endpoint(DIRECTOR_NODE, "rint"))
     runtime.dirnet_ep = dirnet_ep
-    runtime.rint_ep = rint_ep
     sim.spawn(director_process(db, rint_ep), dirnet_ep)
     sim.spawn(interpreter_process(program, db, runtime), rint_ep)
 

@@ -31,7 +31,7 @@ from typing import Optional
 from .algorithms import METRICS, AlgorithmSelect, encode_scalar, encode_vector
 from .client import FarmHandle, vf_add, vf_close, vf_control, vf_get, vf_open, vf_run
 from .core import PHASE_STEPS, VfStatusCode, VoterPhase, VotingFarmError, validate_descriptor
-from .fabric import Endpoint, FaultSpec, Proc, Simulator, Sleep
+from .fabric import Endpoint, FaultSpec, Simulator, Sleep
 from .farm import FarmRuntime
 from .recovery import DirDatabase, attach_recovery, parse_rl
 from .recovery.lang import read_text, resolve_include
@@ -103,20 +103,11 @@ def _compile(s: dict, at: str):
     Errors name the value by the label at.  Under a map, at holds a {}
     that the map's key fills in, only when an error is raised; key is
     None elsewhere.  A container walker checks its own type, and a leaf
-    runs its check in the same call."""
+    runs its check in the same call: a check applies to a leaf only."""
     check, must = s.get("check"), _must(s)
     build = next((build for part, build in _CONTAINERS if part in s), None)
     if build is not None:
-        walk = build(s, at, must)
-        if check is None:
-            return walk
-
-        def checked(value, key):
-            value = walk(value, key)
-            check(value, at if key is None else at.format(key))
-            return value
-
-        return checked
+        return build(s, at, must)
     types, lo, choices = _TYPES[s["type"]][0], s.get("minimum"), s.get("enum")
 
     def leaf(value, key):
@@ -237,7 +228,7 @@ def _algorithm(value: dict, label: str) -> None:
         raise ScenarioError(f"bad {label} selection: {exc}") from exc
 
 
-def _farm_layout(rows: list, label: str) -> None:
+def _farm_layout(rows: list) -> None:
     if not rows:
         raise ScenarioError("scenario needs a non-empty farm list of [node, ident]")
     try:
@@ -312,7 +303,6 @@ class RunResult:
     runtime: FarmRuntime
     db: Optional[DirDatabase]
     users: dict[int, dict]
-    user_procs: dict[int, Proc]
     search_dirs: tuple[str, ...] = ()
     assertions: list[dict] = field(default_factory=list)
 
@@ -325,7 +315,9 @@ class RunResult:
         return all(a["ok"] for a in self.assertions)
 
     def all_users_finished(self) -> bool:
-        return all(p.finished for p in self.user_procs.values())
+        """Whether every user program ended: it set done at its end, or
+        error when vf_run was refused.  A crashed or raising user did neither."""
+        return all(rep["done"] or rep["error"] is not None for rep in self.users.values())
 
     def summary(self) -> dict:
         return {
@@ -410,15 +402,12 @@ def run_scenario(spec: dict, search_dirs: tuple[str, ...] = ()) -> RunResult:
     mismatch = spec.get("spmd_mismatch")
     users: dict[int, dict] = {}
     handles: dict[int, FarmHandle] = {}
-    procs: dict[int, Proc] = {}
     for node in user_nodes:
         rows = mismatch["farm"] if mismatch and mismatch["node"] == node else spec["farm"]
         inputs = sorted(spec["inputs"].get(node, []), key=lambda item: item["at"])
         report = users[node] = {"statuses": [], "outputs": [], "refused": 0, "error": None, "done": False}
         handle = handles[node] = vf_open(runtime, spec["metric"])
-        procs[node] = sim.spawn(
-            _user_program(spec, handle, rows, report, inputs), runtime.ensure_user_endpoint(node)
-        )
+        sim.spawn(_user_program(spec, handle, rows, report, inputs), runtime.ensure_user_endpoint(node))
 
     for f, target in zip(spec["faults"], targets):
         own = {}  # the fields only this fault's kind has
@@ -436,7 +425,7 @@ def run_scenario(spec: dict, search_dirs: tuple[str, ...] = ()) -> RunResult:
             for o in handle.outputs
         ]
 
-    result = RunResult(spec, sim, runtime, db, users, procs, search_dirs)
+    result = RunResult(spec, sim, runtime, db, users, search_dirs)
     # A verdict echoes its assertion as written, without defaults, and its explanation
     # wins over the assertion's own "detail" (the one a session-status check expects).
     for as_written, a in zip(written.get("assertions", ()), spec["assertions"]):
@@ -451,10 +440,14 @@ def run_scenario(spec: dict, search_dirs: tuple[str, ...] = ()) -> RunResult:
 # -- assertions -----------------------------------------------------------
 
 def session_latency(result: RunResult, session: int) -> int:
-    """Simulated time from a session's scheduled input to its last VF_DONE."""
-    inputs = result.spec["inputs"].values()
-    times = sorted({item["at"] for items in inputs for item in items if "algorithm" not in item})
-    if session >= len(times):
+    """Simulated time from a session's scheduled input to its last VF_DONE.
+
+    Each node's k-th value input in time order (algorithm switches
+    skipped) belongs to session k, scheduled at the earliest of them."""
+    per_node = [sorted(item["at"] for item in items if "algorithm" not in item)
+                for items in result.spec["inputs"].values()]
+    times = [ts[session] for ts in per_node if session < len(ts)]
+    if not times:
         raise ScenarioError(f"no scheduled input for session {session}")
     want = {"status=VF_DONE", "detail=ok", f"session={session}"}
     done = [
@@ -463,7 +456,7 @@ def session_latency(result: RunResult, session: int) -> int:
     ]
     if not done:
         raise ScenarioError(f"session {session} never completed")
-    return max(done) - times[session]
+    return max(done) - min(times)
 
 
 def _a_quiescent(result: RunResult, a: dict):
@@ -616,7 +609,7 @@ _ASSERTION = {"type": "object", "title": "assertion", "tag": "type", "cases": {
 
 _SCENARIO = _object("scenario", {
     "name": (_STRING, "unnamed"), "seed": (_INT, 0),
-    "farm": ({**_ROWS, "check": _farm_layout}, REQUIRED),
+    "farm": (_ROWS, REQUIRED),
     "max_time": (_COUNT, 100_000), "delta_t": (_COUNT, 10),
     "delivery_delay": (_COUNT, 0), "jitter": (_COUNT, 0),
     "metric": ({**_STRING, "enum": tuple(METRICS)}, "default"),
@@ -646,8 +639,11 @@ _check_scenario = _compile(_SCENARIO, "scenario")
 
 def validate_scenario(spec: dict) -> dict:
     """The spec checked against the table, with every default filled in;
-    raises ScenarioError naming the first bad value."""
+    raises ScenarioError naming the first bad value.  The farm rows'
+    layout is checked once the walk has passed, so with several bad
+    values a bad layout is named after any value the walk rejects."""
     checked = _check_scenario(spec, None)
+    _farm_layout(checked["farm"])
     _scenario_rules(checked)
     return checked
 

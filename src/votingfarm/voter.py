@@ -162,7 +162,7 @@ def voter_process(state: VoterState):
         while True:
             sender, frame = inbox.pop(0) if inbox else (yield Recv(None))
 
-            if frame.kind == wire.K_CONTROL:
+            if type(frame) is wire.Control:
                 if frame.req == "close":
                     yield Send(sender, wire.Status(VfStatusCode.VF_DONE, "closed", -1))
                     yield Exit()
@@ -174,20 +174,20 @@ def voter_process(state: VoterState):
                 _apply_params(state, frame)
                 continue
 
-            if frame.kind == wire.K_WARN:
+            if type(frame) is wire.Warn:
                 if not _apply_warn(proc, state, frame):
                     yield Exit()
                     return
                 continue
 
-            if frame.kind == wire.K_INPUT:
+            if type(frame) is wire.Input:
                 if state.phase is VoterPhase.VFP_FAILURE:
                     yield Send(sender, wire.Status(VfStatusCode.VF_REFUSED, "failed", state.next_session))
                     continue
                 yield from _session(proc, state, inbox, sender, frame)
                 continue
 
-            if frame.kind == wire.K_BROADCAST:
+            if type(frame) is wire.Broadcast:
                 if state.phase is VoterPhase.VFP_FAILURE:
                     _trace(proc, "drop", f"broadcast while failed session={frame.session}")
                     continue
@@ -255,17 +255,17 @@ def _session(
             slot = (0, False, b"")
         else:
             sender, frame = got
-            if frame.kind == wire.K_INPUT and own is None and sender == state.user_ep:
+            if type(frame) is wire.Input and own is None and sender == state.user_ep:
                 own = frame.payload
                 slot = (me, True, own)
-            elif frame.kind == wire.K_BROADCAST and frame.epoch == state.epoch:
+            elif type(frame) is wire.Broadcast and frame.epoch == state.epoch:
                 if frame.session == session:
                     slot = (frame.member, frame.valid, frame.payload)
                 elif frame.session > session:
                     held.append(got)
-            elif frame.kind in (wire.K_INPUT, wire.K_CONTROL):
+            elif type(frame) in (wire.Input, wire.Control):
                 yield Send(sender, wire.Status(VfStatusCode.VF_REFUSED, "busy", session))
-            elif frame.kind == wire.K_WARN:
+            elif type(frame) is wire.Warn:
                 held.append(got)
         if slot is not None:
             slots.append(slot)

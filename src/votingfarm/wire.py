@@ -3,6 +3,8 @@
 Each of the eight message kinds is a read-only tuple subclass that
 declares the fields it carries in one line, as a namedtuple does, and
 lists them, in constructor order, in its class attribute ``fields``.
+A frame's class is its kind, and receivers dispatch on ``type(frame)``:
+a frame of another class, whatever its name, is none of the eight.
 The voted data travels as the ``payload`` of an input, a broadcast or
 an output; the other kinds carry control fields only.  Senders build
 frames, the fabric carries them as they are and receivers read their
@@ -17,9 +19,10 @@ posted, so it is traced at least once, and a broadcast shared by
 several receivers is rendered only once.
 
 ``encode``/``decode`` define a bytes layout of a kind, fields and
-payload.  Nothing in the package or its demos calls them; they remain
-because the benchmark's tracer (perfbench/tracing.py) patches them by
-name, and go once its wire metrics are retired:
+payload, where the kind is whatever integer the caller passes: frames
+carry no code.  Nothing in the package or its demos calls them; they
+remain because the benchmark's tracer (perfbench/tracing.py) patches
+them by name, and go once its wire metrics are retired:
 
     kind:u8 | header_len:u32be | header (JSON, utf-8) | value payload
 
@@ -38,16 +41,6 @@ from typing import Any, Mapping
 
 from .core import VfStatusCode, VoterPhase
 
-# Frame kinds
-K_INPUT = 1       # user module -> voter: new input value
-K_BROADCAST = 2   # voter -> fellow voter: relayed input
-K_OUTPUT = 3      # voter -> output endpoint: voted value
-K_STATUS = 4      # voter -> user module: VfStatus reply
-K_CONTROL = 5     # user module -> voter: algorithm/output/close/reset
-K_PHASE = 6       # voter -> recovery database: phase report
-K_FAULT = 7       # fabric watchdog -> recovery database: fault record
-K_WARN = 8        # recovery interpreter -> voter: rebuilt descriptor
-
 _HDR = struct.Struct(">BI")
 
 _TRACED_FIELDS = ("status", "detail", "req", "phase", "fault", "session", "member", "valid")
@@ -63,13 +56,12 @@ class FrameError(Exception):
 
 class Frame(tuple):
     """Base of the message kinds: a read-only tuple of the kind's fields,
-    then its trace detail.  A frame's kind, its name, its fields in
-    constructor order and the fields its trace line shows are class
+    then its trace detail.  A frame's kind is its class, whose name,
+    fields in constructor order and traced fields are class
     attributes.  Frames compare and hash by identity, as distinct
     messages do, and have no order."""
 
     __slots__ = ()
-    kind: int
     name: str
     fields: tuple[str, ...]
     traced: tuple[str, ...]
@@ -85,7 +77,7 @@ class Frame(tuple):
         return self[:-1]
 
 
-def _message(name: str, kind: int, fields: str, **defaults: Any) -> type:
+def _message(name: str, fields: str, **defaults: Any) -> type:
     """A frame class with the given space-separated fields, then the
     keyword ones with their defaults.  Its __new__ is compiled from the
     kind's own fields, as a namedtuple's is, and renders the trace detail
@@ -107,18 +99,18 @@ def _message(name: str, kind: int, fields: str, **defaults: Any) -> type:
     new.__defaults__ = tuple(defaults.values()) or None
     accessors = {key: _tuplegetter(i, None) for i, key in enumerate(names + ("trace_detail",))}
     return type(name, (Frame,), {
-        "__slots__": (), "__new__": new, "kind": kind, "name": name.lower(),
+        "__slots__": (), "__new__": new, "name": name.lower(),
         "fields": names, "traced": traced, **accessors})
 
 
-Input = _message("Input", K_INPUT, "payload", valid=True)
-Broadcast = _message("Broadcast", K_BROADCAST, "member session epoch valid payload")
-Output = _message("Output", K_OUTPUT, "session member payload")
-Status = _message("Status", K_STATUS, "status detail session")
-Control = _message("Control", K_CONTROL, "req", arg=None, member=None)  # arg: algorithm fields or node
-Phase = _message("Phase", K_PHASE, "member phase")
-Fault = _message("Fault", K_FAULT, "member fault")
-Warn = _message("Warn", K_WARN, "farm epoch")
+Input = _message("Input", "payload", valid=True)  # user -> voter: a new input value
+Broadcast = _message("Broadcast", "member session epoch valid payload")  # voter -> fellow: relayed input
+Output = _message("Output", "session member payload")  # voter -> output endpoint: voted value
+Status = _message("Status", "status detail session")  # voter -> user: VfStatus reply
+Control = _message("Control", "req", arg=None, member=None)  # user -> voter; arg: algorithm fields or node
+Phase = _message("Phase", "member phase")  # voter -> recovery database: phase report
+Fault = _message("Fault", "member fault")  # watchdog -> recovery database: fault record
+Warn = _message("Warn", "farm epoch")  # recovery interpreter -> voter: rebuilt descriptor
 
 
 def encode(kind: int, fields: Mapping[str, Any] | None = None, payload: bytes = b"") -> bytes:

@@ -48,7 +48,7 @@ def make_pair(seed=0, delivery_delay=0, jitter=0):
 
 
 # A test message traced as an input: a tag to tell messages apart, and a payload.
-Tagged = wire._message("Input", wire.K_INPUT, "tag", payload=b"")
+Tagged = wire._message("Input", "tag", payload=b"")
 
 
 def msg(tag, payload=b""):

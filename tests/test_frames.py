@@ -141,7 +141,7 @@ def test_fields_list_each_kinds_constructor_order():
 
 
 def test_each_kind_has_its_own_code_and_name():
-    assert sorted(frame.kind for frame in EVERY_KIND) == list(range(wire.K_INPUT, wire.K_WARN + 1))
+    assert len({type(frame) for frame in EVERY_KIND}) == len(EVERY_KIND) == 8
     assert [frame.trace_detail.split()[0] for frame in EVERY_KIND] == [frame.name for frame in EVERY_KIND]
 
 

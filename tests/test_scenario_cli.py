@@ -70,6 +70,21 @@ def test_session_latency_needs_a_scheduled_input():
         scenario.session_latency(result, 1)
 
 
+def test_session_latency_counts_each_nodes_inputs_as_its_sessions():
+    # Each node feeds session k with its k-th value input; the nodes are
+    # staggered by 2 ticks, and the farm finishes each session at the
+    # third input, 4 ticks after the first.
+    spec, dirs = load("tmr_happy")
+    inputs = {str(node): [{"at": at + 2 * (node - 1), "scalar": 1.0} for at in (10, 60)] for node in (1, 2, 3)}
+    result = run_scenario({**spec, "inputs": inputs, "assertions": []}, dirs)
+    done = {(ev.t, ev.detail.split()[3]) for ev in result.trace
+            if ev.kind == "deliver" and ev.to.startswith("user") and "status=VF_DONE detail=ok" in ev.detail}
+    assert done == {(14, "session=0"), (64, "session=1")}
+    assert [scenario.session_latency(result, k) for k in (0, 1)] == [4, 4]
+    with pytest.raises(ScenarioError, match=r"^no scheduled input for session 2$"):
+        scenario.session_latency(result, 2)
+
+
 DEEP = 10_000  # nesting far past Python's recursion limit
 
 

@@ -116,6 +116,15 @@ def test_an_idle_voter_drops_an_unexpected_frame():
     assert alive
 
 
+def test_an_idle_voter_dispatches_frames_by_class():
+    # Named as the input kind, with its fields, but not wire.Input itself.
+    lookalike = wire._message("Input", "payload", valid=True)
+    lines, alive = idle_farm_trace((Endpoint(1, "user"), lookalike(b"\x01")))
+    assert lines[-1] == "drop voter:1@1 - unexpected input while idle"
+    assert not any(line.startswith("phase ") for line in lines)
+    assert alive
+
+
 def test_a_warn_whose_view_leaves_the_voter_out_ends_it():
     view = FarmView([FarmSlot(2, 2, 2)])
     lines, alive = idle_farm_trace((Endpoint(0, "rint"), wire.Warn(view, 1)))

@@ -7,16 +7,16 @@ from votingfarm import wire
 
 
 def test_round_trip_fields_and_payload():
-    raw = wire.encode(wire.K_INPUT, {"valid": True, "session": 4}, b"\x01\x02")
-    assert wire.decode(raw) == (wire.K_INPUT, {"valid": True, "session": 4}, b"\x01\x02")
+    raw = wire.encode(1, {"valid": True, "session": 4}, b"\x01\x02")
+    assert wire.decode(raw) == (1, {"valid": True, "session": 4}, b"\x01\x02")
 
 
 def test_empty_fields_and_payload():
-    assert wire.decode(wire.encode(wire.K_CONTROL)) == (wire.K_CONTROL, {}, b"")
+    assert wire.decode(wire.encode(5)) == (5, {}, b"")
 
 
 @given(
-    kind=st.integers(wire.K_INPUT, wire.K_WARN),
+    kind=st.integers(1, 8),
     fields=st.dictionaries(
         st.text(st.characters(codec="ascii"), min_size=1, max_size=8),
         st.one_of(st.integers(-1000, 1000), st.booleans(), st.text(max_size=8)),
@@ -35,13 +35,13 @@ def test_short_frame_rejected():
 
 
 def test_truncated_header_rejected():
-    raw = wire.encode(wire.K_STATUS, {"status": "VF_DONE"})
+    raw = wire.encode(4, {"status": "VF_DONE"})
     with pytest.raises(wire.FrameError):
         wire.decode(raw[: len(raw) - 3])
 
 
 def test_garbage_header_rejected():
-    raw = bytearray(wire.encode(wire.K_INPUT, {"a": 1}))
+    raw = bytearray(wire.encode(1, {"a": 1}))
     raw[5] = 0xFF  # stomp on the JSON
     with pytest.raises(wire.FrameError):
         wire.decode(bytes(raw))
@@ -50,7 +50,7 @@ def test_garbage_header_rejected():
 def test_non_object_header_rejected():
     header = b"[1, 2]"
     with pytest.raises(wire.FrameError):
-        wire.decode(bytes([wire.K_INPUT]) + len(header).to_bytes(4, "big") + header)
+        wire.decode(bytes([1]) + len(header).to_bytes(4, "big") + header)
 
 
 class TestCorruptValue:
