@@ -66,13 +66,16 @@ The trace stores its records as columns, never the Frame or Endpoint
 objects, so records keep no frame alive: the times in one array of
 64-bit ints, the details in a list of strings, and the kinds and
 endpoint names as small-int codes into a name table the log owns.  New
-records' kinds and names wait in short lists of strings, packed into the
-code arrays a block at a time, so a trace shorter than one block keeps
-plain lists.  Equal details appended close together, such as the phase
-line each voter builds or the status text each user gets, are stored
-once through a small table the log owns and empties when it fills.
-TraceEvent views are built only when the trace is iterated, and text
-only in lines() and text().
+records wait in one flat tail, which the hot paths fill with
+trace.add((t, kind, frm, to, detail)), the tail's bound extend, so a
+record costs no Python call.  Equal details, such as the phase line each
+voter builds, are stored once through trace.share, the bound setdefault
+of a small table the log owns.  Once per popped event the event loop
+packs a tail that holds a full block into the columns, by C-level calls
+alone, and empties a table past its bound.  Readers chain the packed
+columns with views of the tail and neither pack nor copy it.  TraceEvent
+views are built only when the trace is iterated, and text only in
+lines() and text().
 
 Fault injection covers the fail/stop and value-failure models: crash
 (endpoint falls silent forever), value-corruption (the value payload of
@@ -102,7 +105,7 @@ import random
 from array import array
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, compress
+from itertools import chain, compress, islice
 from operator import itemgetter
 from typing import Any, Callable, Generator, Iterator, NamedTuple, Optional
 
@@ -204,9 +207,9 @@ class FaultSpec:
 
 # Distinct details the trace's shared table holds before it is emptied.
 _SHARED_DETAILS = 256
-# Records whose kinds and endpoint names the trace keeps as strings
-# before it packs them into codes.
+# Records the trace's tail holds before it is packed into the columns.
 _BLOCK = 512
+_FULL_TAIL = 5 * _BLOCK  # a record is five items of the flat tail
 
 
 class TraceEvent(NamedTuple):
@@ -234,107 +237,116 @@ class TraceLog:
 
     Records are kept as columns: times in an array('q') (a list once a
     time passes 2**63 - 1), details in a list of strings, and kinds and
-    endpoint names as codes into the log's own name table.  Those three
-    columns take new records as strings in short tails and pack each
-    full tail of _BLOCK into an array of codes, one byte each while the
-    table holds at most 256 names and four bytes after.  A detail equal
-    to one in the shared table is stored as that table's string; the
-    table holds at most _SHARED_DETAILS strings and is emptied when it
-    passes that, so it stays small on any run.  records() yields plain
+    endpoint names as codes into the log's own name table, one byte each
+    while the table holds at most 256 names and four bytes after.  New
+    records wait in a flat tail, five items (t, kind, frm, to, detail)
+    each.  add((t, kind, frm, to, detail)) extends the tail, and
+    share(detail, detail) gives the shared table's string equal to
+    detail.  A caller of the two also packs, at least once per event, a
+    tail of _FULL_TAIL items with _pack and empties a table of more than
+    _SHARED_DETAILS strings, as the event loop does; append does all
+    three for one record.  Readers never pack.  records() yields plain
     tuples, iteration TraceEvent views, and lines() and text() render
     them."""
 
     def __init__(self) -> None:
         self._t = array("q")
-        self._kind: list[str] = []
-        self._frm: list[str] = []
-        self._to: list[str] = []
         self._detail: list[str] = []
-        self._shared: dict[str, str] = {}
         self._codes: dict[str, int] = {}  # name -> code
         self._packed = (array("B"), array("B"), array("B"))  # kind, frm, to codes
+        self._tail: list = []  # unpacked records, five items each
+        self._shared: dict[str, str] = {}
+        self.add = self._tail.extend
+        self.share = self._shared.setdefault
         self.max_time_exceeded = False
 
     def append(self, t: int, kind: str, frm: str = "-", to: str = "-", detail: str = "") -> None:
-        try:
-            self._t.append(t)
-        except OverflowError:  # a scenario's times have no upper bound
-            self._t = [*self._t, t]
-        kinds = self._kind
-        kinds.append(kind)
-        self._frm.append(frm)
-        self._to.append(to)
         shared = self._shared
-        self._detail.append(shared.setdefault(detail, detail))
+        self.add((t, kind, frm, to, shared.setdefault(detail, detail)))
         if len(shared) > _SHARED_DETAILS:
             shared.clear()
-        if len(kinds) == _BLOCK:
+        if len(self._tail) >= _FULL_TAIL:
             self._pack()
 
     def _pack(self) -> None:
-        """Move the tails of the kind and endpoint columns into their code arrays."""
-        codes, tails = self._codes, (self._kind, self._frm, self._to)
+        """Move the tail's records into the columns.  The tail holds a
+        full block, so each itemgetter takes many names and gives a tuple
+        (given one name, it would give the code alone)."""
+        tail, codes, times = self._tail, self._codes, self._t
+        if type(times) is list:
+            times += tail[::5]
+        else:
+            try:
+                times.fromlist(tail[::5])  # all or nothing
+            except OverflowError:  # a scenario's times have no upper bound
+                self._t = [*times, *tail[::5]]
+        # The plain columns go first, so their slices are freed before
+        # the code blocks are built.
+        self._detail += tail[4::5]
+        named = (1, 2, 3)  # a record's kind, frm and to items
         try:
-            blocks = [itemgetter(*tail)(codes) for tail in tails]
+            blocks = [itemgetter(*tail[i::5])(codes) for i in named]
         except KeyError:  # a name new to the table takes the next code
-            for name in chain(*tails):
+            for name in dict.fromkeys(chain.from_iterable(tail[i::5] for i in named)):
                 codes.setdefault(name, len(codes))
-            blocks = [itemgetter(*tail)(codes) for tail in tails]
+            blocks = [itemgetter(*tail[i::5])(codes) for i in named]
         if len(codes) > 256 and self._packed[0].itemsize == 1:
             self._packed = tuple(array("I", column) for column in self._packed)
-        for column, block, tail in zip(self._packed, blocks, tails):
+        for column, block in zip(self._packed, blocks):
             if column.itemsize == 1:
                 column.frombytes(bytes(block))
             else:
                 column.extend(array("I", block))
-            tail.clear()
+        tail.clear()
 
-    def _columns(self, start: int | None, stop: int | None) -> tuple:
-        """The five columns of records start to stop (a slice's bounds).
-        The whole trace is read in place; a part is first sliced from
-        each column."""
+    def _named(self, t, kinds, frm, to, detail) -> tuple:
+        """Columns of packed records, their names decoded as read."""
         name = list(self._codes).__getitem__  # the codes count up in insertion order
-        tails = (self._kind, self._frm, self._to)
-        if (start, stop) == (0, None):
-            names = [chain(map(name, column), tail) for column, tail in zip(self._packed, tails)]
-            return self._t, *names, self._detail
-        start, stop, _ = slice(start, stop).indices(len(self))
-        n = len(self._packed[0])  # records already packed
-        past, end = max(start - n, 0), max(stop - n, 0)
-        names = [chain(map(name, column[start:stop]), tail[past:end]) for column, tail in zip(self._packed, tails)]
-        return self._t[start:stop], *names, self._detail[start:stop]
+        return t, map(name, kinds), map(name, frm), map(name, to), detail
 
     def records(self, start: int | None = 0, stop: int | None = None) -> Iterator[tuple[int, str, str, str, str]]:
         """Records start to stop (a slice's bounds) as plain (t, kind,
-        frm, to, detail) tuples."""
-        return zip(*self._columns(start, stop))
+        frm, to, detail) tuples: the packed ones zipped from their
+        columns, then the tail's, five items at a time.  The whole trace
+        is read in place; a part is first sliced from each packed column."""
+        columns, tail = (self._t, *self._packed, self._detail), iter(self._tail)
+        if (start, stop) != (0, None):
+            start, stop, _ = slice(start, stop).indices(len(self))
+            n = len(self._detail)  # records already packed
+            columns = [column[start:stop] for column in columns]
+            tail = islice(tail, 5 * max(start - n, 0), 5 * max(stop - n, 0))
+        return chain(zip(*self._named(*columns)), zip(*[tail] * 5))
 
     def records_of(self, kind: str) -> Iterator[tuple[int, str, str, str]]:
         """The (t, frm, to, detail) of every record of one kind, picked
-        by scanning the kind column."""
-        t, kinds, frm, to, detail = self._columns(0, None)
-        return compress(zip(t, frm, to, detail), map(kind.__eq__, kinds))
+        from the packed records by scanning the kind column."""
+        t, kinds, frm, to, detail = self._named(self._t, *self._packed, self._detail)
+        packed = compress(zip(t, frm, to, detail), map(kind.__eq__, kinds))
+        tail = zip(*[iter(self._tail)] * 5)
+        return chain(packed, ((t, frm, to, detail) for t, k, frm, to, detail in tail if k == kind))
 
     def lines(self, start: int | None = 0, stop: int | None = None) -> list[str]:
         """The rendered lines of records start to stop (a slice's bounds)."""
         return [f"t={t} {kind} {frm} {to} {detail}" for t, kind, frm, to, detail in self.records(start, stop)]
 
     def text(self) -> str:
-        return "\n".join(self.lines()) + ("\n" if self._detail else "")
+        return "\n".join(self.lines()) + ("\n" if len(self) else "")
 
     def count(self, kind: str | None = None, contains: str = "") -> int:
         """How many records of one kind (of any kind for None) hold
         contains in their detail."""
-        details = self._detail
+        _, kinds, _, _, details = self._named(self._t, *self._packed, self._detail)
+        tail = self._tail
+        details = chain(details, islice(tail, 4, None, 5))
         if kind is not None:  # of the lazy name columns only the kinds are read
-            details = compress(details, map(kind.__eq__, self._columns(0, None)[1]))
+            details = compress(details, map(kind.__eq__, chain(kinds, islice(tail, 1, None, 5))))
         return sum(contains in detail for detail in details)
 
     def __iter__(self) -> Iterator[TraceEvent]:
         return map(_as_event, self.records())
 
     def __len__(self) -> int:
-        return len(self._detail)
+        return len(self._detail) + len(self._tail) // 5
 
 
 # --------------------------------------------------------------------
@@ -560,7 +572,8 @@ class Simulator:
         sender.  Delivery is a send event at the current time, after
         everything already scheduled, with no sender to resume.
         """
-        self.trace.append(self.now, "post", frm.name, to.name, data.trace_detail)
+        trace, detail = self.trace, data.trace_detail
+        trace.add((self.now, "post", frm.name, to.name, trace.share(detail, detail)))
         self._schedule(self.now, "send", (None, frm, to, data, None, 0))
 
     # -- scheduler ----------------------------------------------------
@@ -576,13 +589,18 @@ class Simulator:
         the trace is marked max_time_exceeded and the simulator is left
         non-quiescent.  Timers that can no longer fire are not work.
         """
-        heap, endpoints, append, pop = self._heap, self._endpoints, self.trace.append, heapq.heappop
+        heap, endpoints, pop, trace = self._heap, self._endpoints, heapq.heappop, self.trace
+        add, share, tail, shared = trace.add, trace.share, trace._tail, trace._shared
         while heap:
+            if len(tail) >= _FULL_TAIL:
+                trace._pack()
+            if len(shared) > _SHARED_DETAILS:
+                shared.clear()
             if heap[0][0] > max_time:
                 if any(map(_is_work, heap)):
-                    self.trace.max_time_exceeded = True
+                    trace.max_time_exceeded = True
                     self.quiescent = False
-                    return self.trace
+                    return trace
                 break
             t, _, tag, data = entry = pop(heap)
             self.now = t  # never earlier: nothing is queued before the current time
@@ -591,9 +609,10 @@ class Simulator:
                 if frame is not None:  # deliver it, unless an omission dropped it
                     st = endpoints.get(to)
                     if st is None or st.dead:
-                        append(t, "drop", frm.name, to.name, "dead endpoint")
+                        add((t, "drop", frm.name, to.name, "dead endpoint"))
                     else:
-                        append(t, "deliver", frm.name, to.name, frame.trace_detail)
+                        detail = frame.trace_detail
+                        add((t, "deliver", frm.name, to.name, share(detail, detail)))
                         q = st.proc
                         if q is not None and q.waiting:  # a process waits only on an empty mailbox
                             q.waiting = False
@@ -609,7 +628,7 @@ class Simulator:
             elif tag == "fault":
                 self._activate_fault(data)
         self.quiescent = True
-        return self.trace
+        return trace
 
     def _expire(self, p: Proc, timer: tuple) -> None:
         """A timer of p popped: time out its wait, re-arm, or drop it."""
@@ -620,7 +639,7 @@ class Simulator:
             return
         if p.deadline is timer:
             p.waiting = False
-            self.trace.append(self.now, "timeout", p.endpoint.name, "-", "")
+            self.trace.add((self.now, "timeout", p.endpoint.name, "-", ""))
             self._step(p, TIMEOUT)
         elif p.deadline is not None:
             # The wait now running started after this timer was armed and
@@ -701,7 +720,9 @@ class Simulator:
         in flight.  Returns True if none is, so the sender continues
         immediately."""
         frm, sender_st, targets, frame = p.endpoint, p.st, item.targets, item.data
-        now, append, endpoints = self.now, self.trace.append, self._endpoints
+        now, trace, endpoints = self.now, self.trace, self._endpoints
+        detail = frame.trace_detail
+        detail = trace.share(detail, detail)
         while i < len(targets):
             to = targets[i]
             i += 1
@@ -710,12 +731,12 @@ class Simulator:
                 self._proc_error(p, sender_st, NoSuchLink(f"no link {frm} -- {to}"))
                 return False
 
-            append(now, "send", frm.name, to.name, frame.trace_detail)
+            trace.add((now, "send", frm.name, to.name, detail))
             if target_st is None or target_st.dead:
                 # Fail/stop: a send to a dead or never-added peer is
                 # discarded, whether or not a link to it was ever wired,
                 # and costs the sender nothing. The caller sees success.
-                append(now, "drop", frm.name, to.name, "dead endpoint")
+                trace.add((now, "drop", frm.name, to.name, "dead endpoint"))
                 continue
 
             data = frame if sender_st.corruption is None else wire.corrupt_value(frame, sender_st.corruption)
@@ -734,7 +755,7 @@ class Simulator:
 
             if sender_st.pending_omission:
                 sender_st.pending_omission = False
-                append(now, "drop", frm.name, to.name, "omission")
+                trace.add((now, "drop", frm.name, to.name, "omission"))
                 data = None
             heapq.heappush(self._heap, (t_del, self._seq, "send", (p, frm, to, data, item, i)))
             self._seq += 1

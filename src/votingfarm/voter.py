@@ -146,9 +146,10 @@ def _report(proc: Proc, state: VoterState, to: VoterPhase) -> None:
     backbone."""
     phase = state.phase = phase_transition(state.phase, to)
     sim = proc.sim
+    trace = sim.trace
     # The member's name read directly: f"{phase}" would go through Enum.__format__.
-    sim.trace.append(sim.now, "phase", proc.endpoint.name, "-",
-                     f"{phase._name_} session={state.next_session} epoch={state.epoch}")
+    line = f"{phase._name_} session={state.next_session} epoch={state.epoch}"
+    trace.add((sim.now, "phase", proc.endpoint.name, "-", trace.share(line, line)))
     if state.dirnet_ep is not None:
         sim.post(proc.endpoint, state.dirnet_ep, wire.Phase(state.entity, phase))
 

@@ -52,3 +52,35 @@ def test_summary_flags_split_digests_and_wrong_runs(tmp_path):
     host = summary["metrics"]["host_us_per_op_norm"]
     assert host["head"] == {"q1": 230.0, "median": 230.0, "q3": 230.0}
     assert host["wins"] == {"base": 0, "head": 1, "tie": 0}
+
+
+def test_verdict_flags_a_regression_past_its_bound_and_the_gain_rule():
+    def run(host_us, peak_kb):
+        return {"digest": "aa", "correct": True, "failed": 0,
+                "metrics": {"host_us_per_op_norm": host_us, "peak_mem_kb_per_op": peak_kb}}
+
+    # HEAD is 6 us faster on each seed, past BASE's interquartile range
+    # of 4.5 us, and 25% larger.
+    pairs = [{"seed": k, "first": "base", "base": run(100.0 + k, 4.0), "head": run(94.0 + k, 5.0)} for k in range(10)]
+    summary = benchpair.summarize(pairs, {"host_us_per_op_norm": "lower", "peak_mem_kb_per_op": "lower"})
+    host, peak = summary["metrics"]["host_us_per_op_norm"], summary["metrics"]["peak_mem_kb_per_op"]
+    assert benchpair.verdict("tmr_stream host_us_per_op_norm", host, 0.25) == (
+        "tmr_stream host_us_per_op_norm: base 104.5 (102.25-106.75), head 98.5 (96.25-100.75), "
+        "head won 10/10, worse by more than 25%: no, gain rule: yes")
+    assert benchpair.verdict("tmr_stream peak_mem_kb_per_op", peak, 0.15).endswith(
+        "head won 0/10, worse by more than 15%: yes, gain rule: no")
+    assert benchpair.verdict("p", peak, 0.30).endswith("worse by more than 30%: no, gain rule: no")
+    # Winning every pair is not enough when the medians sit within BASE's spread.
+    close = [{"seed": k, "first": "base", "base": run(100.0 + k, 4.0), "head": run(99.0 + k, 4.0)} for k in range(10)]
+    assert benchpair.verdict("c", benchpair.summarize(close, {"host_us_per_op_norm": "lower"})[
+        "metrics"]["host_us_per_op_norm"], 0.25).endswith("head won 10/10, worse by more than 25%: no, gain rule: no")
+
+    pairs[9]["head"] = run(110.0, 4.0)  # 9 of 10 pairs still meet the rule
+    assert benchpair.verdict("h", benchpair.summarize(pairs, {"host_us_per_op_norm": "lower"})[
+        "metrics"]["host_us_per_op_norm"], 0.25).endswith("head won 9/10, worse by more than 25%: no, gain rule: yes")
+    pairs[8]["head"] = run(110.0, 4.0)  # 8 of 10 do not
+    assert benchpair.verdict("h", benchpair.summarize(pairs, {"host_us_per_op_norm": "lower"})[
+        "metrics"]["host_us_per_op_norm"], 0.25).endswith("head won 8/10, worse by more than 25%: no, gain rule: no")
+    # A higher-is-better metric reads the same rule the other way round.
+    flipped = benchpair.summarize(pairs, {"host_us_per_op_norm": "higher"})["metrics"]["host_us_per_op_norm"]
+    assert benchpair.verdict("h", flipped, 0.01).endswith("head won 2/10, worse by more than 1%: yes, gain rule: no")

@@ -21,6 +21,7 @@ from votingfarm import fabric, wire
 from votingfarm.core import VotingFarmError
 from votingfarm.fabric import (
     _BLOCK,
+    _FULL_TAIL,
     _SHARED_DETAILS,
     Endpoint,
     Exit,
@@ -1168,24 +1169,60 @@ def reference_records(length: int, names: int, seed: int, huge_at: int | None) -
     names=st.sampled_from([1, 30, 300]),  # 300: past 256 names the codes widen
     seed=st.integers(0, 2**16),
     huge_at=st.one_of(st.none(), st.integers(0, 3 * _BLOCK)),
+    event=st.sampled_from([1, 2, 5, 64]),  # records added between two checks of the tail
+    reads=st.lists(st.integers(1, 3 * _BLOCK), max_size=3),  # records after which both logs are read
     start=BOUNDS,
     stop=BOUNDS,
     kind=st.one_of(st.none(), st.sampled_from(KINDS + ["absent"])),
     contains=st.sampled_from(["", "tag=1", "dead", "absent"]),
 )
-@example(length=0, names=1, seed=0, huge_at=None, start=None, stop=None, kind=None, contains="")
-@example(length=_BLOCK, names=30, seed=1, huge_at=None, start=_BLOCK - 2, stop=_BLOCK + 2, kind="send", contains="")
-@example(length=_BLOCK + 1, names=300, seed=2, huge_at=_BLOCK, start=-3, stop=None, kind=None, contains="tag")
-@example(length=2 * _BLOCK + 5, names=300, seed=3, huge_at=3, start=_BLOCK - 1, stop=-_BLOCK, kind="drop", contains="dead")
+@example(length=0, names=1, seed=0, huge_at=None, event=1, reads=[], start=None, stop=None, kind=None, contains="")
+# A trace of one record, read from its tail alone.
+@example(length=1, names=1, seed=0, huge_at=None, event=1, reads=[1], start=None, stop=None, kind="send", contains="")
+@example(length=_BLOCK, names=30, seed=1, huge_at=None, event=2, reads=[], start=_BLOCK - 2, stop=_BLOCK + 2,
+         kind="send", contains="")
+# Exactly one block, packed with a time past 64 bits in it, then a tail of one record.
+@example(length=_BLOCK + 1, names=30, seed=1, huge_at=_BLOCK - 7, event=1, reads=[_BLOCK - 1, _BLOCK],
+         start=_BLOCK - 8, stop=None, kind=None, contains="tag")
+# A time past 64 bits in the tail, behind one packed block of four-byte codes.
+@example(length=_BLOCK + 3, names=300, seed=2, huge_at=_BLOCK + 1, event=2, reads=[_BLOCK + 2],
+         start=-3, stop=None, kind="drop", contains="")
+# Packs of more than a block, the second meeting a time past 64 bits.
+@example(length=2 * _BLOCK + 5, names=300, seed=3, huge_at=_BLOCK + 30, event=64, reads=[_BLOCK, _BLOCK + 64],
+         start=_BLOCK - 1, stop=-_BLOCK, kind="deliver", contains="dead")
 @settings(max_examples=150, derandomize=True, deadline=None, database=None)
-def test_packed_trace_log_reads_back_like_a_list_of_tuples(length, names, seed, huge_at, start, stop, kind, contains):
+def test_packed_trace_log_reads_back_like_a_list_of_tuples(
+        length, names, seed, huge_at, event, reads, start, stop, kind, contains):
+    # One log takes the records through append.  The other takes them
+    # through add and share, `event` records at a time, with the checks
+    # the simulator's event loop makes once per event.
     records = reference_records(length, names, seed, huge_at)
-    log = TraceLog()
-    for record in records:
-        log.append(*record)
+    appended, fed = TraceLog(), TraceLog()
+    for done in range(0, length, event):
+        for t, k, frm, to, detail in records[done:done + event]:
+            appended.append(t, k, frm, to, detail)
+            fed.add((t, k, frm, to, fed.share(detail, detail)))
+        if len(fed._tail) >= _FULL_TAIL:
+            fed._pack()
+        if len(fed._shared) > _SHARED_DETAILS:
+            fed._shared.clear()
+        assert len(fed._tail) < _FULL_TAIL and len(fed._shared) <= _SHARED_DETAILS
+        if any(done < read <= done + event for read in reads):
+            for log in (appended, fed):
+                assert_reads_back(log, records[:done + event], start, stop, kind, contains)
+    for log in (appended, fed):
+        assert_reads_back(log, records, start, stop, kind, contains)
+
+
+def assert_reads_back(log, records, start, stop, kind, contains):
+    """Every reader of log gives what records, a list of (t, kind, frm,
+    to, detail) tuples, holds."""
     assert len(log) == len(records)
     assert list(log.records()) == records
     assert list(log.records(start, stop)) == records[start:stop]
+    assert list(log) == [TraceEvent(*record) for record in records]
+    picked = kind or "send"
+    assert list(log.records_of(picked)) == [(t, frm, to, detail) for t, k, frm, to, detail in records if k == picked]
     lines = [f"t={t} {k} {frm} {to} {detail}" for t, k, frm, to, detail in records]
     assert log.lines() == lines
     assert log.lines(start, stop) == lines[start:stop]
@@ -1200,9 +1237,10 @@ def test_trace_log_packs_full_blocks_into_one_byte_codes_then_wider_ones():
     log = TraceLog()
     for i in range(_BLOCK - 1):
         log.append(i, "send", "user@1", "user@2")
-    assert len(log._kind) == _BLOCK - 1 and len(log._packed[0]) == 0  # a short run keeps lists
+    # A short trace keeps its records unpacked, five items each in the tail.
+    assert len(log._tail) == 5 * (_BLOCK - 1) and len(log._packed[0]) == len(log._detail) == 0
     log.append(_BLOCK, "send", "user@1", "user@2")
-    assert log._kind == [] and [len(column) for column in log._packed] == [_BLOCK] * 3
+    assert log._tail == [] and [len(column) for column in log._packed] == [_BLOCK] * 3
     assert [column.typecode for column in log._packed] == ["B", "B", "B"]
     assert sorted(log._codes) == ["send", "user@1", "user@2"]
     for i in range(_BLOCK):

@@ -13,8 +13,9 @@ to pair.  Pair i uses seed i of --seeds, cycling, on both sides.
 It writes BENCH_<label>.json at the repository root.  Per workload it
 holds every run (seed, digest, correct, failed and the end-to-end
 metrics) and, per end-to-end metric of BENCHMARK.json, each side's
-median and quartiles and how many pairs each side won.  With
---same-digests it exits 1 when the two sides' digests differ for a
+median and quartiles and how many pairs each side won.  It then prints
+one verdict line per workload and end-to-end metric (see verdict).
+With --same-digests it exits 1 when the two sides' digests differ for a
 seed, which is what a change that claims no new behaviour asserts.
 """
 
@@ -86,6 +87,23 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
     }
 
 
+def verdict(label: str, metric: dict, bound: float) -> str:
+    """One metric's line: each side's median (quartiles), the pairs HEAD
+    won, and two flags.  "worse" says HEAD's median is worse than BASE's
+    by more than bound, a fraction of BASE's median.  "gain" says the
+    gain rule holds: HEAD won at least 9 of 10 pairs, ties counting for
+    neither, and the medians differ its way by more than BASE's
+    interquartile range."""
+    base, head, wins = metric["base"], metric["head"], metric["wins"]
+    sign = 1 if metric["better"] == "lower" else -1
+    pairs = sum(wins.values())
+    worse = sign * (head["median"] - base["median"]) > bound * abs(base["median"])
+    gain = 10 * wins["head"] >= 9 * pairs and sign * (base["median"] - head["median"]) > base["q3"] - base["q1"]
+    sides = ", ".join(f"{side} {q['median']:.6g} ({q['q1']:.6g}-{q['q3']:.6g})" for side, q in (("base", base), ("head", head)))
+    return (f"{label}: {sides}, head won {wins['head']}/{pairs}, "
+            f"worse by more than {bound:.0%}: {'yes' if worse else 'no'}, gain rule: {'yes' if gain else 'no'}")
+
+
 def git(*args: str) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True, text=True).stdout.strip()
 
@@ -128,6 +146,7 @@ def main(argv=None) -> int:
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         bench = json.load(fh)
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]}
     workloads = args.workloads.split(",") if args.workloads else [w["name"] for w in bench["workloads"]]
     seeds = [int(s) for s in args.seeds.split(",")]
     if args.pairs < 1:
@@ -155,6 +174,9 @@ def main(argv=None) -> int:
         json.dump(out, fh, indent=1)
         fh.write("\n")
     print(f"wrote {path}")
+    for workload, summary in out["workloads"].items():
+        for name, metric in summary["metrics"].items():
+            print(verdict(f"{workload} {name}", metric, bounds[name]))
     split = [w for w, s in out["workloads"].items() if not s["digests_equal"]]
     if args.same_digests and split:
         print(f"digests differ: {', '.join(split)}", file=sys.stderr)
