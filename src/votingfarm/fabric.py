@@ -66,16 +66,17 @@ The trace stores its records as columns, never the Frame or Endpoint
 objects, so records keep no frame alive: the times in one array of
 64-bit ints, the details in a list of strings, and the kinds and
 endpoint names as small-int codes into a name table the log owns.  New
-records wait in one flat tail, which the hot paths fill with
+records wait in one flat tail, and every record enters it through
 trace.add((t, kind, frm, to, detail)), the tail's bound extend, so a
-record costs no Python call.  Equal details, such as the phase line each
-voter builds, are stored once through trace.share, the bound setdefault
-of a small table the log owns.  Once per popped event the event loop
-packs a tail that holds a full block into the columns, by C-level calls
-alone, and empties a table past its bound.  Readers chain the packed
-columns with views of the tail and neither pack nor copy it.  TraceEvent
-views are built only when the trace is iterated, and text only in
-lines() and text().
+record costs no Python call.  A caller that builds a detail per call
+which can repeat, such as the phase line each voter builds, passes it
+through trace.share first, the bound setdefault of a table the log owns,
+so equal details are stored once.  Only the event loop packs: once per
+popped event it packs a tail that holds a full block into the columns,
+by C-level calls alone, and each pack empties the shared table, so the
+table lives for one block.  Readers chain the packed columns with views of
+the tail and neither pack nor copy it.  TraceEvent views are built only
+when the trace is iterated, and text only in lines() and text().
 
 Fault injection covers the fail/stop and value-failure models: crash
 (endpoint falls silent forever), value-corruption (the value payload of
@@ -205,8 +206,6 @@ class FaultSpec:
             raise VotingFarmError("corruption fault needs a non-empty mask")
 
 
-# Distinct details the trace's shared table holds before it is emptied.
-_SHARED_DETAILS = 256
 # Records the trace's tail holds before it is packed into the columns.
 _BLOCK = 512
 _FULL_TAIL = 5 * _BLOCK  # a record is five items of the flat tail
@@ -240,14 +239,15 @@ class TraceLog:
     endpoint names as codes into the log's own name table, one byte each
     while the table holds at most 256 names and four bytes after.  New
     records wait in a flat tail, five items (t, kind, frm, to, detail)
-    each.  add((t, kind, frm, to, detail)) extends the tail, and
-    share(detail, detail) gives the shared table's string equal to
-    detail.  A caller of the two also packs, at least once per event, a
-    tail of _FULL_TAIL items with _pack and empties a table of more than
-    _SHARED_DETAILS strings, as the event loop does; append does all
-    three for one record.  Readers never pack.  records() yields plain
-    tuples, iteration TraceEvent views, and lines() and text() render
-    them."""
+    each.  Every caller adds a record with add((t, kind, frm, to,
+    detail)), which extends the tail, passing a detail it builds per call
+    through share(detail, detail) first, which gives the shared table's
+    string equal to detail.  Only the simulator's event loop packs: once
+    per event it moves a tail of _FULL_TAIL items or more into the
+    columns with _pack, which also empties the shared table, so the table
+    holds the details of one block.  Readers never pack.  records()
+    yields plain tuples, iteration TraceEvent views, and lines() and
+    text() render them."""
 
     def __init__(self) -> None:
         self._t = array("q")
@@ -260,18 +260,11 @@ class TraceLog:
         self.share = self._shared.setdefault
         self.max_time_exceeded = False
 
-    def append(self, t: int, kind: str, frm: str = "-", to: str = "-", detail: str = "") -> None:
-        shared = self._shared
-        self.add((t, kind, frm, to, shared.setdefault(detail, detail)))
-        if len(shared) > _SHARED_DETAILS:
-            shared.clear()
-        if len(self._tail) >= _FULL_TAIL:
-            self._pack()
-
     def _pack(self) -> None:
-        """Move the tail's records into the columns.  The tail holds a
-        full block, so each itemgetter takes many names and gives a tuple
-        (given one name, it would give the code alone)."""
+        """Move the tail's records into the columns and empty the shared
+        table.  The tail holds a full block, so each itemgetter takes
+        many names and gives a tuple (given one name, it would give the
+        code alone)."""
         tail, codes, times = self._tail, self._codes, self._t
         if type(times) is list:
             times += tail[::5]
@@ -298,6 +291,7 @@ class TraceLog:
             else:
                 column.extend(array("I", block))
         tail.clear()
+        self._shared.clear()
 
     def _named(self, t, kinds, frm, to, detail) -> tuple:
         """Columns of packed records, their names decoded as read."""
@@ -335,12 +329,8 @@ class TraceLog:
     def count(self, kind: str | None = None, contains: str = "") -> int:
         """How many records of one kind (of any kind for None) hold
         contains in their detail."""
-        _, kinds, _, _, details = self._named(self._t, *self._packed, self._detail)
-        tail = self._tail
-        details = chain(details, islice(tail, 4, None, 5))
-        if kind is not None:  # of the lazy name columns only the kinds are read
-            details = compress(details, map(kind.__eq__, chain(kinds, islice(tail, 1, None, 5))))
-        return sum(contains in detail for detail in details)
+        records = self.records() if kind is None else self.records_of(kind)
+        return sum(contains in record[-1] for record in records)
 
     def __iter__(self) -> Iterator[TraceEvent]:
         return map(_as_event, self.records())
@@ -538,7 +528,7 @@ class Simulator:
     def revive_endpoint(self, endpoint: Endpoint) -> None:
         """Bring a dead endpoint back (its death left it clean) for a RESTART."""
         self._state(endpoint).dead = False
-        self.trace.append(self.now, "revive", str(endpoint), "-", "")
+        self.trace.add((self.now, "revive", str(endpoint), "-", ""))
 
     def _end(self, endpoint: Endpoint, st: _EndpointState, kind: str, detail: str, notify: bool) -> None:
         """The one way an endpoint dies.  A process that ends its own
@@ -553,7 +543,7 @@ class Simulator:
             p.waiting = False
             if p is not self._running:
                 p.gen.close()
-        self.trace.append(self.now, kind, endpoint.name, "-", detail)
+        self.trace.add((self.now, kind, endpoint.name, "-", detail))
         if notify:
             for listener in self.crash_listeners:
                 listener(endpoint, self.now)
@@ -590,12 +580,10 @@ class Simulator:
         non-quiescent.  Timers that can no longer fire are not work.
         """
         heap, endpoints, pop, trace = self._heap, self._endpoints, heapq.heappop, self.trace
-        add, share, tail, shared = trace.add, trace.share, trace._tail, trace._shared
+        add, share, tail = trace.add, trace.share, trace._tail
         while heap:
             if len(tail) >= _FULL_TAIL:
                 trace._pack()
-            if len(shared) > _SHARED_DETAILS:
-                shared.clear()
             if heap[0][0] > max_time:
                 if any(map(_is_work, heap)):
                     trace.max_time_exceeded = True
@@ -650,7 +638,7 @@ class Simulator:
     def _activate_fault(self, spec: FaultSpec) -> None:
         st = self._endpoints.get(spec.target)
         if st is None:
-            self.trace.append(self.now, "fault", str(spec.target), "-", "no such endpoint")
+            self.trace.add((self.now, "fault", str(spec.target), "-", "no such endpoint"))
             return
         if spec.kind == "crash":
             self.crash_endpoint(spec.target, "crash")
@@ -663,7 +651,7 @@ class Simulator:
             st.pending_omission = True
         elif spec.kind == "delay":
             st.pending_delay += spec.delay
-        self.trace.append(self.now, "fault", str(spec.target), "-", spec.kind)
+        self.trace.add((self.now, "fault", str(spec.target), "-", spec.kind))
 
     def _step(self, p: Proc, value: Any) -> None:
         st = p.st

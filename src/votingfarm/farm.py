@@ -114,9 +114,7 @@ class FarmRuntime:
         elif self.canonical != desc or self.metric_name != handle.metric_name:
             what = "descriptor" if self.canonical != desc else "metric"
             self.spmd_incoherent = True
-            self.sim.trace.append(
-                self.sim.now, "spmd", str(proc.endpoint), "-", f"{what} mismatch"
-            )
+            self.sim.trace.add((self.sim.now, "spmd", str(proc.endpoint), "-", f"{what} mismatch"))
             raise SpmdIncoherence(f"node {node} disagrees with the active {what}")
         for member_node, ident in self.canonical:
             if member_node == node and ident not in self.voter_states:

@@ -174,7 +174,7 @@ def execute_actions(
     }
     runtime.begin_action_batch()
     for inst in instances:
-        sim.trace.append(sim.now, "action", "rint", "-", str(inst))
+        sim.trace.add((sim.now, "action", "rint", "-", str(inst)))
         primitive = primitives.get(inst.verb)
         err = primitive(inst.target) if primitive else f"unsupported action {inst.verb}"
         db.action_log.append(
@@ -188,7 +188,7 @@ def execute_actions(
         )
         if err is not None:
             db.errors.append(err)
-            sim.trace.append(sim.now, "action-error", "rint", "-", err)
+            sim.trace.add((sim.now, "action-error", "rint", "-", err))
 
 
 # -- backbone processes -------------------------------------------------

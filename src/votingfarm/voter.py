@@ -138,27 +138,33 @@ class VoterState:
 
 def _trace(proc: Proc, kind: str, detail: str) -> None:
     sim = proc.sim
-    sim.trace.append(sim.now, kind, proc.endpoint.name, "-", detail)
+    trace = sim.trace
+    trace.add((sim.now, kind, proc.endpoint.name, "-", trace.share(detail, detail)))
+
+
+def _trace_phase(proc: Proc, state: VoterState) -> None:
+    """Trace the voter's phase line."""
+    sim = proc.sim
+    trace = sim.trace
+    # The member's name read directly: f"{phase}" would go through Enum.__format__.
+    line = f"{state.phase._name_} session={state.next_session} epoch={state.epoch}"
+    trace.add((sim.now, "phase", proc.endpoint.name, "-", trace.share(line, line)))
 
 
 def _report(proc: Proc, state: VoterState, to: VoterPhase) -> None:
     """Enter phase to, trace its phase line and post it to the recovery
     backbone."""
     phase = state.phase = phase_transition(state.phase, to)
-    sim = proc.sim
-    trace = sim.trace
-    # The member's name read directly: f"{phase}" would go through Enum.__format__.
-    line = f"{phase._name_} session={state.next_session} epoch={state.epoch}"
-    trace.add((sim.now, "phase", proc.endpoint.name, "-", trace.share(line, line)))
+    _trace_phase(proc, state)
     if state.dirnet_ep is not None:
-        sim.post(proc.endpoint, state.dirnet_ep, wire.Phase(state.entity, phase))
+        proc.sim.post(proc.endpoint, state.dirnet_ep, wire.Phase(state.entity, phase))
 
 
 def voter_process(state: VoterState):
     """Build the generator for one voter's whole life."""
 
     def run(proc: Proc) -> Generator:
-        _trace(proc, "phase", f"{state.phase._name_} session={state.next_session} epoch={state.epoch}")
+        _trace_phase(proc, state)
         inbox: list[tuple[Endpoint, wire.Frame]] = []  # oldest first
         while True:
             sender, frame = inbox.pop(0) if inbox else (yield Recv(None))

@@ -22,7 +22,6 @@ from votingfarm.core import VotingFarmError
 from votingfarm.fabric import (
     _BLOCK,
     _FULL_TAIL,
-    _SHARED_DETAILS,
     Endpoint,
     Exit,
     FaultSpec,
@@ -927,9 +926,9 @@ class EveryFloorSimulator(Simulator):
             if target_st is not None and not target_st.dead and to not in sender_st.links:
                 self._proc_error(p, sender_st, fabric.NoSuchLink(f"no link {frm} -- {to}"))
                 return False
-            self.trace.append(self.now, "send", frm.name, to.name, item.data.trace_detail)
+            self.trace.add((self.now, "send", frm.name, to.name, item.data.trace_detail))
             if target_st is None or target_st.dead:
-                self.trace.append(self.now, "drop", frm.name, to.name, "dead endpoint")
+                self.trace.add((self.now, "drop", frm.name, to.name, "dead endpoint"))
                 continue
             data = item.data
             if sender_st.corruption is not None:
@@ -943,7 +942,7 @@ class EveryFloorSimulator(Simulator):
             t_del = sender_st.fifo_floor[to] = max(self.now + delay, sender_st.fifo_floor.get(to, 0))
             if sender_st.pending_omission:
                 sender_st.pending_omission = False
-                self.trace.append(self.now, "drop", frm.name, to.name, "omission")
+                self.trace.add((self.now, "drop", frm.name, to.name, "omission"))
                 data = None
             self._schedule(t_del, "send", (p, frm, to, data, item, i))
             return False
@@ -1089,9 +1088,9 @@ def test_post_bypasses_links():
 def test_trace_log_renders_and_counts_its_records():
     log = TraceLog()
     assert log.text() == "" and log.lines() == [] and list(log) == []
-    log.append(0, "send", "user@1", "user@2", "input tag=a")
-    log.append(3, "drop", "user@1", "user@2", "omission")
-    log.append(3, "revive", "user@2")
+    log.add((0, "send", "user@1", "user@2", "input tag=a"))
+    log.add((3, "drop", "user@1", "user@2", "omission"))
+    log.add((3, "revive", "user@2", "-", ""))
     records = list(log.records())
     assert records[0] == (0, "send", "user@1", "user@2", "input tag=a")
     assert all(type(record) is tuple for record in records)
@@ -1115,29 +1114,49 @@ def test_trace_log_renders_and_counts_its_records():
     assert log.count("revive", contains="") == 1
 
 
+def add_event(log, *records):
+    """Add records as one event of the simulator does: each detail
+    through share, then the event loop's pack of a full tail."""
+    for *head, detail in records:
+        log.add((*head, log.share(detail, detail)))
+    if len(log._tail) >= _FULL_TAIL:
+        log._pack()
+
+
 def test_trace_log_stores_an_equal_detail_once_in_a_bounded_table():
     # Each voter builds its own phase line; the log keeps one string.
     session = 4
     details = [f"VFP_VOTE session={session} epoch=0" for _ in range(3)]
     assert details[0] is not details[1]
     log = TraceLog()
-    for member, detail in enumerate(details, 1):
-        log.append(7, "phase", f"voter:{member}@{member}", "-", detail)
+    add_event(log, *((7, "phase", f"voter:{member}@{member}", "-", detail) for member, detail in enumerate(details, 1)))
     kept = [detail for *_, detail in log.records()]
     assert kept == details and kept[1] is kept[0] and kept[2] is kept[0]
-    for k in range(3 * _SHARED_DETAILS):
-        log.append(8, "send", "user@1", "user@2", f"input tag={k}")
-        assert len(log._shared) <= _SHARED_DETAILS
+    for k in range(3 * _BLOCK):
+        add_event(log, (8, "send", "user@1", "user@2", f"input tag={k}"))
+        assert len(log._shared) <= len(log._tail) // 5  # the details of the unpacked records at most
     assert log.lines(3, 5) == ["t=8 send user@1 user@2 input tag=0", "t=8 send user@1 user@2 input tag=1"]
+
+
+def test_a_pack_keeps_a_blocks_equal_details_as_one_string_and_empties_the_table():
+    log = TraceLog()
+    for session in range(2):
+        for i in range(_BLOCK):
+            assert len(log._shared) == (i > 0)
+            add_event(log, (i, "phase", f"voter:{i % 3}@1", "-", f"VFP_VOTE session={session} epoch=0"))
+        assert log._tail == [] and log._shared == {}
+    details = [detail for *_, detail in log.records()]
+    assert details == [f"VFP_VOTE session={session} epoch=0" for session in range(2) for _ in range(_BLOCK)]
+    assert len(set(map(id, details[:_BLOCK]))) == len(set(map(id, details[_BLOCK:]))) == 1
 
 
 def test_trace_log_keeps_a_time_past_64_bits():
     # A scenario's input times and max_time are counts with no upper bound.
     log = TraceLog()
     for t in range(3):
-        log.append(t, "send")
-    log.append(2**64, "fault", "user@1")
-    log.append(2, "revive", "user@1")
+        add_event(log, (t, "send", "-", "-", ""))
+    add_event(log, (2**64, "fault", "user@1", "-", ""))
+    add_event(log, (2, "revive", "user@1", "-", ""))
     assert [t for t, *_ in log.records()] == [0, 1, 2, 2**64, 2]
     assert log.lines(3) == [f"t={2**64} fault user@1 - ", "t=2 revive user@1 - "]
 
@@ -1193,25 +1212,16 @@ def reference_records(length: int, names: int, seed: int, huge_at: int | None) -
 @settings(max_examples=150, derandomize=True, deadline=None, database=None)
 def test_packed_trace_log_reads_back_like_a_list_of_tuples(
         length, names, seed, huge_at, event, reads, start, stop, kind, contains):
-    # One log takes the records through append.  The other takes them
-    # through add and share, `event` records at a time, with the checks
-    # the simulator's event loop makes once per event.
+    # The log takes the records `event` at a time, as the simulator's
+    # event loop records and packs them, and reads back like the list.
     records = reference_records(length, names, seed, huge_at)
-    appended, fed = TraceLog(), TraceLog()
+    log = TraceLog()
     for done in range(0, length, event):
-        for t, k, frm, to, detail in records[done:done + event]:
-            appended.append(t, k, frm, to, detail)
-            fed.add((t, k, frm, to, fed.share(detail, detail)))
-        if len(fed._tail) >= _FULL_TAIL:
-            fed._pack()
-        if len(fed._shared) > _SHARED_DETAILS:
-            fed._shared.clear()
-        assert len(fed._tail) < _FULL_TAIL and len(fed._shared) <= _SHARED_DETAILS
+        add_event(log, *records[done:done + event])
+        assert len(log._tail) < _FULL_TAIL and len(log._shared) <= len(log._tail) // 5
         if any(done < read <= done + event for read in reads):
-            for log in (appended, fed):
-                assert_reads_back(log, records[:done + event], start, stop, kind, contains)
-    for log in (appended, fed):
-        assert_reads_back(log, records, start, stop, kind, contains)
+            assert_reads_back(log, records[:done + event], start, stop, kind, contains)
+    assert_reads_back(log, records, start, stop, kind, contains)
 
 
 def assert_reads_back(log, records, start, stop, kind, contains):
@@ -1236,15 +1246,15 @@ def assert_reads_back(log, records, start, stop, kind, contains):
 def test_trace_log_packs_full_blocks_into_one_byte_codes_then_wider_ones():
     log = TraceLog()
     for i in range(_BLOCK - 1):
-        log.append(i, "send", "user@1", "user@2")
+        add_event(log, (i, "send", "user@1", "user@2", ""))
     # A short trace keeps its records unpacked, five items each in the tail.
     assert len(log._tail) == 5 * (_BLOCK - 1) and len(log._packed[0]) == len(log._detail) == 0
-    log.append(_BLOCK, "send", "user@1", "user@2")
+    add_event(log, (_BLOCK, "send", "user@1", "user@2", ""))
     assert log._tail == [] and [len(column) for column in log._packed] == [_BLOCK] * 3
     assert [column.typecode for column in log._packed] == ["B", "B", "B"]
     assert sorted(log._codes) == ["send", "user@1", "user@2"]
     for i in range(_BLOCK):
-        log.append(i, "send", f"voter:{i}@1", "user@2")
+        add_event(log, (i, "send", f"voter:{i}@1", "user@2", ""))
     assert [column.typecode for column in log._packed] == ["I", "I", "I"]
     assert log.lines(_BLOCK - 1, _BLOCK + 1) == [f"t={_BLOCK} send user@1 user@2 ", "t=0 send voter:0@1 user@2 "]
 

@@ -348,7 +348,7 @@ def test_phase_grammar_names_each_voter_that_leaves_the_cycle():
     }
     for ep, phases in walks.items():
         for phase in phases:
-            result.trace.append(result.sim.now, "phase", ep, "-", f"{phase} session=0 epoch=0")
+            result.trace.add((result.sim.now, "phase", ep, "-", f"{phase} session=0 epoch=0"))
     bad = ["voter:7@7 starts in VFP_VOTING", "voter:8@8: VFP_INIT -> VFP_VOTING"]
     assert check_phase_grammar(result) == bad
     assert scenario._EVALUATORS["phase-grammar"][0](result, {"type": "phase-grammar"}) == (False, "; ".join(bad))

@@ -13,8 +13,9 @@ to pair.  Pair i uses seed i of --seeds, cycling, on both sides.
 It writes BENCH_<label>.json at the repository root.  Per workload it
 holds every run (seed, digest, correct, failed and the end-to-end
 metrics) and, per end-to-end metric of BENCHMARK.json, each side's
-median and quartiles and how many pairs each side won.  It then prints
-one verdict line per workload and end-to-end metric (see verdict).
+median and quartiles, how many pairs each side won and whether every
+HEAD run beat every BASE run.  It then prints one verdict line per
+workload and end-to-end metric (see verdict).
 With --same-digests it exits 1 when the two sides' digests differ for a
 seed, which is what a change that claims no new behaviour asserts.
 """
@@ -60,7 +61,8 @@ def quartiles(values: list[float]) -> dict:
 
 
 def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
-    """Each side's quartiles and the pair wins per metric, and the checks.
+    """Each side's quartiles and the pair wins per metric, whether every
+    HEAD run is better than every BASE run ("apart"), and the checks.
 
     pairs holds {"seed", "first", "base": run, "head": run} records, a
     run as read_result gives it.  better maps each metric to "lower" or
@@ -77,6 +79,7 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
             "better": direction,
             **{side: quartiles(values[side]) for side in SIDES},
             "wins": wins,
+            "apart": max(sign * h for h in values["head"]) < min(sign * b for b in values["base"]),
         }
     return {
         "metrics": metrics,
@@ -89,19 +92,25 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
 
 def verdict(label: str, metric: dict, bound: float) -> str:
     """One metric's line: each side's median (quartiles), the pairs HEAD
-    won, and two flags.  "worse" says HEAD's median is worse than BASE's
-    by more than bound, a fraction of BASE's median.  "gain" says the
-    gain rule holds: HEAD won at least 9 of 10 pairs, ties counting for
-    neither, and the medians differ its way by more than BASE's
-    interquartile range."""
+    won, and three flags.  "worse" says HEAD's median is worse than
+    BASE's by more than bound, a fraction of BASE's median.  "gain" says
+    the gain rule holds: HEAD won at least 9 of 10 pairs, ties counting
+    for neither, and the medians differ its way by more than BASE's
+    interquartile range.  "unresolved" says BASE's own runs spread wider
+    than the bound allows, its interquartile range past bound times its
+    median, so "worse" cannot tell a change from noise; it does not hold
+    when every HEAD run is better than every BASE run."""
     base, head, wins = metric["base"], metric["head"], metric["wins"]
     sign = 1 if metric["better"] == "lower" else -1
     pairs = sum(wins.values())
     worse = sign * (head["median"] - base["median"]) > bound * abs(base["median"])
-    gain = 10 * wins["head"] >= 9 * pairs and sign * (base["median"] - head["median"]) > base["q3"] - base["q1"]
+    spread = base["q3"] - base["q1"]
+    gain = 10 * wins["head"] >= 9 * pairs and sign * (base["median"] - head["median"]) > spread
+    unresolved = spread > bound * abs(base["median"]) and not metric["apart"]
     sides = ", ".join(f"{side} {q['median']:.6g} ({q['q1']:.6g}-{q['q3']:.6g})" for side, q in (("base", base), ("head", head)))
     return (f"{label}: {sides}, head won {wins['head']}/{pairs}, "
-            f"worse by more than {bound:.0%}: {'yes' if worse else 'no'}, gain rule: {'yes' if gain else 'no'}")
+            f"worse by more than {bound:.0%}: {'yes' if worse else 'no'}, gain rule: {'yes' if gain else 'no'}, "
+            f"unresolved: {'yes' if unresolved else 'no'}")
 
 
 def git(*args: str) -> str:
