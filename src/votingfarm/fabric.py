@@ -241,13 +241,13 @@ class TraceLog:
     records wait in a flat tail, five items (t, kind, frm, to, detail)
     each.  Every caller adds a record with add((t, kind, frm, to,
     detail)), which extends the tail, passing a detail it builds per call
-    through share(detail, detail) first, which gives the shared table's
-    string equal to detail.  Only the simulator's event loop packs: once
-    per event it moves a tail of _FULL_TAIL items or more into the
-    columns with _pack, which also empties the shared table, so the table
-    holds the details of one block.  Readers never pack.  records()
-    yields plain tuples, iteration TraceEvent views, and lines() and
-    text() render them."""
+    that repeats through share(detail, detail) first, which gives the
+    shared table's string equal to detail.  Only the simulator's event
+    loop packs: once per event it moves a tail of _FULL_TAIL items or
+    more into the columns with _pack, which also empties the shared
+    table, so the table holds the details of one block.  Readers never
+    pack.  records() yields plain tuples, iteration TraceEvent views, and
+    lines() and text() render them."""
 
     def __init__(self) -> None:
         self._t = array("q")
