@@ -12,7 +12,7 @@ compare, and PHASE_STEPS, its edges.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class VotingFarmError(Exception):
@@ -97,14 +97,14 @@ class VfStatusCode(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class VfStatus:
+class VfStatus(NamedTuple):
     """A status reply plus an error detail code.
 
     detail is one of "ok", "no-decision", "closed", "busy", "timeout",
     "spmd-incoherence".  VF_DONE/ok means a session concluded with a
     voted value; VF_DONE/no-decision means the session concluded but the
-    vote did not reach a decision.
+    vote did not reach a decision.  One is built per reply, so it is a
+    read-only tuple of its three fields, as a wire frame is.
     """
 
     code: VfStatusCode
@@ -115,22 +115,29 @@ class VfStatus:
         return f"{self.code}({self.detail})"
 
 
-@dataclass(frozen=True)
-class VoteObject:
-    """One opaque vote item: a payload plus bookkeeping.
-
-    source is the member ident the value came from (0 marks a value
-    synthesized by the voter itself, e.g. a weighted average).  Items
-    marked invalid take part in vote bookkeeping but never win.
-    """
-
+class _VoteFields(NamedTuple):
     payload: bytes = b""
     valid: bool = True
     source: MemberId = 0
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.payload, bytes):
+
+class VoteObject(_VoteFields):
+    """One opaque vote item: a payload plus bookkeeping.
+
+    source is the member ident the value came from (0 marks a value
+    synthesized by the voter itself, e.g. a weighted average).  Items
+    marked invalid take part in vote bookkeeping but never win.  One is
+    built per ballot item, so it is a read-only tuple of its three
+    fields, as a wire frame is; a payload that is not bytes raises
+    ValidationError.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, payload: bytes = b"", valid: bool = True, source: MemberId = 0) -> "VoteObject":
+        if not isinstance(payload, bytes):
             raise ValidationError("payload must be bytes")
+        return tuple.__new__(cls, (payload, valid, source))
 
 
 def validate_descriptor(rows: list) -> None:

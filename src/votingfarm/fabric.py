@@ -22,8 +22,8 @@ process talks to the fabric by yielding syscall objects:
                          before the next is issued
     Recv(timeout)        oldest pending message as (sender, frame), or
                          the TIMEOUT sentinel after exactly `timeout`
-                         units (a negative timeout counts as 0);
-                         timeout None waits forever
+                         units (a negative timeout is clamped to 0 when
+                         the Recv is built); timeout None waits forever
     Sleep(dt)            advance local time
     Exit()               end the process and retire its endpoint
 
@@ -49,18 +49,19 @@ delay faults a run keeps no floor at all.
 
 A blocking send is one event at its delivery time.  The event loop
 delivers the frame itself (unless an omission dropped it) and then
-issues the Send's next send, or resumes the sender after the last, so
-nothing can run between the two.  Each send is traced, delayed,
-faulted and checked as if it were yielded alone; a sender that dies
-while a frame is in flight sends nothing more.  A post is the same
-event with no sender to resume.  A timed Recv takes its seq when the
+issues the Send's next send or, once none is left, resumes the sender
+itself, so nothing can run between the two.  Each send is traced,
+delayed, faulted and checked as if it were yielded alone; a sender
+that dies while a frame is in flight sends nothing more.  A post is
+the same event with no sender to resume.  A timed Recv takes its seq when the
 wait starts; that (time, seq) deadline is where its timeout fires.
 Each process has at most one live timer in the queue, since most waits
 end by a delivery long before they expire: a wait arms a timer only
 when the process has none, or only a later one.  When a timer pops, it
-times out the wait it belongs to, re-arms the later deadline of the
-wait now running, or is dropped; a timer superseded by an earlier one
-is dropped too.
+times out the wait it belongs to or re-arms the later deadline of the
+wait now running; the event loop itself drops a timer that was
+superseded by an earlier one or whose process no longer waits with a
+deadline.  The scheduler serves a syscall by its exact class.
 
 The trace stores its records as columns, never the Frame or Endpoint
 objects, so records keep no frame alive: the times in one array of
@@ -106,7 +107,7 @@ import random
 from array import array
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, compress, islice
+from itertools import chain, compress, islice, repeat
 from operator import itemgetter
 from typing import Any, Callable, Generator, Iterator, NamedTuple, Optional
 
@@ -328,9 +329,16 @@ class TraceLog:
 
     def count(self, kind: str | None = None, contains: str = "") -> int:
         """How many records of one kind (of any kind for None) hold
-        contains in their detail."""
-        records = self.records() if kind is None else self.records_of(kind)
-        return sum(contains in record[-1] for record in records)
+        contains in their detail.  Only the details are read, those of
+        one kind picked by the kind column and the tail's kind items."""
+        tail = self._tail
+        if kind is None:
+            details = chain(self._detail, tail[4::5])
+        else:
+            code = self._codes.get(kind)
+            packed = () if code is None else compress(self._detail, map(code.__eq__, self._packed[0]))
+            details = chain(packed, compress(tail[4::5], map(kind.__eq__, tail[1::5])))
+        return sum(map(str.__contains__, details, repeat(contains)))
 
     def __iter__(self) -> Iterator[TraceEvent]:
         return map(_as_event, self.records())
@@ -357,7 +365,7 @@ class Recv:
     __slots__ = ("timeout",)
 
     def __init__(self, timeout: Optional[int] = None) -> None:
-        self.timeout = timeout
+        self.timeout = timeout if timeout is None or timeout > 0 else 0
 
 
 class Sleep:
@@ -607,10 +615,13 @@ class Simulator:
                             self._step(q, (frm, frame))
                         else:
                             st.mailbox.append((frm, frame))
-                if p is not None and p.st.proc is p and self._handle_send(p, item, i):
-                    self._step(p, None)
+                if p is not None and p.st.proc is p and (i == len(item.targets) or self._handle_send(p, item, i)):
+                    self._step(p, None)  # its last send finished, or no later one is in flight
             elif tag == "timeout":
-                self._expire(data, entry)
+                if data.timer is entry:  # else superseded by an earlier timer of the same process
+                    data.timer = None
+                    if data.waiting and data.deadline is not None:
+                        self._expire(data, entry)
             elif tag == "step":
                 self._step(data, None)
             elif tag == "fault":
@@ -619,17 +630,13 @@ class Simulator:
         return trace
 
     def _expire(self, p: Proc, timer: tuple) -> None:
-        """A timer of p popped: time out its wait, re-arm, or drop it."""
-        if timer is not p.timer:
-            return  # superseded by an earlier timer of the same process
-        p.timer = None
-        if not p.waiting:
-            return
+        """p's one timer popped while p waits with a deadline (the event
+        loop drops every other timer): time out the wait, or re-arm."""
         if p.deadline is timer:
             p.waiting = False
             self.trace.add((self.now, "timeout", p.endpoint.name, "-", ""))
             self._step(p, TIMEOUT)
-        elif p.deadline is not None:
+        else:
             # The wait now running started after this timer was armed and
             # expires later: arm its own deadline in its place.
             p.timer = p.deadline
@@ -676,11 +683,12 @@ class Simulator:
                 return
             value = None
 
-            if isinstance(item, Send):
+            cls = type(item)
+            if cls is Send:
                 if self._handle_send(p, item, 0):
                     continue
                 return
-            if isinstance(item, Recv):
+            if cls is Recv:
                 if st.mailbox:
                     value = st.mailbox.pop(0)
                     continue
@@ -688,16 +696,16 @@ class Simulator:
                 if item.timeout is None:
                     p.deadline = None
                     return
-                deadline = p.deadline = (self.now + max(0, item.timeout), self._seq, "timeout", p)
+                deadline = p.deadline = (self.now + item.timeout, self._seq, "timeout", p)
                 self._seq += 1
                 if p.timer is None or p.timer > deadline:
                     p.timer = deadline
                     heapq.heappush(self._heap, deadline)
                 return
-            if isinstance(item, Sleep):
+            if cls is Sleep:
                 self._schedule(self.now + max(0, item.dt), "step", p)
                 return
-            if isinstance(item, Exit):
+            if cls is Exit:
                 self._end(p.endpoint, st, "exit", "closed", notify=False)
                 return
             self._proc_error(p, st, VotingFarmError(f"process yielded unknown item {item!r}"))

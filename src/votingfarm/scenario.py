@@ -26,6 +26,7 @@ import os
 from dataclasses import dataclass, field
 from importlib import resources
 from json.encoder import INFINITY, encode_basestring_ascii
+from operator import itemgetter
 from typing import Optional
 
 from .algorithms import METRICS, AlgorithmSelect, encode_scalar, encode_vector
@@ -651,7 +652,7 @@ def validate_scenario(spec: dict) -> dict:
 # -- artifacts -------------------------------------------------------------
 
 _TRACE_BLOCK = 512  # trace records rendered and written at a time
-_JSON_FLUSH = 512  # results.json pieces buffered between writes
+_JSON_FLUSH = 512  # results.json pieces, or a table's rows, buffered between writes
 
 
 def _float_text(v: float) -> str:
@@ -666,6 +667,29 @@ _SCALARS = {  # JSON text of a scalar, as json.dumps renders it, by exact type
 }
 
 
+def _table(items) -> Optional[list]:
+    """The columns of a record table in key order, as (field, getter,
+    render) with field the key's part of a % row template, or None.  A
+    list or tuple is a table when every item is an exact dict, all have
+    one and the same non-empty set of str keys, and the values under
+    each key have one exact scalar type (bool apart from int); C-level
+    passes over every item check it before any is written."""
+    if set(map(type, items)) != {dict} or len(set(map(len, items))) != 1 or set(map(type, items[0])) != {str}:
+        return None
+    columns = []
+    for key in sorted(items[0]):
+        getter = itemgetter(key)
+        try:
+            kinds = set(map(type, map(getter, items)))
+        except KeyError:
+            return None
+        render = _SCALARS.get(kinds.pop()) if len(kinds) == 1 else None
+        if render is None:
+            return None
+        columns.append((encode_basestring_ascii(key).replace("%", "%%") + ": %s", getter, render))
+    return columns
+
+
 def _write_json(fh, value) -> None:
     """Write json.dumps(value, indent=2, sort_keys=True) to fh, byte for
     byte, a few hundred pieces at a time.
@@ -673,7 +697,11 @@ def _write_json(fh, value) -> None:
     value holds, by exact type, only None, bools, ints, floats, strs,
     lists, tuples (written as lists) and dicts with str keys, as
     RunResult.summary() does; a dict with another key type raises
-    TypeError, and so does any other type."""
+    TypeError, and so does any other type.  A table (see _table), such
+    as a user's statuses, is written through one % template built from
+    its sorted keys, its columns rendered through map, so no Python code
+    runs per record, and _JSON_FLUSH rows at a time, so the working set
+    stays one chunk of rows however long the list."""
     pieces: list[str] = []
 
     def emit(value, nl: str) -> None:
@@ -686,6 +714,20 @@ def _write_json(fh, value) -> None:
             pairs = [(f"{encode_basestring_ascii(key)}: ", value[key]) for key in sorted(value)]
             open_, close = "{", "}"
         elif kind is list or kind is tuple:
+            columns = _table(value)
+            if columns is not None:
+                inner, row = nl + "  ", nl + "    "
+                fields = ("," + row).join(field for field, _, _ in columns)
+                template, lead, sep = "{" + row + fields + inner + "}", "[" + inner, "," + inner
+                for start in range(0, len(value), _JSON_FLUSH):
+                    chunk = value[start:start + _JSON_FLUSH]
+                    rows = zip(*[map(render, map(getter, chunk)) for _, getter, render in columns])
+                    pieces.append(lead + sep.join(map(template.__mod__, rows)))
+                    fh.write("".join(pieces))
+                    pieces.clear()
+                    lead = sep
+                pieces.append(nl + "]")
+                return
             pairs = [("", item) for item in value]
             open_, close = "[", "]"
         else:
@@ -722,7 +764,9 @@ def write_artifacts(result: RunResult, outdir: str) -> list[str]:
 
     The working set is bounded: the trace is rendered and written
     _TRACE_BLOCK records at a time and results.json streamed through
-    _write_json, so neither file's text is ever held whole.  The
+    _write_json, so neither file's text is ever held whole, and a table
+    of records (see _table), such as a user's statuses, goes out a chunk
+    of _JSON_FLUSH rows at a time, each rendered a column at a time.  The
     bytes are those of trace.text() (plus one blank line) and of
     json.dumps(summary, indent=2, sort_keys=True) plus a newline."""
     os.makedirs(outdir, exist_ok=True)

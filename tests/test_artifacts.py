@@ -7,6 +7,7 @@ import io
 import json
 import math
 import tracemalloc
+import types
 import weakref
 from unittest import mock
 
@@ -77,6 +78,78 @@ def test_json_writer_flushes_a_large_value_in_pieces():
     scenario._write_json(fh, value)
     assert fh.getvalue() == dumps(value)
     assert fh.writes > 10  # several hundred pieces at a time, not one string
+
+
+# Record tables: every item an exact dict, one and the same non-empty set
+# of str keys, one exact scalar type per key.  Keys may hold %, " or
+# non-ASCII text, which the row template must escape.
+KEYS = st.text(alphabet='ab%"\\é中\n', max_size=3)
+COLUMNS = st.sampled_from([st.none(), st.booleans(), st.integers(), st.text(max_size=4),
+                           st.floats(), st.sampled_from([math.nan, math.inf, -math.inf, -0.0])])
+NEAR_MISSES = ["none", "missing-key", "extra-key", "other-key", "int-bool", "a-none", "a-nan", "an-inf",
+               "empty-dicts", "a-list"]
+
+
+@st.composite
+def record_tables(draw):
+    """A record table, or one near miss of one, nested at some depth."""
+    keys = draw(st.lists(KEYS, min_size=1, max_size=4, unique=True))
+    columns = {key: draw(COLUMNS) for key in keys}
+    rows = [{key: draw(columns[key]) for key in keys} for _ in range(draw(st.integers(1, 7)))]
+    miss, row, key = draw(st.sampled_from(NEAR_MISSES)), draw(st.sampled_from(rows)), draw(st.sampled_from(keys))
+    if miss == "missing-key":
+        del row[key]
+    elif miss in ("extra-key", "other-key"):  # other-key: as many keys, one of them another
+        row[draw(KEYS.filter(lambda k: k not in keys))] = row.pop(key) if miss == "other-key" else 1
+    elif miss == "int-bool":
+        for other in rows:
+            other[key] = 1
+        row[key] = True
+    elif miss in ("a-none", "a-nan", "an-inf"):
+        row[key] = {"a-none": None, "a-nan": math.nan, "an-inf": -math.inf}[miss]
+    elif miss == "empty-dicts":
+        rows = [{} for _ in rows]
+    elif miss == "a-list":
+        row[key] = [row[key]]
+    table = draw(st.sampled_from([list, tuple]))(rows)
+    return draw(st.sampled_from([table, {"statuses": table, "n": 0}, [[table]], {"u": {"1": table}}]))
+
+
+def is_table(items) -> bool:
+    """The table rule, stated plainly: what _table must find."""
+    return (bool(items) and all(type(item) is dict for item in items) and bool(items[0])
+            and all(item.keys() == items[0].keys() for item in items)
+            and all(type(key) is str for key in items[0])
+            and all(len(kinds) == 1 and kinds <= {type(None), bool, int, float, str}
+                    for kinds in ({type(item[key]) for item in items} for key in items[0])))
+
+
+def lists_in(value):
+    """Every list and tuple in value, at any depth."""
+    if type(value) in (list, tuple):
+        yield value
+    for item in value.values() if type(value) is dict else value if type(value) in (list, tuple) else ():
+        yield from lists_in(item)
+
+
+@given(record_tables())
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+def test_json_writer_writes_record_tables_and_near_misses_as_json_dumps(value):
+    assert written(value) == dumps(value)
+    for items in lists_in(value):
+        assert (scenario._table(items) is not None) == is_table(items), items
+
+
+def test_json_writer_writes_a_long_record_table_a_chunk_of_rows_at_a_time():
+    rows = [{"code": "VF_DONE", "session": k, "t": 7 * k, "ok": k % 2 == 0} for k in range(3 * scenario._JSON_FLUSH + 1)]
+    assert scenario._table(rows) is not None
+    writes = []
+    scenario._write_json(types.SimpleNamespace(write=writes.append), {"statuses": rows})
+    text = "".join(writes)
+    assert text == dumps({"statuses": rows})
+    # One write per chunk of _JSON_FLUSH rows, and the rest: none holds
+    # much more than a third of the text.
+    assert len(writes) >= 4 and max(map(len, writes)) < len(text) * 0.4
 
 
 def tmr_stream(sessions: int) -> dict:

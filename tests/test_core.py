@@ -108,3 +108,24 @@ def test_status_str_shows_code_and_detail():
     assert str(st) == "VF_DONE(ok)"
     assert st.session == 0
     assert VfStatus(VfStatusCode.VF_NONE, "timeout").session == -1
+
+
+def test_status_and_vote_object_are_read_only_tuples_with_their_old_reprs():
+    # One of each is built per reply and per ballot item: a tuple with
+    # no per-instance __dict__, whose fields, repr and defaults are those
+    # of the frozen dataclasses they replace.
+    status = VfStatus(code=VfStatusCode.VF_DONE, session=4)
+    item = VoteObject(source=2, payload=b"\x01")
+    for value in (status, item):
+        assert isinstance(value, tuple) and not hasattr(value, "__dict__")
+    assert status == (VfStatusCode.VF_DONE, "ok", 4) and item == (b"\x01", True, 2)
+    assert repr(status) == "VfStatus(code=<VfStatusCode.VF_DONE: 'VF_DONE'>, detail='ok', session=4)"
+    assert repr(VfStatus(VfStatusCode.VF_NONE, "timeout")) == (
+        "VfStatus(code=<VfStatusCode.VF_NONE: 'VF_NONE'>, detail='timeout', session=-1)")
+    assert repr(item) == "VoteObject(payload=b'\\x01', valid=True, source=2)"
+    assert repr(VoteObject()) == "VoteObject(payload=b'', valid=True, source=0)"
+    for value, field in ((status, "detail"), (item, "valid"), (item, "weight")):
+        with pytest.raises(AttributeError):
+            setattr(value, field, None)
+    with pytest.raises(ValidationError, match="payload must be bytes"):
+        VoteObject("01", source=1)

@@ -19,6 +19,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from votingfarm import fabric, wire
 from votingfarm.core import VotingFarmError
+from votingfarm.scenario import resolve_scenario, run_scenario
 from votingfarm.fabric import (
     _BLOCK,
     _FULL_TAIL,
@@ -376,6 +377,72 @@ def test_a_negative_timeout_counts_as_zero(timeout):
     sim.spawn(sender_of([msg("m")]), A)
     sim.run_until_quiescent()
     assert seen == [(3, "m")]
+
+
+def test_recv_clamps_a_negative_timeout_when_it_is_built():
+    assert [Recv(t).timeout for t in (None, -5, 0, 7)] == [None, 0, 0, 7]
+
+
+def test_a_syscall_is_served_by_its_exact_class():
+    # The scheduler dispatches on type(item): a subclass of a syscall is
+    # an unknown item, so no isinstance chain runs per step.
+    class LongSleep(Sleep):
+        __slots__ = ()
+
+    def sleeper(proc):
+        yield LongSleep(3)
+
+    sim = make_pair()
+    p = sim.spawn(sleeper, A)
+    sim.run_until_quiescent()
+    assert not p.finished and sim.trace.count("proc-error", "unknown item") == 1
+
+
+def run_watching_handlers(name):
+    """Run a bundled scenario, recording what each call of the fabric's
+    send and timer handlers did, and the trace of every simulator it
+    ran (a latency assertion runs a second, fault-free simulation)."""
+    traces, sent, expired = [], [], []
+    run, handle_send, expire = Simulator.run_until_quiescent, Simulator._handle_send, Simulator._expire
+
+    def watched_run(sim, *args):
+        traces.append(sim.trace)
+        return run(sim, *args)
+
+    def watched_send(sim, p, item, i):
+        before = sim.trace.count("send")
+        done = handle_send(sim, p, item, i)
+        sent.append(sim.trace.count("send") - before)
+        return done
+
+    def watched_expire(sim, p, timer):
+        timeouts, queued = sim.trace.count("timeout"), len(sim._heap)
+        expire(sim, p, timer)
+        expired.append("fire" if sim.trace.count("timeout") > timeouts
+                       else "re-arm" if len(sim._heap) > queued else "drop")
+
+    with mock.patch.object(Simulator, "run_until_quiescent", autospec=True, side_effect=watched_run), \
+            mock.patch.object(Simulator, "_handle_send", autospec=True, side_effect=watched_send), \
+            mock.patch.object(Simulator, "_expire", autospec=True, side_effect=watched_expire):
+        result = run_scenario(*resolve_scenario(name))
+    assert result.passed
+    return traces, sent, expired
+
+
+@pytest.mark.parametrize("name", ["tmr_happy", "tmr_one_crash"])
+def test_a_finished_send_and_a_stale_timer_are_handled_in_the_event_loop(name):
+    # A popped send with no target left resumes its sender without a
+    # _handle_send call, and a timer that can no longer fire is dropped
+    # without an _expire call: every call of either does something.
+    traces, sent, expired = run_watching_handlers(name)
+    assert sent and min(sent) >= 1
+    assert sum(sent) == sum(trace.count("send") for trace in traces)
+    assert set(expired) <= {"fire", "re-arm"}
+    assert expired.count("fire") == sum(trace.count("timeout") for trace in traces)
+    if name == "tmr_happy":  # no send meets a dead peer, so each call issues one send
+        assert len(sent) == traces[0].count("send") == 21 and expired == []
+    else:
+        assert expired.count("re-arm") == 2 and expired.count("fire") == 3
 
 
 def test_a_waiting_process_keeps_one_timer():
@@ -1112,6 +1179,23 @@ def test_trace_log_renders_and_counts_its_records():
     assert log.count(contains="tag=a") == 1
     assert log.count("send", contains="omission") == 0
     assert log.count("revive", contains="") == 1
+
+
+def test_trace_log_counts_from_its_detail_columns_alone():
+    # Two packed blocks and a tail; "revive" is only in the tail, so its
+    # name is not yet in the table, and "absent" is nowhere.
+    log = TraceLog()
+    kinds = ["send", "deliver", "drop"]
+    for i in range(2 * _BLOCK + 40):
+        kind = "revive" if i > 2 * _BLOCK + 30 else kinds[i % 3]
+        add_event(log, (i, kind, f"voter:{i % 5}@1", "user@2", f"input tag={i % 7}"))
+    assert len(log._detail) == 2 * _BLOCK and log._tail and "revive" not in log._codes
+    records = list(log.records())
+    with mock.patch.object(TraceLog, "_named", side_effect=AssertionError("decodes endpoint names")):
+        for kind in (None, "send", "drop", "revive", "absent"):
+            for contains in ("", "tag=3", "absent"):
+                naive = sum(1 for _, k, _, _, detail in records if kind in (None, k) and contains in detail)
+                assert log.count(kind, contains) == naive, (kind, contains)
 
 
 def add_event(log, *records):
